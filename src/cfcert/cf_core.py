@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator, Union
 
 from .errors import (
@@ -38,7 +39,8 @@ RationalLike = Union[Fraction, int, str, float]
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 10_000
 DEFAULT_PRECISION_BITS = 128
-#: below this lam, exact numerators blow up (useful depth scales like 1/lam)
+#: below this lam, exact numerators blow up (the depth that meets tol grows
+#: like sqrt(2 ln(1/tol) / lam), see _depth_guess)
 DIRECTED_LAMBDA_CUTOFF = Fraction(1, 64)
 
 
@@ -311,35 +313,45 @@ def _directed_tail(
     Bounds are integers scaled by 2**bits; every rounding is outward, so the
     returned [lo, hi] (divided by 2**bits) rigorously contains the tail value.
     The seed uses T_depth in (x_depth, x_depth + 1/x_{depth+1}).
+
+    Term j rounds down to q and up to q + (r != 0), where
+    (q, r) = divmod(u_j << bits, D).  Stepping j down subtracts the fixed
+    divmod(du << bits, D) with a borrow, so the loop never divides by D.
     """
     sq = 1 << (2 * bits)
-
-    def down(u: int) -> int:
-        return (u << bits) // big_d
-
-    def up(u: int) -> int:
-        return -((-u << bits) // big_d)
-
     du = b * c
     u = (a + depth * b) * c
-    x_next = down(u + du)
-    lo = down(u)
-    if lo <= 0 or x_next <= 0:
+    # terms grow with j, so the j = 0 term is the first to round to zero
+    if ((a * c) << bits) // big_d <= 0:
         raise PrecisionError("tail term rounds to zero; raise precision_bits")
-    hi = up(u) + (-(-sq // x_next))
+    dq, dr = divmod(du << bits, big_d)
+    q, r = divmod(u << bits, big_d)
+    x_next = ((u + du) << bits) // big_d
+    lo, hi = q, q + (r != 0) + (-(-sq // x_next))
     for _ in range(depth):
-        u -= du
-        xl = down(u)
-        if xl <= 0:
-            raise PrecisionError("tail term rounds to zero; raise precision_bits")
+        q -= dq
+        r -= dr
+        if r < 0:
+            q -= 1
+            r += big_d
         # old hi feeds the new lower bound and vice versa (reciprocal flips order)
-        lo, hi = xl + sq // hi, up(u) + (-(-sq // lo))
+        lo, hi = q + sq // hi, q + (r != 0) + (-(-sq // lo))
     return lo, hi
 
 
-def _depth_guess(lam: Fraction) -> int:
-    # terms (m+1+j)*lam pass 1 near j ~ 1/lam; start a bit beyond
-    return max(32, (3 * lam.denominator) // lam.numerator + 32)
+def _depth_guess(lam: Fraction, tol: Fraction) -> int:
+    """First directed depth: where the width 1/(P_n P_{n-1}) reaches tol.
+
+    For small lam, P_n P_{n-1} grows like exp(lam * n**2 / 2), so the width
+    meets tol near n = sqrt(2 ln(1/tol) / lam).  Integer arithmetic with
+    2 ln 2 ~ 1386/1000 and ln(1/tol) ~ ln 2 * bitlen(1/tol), plus a margin.
+    Once the terms pass about 2 the growth slows to the factorial rate, so
+    for large lam with tight tol the guess can fall short; the caller then
+    doubles the depth.
+    """
+    tol_bits = (tol.denominator // tol.numerator).bit_length()
+    n = isqrt(1386 * tol_bits * lam.denominator // (1000 * lam.numerator))
+    return max(32, n + n // 16 + 16)
 
 
 def eval_directed(
@@ -371,7 +383,7 @@ def eval_directed(
     x0 = point.m * point.lam
     one = 1 << bits
     best: Enclosure | None = None
-    depth = min(_depth_guess(point.lam), max_depth)
+    depth = min(_depth_guess(point.lam, tol), max_depth)
     while True:
         t_lo, t_hi = _directed_tail(a, b, c, big_d, depth, bits)
         lo = x0 + Fraction(one, t_hi)

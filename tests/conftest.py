@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfcert import CFPoint, ConvergentPair, advance, term
+from cfcert import CFPoint, ConvergentPair, PrecisionError, advance, term
 
 
 def reference_convergents(point: CFPoint, depth: int) -> list[Fraction]:
@@ -24,6 +24,38 @@ def reference_enclosure(point: CFPoint, depth: int) -> tuple[Fraction, Fraction]
     t_lo, t_hi = (last, prev) if depth % 2 == 0 else (prev, last)
     x0 = point.m * point.lam
     return x0 + 1 / t_hi, x0 + 1 / t_lo
+
+
+def reference_directed_tail(
+    a: int, b: int, c: int, big_d: int, depth: int, bits: int
+) -> tuple[int, int]:
+    """Backward directed pass that divides by D afresh for every rounded term.
+
+    Reference for the stepped rounding in cf_core._directed_tail: the two
+    must return the same scaled (lo, hi) for the same arguments.
+    """
+    sq = 1 << (2 * bits)
+
+    def down(u: int) -> int:
+        return (u << bits) // big_d
+
+    def up(u: int) -> int:
+        return -((-u << bits) // big_d)
+
+    du = b * c
+    u = (a + depth * b) * c
+    x_next = down(u + du)
+    lo = down(u)
+    if lo <= 0 or x_next <= 0:
+        raise PrecisionError("tail term rounds to zero")
+    hi = up(u) + (-(-sq // x_next))
+    for _ in range(depth):
+        u -= du
+        xl = down(u)
+        if xl <= 0:
+            raise PrecisionError("tail term rounds to zero")
+        lo, hi = xl + sq // hi, up(u) + (-(-sq // lo))
+    return lo, hi
 
 
 @pytest.fixture

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_enclosure
+from conftest import reference_directed_tail, reference_enclosure
 
 from cfcert import (
+    DEFAULT_MAX_DEPTH,
     BudgetExceededError,
     CFPoint,
     ConvergentPair,
@@ -16,6 +17,7 @@ from cfcert import (
     DomainError,
     EvalMode,
     NotConvergedError,
+    PrecisionError,
     advance,
     convergents,
     eval_directed,
@@ -24,6 +26,7 @@ from cfcert import (
     tail_enclosure,
     term,
 )
+from cfcert.cf_core import _directed_tail
 
 # reference midpoints frozen from exact convergent runs at width < 1e-45
 G_1_1 = Fraction("1.433127426722311758317183455775992")
@@ -33,6 +36,15 @@ points = st.builds(
     CFPoint,
     st.fractions(min_value=Fraction(-9, 10), max_value=4, max_denominator=20),
     st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=20),
+)
+# below the directed cutoff, with the leading term nonpositive and m's
+# denominator up to 1e12
+small_lam_points = st.builds(
+    CFPoint,
+    st.fractions(min_value=-1, max_value=0, max_denominator=10**12).filter(lambda m: m > -1),
+    st.fractions(
+        min_value=Fraction(1, 2000), max_value=Fraction(1, 64), max_denominator=4000
+    ).filter(lambda lam: lam < Fraction(1, 64)),
 )
 nonneg_points = st.builds(
     CFPoint,
@@ -247,6 +259,53 @@ class TestEvalDirected:
         exact = eval_enclosure(point, tol)
         directed = eval_directed(point, tol)
         assert max(exact.lo, directed.lo) <= min(exact.hi, directed.hi)
+
+    @given(point=small_lam_points)
+    @settings(max_examples=20, deadline=None)
+    def test_mode_consistency_below_cutoff(self, point):
+        tol = Fraction(1, 10**8)
+        exact = eval_enclosure(point, tol)
+        directed = eval_directed(point, tol)
+        assert max(exact.lo, directed.lo) <= min(exact.hi, directed.hi)
+        assert directed.width <= tol
+
+    def test_depth_tracks_tolerance(self):
+        # the minimal sufficient depth here is 238
+        tol = Fraction(1, 10**12)
+        enc = eval_directed(CFPoint(1, Fraction(1, 1000)), tol)
+        assert enc.width <= tol
+        assert enc.depth <= 280
+
+    def test_tiny_lambda_tight_tol_single_pass(self):
+        # minimal sufficient depth ~3750; a second (doubled) pass would pass 7000
+        tol = Fraction(1, 10**30)
+        enc = eval_directed(CFPoint(1, Fraction(1, 10**5)), tol)
+        assert enc.width <= tol
+        assert enc.depth <= 4100 < DEFAULT_MAX_DEPTH
+
+    @given(
+        # dyadic b and lam make exact terms (remainder 0) that a shortcut would miss
+        b=st.one_of(st.integers(min_value=1, max_value=10**13), st.just(2**40)),
+        a_frac=st.fractions(min_value=0, max_value=1),
+        lam=st.one_of(
+            st.fractions(min_value=Fraction(1, 10**5), max_value=4, max_denominator=10**12),
+            st.builds(Fraction, st.integers(min_value=1, max_value=2**22), st.just(2**20)),
+        ),
+        depth=st.integers(min_value=0, max_value=200),
+        bits=st.sampled_from([64, 128, 200]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stepped_rounding_matches_division_pass(self, b, a_frac, lam, depth, bits):
+        # shifted m = a/b lies in (0, 1], i.e. the original m in (-1, 0]
+        a = max(1, int(a_frac * b))
+        args = (a, b, lam.numerator, b * lam.denominator, depth, bits)
+        try:
+            expected = reference_directed_tail(*args)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                _directed_tail(*args)
+            return
+        assert _directed_tail(*args) == expected
 
 
 class TestClosedForms:
