@@ -24,6 +24,7 @@ from .cf_core import (
     EvalMode,
     EvalSettings,
     RationalLike,
+    _from_tail,
     as_fraction,
     evaluate,
 )
@@ -195,10 +196,7 @@ def check_functional_equation(
     tol = as_fraction(tol)
     direct = evaluate(point, tol, settings=settings)
     tail = evaluate(point.shifted(), tol, settings=settings)
-    x0 = point.m * point.lam
-    shifted = Enclosure(
-        lo=x0 + 1 / tail.hi, hi=x0 + 1 / tail.lo, depth=tail.depth, mode=tail.mode
-    )
+    shifted = _from_tail(point, tail.lo, tail.hi, tail.depth, tail.mode)
     overlap = min(direct.hi, shifted.hi) - max(direct.lo, shifted.lo)
     if overlap < 0:
         raise ViolationError(

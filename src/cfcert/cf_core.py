@@ -230,6 +230,17 @@ def _pair_interval(n: int, p: int, q: int, pp: int, qq: int) -> tuple[Fraction, 
     return g_prev, g_last
 
 
+def _from_tail(
+    point: CFPoint, t_lo: Fraction, t_hi: Fraction, depth: int, mode: EvalMode
+) -> Enclosure:
+    """Map tail bounds t_lo <= G(m+1, lam) <= t_hi to G(m, lam) = m*lam + 1/tail.
+
+    The map is decreasing, so the tail's upper bound gives the lower one.
+    """
+    x0 = point.m * point.lam
+    return Enclosure(lo=x0 + 1 / t_hi, hi=x0 + 1 / t_lo, depth=depth, mode=mode)
+
+
 def tail_enclosure(point: CFPoint, depth: int) -> Enclosure:
     """Bracket G(point) between the last even and odd convergents up to ``depth``.
 
@@ -262,6 +273,12 @@ def eval_enclosure(
     1 / (P_n * P_{n-1}), so the minimal sufficient depth is found by an
     integer comparison and the result is deterministic.
 
+    With the scaled convergents p_n = D**(n+1) * P_n, the test
+    width <= tol reads p_n * p_{n-1} * tol_num >= D**(2n+1) * tol_den.  The
+    right side is carried as a running product, one multiplication by D**2
+    per step, so each step, like the recurrence itself, costs work linear in
+    the size of the integers.
+
     Raises BudgetExceededError with the best enclosure attached when the
     tolerance is unreachable within ``max_depth``.
     """
@@ -269,29 +286,21 @@ def eval_enclosure(
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     shift = point.shifted()
-    x0 = point.m * point.lam
     big_d = shift.m.denominator * point.lam.denominator
     dd = big_d * big_d
     tn, td = tol.numerator, tol.denominator
     tn_bits = tn.bit_length()
-    dpow = big_d  # D**(2n+1) at the pair (n-1, n), updated as n grows
+    rhs = big_d * td  # D**(2n+1) * tol_den at the pair (n-1, n), updated as n grows
     for n, p, q, pp, qq in _scaled_convergents(shift.m, point.lam):
         if n == 0:
             continue
-        dpow *= dd
-        rhs = dpow * td
+        rhs *= dd
         # cheap filter: lhs < 2**lb and rhs >= 2**(rb-1), so lb < rb rules it out
         if p.bit_length() + pp.bit_length() + tn_bits >= rhs.bit_length():
             if p * pp * tn >= rhs:
-                t_lo, t_hi = _pair_interval(n, p, q, pp, qq)
-                return Enclosure(
-                    lo=x0 + 1 / t_hi, hi=x0 + 1 / t_lo, depth=n, mode=EvalMode.EXACT
-                )
+                return _from_tail(point, *_pair_interval(n, p, q, pp, qq), n, EvalMode.EXACT)
         if n >= max_depth:
-            t_lo, t_hi = _pair_interval(n, p, q, pp, qq)
-            best = Enclosure(
-                lo=x0 + 1 / t_hi, hi=x0 + 1 / t_lo, depth=n, mode=EvalMode.EXACT
-            )
+            best = _from_tail(point, *_pair_interval(n, p, q, pp, qq), n, EvalMode.EXACT)
             raise BudgetExceededError(
                 f"width {float(best.width):.3e} > tol {float(tol):.3e} "
                 f"at max_depth={max_depth}; raise the budget or use directed mode",

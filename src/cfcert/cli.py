@@ -42,6 +42,7 @@ from .cf_core import (
     Enclosure,
     EvalMode,
     EvalSettings,
+    _from_tail,
     as_fraction,
     evaluate,
     tail_enclosure,
@@ -544,16 +545,41 @@ def _rec_point(rec: OutputRecord) -> CFPoint:
     return CFPoint(Fraction(rec.inputs["m"]), Fraction(rec.inputs["lambda"]))
 
 
-def _regenerate_exact(rec: OutputRecord) -> None:
+def _exact_at(point: CFPoint, depth: int) -> Enclosure:
+    """The exact enclosure of G(point) at tail depth ``depth``."""
+    tail = tail_enclosure(point.shifted(), depth)
+    return _from_tail(point, tail.lo, tail.hi, depth, EvalMode.EXACT)
+
+
+def _regenerate_exact(rec: OutputRecord) -> Enclosure:
     """Exact-mode rows are a pure function of (m, lambda, depth): rebuild and compare."""
-    point = _rec_point(rec)
-    tail = tail_enclosure(point.shifted(), rec.depth)
-    x0 = point.m * point.lam
-    enc = Enclosure(
-        lo=x0 + 1 / tail.hi, hi=x0 + 1 / tail.lo, depth=rec.depth, mode=EvalMode.EXACT
-    )
+    enc = _exact_at(_rec_point(rec), rec.depth)
     if decimal_down(enc.lo) != rec.lo or decimal_up(enc.hi) != rec.hi:
         raise ValueError(f"exact row does not regenerate: {rec}")
+    return enc
+
+
+def _endpoint_side(rec: OutputRecord, settings: EvalSettings) -> int:
+    """Side of G relative to 1 at an alpha endpoint row, from the row's own depth.
+
+    An exact row rebuilds, from its depth, the very enclosure it printed.  A
+    directed pass at depth n encloses the exact tail pair (n, n+1), so the
+    exact enclosure at depth n + 1 decides whatever the row decided.  At small
+    lam those exact numerators are large, so a directed re-evaluation at the
+    default tolerance is tried first; any side it certifies is rigorous too.
+    A depth outside [1, max_depth], which no evaluation returns, is rejected
+    before any recurrence runs on it.
+    """
+    if not 1 <= rec.depth <= settings.max_depth:
+        raise ValueError(f"alpha endpoint depth outside [1, {settings.max_depth}]: {rec}")
+    if rec.mode == EvalMode.EXACT.value:
+        enc = _regenerate_exact(rec)
+    else:
+        side, _ = classify_vs_one(_rec_point(rec), DEFAULT_TOL, settings=settings)
+        if side != 0:
+            return side
+        enc = _exact_at(_rec_point(rec), rec.depth + 1)
+    return -1 if enc.hi < 1 else 1 if enc.lo > 1 else 0
 
 
 def _recheck_enclosure(rec: OutputRecord, settings: EvalSettings) -> None:
@@ -608,8 +634,7 @@ def reverify_records(
                     raise ValueError(f"reciprocal verdict did not reproduce: {rec}")
         elif cmd in ("alpha-lo", "alpha-hi"):
             want = -1 if cmd == "alpha-lo" else 1
-            side, _ = classify_vs_one(_rec_point(rec), Fraction(1, 10**9), settings=s)
-            if side != want:
+            if _endpoint_side(rec, s) != want:
                 raise ValueError(f"alpha endpoint verdict did not reproduce: {rec}")
         else:
             raise ValueError(f"unknown record command: {cmd}")

@@ -200,6 +200,25 @@ class TestEvalEnclosure:
         with pytest.raises(DomainError):
             eval_enclosure(CFPoint(1, 1), 0)
 
+    @pytest.mark.parametrize("m", [Fraction(-1, 2), Fraction(0), Fraction(1, 3)])
+    @pytest.mark.parametrize(
+        "lam, tol",
+        [(Fraction(1, 64), Fraction(1, 10**300)), (Fraction(1), Fraction(1, 10**1000))],
+    )
+    def test_deep_tolerance_depth_is_minimal(self, m, lam, tol):
+        point = CFPoint(m, lam)
+        enc = eval_enclosure(point, tol)
+        x0 = point.m * point.lam
+
+        def mapped_width(depth):
+            tail = tail_enclosure(point.shifted(), depth)
+            return (x0 + 1 / tail.lo) - (x0 + 1 / tail.hi)
+
+        assert enc.width == mapped_width(enc.depth) <= tol
+        assert mapped_width(enc.depth - 1) > tol
+        if lam == Fraction(1, 64):
+            assert (enc.lo, enc.hi) == reference_enclosure(point, enc.depth)
+
     @given(point=points)
     @settings(max_examples=30, deadline=None)
     def test_contains_reference_interval(self, point):

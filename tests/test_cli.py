@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from cfcert.cli import (
     EXIT_INCONCLUSIVE,
@@ -182,6 +185,27 @@ class TestRecordFormat:
     def test_reverify(self, capsys):
         _, out = run(capsys, "witness", "--m", "0.1", "--format", "json")
         assert reverify_records(parse_records(out, "json"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "lam, g_tol, bracket_tol",
+        # exact-mode endpoints, then directed ones: both sit far closer to 1
+        # than a re-classification from 1e-9 in 8 rounds of x10 can resolve
+        [("1", "1e-25", "1e-20"), ("1/100", "1e-200", "1e-1")],
+    )
+    def test_reverify_alpha_endpoints_at_tight_g_tol(self, capsys, fmt, lam, g_tol, bracket_tol):
+        code, out = run(capsys, "alpha", "--lambda", lam, "--g-tol", g_tol,
+                        "--bracket-tol", bracket_tol, "--format", fmt)
+        assert code == EXIT_OK
+        recs = parse_records(out, fmt)
+        assert reverify_records(recs)
+        by_command = {r.command: r for r in recs}
+        swapped = [replace(by_command["alpha-hi"], command="alpha-lo")]
+        with pytest.raises(ValueError, match="alpha endpoint"):
+            reverify_records(swapped)
+        for depth in (-1, 0, 10**9):
+            with pytest.raises(ValueError, match="depth outside"):
+                reverify_records([replace(by_command["alpha-hi"], depth=depth)])
 
     def test_directed_rounding_of_decimals(self):
         third = Fraction(1, 3)
