@@ -10,7 +10,6 @@ the claimed direction.
 from .alpha_root import AlphaResult, alpha_curve, classify_vs_one, find_alpha
 from .bessel_oracle import SeriesEnclosure, cross_check, series_ratio
 from .bounds import (
-    BoundValue,
     CheckReport,
     Claim,
     check_functional_equation,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaResult",
-    "BoundValue",
     "BudgetExceededError",
     "CFCertError",
     "CFPoint",

@@ -8,10 +8,13 @@ only produces rigorous series enclosures, and cross_check treats a disjoint
 pair as a hard Violation, so agreement is established empirically over the
 whole test grid.
 
-All arithmetic is exact rational (factorials and powers of a rational x),
-so enclosures are reproducible bit for bit.  Tails are bounded by a
-geometric majorant: once the term ratio at the truncation point is below
-1/2, the tail is at most twice the first omitted term.
+All arithmetic is on integers.  With h = x/2 = a/b, each truncated series
+is summed as one numerator and denominator by a backward Horner pass in
+which every step multiplies the big integers by small ones, and each end
+of the quotient interval is one Fraction, so enclosures are reproducible
+bit for bit.  Tails are bounded by a geometric majorant: once the term
+ratio at the truncation point is below 1/2, the tail is at most twice the
+first omitted term; that ratio is checked before any term is summed.
 """
 
 from __future__ import annotations
@@ -33,30 +36,39 @@ from .cf_core import (
 )
 from .errors import BudgetExceededError, DomainError, TailNotBoundedError, ViolationError
 
-_HALF = Fraction(1, 2)
+#: the longest truncation cross_check tries before giving up
+MAX_TERMS = 65536
 
 
-def _series_interval(nu: int, x: Fraction, last: int) -> tuple[Fraction, Fraction]:
-    """Enclose S_nu(x) = sum_k (x/2)**(2k+nu) / (k! (k+nu)!), k = 0..last, plus tail.
+def _tail_den(nu: int, a: int, b: int, last: int) -> int:
+    """Denominator q of the term ratio rho = a**2 / q of S_nu at k = last, h = a/b.
 
-    Terms are positive and their successive ratio at k is
-    (x/2)**2 / ((k+1)(k+nu+1)), decreasing in k.  With ratio rho < 1/2 at
-    the truncation point the tail is below 2 * t_{last+1} = 2 * t_last * rho.
+    Terms of S_nu(x) = sum_k h**(2k+nu) / (k! (k+nu)!) are positive and their
+    successive ratio at k is h**2 / ((k+1)(k+nu+1)), decreasing in k.  With
+    rho < 1/2 at the truncation point the tail is below 2 * t_last * rho;
+    otherwise this raises TailNotBoundedError.
     """
-    h = x / 2
-    t = h**nu / factorial(nu)
-    s = t
-    hh = h * h
-    for k in range(1, last + 1):
-        t *= hh / (k * (k + nu))
-        s += t
-    rho = hh / ((last + 1) * (last + nu + 1))
-    if rho >= _HALF:
+    q = b * b * (last + 1) * (last + nu + 1)
+    if 2 * a * a >= q:
         raise TailNotBoundedError(
-            f"term ratio {float(rho):.3f} >= 1/2 at truncation k={last}, nu={nu}; "
+            f"term ratio {a * a / q:.3f} >= 1/2 at truncation k={last}, nu={nu}; "
             "more terms needed"
         )
-    return s, s + 2 * t * rho
+    return q
+
+
+def _horner(nu: int, aa: int, bb: int, last: int) -> tuple[int, int]:
+    """(num, den) with num/den = (t_0 + ... + t_last) / t_0 for S_nu, h**2 = aa/bb.
+
+    Summed backward: num/den <- 1 + h**2/(k (k+nu)) * num/den for k = last
+    down to 1.  The final den is the product of the weights bb*k*(k+nu), so
+    t_last = t_0 * aa**last / den.
+    """
+    num = den = 1
+    for k in range(last, 0, -1):
+        wd = bb * k * (k + nu) * den
+        num, den = wd + aa * num, wd
+    return num, den
 
 
 def _orders(m: int) -> tuple[int, int]:
@@ -89,11 +101,21 @@ def series_ratio(m: int, lam: RationalLike, terms: int) -> SeriesEnclosure:
     lam = as_fraction(lam)
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    x = Fraction(2) / lam
+    a, b = lam.denominator, lam.numerator  # h = x/2 = 1/lam
     top, bot = _orders(m)
-    n_lo, n_hi = _series_interval(top, x, terms)
-    d_lo, d_hi = _series_interval(bot, x, terms)
-    return SeriesEnclosure(lo=n_lo / d_hi, hi=n_hi / d_lo, terms_used=terms)
+    q_top = _tail_den(top, a, b, terms)
+    q_bot = _tail_den(bot, a, b, terms)
+    aa, bb = a * a, b * b
+    # 2 * t_last * rho = t_0 * tail / (den * q)
+    tail = 2 * aa ** (terms + 1)
+    n_num, n_den = _horner(top, aa, bb, terms)
+    d_num, d_den = _horner(bot, aa, bb, terms)
+    # t_0 = h**nu / nu!, so t_0(top) / t_0(bot) = r_num / r_den
+    r_num = a**top * b**bot * factorial(bot)
+    r_den = a**bot * b**top * factorial(top)
+    lo = Fraction(r_num * n_num * d_den * q_bot, r_den * n_den * (d_num * q_bot + tail))
+    hi = Fraction(r_num * (n_num * q_top + tail) * d_den, r_den * n_den * q_top * d_num)
+    return SeriesEnclosure(lo=lo, hi=hi, terms_used=terms)
 
 
 def cross_check(
@@ -102,7 +124,7 @@ def cross_check(
     tol: RationalLike = DEFAULT_TOL,
     *,
     settings: EvalSettings | None = None,
-    max_terms: int = 65536,
+    max_terms: int = MAX_TERMS,
 ) -> CheckReport:
     """Certified-intersection test between the convergent and series enclosures.
 

@@ -2,12 +2,13 @@
 
 The central quantity is the quadratic bound B(m, lam), the positive root of
 y**2 - m*lam*y - 1 = 0 (equivalently m*lam/2 + sqrt(m**2*lam**2/4 + 1)),
-which separates G(m, lam) from G(m+1, lam) for m >= 0.  All certificates
-are interval statements: a strict inequality a < b is certified exactly when
-the enclosure of a lies entirely below the enclosure of b.  Overlapping
-enclosures are retried at tighter tolerance before reporting Inconclusive;
-an identity that fails outright raises Violation since it can only mean an
-arithmetic bug.
+which separates G(m, lam) from G(m+1, lam) for m >= 0.  theorem_bound
+encloses it with integer arithmetic and one isqrt, never a floating square
+root.  All certificates are interval statements: a strict inequality a < b
+is certified exactly when the enclosure of a lies entirely below the
+enclosure of b.  Overlapping enclosures are retried at tighter tolerance
+before reporting Inconclusive; an identity that fails outright raises
+Violation since it can only mean an arithmetic bug.
 """
 
 from __future__ import annotations
@@ -47,21 +48,6 @@ class Claim(str, Enum):
 
 
 @dataclass(frozen=True)
-class BoundValue:
-    """Rational enclosure [lo, hi] of the positive root of y**2 - m*lam*y - 1."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def as_enclosure(self) -> Enclosure:
-        return Enclosure(lo=self.lo, hi=self.hi, depth=0, mode=EvalMode.EXACT)
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one certificate.
 
@@ -79,14 +65,18 @@ class CheckReport:
     gap: Fraction
 
 
-def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> BoundValue:
-    """Enclose B(m, lam) by exact bisection on its defining quadratic.
+def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> Enclosure:
+    """Enclose B(m, lam) on the dyadic grid of its defining quadratic, by one isqrt.
 
-    No floating square root is ever taken: the returned bounds carry the
-    sign witness lo**2 - m*lam*lo - 1 <= 0 <= hi**2 - m*lam*hi - 1.  When
-    the discriminant is a perfect rational square the root itself is
-    rational and the enclosure is returned exact (width zero), which covers
-    m = 0 where the bound equals 1.
+    The enclosure is the one that bisecting [1, c + 1] (or [0, 1] when
+    c = m*lam < 0) until its width is <= tol would return: the grid cell of
+    width w0 / 2**j that holds the root, with j the fewest halvings.  With
+    c = e/f the root is (e + sqrt(d)) / (2f), d = e**2 + 4f**2, so the cell
+    index is a floor of (integer + sqrt(d << 2j)) over an integer, and
+    isqrt(d << 2j) gives it exactly.  No floating square root is ever taken:
+    the bounds carry the sign witness lo**2 - c*lo - 1 <= 0 <= hi**2 - c*hi - 1.
+    When d is a perfect square the root itself is rational and the enclosure
+    is returned exact (width zero), which covers m = 0 where the bound is 1.
     """
     tol = as_fraction(tol)
     if tol <= 0:
@@ -97,25 +87,22 @@ def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> BoundValue
     r = isqrt(disc)
     if r * r == disc:
         root = Fraction(e + r, 2 * f)
-        return BoundValue(lo=root, hi=root)
-
-    def quad(y: Fraction) -> Fraction:
-        return y * y - c * y - 1
-
-    if c >= 0:
-        lo, hi = Fraction(1), c + 1
+        return Enclosure(lo=root, hi=root, depth=0, mode=EvalMode.EXACT)
+    # j halvings take the initial width w0 (e/f when c > 0, else 1) to <= tol:
+    # the least j with 2**j >= ceil(w0 / tol)
+    w_num, w_den = (e, f) if c > 0 else (1, 1)
+    j = ((w_num * tol.denominator - 1) // (w_den * tol.numerator)).bit_length()
+    # sqrt(disc) * 2**j is irrational here, so the floor may be taken inside
+    s = isqrt(disc << (2 * j))
+    if c > 0:
+        k = (((e - 2 * f) << j) + s) // (2 * e)
+        cell = Fraction(e, f << j)
+        lo = 1 + k * cell
     else:
-        lo, hi = Fraction(0), Fraction(1)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        v = quad(mid)
-        if v == 0:
-            return BoundValue(lo=mid, hi=mid)
-        if v < 0:
-            lo = mid
-        else:
-            hi = mid
-    return BoundValue(lo=lo, hi=hi)
+        k = ((e << j) + s) // (2 * f)
+        cell = Fraction(1, 1 << j)
+        lo = k * cell
+    return Enclosure(lo=lo, hi=lo + cell, depth=0, mode=EvalMode.EXACT)
 
 
 def _tolerances(tol: Fraction, tighten_limit: int | None):
@@ -153,7 +140,7 @@ def check_sandwich(
     for t in _tolerances(tol, tighten_limit):
         g_hi = evaluate(upper_point, t, settings=settings)
         g_lo = evaluate(point, t, settings=settings)
-        bound = theorem_bound(point, t).as_enclosure()
+        bound = theorem_bound(point, t)
         last = (g_hi, g_lo, bound)
         if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
             upper = CheckReport(

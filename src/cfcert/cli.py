@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE, classify_vs_one, find_alpha
-from .bessel_oracle import cross_check, series_ratio
+from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
 from .bounds import (
     check_functional_equation,
     check_g_above_one,
@@ -54,6 +54,7 @@ from .errors import (
     InconclusiveError,
     NotConvergedError,
     NoWitnessFoundError,
+    TailNotBoundedError,
 )
 from .lambda_scan import find_witness, scan
 
@@ -559,6 +560,28 @@ def _regenerate_exact(rec: OutputRecord) -> Enclosure:
     return enc
 
 
+_ENCLOSURE_ROWS = ("eval", "scan", "alpha-mid", "witness-g1", "witness-g2", "oracle-cf")
+
+
+def _check_depth(rec: OutputRecord, settings: EvalSettings) -> None:
+    """Reject a depth that no evaluation returns, before any work runs on it.
+
+    The depth drives a recurrence for exact enclosure rows (rebuilt at it),
+    for alpha endpoint rows of either mode (a directed one is decided at
+    depth + 1) and for series rows (re-summed to it); other rows ignore it.
+    """
+    if rec.command == "oracle-series":
+        limit = MAX_TERMS
+    elif rec.command in ("alpha-lo", "alpha-hi") or (
+        rec.command in _ENCLOSURE_ROWS and rec.mode == EvalMode.EXACT.value
+    ):
+        limit = settings.max_depth
+    else:
+        return
+    if not 1 <= rec.depth <= limit:
+        raise ValueError(f"{rec.command} depth outside [1, {limit}]: {rec}")
+
+
 def _endpoint_side(rec: OutputRecord, settings: EvalSettings) -> int:
     """Side of G relative to 1 at an alpha endpoint row, from the row's own depth.
 
@@ -567,11 +590,7 @@ def _endpoint_side(rec: OutputRecord, settings: EvalSettings) -> int:
     exact enclosure at depth n + 1 decides whatever the row decided.  At small
     lam those exact numerators are large, so a directed re-evaluation at the
     default tolerance is tried first; any side it certifies is rigorous too.
-    A depth outside [1, max_depth], which no evaluation returns, is rejected
-    before any recurrence runs on it.
     """
-    if not 1 <= rec.depth <= settings.max_depth:
-        raise ValueError(f"alpha endpoint depth outside [1, {settings.max_depth}]: {rec}")
     if rec.mode == EvalMode.EXACT.value:
         enc = _regenerate_exact(rec)
     else:
@@ -599,25 +618,37 @@ def reverify_records(
     """Re-parse and re-certify emitted records; raises ValueError on any mismatch.
 
     Certified verdicts are monotone in tolerance, so a True record must
-    re-certify; pair claims (witness, oracle) are checked jointly.
+    re-certify; pair claims (witness, oracle, sandwich) are checked jointly.
+    Every depth is range-checked before any record is re-evaluated.
     """
     s = settings or DEFAULT_SETTINGS
+    for rec in records:
+        _check_depth(rec, s)
     by_command = {rec.command: rec for rec in records}
+    sandwiches = set()  # points whose sandwich pair has re-certified
     for rec in records:
         cmd = rec.command
-        if cmd in ("eval", "scan", "alpha-mid", "witness-g1", "witness-g2", "oracle-cf"):
+        if cmd in _ENCLOSURE_ROWS:
             _recheck_enclosure(rec, s)
         elif cmd == "oracle-series":
-            lo, hi = _parsed_interval(rec)
+            _parsed_interval(rec)
             point = _rec_point(rec)
-            se = series_ratio(int(point.m), point.lam, rec.depth)
+            if point.m.denominator != 1:
+                raise ValueError(f"series row needs an integer m: {rec}")
+            try:
+                se = series_ratio(int(point.m), point.lam, rec.depth)
+            except TailNotBoundedError as exc:
+                raise ValueError(f"series row has no tail bound at its depth: {rec}") from exc
             if decimal_down(se.lo) != rec.lo or decimal_up(se.hi) != rec.hi:
                 raise ValueError(f"series row does not regenerate: {rec}")
         elif cmd in ("check-sandwich-upper", "check-sandwich-lower"):
-            if rec.certified:
-                upper, lower = check_sandwich(_rec_point(rec), DEFAULT_TOL, settings=s)
-                if not (upper.certified and lower.certified):
-                    raise ValueError(f"sandwich verdict did not reproduce: {rec}")
+            point = _rec_point(rec)
+            if rec.certified and point not in sandwiches:
+                try:
+                    check_sandwich(point, DEFAULT_TOL, settings=s)
+                except InconclusiveError as exc:
+                    raise ValueError(f"sandwich verdict did not reproduce: {rec}") from exc
+                sandwiches.add(point)
         elif cmd == "check-functional":
             report = check_functional_equation(_rec_point(rec), DEFAULT_TOL, settings=s)
             if report.certified != rec.certified:

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, isqrt
 
 import pytest
 
-from cfcert import CFPoint, ConvergentPair, PrecisionError, advance, term
+from cfcert import (
+    CFPoint,
+    ConvergentPair,
+    PrecisionError,
+    TailNotBoundedError,
+    advance,
+    term,
+)
 
 
 def reference_convergents(point: CFPoint, depth: int) -> list[Fraction]:
@@ -56,6 +64,63 @@ def reference_directed_tail(
             raise PrecisionError("tail term rounds to zero")
         lo, hi = xl + sq // hi, up(u) + (-(-sq // lo))
     return lo, hi
+
+
+def reference_theorem_bound(point: CFPoint, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect the quadratic y**2 - m*lam*y - 1 over Fractions until width <= tol.
+
+    Reference for bounds.theorem_bound, which finds the same cell with one
+    isqrt: the two must return the same (lo, hi) for the same arguments.
+    """
+    c = point.m * point.lam
+    e, f = c.numerator, c.denominator
+    disc = e * e + 4 * f * f
+    r = isqrt(disc)
+    if r * r == disc:
+        root = Fraction(e + r, 2 * f)
+        return root, root
+    if c >= 0:
+        lo, hi = Fraction(1), c + 1
+    else:
+        lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        v = mid * mid - c * mid - 1
+        if v == 0:
+            return mid, mid
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _reference_series_interval(nu: int, x: Fraction, last: int) -> tuple[Fraction, Fraction]:
+    """S_nu(x) summed term by term over Fractions, k = 0..last, plus the tail bound."""
+    h = x / 2
+    t = h**nu / factorial(nu)
+    s = t
+    hh = h * h
+    for k in range(1, last + 1):
+        t *= hh / (k * (k + nu))
+        s += t
+    rho = hh / ((last + 1) * (last + nu + 1))
+    if rho >= Fraction(1, 2):
+        raise TailNotBoundedError(f"term ratio >= 1/2 at truncation k={last}, nu={nu}")
+    return s, s + 2 * t * rho
+
+
+def reference_series_ratio(m: int, lam: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """Fraction-by-Fraction series quotient interval.
+
+    Reference for bessel_oracle.series_ratio and its integer Horner sums:
+    the two must return the same (lo, hi), or both raise TailNotBoundedError.
+    """
+    x = Fraction(2) / lam
+    top = m - 1 if m >= 1 else 1
+    n_lo, n_hi = _reference_series_interval(top, x, terms)
+    d_lo, d_hi = _reference_series_interval(m, x, terms)
+    return n_lo / d_hi, n_hi / d_lo
 
 
 @pytest.fixture

@@ -3,6 +3,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import reference_series_ratio
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfcert import (
     CFPoint,
@@ -56,6 +59,30 @@ class TestSeriesRatio:
     def test_rejects_bad_terms(self):
         with pytest.raises(DomainError):
             series_ratio(1, 1, 0)
+
+    @given(
+        m=st.integers(min_value=0, max_value=8),
+        lam=st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=1000),
+        terms=st.integers(min_value=1, max_value=300),
+    )
+    @example(m=0, lam=Fraction(1, 4), terms=2)  # tail ratio above 1/2: both raise
+    @example(m=0, lam=Fraction(1, 4), terms=3)  # still 16/(4*5) >= 1/2 at k = 3
+    @example(m=1, lam=Fraction(1, 2), terms=2)  # 4/9 and 1/3: the first bounded truncation
+    @example(m=3, lam=Fraction(1, 2), terms=1)  # order-2 ratio 4/(2*4) is exactly 1/2
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_reference(self, m, lam, terms):
+        try:
+            want = reference_series_ratio(m, lam, terms)
+        except TailNotBoundedError:
+            want = None
+        try:
+            enc = series_ratio(m, lam, terms)
+            got = (enc.lo.numerator, enc.lo.denominator, enc.hi.numerator, enc.hi.denominator)
+        except TailNotBoundedError:
+            got = None
+        if want is not None:
+            want = (want[0].numerator, want[0].denominator, want[1].numerator, want[1].denominator)
+        assert got == want
 
 
 def test_real_order_ratio_spot_check():

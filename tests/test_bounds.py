@@ -3,12 +3,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from conftest import reference_theorem_bound
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcert import (
     CFPoint,
     DomainError,
+    Enclosure,
+    EvalMode,
     InconclusiveError,
     check_functional_equation,
     check_g_above_one,
@@ -26,6 +29,36 @@ points = st.builds(
     st.fractions(min_value=Fraction(-9, 10), max_value=4, max_denominator=20),
     st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=20),
 )
+
+BIG_DEN = 999999999989  # a prime, so m = k / BIG_DEN stays in lowest terms
+
+
+@st.composite
+def bound_args(draw):
+    """A point with m in (-1, 5] and lam in [1/64, 4], and a tolerance for it.
+
+    Decimal tolerances run from 1e-1 (above small positive m*lam, so no
+    halving at all) to 1e-40.  Dyadic ones are w0 / 2**i and its neighbours,
+    with w0 the initial bisection width, so the halving count sits exactly
+    on a boundary.  Rational-root points (m*lam = p - 1/p) take the exact path.
+    """
+    lam = draw(st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=10**6))
+    if draw(st.integers(0, 4)) == 0:
+        root = Fraction(draw(st.sampled_from(["1/2", "2/3", "1", "3/2", "2", "3"])))
+        m = (root - 1 / root) / lam
+        if not -1 < m <= 5:
+            m = Fraction(0)
+    else:
+        m = draw(st.fractions(min_value=-1, max_value=5, max_denominator=BIG_DEN).filter(
+            lambda x: x > -1 and x != 0))
+    c = m * lam
+    w0 = c if c > 0 else Fraction(1)
+    if draw(st.booleans()):
+        tol = Fraction(draw(st.integers(1, 9)), 10 ** draw(st.integers(1, 40)))
+    else:
+        tol = w0 / 2 ** draw(st.integers(0, 130))
+        tol *= draw(st.sampled_from([1, Fraction(10**9 - 1, 10**9), Fraction(10**9 + 1, 10**9)]))
+    return CFPoint(m, lam), tol
 
 
 class TestTheoremBound:
@@ -58,6 +91,27 @@ class TestTheoremBound:
         assert b.width <= tol
         assert b.lo**2 - c * b.lo - 1 <= 0
         assert b.hi**2 - c * b.hi - 1 >= 0
+
+    def test_returns_exact_enclosure(self):
+        b = theorem_bound(CFPoint(1, 1), Fraction(1, 10**12))
+        assert isinstance(b, Enclosure)
+        assert (b.depth, b.mode) == (0, EvalMode.EXACT)
+
+    @given(args=bound_args())
+    @example(args=(CFPoint(Fraction(1, 100), 1), Fraction(1, 10)))  # c <= tol: no halving
+    @example(args=(CFPoint(Fraction(-1, 2), 1), Fraction(1, 2)))  # c < 0, one halving
+    @example(args=(CFPoint(1, 1), Fraction(1, 2**40)))  # width lands exactly on tol
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection_reference(self, args):
+        point, tol = args
+        b = theorem_bound(point, tol)
+        lo, hi = reference_theorem_bound(point, tol)
+        assert (b.lo.numerator, b.lo.denominator) == (lo.numerator, lo.denominator)
+        assert (b.hi.numerator, b.hi.denominator) == (hi.numerator, hi.denominator)
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(DomainError):
+            theorem_bound(CFPoint(1, 1), 0)
 
 
 class TestSandwich:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfcert import InconclusiveError
 from cfcert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NO_WITNESS,
@@ -206,6 +207,57 @@ class TestRecordFormat:
         for depth in (-1, 0, 10**9):
             with pytest.raises(ValueError, match="depth outside"):
                 reverify_records([replace(by_command["alpha-hi"], depth=depth)])
+
+    def test_reverify_rejects_out_of_range_depths(self, capsys):
+        rows = []
+        for argv in (("eval", "--m", "1", "--lambda", "1"),
+                     ("scan", "--m", "1", "--grid-list", "1/2,1"),
+                     ("alpha", "--lambda", "1"),
+                     ("witness", "--m", "0.1"),
+                     ("oracle", "--m", "0", "--lambda", "1/4")):
+            code, out = run(capsys, *argv)
+            assert code == EXIT_OK
+            rows += parse_records(out, "csv")
+        kinds = {r.command for r in rows}
+        assert kinds == {"eval", "scan", "alpha-lo", "alpha-hi", "alpha-mid",
+                         "witness-g1", "witness-g2", "oracle-cf", "oracle-series"}
+        assert all(r.mode == "exact" for r in rows)
+        assert reverify_records(rows)
+        for rec in rows:
+            for depth in (-1, 0, 10**9):
+                with pytest.raises(ValueError, match="depth outside"):
+                    reverify_records([replace(rec, depth=depth)])
+        # order-1 term ratio 16 / (3 * 4) at k = 2: no tail bound, a ValueError
+        series = next(r for r in rows if r.command == "oracle-series")
+        with pytest.raises(ValueError, match="no tail bound"):
+            reverify_records([replace(series, depth=2)])
+        # G(0, 1/4)'s digits under m = 1/2 used to regenerate through int(m) = 0
+        with pytest.raises(ValueError, match="integer m"):
+            reverify_records([replace(series, inputs={**series.inputs, "m": "1/2"})])
+
+    def test_reverify_certifies_sandwich_pair_once(self, capsys, monkeypatch):
+        import cfcert.cli as cli
+
+        _, out = run(capsys, "check", "sandwich", "--m", "1", "--lambda", "1")
+        recs = parse_records(out, "csv")
+        assert [r.command for r in recs] == ["check-sandwich-upper", "check-sandwich-lower"]
+        original, calls = cli.check_sandwich, []
+
+        def counting(point, *args, **kwargs):
+            calls.append(point)
+            return original(point, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_sandwich", counting)
+        assert reverify_records(recs)
+        assert len(calls) == 1
+
+        def inconclusive(point, *args, **kwargs):
+            raise InconclusiveError("forced overlap")
+
+        monkeypatch.setattr(cli, "check_sandwich", inconclusive)
+        with pytest.raises(ValueError, match="sandwich verdict did not reproduce"):
+            reverify_records(recs)
+        assert reverify_records([replace(r, certified=False) for r in recs])
 
     def test_directed_rounding_of_decimals(self):
         third = Fraction(1, 3)
