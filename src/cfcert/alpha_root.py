@@ -2,10 +2,13 @@
 
 The anchors are certified rather than assumed: G(0, lam) < 1 and
 G(1, lam) > 1 are both checked before bisection starts.  Bisection on m
-only ever moves an endpoint on certified evidence; a midpoint whose
-enclosure straddles 1 triggers tolerance tightening (factor 10, up to 8
-rounds) and, if still undecided, the current bracket is returned flagged
-instead of guessing.
+only ever moves an endpoint on certified evidence.  A bisection step only
+needs the side of 1 that G(mid, lam) lies on: at an exact-routed lam it
+walks the exact recurrence once and stops at the first convergent pair
+whose enclosure excludes 1; at a directed-routed lam it tightens the
+tolerance (factor 10, up to 8 rounds).  Both give up at the same depth,
+the one an enclosure of width g_tol / 10**8 needs, and a midpoint still
+undecided there returns the current bracket flagged instead of guessing.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf_core import (
+    DEFAULT_SETTINGS,
     CFPoint,
     Enclosure,
     EvalSettings,
     RationalLike,
+    _side_of_one,
     as_fraction,
     evaluate,
 )
@@ -108,6 +113,11 @@ def find_alpha(
     2**-iterations.  The loop keeps going until the bracket is interior to
     (0, 1) and at most bracket_tol/4 wide (the extra factor keeps the
     midpoint's G value well within g_tol of 1).
+
+    When lam routes to exact mode, each step's side of 1 comes from one walk
+    of the exact recurrence (cf_core._side_of_one), which gives up at width
+    g_tol / 10**TIGHTEN_ROUNDS and so returns the side classify_vs_one
+    would; directed-routed lams step through classify_vs_one.
     """
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
@@ -128,28 +138,35 @@ def find_alpha(
             f"could not certify G(1, {lam}) > 1", left=enc
         )
 
-    lo, hi = Fraction(0), Fraction(1)
+    s = settings or DEFAULT_SETTINGS
+    exact = lam >= s.directed_cutoff
+    give_up = g_tol / 10**TIGHTEN_ROUNDS
+    c, d = lam.numerator, lam.denominator
     target = bracket_tol / 4
     flag = None
-    iterations = 0
-    while hi - lo > target or lo == 0 or hi == 1:
-        if iterations >= max_iterations:
+    k = j = 0  # the bracket is [k, k + 1] / 2**j
+    # bisect while the width 2**-j exceeds target or the bracket touches 0 or 1
+    while target.numerator << j < target.denominator or k == 0 or k + 1 == 1 << j:
+        if j >= max_iterations:
             flag = FLAG_BUDGET
             break
-        mid = (lo + hi) / 2
-        side, _ = classify_vs_one(CFPoint(mid, lam), g_tol, settings=settings)
-        if side == _BELOW:
-            lo = mid
-        elif side == _ABOVE:
-            hi = mid
+        mid = 2 * k + 1  # the midpoint is mid / 2**(j + 1)
+        if exact:
+            side = _side_of_one(mid, 2 << j, c, d, give_up, s.max_depth)
         else:
+            side, _ = classify_vs_one(
+                CFPoint(Fraction(mid, 2 << j), lam), g_tol, settings=settings
+            )
+        if side == _STRADDLE:
             flag = FLAG_INCONCLUSIVE
             break
-        iterations += 1
+        k = mid if side == _BELOW else 2 * k
+        j += 1
 
+    lo, hi = Fraction(k, 1 << j), Fraction(k + 1, 1 << j)
     g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, settings=settings)
     return AlphaResult(
-        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=iterations, flag=flag
+        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=j, flag=flag
     )
 
 

@@ -195,16 +195,14 @@ class Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_convergents(m: Fraction, lam: Fraction) -> Iterator[tuple[int, int, int, int, int]]:
-    """Integer-scaled convergents (n, p, q, p_prev, q_prev) at the point (m, lam).
+def _scaled_convergents(a: int, b: int, c: int, d: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Integer-scaled convergents (n, p, q, p_prev, q_prev) at the point (a/b, c/d).
 
-    With m = a/b, lam = c/d and D = b*d, the terms are u_j / D with
-    u_j = (a + j*b) * c.  Scaling the classical recurrence by D**(n+1) keeps
-    every state integral: p_n = u_n * p_{n-1} + D**2 * p_{n-2}.  The scale
-    cancels in the ratio, so p/q is exactly the convergent G_n.
+    With D = b*d, the terms are u_j / D with u_j = (a + j*b) * c.  Scaling
+    the classical recurrence by D**(n+1) keeps every state integral:
+    p_n = u_n * p_{n-1} + D**2 * p_{n-2}.  The scale cancels in the ratio, so
+    p/q is exactly the convergent G_n; the fractions need not be reduced.
     """
-    a, b = m.numerator, m.denominator
-    c, d = lam.numerator, lam.denominator
     big_d = b * d
     dd = big_d * big_d
     u = a * c
@@ -252,7 +250,10 @@ def tail_enclosure(point: CFPoint, depth: int) -> Enclosure:
         raise DepthTooSmallError(f"depth must be >= 1, got {depth}")
     if point.m < 0:
         raise DomainError("tail bracketing needs m >= 0 so all tail terms are positive")
-    for n, p, q, pp, qq in _scaled_convergents(point.m, point.lam):
+    m, lam = point.m, point.lam
+    for n, p, q, pp, qq in _scaled_convergents(
+        m.numerator, m.denominator, lam.numerator, lam.denominator
+    ):
         if n == depth:
             lo, hi = _pair_interval(n, p, q, pp, qq)
             return Enclosure(lo=lo, hi=hi, depth=depth, mode=EvalMode.EXACT)
@@ -285,13 +286,15 @@ def eval_enclosure(
     tol = as_fraction(tol)
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    shift = point.shifted()
-    big_d = shift.m.denominator * point.lam.denominator
+    m, lam = point.m, point.lam
+    big_d = m.denominator * lam.denominator
     dd = big_d * big_d
     tn, td = tol.numerator, tol.denominator
     tn_bits = tn.bit_length()
     rhs = big_d * td  # D**(2n+1) * tol_den at the pair (n-1, n), updated as n grows
-    for n, p, q, pp, qq in _scaled_convergents(shift.m, point.lam):
+    for n, p, q, pp, qq in _scaled_convergents(
+        m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
+    ):
         if n == 0:
             continue
         rhs *= dd
@@ -306,6 +309,45 @@ def eval_enclosure(
                 f"at max_depth={max_depth}; raise the budget or use directed mode",
                 best=best,
             )
+    raise AssertionError("unreachable")
+
+
+def _side_of_one(
+    a: int, b: int, c: int, d: int, give_up_tol: Fraction, max_depth: int
+) -> int:
+    """Side of G(a/b, c/d) relative to 1: -1 below, 1 above, 0 undecided.
+
+    Walks eval_enclosure's exact tail pairs (n-1, n) and stops at the first
+    whose mapped enclosure excludes 1; the pairs are nested, so every deeper
+    one agrees.  It gives up (0) where eval_enclosure at ``give_up_tol``
+    would stop: at width <= give_up_tol, or at ``max_depth``.  The fractions
+    need not be reduced.
+
+    With t = p/q a tail convergent, D = b*d and e = D - a*c, the mapped value
+    m*lam + 1/t is below 1 exactly when p*e > q*D and above when p*e < q*D.
+    Only an even convergent (the lower tail bound) can newly put a pair below
+    1 and only an odd one above, so each step tests just the newest one.
+    """
+    big_d = b * d
+    e = big_d - a * c
+    dd = big_d * big_d
+    tn, td = give_up_tol.numerator, give_up_tol.denominator
+    tn_bits = tn.bit_length()
+    rhs = big_d * td  # D**(2n+1) * tol_den, as in eval_enclosure
+    for n, p, q, pp, _ in _scaled_convergents(a + b, b, c, d):
+        if n & 1:
+            if p * e < q * big_d:
+                return 1
+        elif p * e > q * big_d:
+            return -1
+        if n == 0:
+            continue
+        rhs *= dd
+        if n >= max_depth or (
+            p.bit_length() + pp.bit_length() + tn_bits >= rhs.bit_length()
+            and p * pp * tn >= rhs
+        ):
+            return 0
     raise AssertionError("unreachable")
 
 

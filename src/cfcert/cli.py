@@ -612,6 +612,42 @@ def _recheck_enclosure(rec: OutputRecord, settings: EvalSettings) -> None:
         _regenerate_exact(rec)
 
 
+_CLAIMS = {
+    "check-sandwich-upper": "sandwich",
+    "check-sandwich-lower": "sandwich",
+    "check-functional": "functional",
+    "check-above-one": "above-one",
+    "check-reciprocal": "reciprocal",
+}
+
+
+def _claim_holds(
+    rec: OutputRecord, settings: EvalSettings, sandwiches: set[CFPoint]
+) -> bool:
+    """Whether a check row's verdict reproduces; a certificate that fails raises.
+
+    A row printed uncertified (inconclusive) is not re-run, except a
+    functional one, whose certificate never comes back uncertified.  A
+    sandwich pair is certified once per point.
+    """
+    cmd = rec.command
+    if cmd == "check-functional":
+        report = check_functional_equation(_rec_point(rec), DEFAULT_TOL, settings=settings)
+        return report.certified == rec.certified
+    if not rec.certified:
+        return True
+    if cmd == "check-reciprocal":
+        lam = Fraction(rec.inputs["lambda"])
+        return check_reciprocal(lam, DEFAULT_TOL, settings=settings).certified
+    point = _rec_point(rec)
+    if cmd == "check-above-one":
+        return check_g_above_one(point, DEFAULT_TOL, settings=settings).certified
+    if point not in sandwiches:
+        check_sandwich(point, DEFAULT_TOL, settings=settings)
+        sandwiches.add(point)
+    return True
+
+
 def reverify_records(
     records: list[OutputRecord], *, settings: EvalSettings | None = None
 ) -> bool:
@@ -619,7 +655,9 @@ def reverify_records(
 
     Certified verdicts are monotone in tolerance, so a True record must
     re-certify; pair claims (witness, oracle, sandwich) are checked jointly.
-    Every depth is range-checked before any record is re-evaluated.
+    Every depth is range-checked before any record is re-evaluated.  A check
+    row whose certificate comes back inconclusive or out of budget is a
+    mismatch too.
     """
     s = settings or DEFAULT_SETTINGS
     for rec in records:
@@ -641,28 +679,13 @@ def reverify_records(
                 raise ValueError(f"series row has no tail bound at its depth: {rec}") from exc
             if decimal_down(se.lo) != rec.lo or decimal_up(se.hi) != rec.hi:
                 raise ValueError(f"series row does not regenerate: {rec}")
-        elif cmd in ("check-sandwich-upper", "check-sandwich-lower"):
-            point = _rec_point(rec)
-            if rec.certified and point not in sandwiches:
-                try:
-                    check_sandwich(point, DEFAULT_TOL, settings=s)
-                except InconclusiveError as exc:
-                    raise ValueError(f"sandwich verdict did not reproduce: {rec}") from exc
-                sandwiches.add(point)
-        elif cmd == "check-functional":
-            report = check_functional_equation(_rec_point(rec), DEFAULT_TOL, settings=s)
-            if report.certified != rec.certified:
-                raise ValueError(f"functional verdict did not reproduce: {rec}")
-        elif cmd == "check-above-one":
-            if rec.certified:
-                report = check_g_above_one(_rec_point(rec), DEFAULT_TOL, settings=s)
-                if not report.certified:
-                    raise ValueError(f"above-one verdict did not reproduce: {rec}")
-        elif cmd == "check-reciprocal":
-            if rec.certified:
-                report = check_reciprocal(Fraction(rec.inputs["lambda"]), DEFAULT_TOL, settings=s)
-                if not report.certified:
-                    raise ValueError(f"reciprocal verdict did not reproduce: {rec}")
+        elif cmd in _CLAIMS:
+            try:
+                held = _claim_holds(rec, s, sandwiches)
+            except (InconclusiveError, NotConvergedError, BudgetExceededError) as exc:
+                raise ValueError(f"{_CLAIMS[cmd]} verdict did not reproduce: {rec}") from exc
+            if not held:
+                raise ValueError(f"{_CLAIMS[cmd]} verdict did not reproduce: {rec}")
         elif cmd in ("alpha-lo", "alpha-hi"):
             want = -1 if cmd == "alpha-lo" else 1
             if _endpoint_side(rec, s) != want:

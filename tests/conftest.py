@@ -6,13 +6,20 @@ from math import factorial, isqrt
 import pytest
 
 from cfcert import (
+    AlphaResult,
     CFPoint,
     ConvergentPair,
+    DomainError,
+    InconclusiveError,
     PrecisionError,
     TailNotBoundedError,
     advance,
+    as_fraction,
+    classify_vs_one,
+    evaluate,
     term,
 )
+from cfcert.alpha_root import _ABOVE, _BELOW, FLAG_BUDGET, FLAG_INCONCLUSIVE
 
 
 def reference_convergents(point: CFPoint, depth: int) -> list[Fraction]:
@@ -121,6 +128,64 @@ def reference_series_ratio(m: int, lam: Fraction, terms: int) -> tuple[Fraction,
     n_lo, n_hi = _reference_series_interval(top, x, terms)
     d_lo, d_hi = _reference_series_interval(m, x, terms)
     return n_lo / d_hi, n_hi / d_lo
+
+
+def reference_find_alpha(
+    lam,
+    bracket_tol=Fraction(1, 10**6),
+    g_tol=Fraction(1, 10**9),
+    *,
+    settings=None,
+    max_iterations=256,
+) -> AlphaResult:
+    """Fraction bisection that classifies every midpoint by tightening rounds.
+
+    Reference for alpha_root.find_alpha, whose exact-routed steps walk the
+    recurrence once instead: the two must return equal AlphaResults, or
+    raise the same error, for the same arguments.
+    """
+    lam = as_fraction(lam)
+    bracket_tol = as_fraction(bracket_tol)
+    g_tol = as_fraction(g_tol)
+    if lam <= 0:
+        raise DomainError(f"lam must be positive, got {lam}")
+    if bracket_tol <= 0 or g_tol <= 0:
+        raise DomainError("tolerances must be positive")
+
+    side, enc = classify_vs_one(CFPoint(Fraction(0), lam), g_tol, settings=settings)
+    if side != _BELOW:
+        raise InconclusiveError(
+            f"could not certify G(0, {lam}) < 1", left=enc
+        )
+    side, enc = classify_vs_one(CFPoint(Fraction(1), lam), g_tol, settings=settings)
+    if side != _ABOVE:
+        raise InconclusiveError(
+            f"could not certify G(1, {lam}) > 1", left=enc
+        )
+
+    lo, hi = Fraction(0), Fraction(1)
+    target = bracket_tol / 4
+    flag = None
+    iterations = 0
+    while hi - lo > target or lo == 0 or hi == 1:
+        if iterations >= max_iterations:
+            flag = FLAG_BUDGET
+            break
+        mid = (lo + hi) / 2
+        side, _ = classify_vs_one(CFPoint(mid, lam), g_tol, settings=settings)
+        if side == _BELOW:
+            lo = mid
+        elif side == _ABOVE:
+            hi = mid
+        else:
+            flag = FLAG_INCONCLUSIVE
+            break
+        iterations += 1
+
+    g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, settings=settings)
+    return AlphaResult(
+        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=iterations, flag=flag
+    )
 
 
 @pytest.fixture

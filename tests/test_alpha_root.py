@@ -3,8 +3,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import reference_find_alpha
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cfcert.alpha_root as alpha_root
+import cfcert.cf_core as cf_core
 from cfcert import (
+    DEFAULT_MAX_DEPTH,
+    CFCertError,
     CFPoint,
     DomainError,
     EvalSettings,
@@ -14,6 +21,8 @@ from cfcert import (
     evaluate,
     find_alpha,
 )
+from cfcert.alpha_root import TIGHTEN_ROUNDS
+from cfcert.cf_core import _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
 G_TOL = Fraction(1, 10**6)
@@ -95,6 +104,131 @@ def test_classify_survives_budget_cap():
 def test_budget_capped_anchor_is_inconclusive():
     with pytest.raises(InconclusiveError):
         find_alpha(Fraction(1, 10**6), settings=EvalSettings(max_depth=64))
+
+
+# lam = k / den: a small and a large prime denominator
+LAM_DENS = (997, 999999999989)
+
+
+@st.composite
+def exact_lams(draw):
+    """lam in [1/64, 4], routed to exact mode."""
+    den = draw(st.sampled_from(LAM_DENS))
+    return Fraction(draw(st.integers(-(-den // 64), 4 * den)), den)
+
+
+@st.composite
+def directed_lams(draw):
+    """lam just below 1/64, routed to directed mode."""
+    den = draw(st.sampled_from(LAM_DENS))
+    return Fraction(draw(st.integers(den // 64 - 2, den // 64)), den)
+
+
+def decimal_tols(lo_exp, hi_exp):
+    return st.builds(
+        lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(lo_exp, hi_exp)
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the error's type, message and attached enclosure."""
+    try:
+        return fn(*args, **kwargs)
+    except CFCertError as exc:
+        return type(exc), str(exc), getattr(exc, "left", None)
+
+
+# every lam drawn here (<= 4) routes to directed mode under this cutoff
+ALL_DIRECTED = EvalSettings(directed_cutoff=Fraction(8))
+
+
+@given(
+    lam=st.one_of(exact_lams(), exact_lams(), exact_lams(), directed_lams()),
+    bracket_tol=decimal_tols(1, 30),
+    g_tol=decimal_tols(6, 40),
+    max_iterations=st.one_of(st.just(256), st.just(256), st.integers(0, 40)),
+    eval_settings=st.sampled_from([None, None, None, EvalSettings(max_depth=12), ALL_DIRECTED]),
+)
+# exact, flagged: G(mid, 1/50) - 1 is below 1e-12 / 1e8 from the first midpoint on
+@example(lam=Fraction(1, 50), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**12),
+         max_iterations=256, eval_settings=None)
+# exact, flagged after 47 steps: some midpoints are decided only in the last round
+@example(lam=Fraction(1, 2), bracket_tol=Fraction(1, 10**15), g_tol=Fraction(1, 10**6),
+         max_iterations=256, eval_settings=None)
+# exact, capped by max_iterations
+@example(lam=Fraction(1), bracket_tol=Fraction(1, 10**12), g_tol=Fraction(1, 10**9),
+         max_iterations=5, eval_settings=None)
+# exact, flagged after 65 steps: the walk reaches max_depth before the give-up width
+@example(lam=Fraction(1), bracket_tol=Fraction(1, 10**25), g_tol=Fraction(1, 10**19),
+         max_iterations=256, eval_settings=EvalSettings(max_depth=12))
+# directed, flagged at the first midpoint
+@example(lam=Fraction(15, 997), bracket_tol=Fraction(1, 10**3), g_tol=Fraction(1, 10**9),
+         max_iterations=256, eval_settings=None)
+# directed by the cutoff, clean after 22 steps
+@example(lam=Fraction(1), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
+         max_iterations=256, eval_settings=ALL_DIRECTED)
+@settings(max_examples=150, deadline=None)
+def test_matches_tightening_reference(lam, bracket_tol, g_tol, max_iterations, eval_settings):
+    kwargs = dict(settings=eval_settings, max_iterations=max_iterations)
+    got = outcome(find_alpha, lam, bracket_tol, g_tol, **kwargs)
+    assert got == outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs)
+
+
+@st.composite
+def dyadic_points(draw):
+    """(k, j) with m = (k + 2**j) / 2**j in (-1, 2], unreduced when k is even."""
+    j = draw(st.integers(0, 12))
+    return draw(st.integers(-(2 << j) + 1, 1 << j)), j
+
+
+@given(
+    kj=dyadic_points(),
+    lam=exact_lams(),
+    tol=decimal_tols(1, 40),
+    max_depth=st.sampled_from([1, 2, 3, 12, DEFAULT_MAX_DEPTH]),
+)
+# the first pair's upper end is exactly 1: G_0 of the tail at m = 0, lam = 1
+@example(kj=(-1, 0), lam=Fraction(1), tol=Fraction(1, 10**9), max_depth=1)
+@example(kj=(-1, 0), lam=Fraction(1), tol=Fraction(1, 10**9), max_depth=2)
+@example(kj=(0, 0), lam=Fraction(4), tol=Fraction(1, 10), max_depth=1)  # m*lam >= 1
+# that pair's width 1/3 is exactly the give-up width; the next pair is below 1
+@example(kj=(-1, 0), lam=Fraction(1), tol=Fraction(10**8, 3), max_depth=DEFAULT_MAX_DEPTH)
+@settings(max_examples=300, deadline=None)
+def test_side_of_one_matches_classify(kj, lam, tol, max_depth):
+    k, j = kj
+    side = _side_of_one(
+        k + 2**j, 2**j, lam.numerator, lam.denominator,
+        tol / 10**TIGHTEN_ROUNDS, max_depth,
+    )
+    point = CFPoint(Fraction(k + 2**j, 2**j), lam)
+    assert side == classify_vs_one(point, tol, settings=EvalSettings(max_depth=max_depth))[0]
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; return the record."""
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_exact_steps_evaluate_nothing(monkeypatch):
+    # only the two anchors and g_at_mid evaluate; each step walks the recurrence
+    calls = counting(monkeypatch, cf_core, "eval_enclosure")
+    res = find_alpha(1, 1e-6, 1e-9)
+    assert res.flag is None and res.iterations == 22
+    assert len(calls) == 3
+
+
+def test_directed_steps_classify(monkeypatch):
+    calls = counting(monkeypatch, alpha_root, "classify_vs_one")
+    res = find_alpha(1, 1e-6, 1e-9, settings=ALL_DIRECTED)
+    assert res.flag is None and res.iterations == 22
+    assert len(calls) == 2 + 22
 
 
 class TestAlphaCurve:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfcert import InconclusiveError
+from cfcert import EvalSettings, InconclusiveError
 from cfcert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NO_WITNESS,
@@ -258,6 +258,39 @@ class TestRecordFormat:
         with pytest.raises(ValueError, match="sandwich verdict did not reproduce"):
             reverify_records(recs)
         assert reverify_records([replace(r, certified=False) for r in recs])
+
+    @pytest.mark.parametrize(
+        "argv, claim",
+        [
+            (("check", "above-one", "--m", "1", "--lambda", "1"), "above-one"),
+            (("check", "reciprocal", "--lambda", "1"), "reciprocal"),
+            (("check", "functional", "--m", "1", "--lambda", "1"), "functional"),
+            (("check", "sandwich", "--m", "1", "--lambda", "1"), "sandwich"),
+        ],
+    )
+    def test_reverify_claim_failures_are_value_errors(self, capsys, monkeypatch, argv, claim):
+        import cfcert.cli as cli
+
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        recs = parse_records(out, "csv")
+        assert reverify_records(recs)
+        match = f"{claim} verdict did not reproduce"
+        # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth
+        tiny = [replace(r, inputs={**r.inputs, "lambda": "1/10000000000"}) for r in recs]
+        with pytest.raises(ValueError, match=match):
+            reverify_records(tiny)
+        with pytest.raises(ValueError, match=match):
+            reverify_records(recs, settings=EvalSettings(max_depth=2))
+
+        def inconclusive(*args, **kwargs):
+            raise InconclusiveError("forced overlap")
+
+        for name in ("check_g_above_one", "check_reciprocal", "check_functional_equation",
+                     "check_sandwich"):
+            monkeypatch.setattr(cli, name, inconclusive)
+        with pytest.raises(ValueError, match=match):
+            reverify_records(recs)
 
     def test_directed_rounding_of_decimals(self):
         third = Fraction(1, 3)
