@@ -183,7 +183,9 @@ def check_functional_equation(
     tol = as_fraction(tol)
     direct = evaluate(point, tol, settings=settings)
     tail = evaluate(point.shifted(), tol, settings=settings)
-    shifted = _from_tail(point, tail.lo, tail.hi, tail.depth, tail.mode)
+    shifted = _from_tail(
+        point, tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio(), tail.depth, tail.mode
+    )
     overlap = min(direct.hi, shifted.hi) - max(direct.lo, shifted.lo)
     if overlap < 0:
         raise ViolationError(

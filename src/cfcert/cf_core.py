@@ -179,10 +179,6 @@ class Enclosure:
         value = as_fraction(value)
         return self.lo <= value <= self.hi
 
-    def straddles(self, value: RationalLike) -> bool:
-        """True when ``value`` is interior or on the boundary, i.e. no verdict."""
-        return self.contains(value)
-
     def intersects(self, other: "Enclosure") -> bool:
         return max(self.lo, other.lo) <= min(self.hi, other.hi)
 
@@ -219,24 +215,26 @@ def _scaled_convergents(a: int, b: int, c: int, d: int) -> Iterator[tuple[int, i
         yield n, p, q, p_prev, q_prev
 
 
-def _pair_interval(n: int, p: int, q: int, pp: int, qq: int) -> tuple[Fraction, Fraction]:
-    """Order the consecutive convergents (n-1, n) as (even, odd) = (lo, hi)."""
-    g_last = Fraction(p, q)
-    g_prev = Fraction(pp, qq)
-    if n % 2 == 0:
-        return g_last, g_prev
-    return g_prev, g_last
-
-
 def _from_tail(
-    point: CFPoint, t_lo: Fraction, t_hi: Fraction, depth: int, mode: EvalMode
+    point: CFPoint, t_lo: tuple[int, int], t_hi: tuple[int, int], depth: int, mode: EvalMode
 ) -> Enclosure:
     """Map tail bounds t_lo <= G(m+1, lam) <= t_hi to G(m, lam) = m*lam + 1/tail.
 
-    The map is decreasing, so the tail's upper bound gives the lower one.
+    Each tail bound is an integer pair (p, q) standing for p/q > 0.  With
+    m*lam = ac/bd, the image of p/q is (ac*p + bd*q) / (bd*p), built as one
+    Fraction, so each end costs one gcd.  The map is decreasing, so the
+    tail's upper bound gives the lower one.
     """
-    x0 = point.m * point.lam
-    return Enclosure(lo=x0 + 1 / t_hi, hi=x0 + 1 / t_lo, depth=depth, mode=mode)
+    m, lam = point.m, point.lam
+    ac = m.numerator * lam.numerator
+    bd = m.denominator * lam.denominator
+    (p_lo, q_lo), (p_hi, q_hi) = t_lo, t_hi
+    return Enclosure(
+        lo=Fraction(ac * p_hi + bd * q_hi, bd * p_hi),
+        hi=Fraction(ac * p_lo + bd * q_lo, bd * p_lo),
+        depth=depth,
+        mode=mode,
+    )
 
 
 def tail_enclosure(point: CFPoint, depth: int) -> Enclosure:
@@ -255,7 +253,9 @@ def tail_enclosure(point: CFPoint, depth: int) -> Enclosure:
         m.numerator, m.denominator, lam.numerator, lam.denominator
     ):
         if n == depth:
-            lo, hi = _pair_interval(n, p, q, pp, qq)
+            lo, hi = Fraction(p, q), Fraction(pp, qq)
+            if n % 2:  # an odd convergent is the upper bound
+                lo, hi = hi, lo
             return Enclosure(lo=lo, hi=hi, depth=depth, mode=EvalMode.EXACT)
     raise AssertionError("unreachable")
 
@@ -275,10 +275,10 @@ def eval_enclosure(
     integer comparison and the result is deterministic.
 
     With the scaled convergents p_n = D**(n+1) * P_n, the test
-    width <= tol reads p_n * p_{n-1} * tol_num >= D**(2n+1) * tol_den.  The
-    right side is carried as a running product, one multiplication by D**2
-    per step, so each step, like the recurrence itself, costs work linear in
-    the size of the integers.
+    width <= tol reads p_n * p_{n-1} * tol_num >= x * (D**2)**n with
+    x = D * tol_den.  A bit-length test rules out almost every step before
+    that product is formed (see _bit_floor), so a step costs work linear in
+    the size of the integers, like the recurrence itself.
 
     Raises BudgetExceededError with the best enclosure attached when the
     tolerance is unreachable within ``max_depth``.
@@ -289,27 +289,42 @@ def eval_enclosure(
     m, lam = point.m, point.lam
     big_d = m.denominator * lam.denominator
     dd = big_d * big_d
-    tn, td = tol.numerator, tol.denominator
-    tn_bits = tn.bit_length()
-    rhs = big_d * td  # D**(2n+1) * tol_den at the pair (n-1, n), updated as n grows
+    tn = tol.numerator
+    x = big_d * tol.denominator
+    base, slope = _bit_floor(x, tn, dd)
     for n, p, q, pp, qq in _scaled_convergents(
         m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
     ):
         if n == 0:
             continue
-        rhs *= dd
-        # cheap filter: lhs < 2**lb and rhs >= 2**(rb-1), so lb < rb rules it out
-        if p.bit_length() + pp.bit_length() + tn_bits >= rhs.bit_length():
-            if p * pp * tn >= rhs:
-                return _from_tail(point, *_pair_interval(n, p, q, pp, qq), n, EvalMode.EXACT)
-        if n >= max_depth:
-            best = _from_tail(point, *_pair_interval(n, p, q, pp, qq), n, EvalMode.EXACT)
-            raise BudgetExceededError(
-                f"width {float(best.width):.3e} > tol {float(tol):.3e} "
-                f"at max_depth={max_depth}; raise the budget or use directed mode",
-                best=best,
-            )
-    raise AssertionError("unreachable")
+        met = (
+            p.bit_length() + pp.bit_length() >= base + n * slope // 64
+            and p * pp * tn >= x * dd**n
+        )
+        if met or n >= max_depth:
+            break
+    # even tail convergents are lower bounds, odd ones upper bounds
+    ends = ((p, q), (pp, qq)) if n % 2 == 0 else ((pp, qq), (p, q))
+    enc = _from_tail(point, *ends, n, EvalMode.EXACT)
+    if met:
+        return enc
+    raise BudgetExceededError(
+        f"width {float(enc.width):.3e} > tol {float(tol):.3e} "
+        f"at max_depth={max_depth}; raise the budget or use directed mode",
+        best=enc,
+    )
+
+
+def _bit_floor(x: int, tn: int, dd: int) -> tuple[int, int]:
+    """(base, slope) of the bit-length filter for p * pp * tn >= x * dd**n.
+
+    The left side is below 2**(bits(p) + bits(pp) + bits(tn)) and the right
+    side is at least 2**(bits(x) - 1 + n*log2(dd)).  With slope =
+    floor(log2(dd**64)) <= 64*log2(dd), the exact test therefore fails
+    whenever bits(p) + bits(pp) < base + n*slope // 64, where
+    base = bits(x) - bits(tn); only the other steps need the products.
+    """
+    return x.bit_length() - tn.bit_length(), (dd**64).bit_length() - 1
 
 
 def _side_of_one(
@@ -331,9 +346,9 @@ def _side_of_one(
     big_d = b * d
     e = big_d - a * c
     dd = big_d * big_d
-    tn, td = give_up_tol.numerator, give_up_tol.denominator
-    tn_bits = tn.bit_length()
-    rhs = big_d * td  # D**(2n+1) * tol_den, as in eval_enclosure
+    tn = give_up_tol.numerator
+    x = big_d * give_up_tol.denominator
+    base, slope = _bit_floor(x, tn, dd)  # eval_enclosure's width test
     for n, p, q, pp, _ in _scaled_convergents(a + b, b, c, d):
         if n & 1:
             if p * e < q * big_d:
@@ -342,10 +357,9 @@ def _side_of_one(
             return -1
         if n == 0:
             continue
-        rhs *= dd
         if n >= max_depth or (
-            p.bit_length() + pp.bit_length() + tn_bits >= rhs.bit_length()
-            and p * pp * tn >= rhs
+            p.bit_length() + pp.bit_length() >= base + n * slope // 64
+            and p * pp * tn >= x * dd**n
         ):
             return 0
     raise AssertionError("unreachable")
@@ -431,18 +445,19 @@ def eval_directed(
     a, b = shift.m.numerator, shift.m.denominator
     c = point.lam.numerator
     big_d = b * point.lam.denominator
-    x0 = point.m * point.lam
     one = 1 << bits
     best: Enclosure | None = None
     depth = min(_depth_guess(point.lam, tol), max_depth)
     while True:
         t_lo, t_hi = _directed_tail(a, b, c, big_d, depth, bits)
-        lo = x0 + Fraction(one, t_hi)
-        hi = x0 + Fraction(one, t_lo)
+        enc = _from_tail(point, (t_lo, one), (t_hi, one), depth, EvalMode.DIRECTED)
         if best is not None:
             # successive passes both contain G, so the intersection does too
-            lo, hi = max(lo, best.lo), min(hi, best.hi)
-        best = Enclosure(lo=lo, hi=hi, depth=depth, mode=EvalMode.DIRECTED)
+            enc = Enclosure(
+                lo=max(enc.lo, best.lo), hi=min(enc.hi, best.hi),
+                depth=depth, mode=EvalMode.DIRECTED,
+            )
+        best = enc
         if best.width <= tol:
             return best
         if depth >= max_depth:

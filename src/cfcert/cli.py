@@ -549,7 +549,9 @@ def _rec_point(rec: OutputRecord) -> CFPoint:
 def _exact_at(point: CFPoint, depth: int) -> Enclosure:
     """The exact enclosure of G(point) at tail depth ``depth``."""
     tail = tail_enclosure(point.shifted(), depth)
-    return _from_tail(point, tail.lo, tail.hi, depth, EvalMode.EXACT)
+    return _from_tail(
+        point, tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio(), depth, EvalMode.EXACT
+    )
 
 
 def _regenerate_exact(rec: OutputRecord) -> Enclosure:
@@ -602,10 +604,18 @@ def _endpoint_side(rec: OutputRecord, settings: EvalSettings) -> int:
 
 
 def _recheck_enclosure(rec: OutputRecord, settings: EvalSettings) -> None:
+    """The printed interval must meet a fresh enclosure of the same point.
+
+    A row printed not converged re-evaluates out of budget too; the best
+    enclosure then reached is still rigorous, so the check runs against it.
+    """
     lo, hi = _parsed_interval(rec)
     point = _rec_point(rec)
     mode = "exact" if rec.mode == EvalMode.EXACT.value else "directed"
-    enc = evaluate(point, DEFAULT_TOL, mode=mode, settings=settings)
+    try:
+        enc = evaluate(point, DEFAULT_TOL, mode=mode, settings=settings)
+    except (NotConvergedError, BudgetExceededError) as exc:
+        enc = exc.best
     if max(lo, enc.lo) > min(hi, enc.hi):
         raise ValueError(f"re-evaluation disjoint from printed interval: {rec}")
     if mode == "exact":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .cf_core import (
     DEFAULT_TOL,
@@ -97,6 +98,30 @@ def limit_check(
     return out
 
 
+def _grid_points(
+    m: Fraction,
+    lambda_grid: list[RationalLike],
+    tol: RationalLike,
+    settings: EvalSettings | None,
+) -> Iterator[ScanPoint]:
+    """Evaluate a strictly ascending positive grid lazily, in grid order.
+
+    The grid is checked when the first point is requested, before any
+    evaluation.
+    """
+    grid = [as_fraction(lam) for lam in lambda_grid]
+    for a, b in zip(grid, grid[1:]):
+        if a >= b:
+            raise DomainError("lambda grid must be strictly ascending")
+    if grid and grid[0] <= 0:
+        raise DomainError("lambda grid must be positive")
+    for lam in grid:
+        try:
+            yield ScanPoint(lam=lam, enclosure=evaluate(CFPoint(m, lam), tol, settings=settings))
+        except (NotConvergedError, BudgetExceededError) as exc:
+            yield ScanPoint(lam=lam, enclosure=exc.best, error=str(exc))
+
+
 def scan(
     m: RationalLike,
     lambda_grid: list[RationalLike],
@@ -105,20 +130,7 @@ def scan(
     settings: EvalSettings | None = None,
 ) -> list[ScanPoint]:
     """Pointwise enclosures over a strictly ascending positive grid, order preserved."""
-    m = as_fraction(m)
-    grid = [as_fraction(lam) for lam in lambda_grid]
-    for a, b in zip(grid, grid[1:]):
-        if a >= b:
-            raise DomainError("lambda grid must be strictly ascending")
-    if grid and grid[0] <= 0:
-        raise DomainError("lambda grid must be positive")
-    entries = []
-    for lam in grid:
-        try:
-            entries.append(ScanPoint(lam=lam, enclosure=evaluate(CFPoint(m, lam), tol, settings=settings)))
-        except (NotConvergedError, BudgetExceededError) as exc:
-            entries.append(ScanPoint(lam=lam, enclosure=exc.best, error=str(exc)))
-    return entries
+    return list(_grid_points(as_fraction(m), lambda_grid, tol, settings))
 
 
 def find_witness(
@@ -131,20 +143,29 @@ def find_witness(
 ) -> Witness:
     """First grid pair (lam_i < lam_j) whose enclosures certify G(m, lam_i) > G(m, lam_j).
 
-    Pairs are tried in grid order for determinism.  Near misses (midpoints
-    ordered as a decrease but enclosures overlapping) are retried at
-    tolerance tightened by 10 per round.  Raises NoWitnessFoundError when
-    the grid shows no certified decrease.
+    Pairs are tried in grid order for determinism.  A grid point is
+    evaluated when the search first reaches it: the pairs (lam_0, lam_j)
+    come first, so a witness there leaves the rest of the grid unevaluated.
+    Near misses (midpoints ordered as a decrease but enclosures overlapping)
+    are retried at tolerance tightened by 10 per round.  Raises
+    NoWitnessFoundError when the grid shows no certified decrease.
     """
     m = as_fraction(m)
     if not (0 < m < 1):
         raise DomainError(f"witness search needs 0 < m < 1, got {m}")
     tol = as_fraction(tol)
     grid = list(DEFAULT_WITNESS_GRID) if lambda_grid is None else lambda_grid
-    entries = scan(m, grid, tol, settings=settings)
-    usable = [(e.lam, e.enclosure) for e in entries if e.enclosure is not None]
+    usable: list[tuple[Fraction, Enclosure]] = []
+    for e in _grid_points(m, grid, tol, settings):
+        if e.enclosure is None:
+            continue
+        if usable and usable[0][1].lo > e.enclosure.hi:
+            lam1, g1 = usable[0]
+            return Witness(m=m, lambda1=lam1, lambda2=e.lam, g1=g1, g2=e.enclosure)
+        usable.append((e.lam, e.enclosure))
 
-    for i in range(len(usable)):
+    # the pairs (lam_0, lam_j) are done and every point is evaluated
+    for i in range(1, len(usable)):
         lam1, g1 = usable[i]
         for lam2, g2 in usable[i + 1 :]:
             if g1.lo > g2.hi:

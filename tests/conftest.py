@@ -6,20 +6,32 @@ from math import factorial, isqrt
 import pytest
 
 from cfcert import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_TOL,
+    DEFAULT_WITNESS_GRID,
     AlphaResult,
+    BudgetExceededError,
     CFPoint,
     ConvergentPair,
     DomainError,
+    Enclosure,
+    EvalMode,
     InconclusiveError,
+    NotConvergedError,
+    NoWitnessFoundError,
     PrecisionError,
     TailNotBoundedError,
+    Witness,
     advance,
     as_fraction,
     classify_vs_one,
     evaluate,
+    scan,
     term,
 )
 from cfcert.alpha_root import _ABOVE, _BELOW, FLAG_BUDGET, FLAG_INCONCLUSIVE
+from cfcert.cf_core import _scaled_convergents
+from cfcert.lambda_scan import TIGHTEN_ROUNDS
 
 
 def reference_convergents(point: CFPoint, depth: int) -> list[Fraction]:
@@ -185,6 +197,136 @@ def reference_find_alpha(
     g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, settings=settings)
     return AlphaResult(
         lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=iterations, flag=flag
+    )
+
+
+def _reference_pair_interval(n: int, p: int, q: int, pp: int, qq: int) -> tuple[Fraction, Fraction]:
+    """Order the consecutive convergents (n-1, n) as (even, odd) = (lo, hi)."""
+    g_last = Fraction(p, q)
+    g_prev = Fraction(pp, qq)
+    if n % 2 == 0:
+        return g_last, g_prev
+    return g_prev, g_last
+
+
+def _reference_from_tail(point: CFPoint, t_lo: Fraction, t_hi: Fraction, depth: int) -> Enclosure:
+    """m*lam + 1/tail over Fractions; the tail's upper bound gives the lower one."""
+    x0 = point.m * point.lam
+    return Enclosure(lo=x0 + 1 / t_hi, hi=x0 + 1 / t_lo, depth=depth, mode=EvalMode.EXACT)
+
+
+def reference_eval_enclosure(point: CFPoint, tol, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Enclosure:
+    """Exact evaluation with the right side of the stopping test as a running product.
+
+    Reference for cf_core.eval_enclosure, whose bit-length test and integer
+    mapping must give equal enclosures, depths and budget errors.
+    """
+    tol = as_fraction(tol)
+    if tol <= 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    m, lam = point.m, point.lam
+    big_d = m.denominator * lam.denominator
+    dd = big_d * big_d
+    tn, td = tol.numerator, tol.denominator
+    tn_bits = tn.bit_length()
+    rhs = big_d * td  # D**(2n+1) * tol_den at the pair (n-1, n), updated as n grows
+    for n, p, q, pp, qq in _scaled_convergents(
+        m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
+    ):
+        if n == 0:
+            continue
+        rhs *= dd
+        # cheap filter: lhs < 2**lb and rhs >= 2**(rb-1), so lb < rb rules it out
+        if p.bit_length() + pp.bit_length() + tn_bits >= rhs.bit_length():
+            if p * pp * tn >= rhs:
+                return _reference_from_tail(point, *_reference_pair_interval(n, p, q, pp, qq), n)
+        if n >= max_depth:
+            best = _reference_from_tail(point, *_reference_pair_interval(n, p, q, pp, qq), n)
+            raise BudgetExceededError(
+                f"width {float(best.width):.3e} > tol {float(tol):.3e} "
+                f"at max_depth={max_depth}; raise the budget or use directed mode",
+                best=best,
+            )
+    raise AssertionError("unreachable")
+
+
+def reference_side_of_one(
+    a: int, b: int, c: int, d: int, give_up_tol: Fraction, max_depth: int
+) -> int:
+    """cf_core._side_of_one with the running-product width test."""
+    big_d = b * d
+    e = big_d - a * c
+    dd = big_d * big_d
+    tn, td = give_up_tol.numerator, give_up_tol.denominator
+    tn_bits = tn.bit_length()
+    rhs = big_d * td  # D**(2n+1) * tol_den, as in reference_eval_enclosure
+    for n, p, q, pp, _ in _scaled_convergents(a + b, b, c, d):
+        if n & 1:
+            if p * e < q * big_d:
+                return 1
+        elif p * e > q * big_d:
+            return -1
+        if n == 0:
+            continue
+        rhs *= dd
+        if n >= max_depth or (
+            p.bit_length() + pp.bit_length() + tn_bits >= rhs.bit_length()
+            and p * pp * tn >= rhs
+        ):
+            return 0
+    raise AssertionError("unreachable")
+
+
+def reference_find_witness(
+    m,
+    lambda_grid=None,
+    tol=DEFAULT_TOL,
+    *,
+    settings=None,
+    tighten_rounds: int = TIGHTEN_ROUNDS,
+) -> Witness:
+    """Witness search that scans the whole grid before trying any pair.
+
+    Reference for lambda_scan.find_witness, which evaluates grid points
+    only when the pair search reaches them.
+    """
+    m = as_fraction(m)
+    if not (0 < m < 1):
+        raise DomainError(f"witness search needs 0 < m < 1, got {m}")
+    tol = as_fraction(tol)
+    grid = list(DEFAULT_WITNESS_GRID) if lambda_grid is None else lambda_grid
+    entries = scan(m, grid, tol, settings=settings)
+    usable = [(e.lam, e.enclosure) for e in entries if e.enclosure is not None]
+
+    for i in range(len(usable)):
+        lam1, g1 = usable[i]
+        for lam2, g2 in usable[i + 1 :]:
+            if g1.lo > g2.hi:
+                return Witness(m=m, lambda1=lam1, lambda2=lam2, g1=g1, g2=g2)
+
+    # near misses: decreasing midpoints but overlapping enclosures
+    for i in range(len(usable)):
+        lam1, g1 = usable[i]
+        for lam2, g2 in usable[i + 1 :]:
+            if g1.midpoint <= g2.midpoint:
+                continue
+            t = tol
+            for _ in range(tighten_rounds):
+                t = t / 10
+                try:
+                    e1 = evaluate(CFPoint(m, lam1), t, settings=settings)
+                    e2 = evaluate(CFPoint(m, lam2), t, settings=settings)
+                except (NotConvergedError, BudgetExceededError):
+                    break  # budget floor reached; this pair cannot be resolved
+                if e1.lo > e2.hi:
+                    return Witness(m=m, lambda1=lam1, lambda2=lam2, g1=e1, g2=e2)
+                if e1.hi < e2.lo:
+                    break
+    raise NoWitnessFoundError(
+        f"no certified decrease for m={m} on the scanned grid "
+        "(absence on a grid is not a refutation)",
+        m=m,
+        grid=[lam for lam, _ in usable],
     )
 
 

@@ -161,7 +161,7 @@ def test_criterion_8_alpha_bracketing():
             ok = False
         g = res.g_at_mid
         near = min(abs(g.lo - 1), abs(g.hi - 1)) <= tol6
-        if not (g.straddles(1) or near):
+        if not (g.contains(1) or near):
             ok = False
     report(8, "alpha bracketing", ok)
 

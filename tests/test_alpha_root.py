@@ -59,7 +59,7 @@ def test_midpoint_g_near_one():
     res = find_alpha(1, BRACKET_TOL, G_TOL)
     g = res.g_at_mid
     near = min(abs(g.lo - 1), abs(g.hi - 1)) <= G_TOL
-    assert g.straddles(1) or near
+    assert g.contains(1) or near
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_directed_tail, reference_enclosure
+from conftest import (
+    reference_directed_tail,
+    reference_enclosure,
+    reference_eval_enclosure,
+    reference_side_of_one,
+)
 
 from cfcert import (
     DEFAULT_MAX_DEPTH,
@@ -26,7 +31,7 @@ from cfcert import (
     tail_enclosure,
     term,
 )
-from cfcert.cf_core import _directed_tail
+from cfcert.cf_core import _directed_tail, _side_of_one
 
 # reference midpoints frozen from exact convergent runs at width < 1e-45
 G_1_1 = Fraction("1.433127426722311758317183455775992")
@@ -46,6 +51,34 @@ small_lam_points = st.builds(
         min_value=Fraction(1, 2000), max_value=Fraction(1, 64), max_denominator=4000
     ).filter(lambda lam: lam < Fraction(1, 64)),
 )
+# m in (-1, 5] with small to 1e12-sized denominators; lam in [1/2000, 4],
+# integers included, so that D = b*d = 1 also occurs
+wide_points = st.builds(
+    CFPoint,
+    st.sampled_from([1, 3, 997, 999999999989]).flatmap(
+        lambda den: st.integers(-den + 1, 5 * den).map(lambda k: Fraction(k, den))
+    ),
+    st.one_of(
+        st.integers(1, 4).map(Fraction),
+        st.fractions(min_value=Fraction(1, 2000), max_value=4, max_denominator=10**6),
+    ),
+)
+# 1e-1 .. 1e-300, numerators above 1 included: the bit filter subtracts them
+wide_tols = st.one_of(
+    st.builds(lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(1, 300)),
+    st.builds(lambda k, e: Fraction(k, 2**e), st.integers(1, 15), st.integers(7, 997)),
+)
+depth_caps = st.one_of(st.integers(1, 50), st.just(DEFAULT_MAX_DEPTH))
+
+
+def exact_outcome(fn, *args, **kwargs):
+    """The enclosure, or the budget error's message and best enclosure."""
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return str(exc), exc.best
+
+
 nonneg_points = st.builds(
     CFPoint,
     st.fractions(min_value=0, max_value=4, max_denominator=20),
@@ -218,6 +251,37 @@ class TestEvalEnclosure:
         assert mapped_width(enc.depth - 1) > tol
         if lam == Fraction(1, 64):
             assert (enc.lo, enc.hi) == reference_enclosure(point, enc.depth)
+
+    @given(point=wide_points, tol=wide_tols, max_depth=depth_caps)
+    @example(point=CFPoint(1, 1), tol=Fraction(3, 10**40), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(0, 2), tol=Fraction(7, 2**200), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(4, 3), tol=Fraction(1, 10**300), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(1, 1), tol=Fraction(1, 10**9), max_depth=5)
+    # the bit test's two sides are equal at the minimal depth (1, 5, 5)
+    @example(point=CFPoint(4, 1), tol=Fraction(7, 2**10), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(9, 2), Fraction(9, 8)), tol=Fraction(15, 2**38),
+             max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(3, Fraction(7, 4)), tol=Fraction(11, 2**41),
+             max_depth=DEFAULT_MAX_DEPTH)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_running_product_reference(self, point, tol, max_depth):
+        got = exact_outcome(eval_enclosure, point, tol, max_depth=max_depth)
+        want = exact_outcome(reference_eval_enclosure, point, tol, max_depth=max_depth)
+        assert got == want
+
+    @given(point=wide_points, tol=wide_tols, max_depth=depth_caps)
+    @example(point=CFPoint(0, 1), tol=Fraction(3, 10**40), max_depth=DEFAULT_MAX_DEPTH)
+    # the give-up width is met at a step whose bit test has equal sides
+    @example(point=CFPoint(Fraction(1, 4), Fraction(47, 16)), tol=Fraction(3, 256),
+             max_depth=DEFAULT_MAX_DEPTH)
+    # tol_num = 5 decides whether that width is met before 1 is excluded
+    @example(point=CFPoint(Fraction(-1, 4), Fraction(5, 16)), tol=Fraction(5, 8),
+             max_depth=DEFAULT_MAX_DEPTH)
+    @settings(max_examples=300, deadline=None)
+    def test_side_of_one_matches_running_product_reference(self, point, tol, max_depth):
+        args = (point.m.numerator, point.m.denominator,
+                point.lam.numerator, point.lam.denominator, tol, max_depth)
+        assert _side_of_one(*args) == reference_side_of_one(*args)
 
     @given(point=points)
     @settings(max_examples=30, deadline=None)

@@ -292,6 +292,22 @@ class TestRecordFormat:
         with pytest.raises(ValueError, match=match):
             reverify_records(recs)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--m", "1", "--lambda", "1e-10"),
+         ("scan", "--m", "1", "--grid-list", "1e-10,1")],
+    )
+    def test_reverify_not_converged_rows(self, capsys, argv):
+        # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_NOT_CONVERGED
+        recs = parse_records(out, "csv")
+        assert recs[0].mode == "directed-fixed-precision"
+        assert reverify_records(recs)
+        moved = replace(recs[0], lo="500", hi="600")
+        with pytest.raises(ValueError, match="disjoint"):
+            reverify_records([moved])
+
     def test_directed_rounding_of_decimals(self):
         third = Fraction(1, 3)
         lo, hi = decimal_down(third), decimal_up(third)

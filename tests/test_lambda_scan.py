@@ -1,9 +1,16 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import conftest
+from conftest import reference_find_witness
+
+import cfcert.lambda_scan as lambda_scan
 from cfcert import (
     DEFAULT_WITNESS_GRID,
     DomainError,
@@ -12,6 +19,7 @@ from cfcert import (
     Witness,
     evaluate,
     CFPoint,
+    CFCertError,
     find_witness,
     limit_check,
     scan,
@@ -114,3 +122,70 @@ def test_default_grid_shape():
     assert DEFAULT_WITNESS_GRID[0] == Fraction(1, 16)
     assert DEFAULT_WITNESS_GRID[-1] == Fraction(4)
     assert all(b == 2 * a for a, b in zip(DEFAULT_WITNESS_GRID, DEFAULT_WITNESS_GRID[1:]))
+
+
+def counted_outcome(fn, *args, **kwargs):
+    """(result or error details, number of evaluate calls made by lambda_scan
+    and by the conftest references)."""
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return evaluate(*a, **k)
+
+    with mock.patch.object(lambda_scan, "evaluate", counting), \
+            mock.patch.object(conftest, "evaluate", counting):
+        try:
+            got = fn(*args, **kwargs)
+        except CFCertError as exc:
+            got = type(exc), str(exc), getattr(exc, "grid", None)
+    return got, len(calls)
+
+
+WITNESS_LAMS = [Fraction(1, 2**130), Fraction(1, 100), Fraction(1, 16), Fraction(1, 10),
+                Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(3, 10),
+                Fraction(1, 2), 1, 2, 4]
+
+
+@given(
+    m=st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10),
+                       Fraction(999999999988, 999999999989)]),
+    lams=st.lists(st.sampled_from(WITNESS_LAMS), max_size=5),
+    ascending=st.sampled_from([True, True, True, False]),
+    tol=st.sampled_from([Fraction(1, 10), Fraction(1, 100), Fraction(1, 10**4), Fraction(1, 10**12)]),
+    eval_settings=st.sampled_from([None, EvalSettings(max_depth=3)]),
+    tighten_rounds=st.integers(0, 8),
+)
+# near misses that certify after tightening, and one that never does
+@example(m=Fraction(1, 10), lams=[Fraction(1, 5), Fraction(3, 10)], ascending=True,
+         tol=Fraction(1, 10), eval_settings=None, tighten_rounds=8)
+@example(m=Fraction(1, 10), lams=[Fraction(1, 5), Fraction(3, 10)], ascending=True,
+         tol=Fraction(1, 10), eval_settings=None, tighten_rounds=1)
+@example(m=Fraction(1, 10), lams=[Fraction(1, 5), Fraction(3, 10)], ascending=True,
+         tol=Fraction(1, 10), eval_settings=EvalSettings(max_depth=3), tighten_rounds=8)
+# (1/8, 3/10) certifies, but the earlier pair (1/16, 1/2) is the witness
+@example(m=Fraction(1, 10), lams=[Fraction(1, 16), Fraction(1, 8), Fraction(3, 10), Fraction(1, 2)],
+         ascending=True, tol=Fraction(1, 10), eval_settings=None, tighten_rounds=8)
+# the smallest lam rounds to zero in directed mode
+@example(m=Fraction(1, 2), lams=[Fraction(1, 2**130), Fraction(1, 16), Fraction(1, 8)],
+         ascending=True, tol=Fraction(1, 10**12), eval_settings=None, tighten_rounds=8)
+@example(m=Fraction(1, 2), lams=[Fraction(1, 2), Fraction(1, 4)], ascending=False,
+         tol=Fraction(1, 10**12), eval_settings=None, tighten_rounds=8)
+@settings(max_examples=150, deadline=None)
+def test_find_witness_matches_scan_first_reference(m, lams, ascending, tol, eval_settings,
+                                                   tighten_rounds):
+    grid = sorted(set(lams)) if ascending else lams
+    kwargs = dict(settings=eval_settings, tighten_rounds=tighten_rounds)
+    got, calls = counted_outcome(find_witness, m, grid, tol, **kwargs)
+    want, ref_calls = counted_outcome(reference_find_witness, m, grid, tol, **kwargs)
+    assert got == want
+    assert calls <= ref_calls
+    if isinstance(got, tuple) and got[0] is DomainError:
+        assert calls == 0
+
+
+def test_find_witness_evaluates_only_reached_points():
+    # the first pair of the default grid, (1/16, 1/8), is already a witness
+    got, calls = counted_outcome(find_witness, Fraction(1, 3))
+    assert (got.lambda1, got.lambda2) == (Fraction(1, 16), Fraction(1, 8))
+    assert calls == 2
