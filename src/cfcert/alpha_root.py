@@ -9,6 +9,11 @@ whose enclosure excludes 1; at a directed-routed lam it tightens the
 tolerance (factor 10, up to 8 rounds).  Both give up at the same depth,
 the one an enclosure of width g_tol / 10**8 needs, and a midpoint still
 undecided there returns the current bracket flagged instead of guessing.
+
+At an exact-routed lam the anchors are walked too, and bisection usually
+starts near its end: a double-precision Newton estimate of alpha names
+the dyadic cell where the loop would stop, and two walks certify its ends.
+The float only picks which cell the walks look at; every verdict is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from .cf_core import (
     Enclosure,
     EvalSettings,
     RationalLike,
+    _depth_guess,
     _side_of_one,
+    _width_met,
     as_fraction,
     evaluate,
 )
@@ -99,6 +106,30 @@ def classify_vs_one(
     return _STRADDLE, enc
 
 
+def _newton_alpha(lam: Fraction, max_depth: int) -> float | None:
+    """Double-precision Newton estimate of alpha, or None if it does not settle.
+
+    G(m) and dG/dm come from one backward pass over _depth_guess(lam, 2**-50)
+    terms, at most max_depth.  Newton starts at m = 1/2 and stays in
+    [0, 1/2], which holds alpha because G(1/2, lam) = coth(2/lam) > 1.
+    Raises OverflowError when lam has no double, ZeroDivisionError when it
+    rounds to zero.
+    """
+    x = float(lam)
+    depth = min(_depth_guess(lam, Fraction(1, 2**50)), max_depth)
+    m = 0.5
+    for _ in range(8):
+        t, dt = (m + depth) * x, x
+        for j in range(depth - 1, -1, -1):
+            dt = x - dt / (t * t)
+            t = (m + j) * x + 1 / t
+        step = (t - 1) / dt
+        m = min(max(m - step, 0.0), 0.5)
+        if abs(step) < 2**-40:
+            return m
+    return None
+
+
 def find_alpha(
     lam: RationalLike,
     bracket_tol: RationalLike = Fraction(1, 10**6),
@@ -114,10 +145,20 @@ def find_alpha(
     (0, 1) and at most bracket_tol/4 wide (the extra factor keeps the
     midpoint's G value well within g_tol of 1).
 
-    When lam routes to exact mode, each step's side of 1 comes from one walk
-    of the exact recurrence (cf_core._side_of_one), which gives up at width
-    g_tol / 10**TIGHTEN_ROUNDS and so returns the side classify_vs_one
-    would; directed-routed lams step through classify_vs_one.
+    When lam routes to exact mode, every side of 1, the anchors' included,
+    comes from one walk of the exact recurrence (cf_core._side_of_one),
+    which gives up at width give_up = g_tol / 10**TIGHTEN_ROUNDS and so
+    returns the side classify_vs_one would; each point is walked at most
+    once.  A float Newton estimate of alpha names the dyadic cell where the
+    loop would stop, at level 32 at most.  The loop starts from that cell
+    instead of (0, 1) when walks certify G < 1 at its lower end and G > 1
+    at its upper end, each more than give_up from 1, and every walk at
+    m >= 0 meets the give-up width within max_depth (cf_core._width_met).
+    The cell then holds the unique crossing, since G increases in m, and
+    the result is the one bisection from (0, 1) returns: each midpoint on
+    the way lies beyond an end, so its G is more than give_up from 1 and
+    its walk decides the side before giving up.  Directed-routed lams step
+    through classify_vs_one.
     """
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
@@ -127,32 +168,58 @@ def find_alpha(
     if bracket_tol <= 0 or g_tol <= 0:
         raise DomainError("tolerances must be positive")
 
-    side, enc = classify_vs_one(CFPoint(Fraction(0), lam), g_tol, settings=settings)
-    if side != _BELOW:
-        raise InconclusiveError(
-            f"could not certify G(0, {lam}) < 1", left=enc
-        )
-    side, enc = classify_vs_one(CFPoint(Fraction(1), lam), g_tol, settings=settings)
-    if side != _ABOVE:
-        raise InconclusiveError(
-            f"could not certify G(1, {lam}) > 1", left=enc
-        )
-
     s = settings or DEFAULT_SETTINGS
     exact = lam >= s.directed_cutoff
     give_up = g_tol / 10**TIGHTEN_ROUNDS
     c, d = lam.numerator, lam.denominator
+    walked: dict[tuple[int, int], tuple[int, bool]] = {}
+
+    def side_at(a: int, j: int) -> tuple[int, bool]:
+        """_side_of_one at m = a / 2**j, walked once per reduced point."""
+        while j and not a & 1:
+            a >>= 1
+            j -= 1
+        if (a, j) not in walked:
+            walked[a, j] = _side_of_one(a, 1 << j, c, d, give_up, s.max_depth)
+        return walked[a, j]
+
+    for m, want, rel in ((0, _BELOW, "<"), (1, _ABOVE, ">")):
+        if not exact or side_at(m, 0)[0] != want:
+            side, enc = classify_vs_one(CFPoint(Fraction(m), lam), g_tol, settings=settings)
+            if side != want:
+                raise InconclusiveError(
+                    f"could not certify G({m}, {lam}) {rel} 1", left=enc
+                )
+
     target = bracket_tol / 4
-    flag = None
+
+    def unfinished(k: int, j: int) -> bool:
+        """Whether [k, k + 1] / 2**j is wider than target or touches 0 or 1."""
+        return target.numerator << j < target.denominator or k == 0 or k + 1 == 1 << j
+
     k = j = 0  # the bracket is [k, k + 1] / 2**j
-    # bisect while the width 2**-j exceeds target or the bracket touches 0 or 1
-    while target.numerator << j < target.denominator or k == 0 or k + 1 == 1 << j:
+    if exact and _width_met(lam, give_up, s.max_depth):
+        try:
+            est = _newton_alpha(lam, s.max_depth)
+        except ArithmeticError:
+            est = None
+        if est is not None and 0 <= est <= 0.5:
+            # the cell the loop stops in, at most at level 32, which a double
+            # resolves; the upper end stays <= 1/2 where alpha rounds to 1/2
+            pk = pj = 0
+            while pj < min(32, max_iterations) and unfinished(pk, pj):
+                pj += 1
+                pk = min(int(est * (1 << pj)), (1 << (pj - 1)) - 1)
+            if side_at(pk + 1, pj) == (_ABOVE, True) and side_at(pk, pj) == (_BELOW, True):
+                k, j = pk, pj
+    flag = None
+    while unfinished(k, j):
         if j >= max_iterations:
             flag = FLAG_BUDGET
             break
         mid = 2 * k + 1  # the midpoint is mid / 2**(j + 1)
         if exact:
-            side = _side_of_one(mid, 2 << j, c, d, give_up, s.max_depth)
+            side, _ = side_at(mid, j + 1)
         else:
             side, _ = classify_vs_one(
                 CFPoint(Fraction(mid, 2 << j), lam), g_tol, settings=settings

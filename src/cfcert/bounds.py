@@ -192,11 +192,6 @@ def check_functional_equation(
             f"functional equation enclosures disjoint at m={point.m}, "
             f"lam={point.lam}: {direct} vs {shifted}"
         )
-    if overlap > 2 * tol:
-        raise ViolationError(
-            f"functional equation overlap {overlap} exceeds 2*tol at "
-            f"m={point.m}, lam={point.lam}"
-        )
     return CheckReport(
         point=point,
         claim=Claim.FUNCTIONAL_EQUATION,

@@ -46,7 +46,7 @@ DIRECTED_LAMBDA_CUTOFF = Fraction(1, 64)
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce to an exact Fraction; floats convert to their exact binary value."""
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class EvalMode(str, Enum):
@@ -319,18 +319,24 @@ def _bit_floor(x: int, tn: int, dd: int) -> tuple[int, int]:
     """(base, slope) of the bit-length filter for p * pp * tn >= x * dd**n.
 
     The left side is below 2**(bits(p) + bits(pp) + bits(tn)) and the right
-    side is at least 2**(bits(x) - 1 + n*log2(dd)).  With slope =
-    floor(log2(dd**64)) <= 64*log2(dd), the exact test therefore fails
-    whenever bits(p) + bits(pp) < base + n*slope // 64, where
+    side is at least 2**(bits(x) - 1 + n*log2(dd)).  With slope <=
+    64*log2(dd), the exact test therefore fails whenever
+    bits(p) + bits(pp) < base + n*slope // 64, where
     base = bits(x) - bits(tn); only the other steps need the products.
+
+    The slope comes from the top 16 bits of dd: with h = dd >> s,
+    dd >= h * 2**s, so slope = 64*s + floor(log2(h**64)) <= 64*log2(dd).
+    It is at most 1 below floor(log2(dd**64)), and costs no power of dd.
     """
-    return x.bit_length() - tn.bit_length(), (dd**64).bit_length() - 1
+    s = max(dd.bit_length() - 16, 0)
+    return x.bit_length() - tn.bit_length(), 64 * s + ((dd >> s) ** 64).bit_length() - 1
 
 
 def _side_of_one(
     a: int, b: int, c: int, d: int, give_up_tol: Fraction, max_depth: int
-) -> int:
-    """Side of G(a/b, c/d) relative to 1: -1 below, 1 above, 0 undecided.
+) -> tuple[int, bool]:
+    """Side of G(a/b, c/d) relative to 1 (-1 below, 1 above, 0 undecided),
+    and whether the deciding bound is more than ``give_up_tol`` from 1.
 
     Walks eval_enclosure's exact tail pairs (n-1, n) and stops at the first
     whose mapped enclosure excludes 1; the pairs are nested, so every deeper
@@ -339,9 +345,11 @@ def _side_of_one(
     need not be reduced.
 
     With t = p/q a tail convergent, D = b*d and e = D - a*c, the mapped value
-    m*lam + 1/t is below 1 exactly when p*e > q*D and above when p*e < q*D.
-    Only an even convergent (the lower tail bound) can newly put a pair below
-    1 and only an odd one above, so each step tests just the newest one.
+    m*lam + 1/t is 1 - r/(D*p) with r = p*e - q*D, so it is below 1 exactly
+    when r > 0 and above when r < 0, and more than give_up_tol = tn/td from
+    1 when |r| * D*td > tn * D**2 * p.  Only an even convergent (the lower
+    tail bound) can newly put a pair below 1 and only an odd one above, so
+    each step tests just the newest one.
     """
     big_d = b * d
     e = big_d - a * c
@@ -350,19 +358,37 @@ def _side_of_one(
     x = big_d * give_up_tol.denominator
     base, slope = _bit_floor(x, tn, dd)  # eval_enclosure's width test
     for n, p, q, pp, _ in _scaled_convergents(a + b, b, c, d):
-        if n & 1:
-            if p * e < q * big_d:
-                return 1
-        elif p * e > q * big_d:
-            return -1
+        r = p * e - q * big_d
+        if r < 0 if n & 1 else r > 0:
+            return (1 if n & 1 else -1), abs(r) * x > tn * dd * p
         if n == 0:
             continue
         if n >= max_depth or (
             p.bit_length() + pp.bit_length() >= base + n * slope // 64
             and p * pp * tn >= x * dd**n
         ):
-            return 0
+            return 0, False
     raise AssertionError("unreachable")
+
+
+def _width_met(lam: Fraction, tol: Fraction, depth: int) -> bool:
+    """Whether the exact enclosure at every m >= 0 is <= tol wide by ``depth``.
+
+    A True answer is proven; False may be conservative.  The width at the
+    pair (n-1, n) is 1/(P_n * P_{n-1}), with P_n the numerators of the tail
+    at m + 1, whose terms (m + 1 + j) * lam grow with m, so m = 0 is the
+    widest.  There P_n >= min(1, lam) for every n >= -1 (P_n >= P_{n-2}),
+    and P_n >= 2 * P_{n-1} once the term (1 + n) * lam >= 2, which holds
+    for n > k = ceil(2/lam).  So the width at ``depth`` is at most
+    2**-(2*depth - 2*k - 1) / min(1, lam)**2, compared by bit lengths.
+    """
+    k = -(-2 * lam.denominator // lam.numerator)
+    shift = 2 * depth - 2 * k - 1
+    if shift < 0:
+        return False
+    low_n, low_d = (lam.numerator, lam.denominator) if lam < 1 else (1, 1)
+    need = (low_d * low_d * tol.denominator).bit_length()
+    return shift + (low_n * low_n * tol.numerator).bit_length() - 1 >= need
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,12 @@ def reference_eval_enclosure(point: CFPoint, tol, *, max_depth: int = DEFAULT_MA
 
 def reference_side_of_one(
     a: int, b: int, c: int, d: int, give_up_tol: Fraction, max_depth: int
-) -> int:
-    """cf_core._side_of_one with the running-product width test."""
+) -> tuple[int, bool]:
+    """cf_core._side_of_one with the running-product width test.
+
+    The deciding bound m*lam + q/p is formed as a Fraction and its distance
+    from 1 compared with give_up_tol directly.
+    """
     big_d = b * d
     e = big_d - a * c
     dd = big_d * big_d
@@ -261,11 +265,15 @@ def reference_side_of_one(
     tn_bits = tn.bit_length()
     rhs = big_d * td  # D**(2n+1) * tol_den, as in reference_eval_enclosure
     for n, p, q, pp, _ in _scaled_convergents(a + b, b, c, d):
+        side = 0
         if n & 1:
             if p * e < q * big_d:
-                return 1
+                side = 1
         elif p * e > q * big_d:
-            return -1
+            side = -1
+        if side:
+            bound = Fraction(a * c, big_d) + Fraction(q, p)
+            return side, abs(bound - 1) > give_up_tol
         if n == 0:
             continue
         rhs *= dd
@@ -273,7 +281,7 @@ def reference_side_of_one(
             p.bit_length() + pp.bit_length() + tn_bits >= rhs.bit_length()
             and p * pp * tn >= rhs
         ):
-            return 0
+            return 0, False
     raise AssertionError("unreachable")
 
 

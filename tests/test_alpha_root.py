@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from cfcert import (
     evaluate,
     find_alpha,
 )
-from cfcert.alpha_root import TIGHTEN_ROUNDS
+from cfcert.alpha_root import FLAG_INCONCLUSIVE, TIGHTEN_ROUNDS
 from cfcert.cf_core import _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
@@ -175,6 +176,44 @@ def test_matches_tightening_reference(lam, bracket_tol, g_tol, max_iterations, e
 
 
 @st.composite
+def wide_exact_lams(draw):
+    """lam from 1/64 to 4 * 10**5, routed to exact mode."""
+    den = draw(st.sampled_from(LAM_DENS))
+    k = draw(st.integers(-(-den // 64), 4 * den))
+    return Fraction(k, den) * 10 ** draw(st.integers(0, 5))
+
+
+@given(
+    # 10**400 has no double, so the float estimate overflows
+    lam=st.one_of(
+        wide_exact_lams(), wide_exact_lams(), st.integers(1, 10**6).map(Fraction),
+        st.just(Fraction(10**400)),
+    ),
+    bracket_tol=decimal_tols(1, 30),
+    # g_tol >= 1 puts the give-up width near the predicted cell's G values
+    g_tol=st.one_of(decimal_tols(6, 30), decimal_tols(6, 30), st.integers(1, 10**7).map(Fraction)),
+    max_iterations=st.one_of(st.just(256), st.integers(0, 40)),
+    eval_settings=st.sampled_from([None, None, EvalSettings(max_depth=12)]),
+)
+# both ends of the level-9 cell decide, but bisection gives up at 55/128 after
+# 6 steps: the ends are within the give-up width of 1, so the cell is not taken
+@example(lam=Fraction(1178, 997), bracket_tol=Fraction(157, 12800),
+         g_tol=Fraction(5421875, 8), max_iterations=256, eval_settings=None)
+# bracket_tol 1e-30 goes on bisecting past the level-32 cap
+@example(lam=Fraction(1), bracket_tol=Fraction(1, 10**30), g_tol=Fraction(1, 10**25),
+         max_iterations=256, eval_settings=None)
+@example(lam=Fraction(10**400), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
+         max_iterations=256, eval_settings=None)
+@settings(max_examples=150, deadline=None)
+def test_predicted_start_matches_tightening_reference(
+    lam, bracket_tol, g_tol, max_iterations, eval_settings
+):
+    kwargs = dict(settings=eval_settings, max_iterations=max_iterations)
+    got = outcome(find_alpha, lam, bracket_tol, g_tol, **kwargs)
+    assert got == outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs)
+
+
+@st.composite
 def dyadic_points(draw):
     """(k, j) with m = (k + 2**j) / 2**j in (-1, 2], unreduced when k is even."""
     j = draw(st.integers(0, 12))
@@ -196,7 +235,7 @@ def dyadic_points(draw):
 @settings(max_examples=300, deadline=None)
 def test_side_of_one_matches_classify(kj, lam, tol, max_depth):
     k, j = kj
-    side = _side_of_one(
+    side, _ = _side_of_one(
         k + 2**j, 2**j, lam.numerator, lam.denominator,
         tol / 10**TIGHTEN_ROUNDS, max_depth,
     )
@@ -217,11 +256,43 @@ def counting(monkeypatch, module, name):
 
 
 def test_exact_steps_evaluate_nothing(monkeypatch):
-    # only the two anchors and g_at_mid evaluate; each step walks the recurrence
+    # only g_at_mid evaluates; the anchors and the predicted cell's ends are walked
     calls = counting(monkeypatch, cf_core, "eval_enclosure")
+    walks = counting(monkeypatch, alpha_root, "_side_of_one")
     res = find_alpha(1, 1e-6, 1e-9)
     assert res.flag is None and res.iterations == 22
-    assert len(calls) == 3
+    assert len(calls) == 1
+    assert len(walks) == 4
+
+
+def walked_points(walks):
+    return [Fraction(a, b) for a, b, *_ in walks]
+
+
+@pytest.mark.parametrize("estimate", [0.1, 0.5 - 2**-30, math.nan, OverflowError])
+@pytest.mark.parametrize("lam", [Fraction(1, 16), Fraction(1), Fraction(4)])
+def test_missed_prediction_matches_reference(monkeypatch, lam, estimate):
+    # a wrong, NaN or failed estimate starts the loop from (0, 1)
+    def fake_estimate(*args):
+        if estimate is OverflowError:
+            raise OverflowError
+        return estimate
+
+    monkeypatch.setattr(alpha_root, "_newton_alpha", fake_estimate)
+    walks = counting(monkeypatch, alpha_root, "_side_of_one")
+    got = find_alpha(lam, BRACKET_TOL, G_TOL)
+    assert got == reference_find_alpha(lam, BRACKET_TOL, G_TOL)
+    points = walked_points(walks)
+    assert len(points) == len(set(points))
+
+
+def test_straddling_half_is_walked_once(monkeypatch):
+    # G(1/2, 1/16) - 1 = coth(32) - 1 is below the give-up width; 1/2 is both
+    # the predicted cell's upper end and the loop's first midpoint
+    walks = counting(monkeypatch, alpha_root, "_side_of_one")
+    res = find_alpha(Fraction(1, 16))
+    assert res.flag == FLAG_INCONCLUSIVE and res.iterations == 0
+    assert walked_points(walks).count(Fraction(1, 2)) == 1
 
 
 def test_directed_steps_classify(monkeypatch):

@@ -31,7 +31,7 @@ from cfcert import (
     tail_enclosure,
     term,
 )
-from cfcert.cf_core import _directed_tail, _side_of_one
+from cfcert.cf_core import _bit_floor, _directed_tail, _side_of_one, _width_met
 
 # reference midpoints frozen from exact convergent runs at width < 1e-45
 G_1_1 = Fraction("1.433127426722311758317183455775992")
@@ -277,11 +277,44 @@ class TestEvalEnclosure:
     # tol_num = 5 decides whether that width is met before 1 is excluded
     @example(point=CFPoint(Fraction(-1, 4), Fraction(5, 16)), tol=Fraction(5, 8),
              max_depth=DEFAULT_MAX_DEPTH)
+    # decided, but the deciding bound is within tol of 1
+    @example(point=CFPoint(1, Fraction(39, 8)), tol=Fraction(8), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(1, 8), 3), tol=Fraction(2), max_depth=DEFAULT_MAX_DEPTH)
     @settings(max_examples=300, deadline=None)
     def test_side_of_one_matches_running_product_reference(self, point, tol, max_depth):
         args = (point.m.numerator, point.m.denominator,
                 point.lam.numerator, point.lam.denominator, tol, max_depth)
         assert _side_of_one(*args) == reference_side_of_one(*args)
+
+    @given(dd=st.integers(1, 2**400))
+    @example(dd=1)
+    @example(dd=2)
+    @example(dd=3)
+    @example(dd=997**2)
+    @example(dd=(2**24 * 997) ** 2)
+    @example(dd=(999999999989 * 997) ** 2)
+    def test_bit_floor_slope_within_one_of_exact(self, dd):
+        exact = (dd**64).bit_length() - 1
+        _, slope = _bit_floor(1, 1, dd)
+        assert exact - 1 <= slope <= exact
+
+    @given(
+        m=st.fractions(min_value=0, max_value=5, max_denominator=997),
+        lam=st.one_of(
+            st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=997),
+            st.integers(1, 10**6).map(Fraction),
+        ),
+        tol=st.builds(lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(0, 60)),
+        depth=st.one_of(st.integers(1, 400), st.just(DEFAULT_MAX_DEPTH)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_width_met_is_proven(self, m, lam, tol, depth):
+        if _width_met(lam, tol, depth):
+            assert eval_enclosure(CFPoint(m, lam), tol, max_depth=depth).depth <= depth
+
+    def test_width_met_at_default_depth(self):
+        assert _width_met(Fraction(1, 64), Fraction(1, 10**300), DEFAULT_MAX_DEPTH)
+        assert not _width_met(Fraction(1, 64), Fraction(1, 10**9), 12)
 
     @given(point=points)
     @settings(max_examples=30, deadline=None)
