@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
-from conftest import reference_series_ratio
-from hypothesis import example, given, settings
+from conftest import reference_cross_check, reference_series_ratio
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfcert import (
+    BudgetExceededError,
     CFPoint,
     DomainError,
     TailNotBoundedError,
+    bessel_oracle,
     cross_check,
     evaluate,
     series_ratio,
 )
+from cfcert.bessel_oracle import MAX_TERMS, _den_ratio, _horner, _orders
 
 G_1_1 = Fraction("1.433127426722311758317183455775992")
 G_0_1 = Fraction("0.6977746579640079820067905925517526")
@@ -84,6 +88,16 @@ class TestSeriesRatio:
             want = (want[0].numerator, want[0].denominator, want[1].numerator, want[1].denominator)
         assert got == want
 
+    def test_horner_denominator_ratio_telescopes(self):
+        # d_den / n_den = prod (k + bot) / (k + top), which _den_ratio states in closed form
+        for m in range(11):
+            top, bot = _orders(m)
+            for terms in range(1, 301):
+                rn, rd = _den_ratio(m, terms)
+                _, n_den = _horner(top, 1, 3, terms)
+                _, d_den = _horner(bot, 1, 3, terms)
+                assert d_den * rd == n_den * rn
+
 
 def test_real_order_ratio_spot_check():
     # third, fully external engine: scipy's real-order iv, float precision only
@@ -117,3 +131,78 @@ class TestCrossCheck:
         for m in range(0, 9, 2):
             for lam in (Fraction(1, 4), 1, 4):
                 assert cross_check(m, lam, tol).certified
+
+    def test_accepts_width_equal_to_tol(self):
+        # the first truncation at lam = 1 has 10 terms; its width is exactly tol
+        tol = series_ratio(1, 1, 10).width
+        report = cross_check(1, 1, tol)
+        assert report.right.depth == 10
+        assert report.right.width == tol
+
+    @pytest.mark.parametrize(
+        "m, max_terms",
+        [(Fraction(1, 2), MAX_TERMS), (-1, MAX_TERMS), (1.5, MAX_TERMS), (True, MAX_TERMS), (1, 0)],
+    )
+    def test_rejects_bad_arguments_before_evaluating(self, monkeypatch, m, max_terms):
+        def no_evaluate(*args, **kwargs):
+            raise AssertionError("evaluate called")
+
+        monkeypatch.setattr(bessel_oracle, "evaluate", no_evaluate)
+        with pytest.raises(DomainError, match="series oracle needs integer m|max_terms"):
+            cross_check(m, 1, max_terms=max_terms)
+
+    @pytest.mark.parametrize(
+        "m, lam, tol, max_terms",
+        [
+            # the uncapped first truncation would sum 200008 terms
+            (1, Fraction(1, 10**5), Fraction(1, 10**6), MAX_TERMS),
+            # 2/lam + 8 = 136 terms, over a budget of 8
+            (0, Fraction(1, 64), Fraction(1, 10**10), 8),
+            (3, Fraction(1, 64), Fraction(1, 10**10), 8),
+        ],
+    )
+    def test_no_truncation_exceeds_max_terms(self, monkeypatch, m, lam, tol, max_terms):
+        seen = []
+        kernel = bessel_oracle._series_bounds
+
+        def recording(m, lam, terms):
+            seen.append(terms)
+            return kernel(m, lam, terms)
+
+        monkeypatch.setattr(bessel_oracle, "_series_bounds", recording)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            cross_check(m, lam, tol, max_terms=max_terms)
+        assert time.perf_counter() - start < 2
+        assert info.value.best is None  # the tail is not yet bounded at max_terms
+        assert seen == [max_terms]
+
+    @given(
+        m=st.integers(min_value=0, max_value=8),
+        lam=st.one_of(
+            st.integers(min_value=16, max_value=8 * 997).map(lambda k: Fraction(k, 997)),
+            st.integers(
+                min_value=999999999989 // 64 + 1, max_value=8 * 999999999989
+            ).map(lambda k: Fraction(k, 999999999989)),
+            st.integers(min_value=1, max_value=6).map(Fraction),
+        ),
+        tol=st.builds(
+            lambda d, e: Fraction(d, 10**e),
+            st.integers(min_value=1, max_value=9),
+            st.integers(min_value=1, max_value=40),
+        ),
+        max_terms=st.sampled_from([8, 16, 100, MAX_TERMS]),
+    )
+    @example(m=0, lam=Fraction(1, 4), tol=Fraction(1, 10**40), max_terms=16)  # budget, best set
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, m, lam, tol, max_terms):
+        # wider first truncations are covered by test_no_truncation_exceeds_max_terms
+        assume(max(8, (2 * lam.denominator) // lam.numerator + 8) <= max_terms)
+
+        def outcome(check):
+            try:
+                return check(m, lam, tol, max_terms=max_terms)
+            except BudgetExceededError as exc:
+                return type(exc), str(exc), exc.best
+
+        assert outcome(cross_check) == outcome(reference_cross_check)

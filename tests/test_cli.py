@@ -152,6 +152,12 @@ class TestAlphaScanWitnessOracle:
             Fraction(cf.hi), Fraction(series.hi)
         )
 
+    def test_oracle_series_budget_exhausted(self, capsys):
+        # 2/lam + 8 = 200008 terms is over the budget; capped, the tail is not yet bounded
+        code, out = run(capsys, "oracle", "--m", "1", "--lambda", "0.00001")
+        assert code == EXIT_NOT_CONVERGED
+        assert out == ""
+
     def test_oracle_rejects_fractional_m(self, capsys):
         code, _ = run(capsys, "oracle", "--m", "1/2", "--lambda", "1")
         assert code == EXIT_USAGE
