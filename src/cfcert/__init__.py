@@ -25,18 +25,14 @@ from .cf_core import (
     DEFAULT_TOL,
     DIRECTED_LAMBDA_CUTOFF,
     CFPoint,
-    ConvergentPair,
     Enclosure,
     EvalMode,
     EvalSettings,
-    advance,
     as_fraction,
-    convergents,
     eval_directed,
     eval_enclosure,
     evaluate,
     tail_enclosure,
-    term,
 )
 from .errors import (
     BudgetExceededError,
@@ -69,7 +65,6 @@ __all__ = [
     "CFPoint",
     "CheckReport",
     "Claim",
-    "ConvergentPair",
     "DEFAULT_MAX_DEPTH",
     "DEFAULT_PRECISION_BITS",
     "DEFAULT_SETTINGS",
@@ -91,7 +86,6 @@ __all__ = [
     "TailNotBoundedError",
     "ViolationError",
     "Witness",
-    "advance",
     "alpha_curve",
     "as_fraction",
     "check_functional_equation",
@@ -99,7 +93,6 @@ __all__ = [
     "check_reciprocal",
     "check_sandwich",
     "classify_vs_one",
-    "convergents",
     "cross_check",
     "eval_directed",
     "eval_enclosure",
@@ -110,6 +103,5 @@ __all__ = [
     "scan",
     "series_ratio",
     "tail_enclosure",
-    "term",
     "theorem_bound",
 ]

@@ -5,10 +5,13 @@ G(1, lam) > 1 are both checked before bisection starts.  Bisection on m
 only ever moves an endpoint on certified evidence.  A bisection step only
 needs the side of 1 that G(mid, lam) lies on: at an exact-routed lam it
 walks the exact recurrence once and stops at the first convergent pair
-whose enclosure excludes 1; at a directed-routed lam it tightens the
-tolerance (factor 10, up to 8 rounds).  Both give up at the same depth,
-the one an enclosure of width g_tol / 10**8 needs, and a midpoint still
-undecided there returns the current bracket flagged instead of guessing.
+whose enclosure excludes 1; at a directed-routed lam classify_vs_one
+tightens the tolerance from g_tol by 10 per round, TIGHTEN_ROUNDS (8)
+rounds, and an evaluation out of depth budget decides from its best
+enclosure.  Both give up at the same depth, the one an enclosure of width
+g_tol / 10**8 needs (or max_depth), and a midpoint still undecided there
+returns the current bracket flagged instead of guessing.  The bracket's
+midpoint enclosure is the best one reached within the budget.
 
 At an exact-routed lam the anchors are walked too, and bisection usually
 starts near its end: a double-precision Newton estimate of alpha names
@@ -23,26 +26,20 @@ from fractions import Fraction
 
 from .cf_core import (
     DEFAULT_SETTINGS,
+    TIGHTEN_ROUNDS,
     CFPoint,
     Enclosure,
     EvalSettings,
     RationalLike,
     _depth_guess,
     _side_of_one,
+    _tightened,
     _width_met,
     as_fraction,
-    evaluate,
 )
-from .errors import (
-    BudgetExceededError,
-    CFCertError,
-    DomainError,
-    InconclusiveError,
-    NotConvergedError,
-)
+from .errors import CFCertError, DomainError, InconclusiveError
 
 _BELOW, _STRADDLE, _ABOVE = -1, 0, 1
-TIGHTEN_ROUNDS = 8
 
 FLAG_BUDGET = "budget-exceeded"
 FLAG_INCONCLUSIVE = "inconclusive-midpoint"
@@ -74,35 +71,19 @@ class AlphaResult:
 
 
 def classify_vs_one(
-    point: CFPoint,
-    tol: RationalLike,
-    *,
-    settings: EvalSettings | None = None,
-    rounds: int = TIGHTEN_ROUNDS,
+    point: CFPoint, tol: RationalLike, *, settings: EvalSettings | None = None
 ) -> tuple[int, Enclosure]:
     """Certified side of G(point) relative to 1, tightening on straddles.
 
-    A depth-budget hit is not fatal: the best rigorous enclosure may still
-    decide the side, and if it straddles 1 no further tightening can help,
-    so the straddle verdict is returned right away.
+    The tolerance runs from tol down to tol / 10**TIGHTEN_ROUNDS.  An
+    evaluation out of budget ends the rounds: its best enclosure may still
+    decide the side, and otherwise the straddle verdict is returned.
     """
-    t = as_fraction(tol)
-    enc = None
-    for _ in range(rounds + 1):
-        try:
-            enc = evaluate(point, t, settings=settings)
-        except (BudgetExceededError, NotConvergedError) as exc:
-            enc = exc.best
-            if enc.hi < 1:
-                return _BELOW, enc
-            if enc.lo > 1:
-                return _ABOVE, enc
-            return _STRADDLE, enc
+    for _, (enc,) in _tightened([point], tol, TIGHTEN_ROUNDS, settings):
         if enc.hi < 1:
             return _BELOW, enc
         if enc.lo > 1:
             return _ABOVE, enc
-        t = t / 10
     return _STRADDLE, enc
 
 
@@ -231,7 +212,8 @@ def find_alpha(
         j += 1
 
     lo, hi = Fraction(k, 1 << j), Fraction(k + 1, 1 << j)
-    g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, settings=settings)
+    # out of budget, the midpoint keeps its best enclosure
+    _, (g_mid,) = next(_tightened([CFPoint((lo + hi) / 2, lam)], g_tol, 0, settings))
     return AlphaResult(
         lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=j, flag=flag
     )

@@ -6,9 +6,12 @@ which separates G(m, lam) from G(m+1, lam) for m >= 0.  theorem_bound
 encloses it with integer arithmetic and one isqrt, never a floating square
 root.  All certificates are interval statements: a strict inequality a < b
 is certified exactly when the enclosure of a lies entirely below the
-enclosure of b.  Overlapping enclosures are retried at tighter tolerance
-before reporting Inconclusive; an identity that fails outright raises
-Violation since it can only mean an arithmetic bug.
+enclosure of b.  Overlapping enclosures are retried at tol/10, tol/100, ...
+until the tolerance reaches CERT_TOL_FLOOR or the tighten_limit cap
+(cf_core._tightened).  An evaluation out of depth budget contributes its
+best enclosure, which is still rigorous, and ends the retries; enclosures
+that still overlap then raise Inconclusive carrying them.  An identity that
+fails outright raises Violation since it can only mean an arithmetic bug.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .cf_core import (
     EvalSettings,
     RationalLike,
     _from_tail,
+    _tightened,
     as_fraction,
     evaluate,
 )
@@ -33,7 +37,6 @@ from .errors import DomainError, InconclusiveError, ViolationError
 
 #: tightening stops once the working tolerance drops below this floor
 CERT_TOL_FLOOR = Fraction(1, 10**30)
-TIGHTEN_FACTOR = 10
 
 ONE = Fraction(1)
 
@@ -105,18 +108,22 @@ def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> Enclosure:
     return Enclosure(lo=lo, hi=lo + cell, depth=0, mode=EvalMode.EXACT)
 
 
-def _tolerances(tol: Fraction, tighten_limit: int | None):
-    """Working tolerances: tol, tol/10, ... down to the floor (or a step cap)."""
-    t = tol
-    steps = 0
-    while True:
-        yield t
-        steps += 1
-        if tighten_limit is not None and steps > tighten_limit:
-            return
-        if t <= CERT_TOL_FLOOR:
-            return
-        t = t / TIGHTEN_FACTOR
+def _rounds(tol: Fraction, tighten_limit: int | None) -> int:
+    """Rounds a check tightens: the least k with tol/10**k <= CERT_TOL_FLOOR.
+
+    The count is capped at ``tighten_limit``, which must be >= 0.
+    tol/10**k <= 10**-30 holds exactly when ceil(tol * 10**30) <= 10**k,
+    that is when n = ceil(tol * 10**30) - 1 < 10**k, so k is the digit
+    count of n (0 when n <= 0).  It starts from a lower bound read off the
+    bit length, 30102/100000 < log10(2), so the loop steps a few times.
+    """
+    if tighten_limit is not None and tighten_limit < 0:
+        raise DomainError(f"tighten limit must be >= 0, got {tighten_limit}")
+    n = -(-tol.numerator * CERT_TOL_FLOOR.denominator // tol.denominator) - 1
+    k = (max(n, 1).bit_length() - 1) * 30102 // 100000
+    while 10**k <= n:
+        k += 1
+    return k if tighten_limit is None else min(k, tighten_limit)
 
 
 def check_sandwich(
@@ -130,18 +137,14 @@ def check_sandwich(
 
     Returns the (upper, lower) report pair; each certificate is a disjoint
     pair of enclosures with a positive gap.  Raises InconclusiveError if
-    the enclosures still overlap at the tightening floor.
+    the enclosures still overlap at the last tolerance.
     """
     if point.m < 0:
         raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
     tol = as_fraction(tol)
-    upper_point = point.shifted()
-    last = None
-    for t in _tolerances(tol, tighten_limit):
-        g_hi = evaluate(upper_point, t, settings=settings)
-        g_lo = evaluate(point, t, settings=settings)
+    rounds = _rounds(tol, tighten_limit)
+    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, rounds, settings):
         bound = theorem_bound(point, t)
-        last = (g_hi, g_lo, bound)
         if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
             upper = CheckReport(
                 point=point,
@@ -160,7 +163,6 @@ def check_sandwich(
                 gap=bound.lo - g_lo.hi,
             )
             return upper, lower
-    g_hi, g_lo, bound = last
     raise InconclusiveError(
         f"sandwich enclosures still overlap at m={point.m}, lam={point.lam}",
         claim=Claim.SANDWICH_UPPER,
@@ -214,9 +216,7 @@ def check_g_above_one(
         raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
     tol = as_fraction(tol)
     unit = Enclosure(lo=ONE, hi=ONE, depth=0, mode=EvalMode.EXACT)
-    enc = None
-    for t in _tolerances(tol, tighten_limit):
-        enc = evaluate(point, t, settings=settings)
+    for _, (enc,) in _tightened([point], tol, _rounds(tol, tighten_limit), settings):
         if enc.lo > 1:
             return CheckReport(
                 point=point,
@@ -249,11 +249,8 @@ def check_reciprocal(
     lam = as_fraction(lam)
     tol = as_fraction(tol)
     p0 = CFPoint(Fraction(0), lam)
-    p1 = CFPoint(Fraction(1), lam)
-    g0 = g1 = None
-    for t in _tolerances(tol, tighten_limit):
-        g0 = evaluate(p0, t, settings=settings)
-        g1 = evaluate(p1, t, settings=settings)
+    rounds = _rounds(tol, tighten_limit)
+    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, rounds, settings):
         if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
             raise ViolationError(
                 f"product interval excludes 1 at lam={lam}: {g0} * {g1}"

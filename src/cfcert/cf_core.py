@@ -42,6 +42,9 @@ DEFAULT_PRECISION_BITS = 128
 #: below this lam, exact numerators blow up (the depth that meets tol grows
 #: like sqrt(2 ln(1/tol) / lam), see _depth_guess)
 DIRECTED_LAMBDA_CUTOFF = Fraction(1, 64)
+#: tightening rounds (each divides the tolerance by 10) for classify_vs_one,
+#: the witness near misses and find_alpha's give-up width
+TIGHTEN_ROUNDS = 8
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -91,66 +94,6 @@ class CFPoint:
 
 
 @dataclass(frozen=True)
-class ConvergentPair:
-    """Recurrence state (P_n, Q_n) with the previous pair and the index n.
-
-    Seeded from P_{-2} = 0, P_{-1} = 1, Q_{-2} = 1, Q_{-1} = 0, so that the
-    n-th advance with term x_n produces the classical convergent P_n / Q_n.
-    """
-
-    p: Fraction
-    q: Fraction
-    p_prev: Fraction
-    q_prev: Fraction
-    n: int
-
-    @classmethod
-    def seed(cls) -> "ConvergentPair":
-        return cls(
-            p=Fraction(1), q=Fraction(0), p_prev=Fraction(0), q_prev=Fraction(1), n=-1
-        )
-
-    def determinant(self) -> Fraction:
-        """P_n * Q_{n-1} - P_{n-1} * Q_n, which must equal (-1)**(n+1)."""
-        return self.p * self.q_prev - self.p_prev * self.q
-
-    def value(self) -> Fraction:
-        """The convergent P_n / Q_n; undefined on the seed state."""
-        if self.n < 0:
-            raise DomainError("seed state has no convergent value (Q_{-1} = 0)")
-        return self.p / self.q
-
-
-def term(point: CFPoint, j: int) -> Fraction:
-    """Exact j-th partial quotient (m + j) * lam."""
-    if j < 0:
-        raise DomainError(f"term index must be >= 0, got {j}")
-    return (point.m + j) * point.lam
-
-
-def advance(state: ConvergentPair, x: RationalLike) -> ConvergentPair:
-    """One recurrence step: P_n = x*P_{n-1} + P_{n-2}, likewise for Q."""
-    x = as_fraction(x)
-    return ConvergentPair(
-        p=x * state.p + state.p_prev,
-        q=x * state.q + state.q_prev,
-        p_prev=state.p,
-        q_prev=state.q,
-        n=state.n + 1,
-    )
-
-
-def convergents(point: CFPoint, depth: int) -> list[Fraction]:
-    """Exact convergent values G_0 .. G_depth at the given point."""
-    state = ConvergentPair.seed()
-    out = []
-    for j in range(depth + 1):
-        state = advance(state, term(point, j))
-        out.append(state.value())
-    return out
-
-
-@dataclass(frozen=True)
 class Enclosure:
     """Closed interval [lo, hi] certified to contain G at some point.
 
@@ -178,9 +121,6 @@ class Enclosure:
     def contains(self, value: RationalLike) -> bool:
         value = as_fraction(value)
         return self.lo <= value <= self.hi
-
-    def intersects(self, other: "Enclosure") -> bool:
-        return max(self.lo, other.lo) <= min(self.hi, other.hi)
 
     def encloses(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -517,3 +457,30 @@ def evaluate(
     return eval_directed(
         point, tol, precision_bits=s.precision_bits, max_depth=s.max_depth
     )
+
+
+def _tightened(
+    points: list[CFPoint], tol: RationalLike, rounds: int, settings: EvalSettings | None
+) -> Iterator[tuple[Fraction, list[Enclosure]]]:
+    """Enclosures of G at ``points``, at tol, tol/10, ..., tol/10**rounds.
+
+    Yields (t, enclosures) per tolerance, evaluating the points in order;
+    the caller stops when its predicate decides.  An evaluation out of
+    budget contributes its best enclosure, which is still rigorous, and
+    makes that tolerance the last one, since no tighter tolerance can go
+    deeper.
+    """
+    t = as_fraction(tol)
+    for k in range(rounds + 1):
+        last = k == rounds
+        encs = []
+        for point in points:
+            try:
+                encs.append(evaluate(point, t, settings=settings))
+            except (BudgetExceededError, NotConvergedError) as exc:
+                encs.append(exc.best)
+                last = True
+        yield t, encs
+        if last:
+            return
+        t = t / 10

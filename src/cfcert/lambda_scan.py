@@ -4,8 +4,11 @@ limit_check tabulates enclosures along a descending lam list so the
 approach of G(m, lam) to 1 can be observed with certified error bars.
 find_witness searches an ascending grid for a certified decrease
 G(m, lam1) > G(m, lam2) with lam1 < lam2, which is a rigorous witness that
-the map is not monotonically increasing.  Absence of a witness on a grid
-is reported as exactly that, never as a refutation.
+the map is not monotonically increasing.  A near miss (midpoints ordered
+as a decrease, enclosures overlapping) is retried at tol/10 down to
+tol/10**TIGHTEN_ROUNDS, and judged once at its best enclosures when an
+evaluation runs out of depth budget.  Absence of a witness on a grid is
+reported as exactly that, never as a refutation.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from typing import Iterator
 
 from .cf_core import (
     DEFAULT_TOL,
+    TIGHTEN_ROUNDS,
     CFPoint,
     Enclosure,
     EvalSettings,
     RationalLike,
+    _tightened,
     as_fraction,
     evaluate,
 )
@@ -40,7 +45,6 @@ DEFAULT_WITNESS_MS: tuple[Fraction, ...] = (
     Fraction(1, 4),
     Fraction(1, 2),
 )
-TIGHTEN_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,6 @@ def find_witness(
     tol: RationalLike = DEFAULT_TOL,
     *,
     settings: EvalSettings | None = None,
-    tighten_rounds: int = TIGHTEN_ROUNDS,
 ) -> Witness:
     """First grid pair (lam_i < lam_j) whose enclosures certify G(m, lam_i) > G(m, lam_j).
 
@@ -147,7 +150,8 @@ def find_witness(
     evaluated when the search first reaches it: the pairs (lam_0, lam_j)
     come first, so a witness there leaves the rest of the grid unevaluated.
     Near misses (midpoints ordered as a decrease but enclosures overlapping)
-    are retried at tolerance tightened by 10 per round.  Raises
+    are retried at tol/10 down to tol/10**TIGHTEN_ROUNDS; a pair that runs
+    out of budget is judged once at its best enclosures.  Raises
     NoWitnessFoundError when the grid shows no certified decrease.
     """
     m = as_fraction(m)
@@ -177,14 +181,8 @@ def find_witness(
         for lam2, g2 in usable[i + 1 :]:
             if g1.midpoint <= g2.midpoint:
                 continue
-            t = tol
-            for _ in range(tighten_rounds):
-                t = t / 10
-                try:
-                    e1 = evaluate(CFPoint(m, lam1), t, settings=settings)
-                    e2 = evaluate(CFPoint(m, lam2), t, settings=settings)
-                except (NotConvergedError, BudgetExceededError):
-                    break  # budget floor reached; this pair cannot be resolved
+            pair = [CFPoint(m, lam1), CFPoint(m, lam2)]
+            for _, (e1, e2) in _tightened(pair, tol / 10, TIGHTEN_ROUNDS - 1, settings):
                 if e1.lo > e2.hi:
                     return Witness(m=m, lambda1=lam1, lambda2=lam2, g1=e1, g2=e2)
                 if e1.hi < e2.lo:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -14,7 +15,6 @@ from cfcert import (
     CFPoint,
     CheckReport,
     Claim,
-    ConvergentPair,
     DomainError,
     Enclosure,
     EvalMode,
@@ -25,18 +25,67 @@ from cfcert import (
     TailNotBoundedError,
     ViolationError,
     Witness,
-    advance,
     as_fraction,
     classify_vs_one,
     evaluate,
     scan,
     series_ratio,
-    term,
+    theorem_bound,
 )
 from cfcert.alpha_root import _ABOVE, _BELOW, FLAG_BUDGET, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
-from cfcert.cf_core import _scaled_convergents
-from cfcert.lambda_scan import TIGHTEN_ROUNDS
+from cfcert.bounds import CERT_TOL_FLOOR
+from cfcert.cf_core import TIGHTEN_ROUNDS, _scaled_convergents
+
+
+@dataclass(frozen=True)
+class ConvergentPair:
+    """Recurrence state (P_n, Q_n) with the previous pair and the index n.
+
+    Seeded from P_{-2} = 0, P_{-1} = 1, Q_{-2} = 1, Q_{-1} = 0, so that the
+    n-th advance with term x_n produces the classical convergent P_n / Q_n.
+    """
+
+    p: Fraction
+    q: Fraction
+    p_prev: Fraction
+    q_prev: Fraction
+    n: int
+
+    @classmethod
+    def seed(cls) -> "ConvergentPair":
+        return cls(
+            p=Fraction(1), q=Fraction(0), p_prev=Fraction(0), q_prev=Fraction(1), n=-1
+        )
+
+    def determinant(self) -> Fraction:
+        """P_n * Q_{n-1} - P_{n-1} * Q_n, which must equal (-1)**(n+1)."""
+        return self.p * self.q_prev - self.p_prev * self.q
+
+    def value(self) -> Fraction:
+        """The convergent P_n / Q_n; undefined on the seed state."""
+        if self.n < 0:
+            raise DomainError("seed state has no convergent value (Q_{-1} = 0)")
+        return self.p / self.q
+
+
+def term(point: CFPoint, j: int) -> Fraction:
+    """Exact j-th partial quotient (m + j) * lam."""
+    if j < 0:
+        raise DomainError(f"term index must be >= 0, got {j}")
+    return (point.m + j) * point.lam
+
+
+def advance(state: ConvergentPair, x) -> ConvergentPair:
+    """One recurrence step over Fractions: P_n = x*P_{n-1} + P_{n-2}, likewise for Q."""
+    x = as_fraction(x)
+    return ConvergentPair(
+        p=x * state.p + state.p_prev,
+        q=x * state.q + state.q_prev,
+        p_prev=state.p,
+        q_prev=state.q,
+        n=state.n + 1,
+    )
 
 
 def reference_convergents(point: CFPoint, depth: int) -> list[Fraction]:
@@ -117,6 +166,124 @@ def reference_theorem_bound(point: CFPoint, tol: Fraction) -> tuple[Fraction, Fr
         else:
             hi = mid
     return lo, hi
+
+
+def reference_tolerances(tol: Fraction, tighten_limit: int | None):
+    """Working tolerances: tol, tol/10, ... down to the floor (or a step cap).
+
+    Reference for bounds._rounds: a check runs _rounds(tol, cap) + 1
+    tolerances, as many as this eager Fraction loop yields.
+    """
+    t = tol
+    steps = 0
+    while True:
+        yield t
+        steps += 1
+        if tighten_limit is not None and steps > tighten_limit:
+            return
+        if t <= CERT_TOL_FLOOR:
+            return
+        t = t / 10
+
+
+def reference_check_sandwich(point, tol=DEFAULT_TOL, *, settings=None, tighten_limit=None):
+    """check_sandwich over reference_tolerances, letting a budget error propagate.
+
+    Reference for bounds.check_sandwich: wherever no evaluation runs out of
+    budget the two must agree exactly.
+    """
+    if point.m < 0:
+        raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
+    tol = as_fraction(tol)
+    upper_point = point.shifted()
+    last = None
+    for t in reference_tolerances(tol, tighten_limit):
+        g_hi = evaluate(upper_point, t, settings=settings)
+        g_lo = evaluate(point, t, settings=settings)
+        bound = theorem_bound(point, t)
+        last = (g_hi, g_lo, bound)
+        if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
+            upper = CheckReport(
+                point=point,
+                claim=Claim.SANDWICH_UPPER,
+                certified=True,
+                left=g_hi,
+                right=bound,
+                gap=g_hi.lo - bound.hi,
+            )
+            lower = CheckReport(
+                point=point,
+                claim=Claim.SANDWICH_LOWER,
+                certified=True,
+                left=bound,
+                right=g_lo,
+                gap=bound.lo - g_lo.hi,
+            )
+            return upper, lower
+    g_hi, g_lo, bound = last
+    raise InconclusiveError(
+        f"sandwich enclosures still overlap at m={point.m}, lam={point.lam}",
+        claim=Claim.SANDWICH_UPPER,
+        left=g_hi,
+        right=bound,
+    )
+
+
+def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, settings=None, tighten_limit=None):
+    """check_g_above_one over reference_tolerances, letting a budget error propagate."""
+    if point.m < 1:
+        raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
+    tol = as_fraction(tol)
+    unit = Enclosure(lo=Fraction(1), hi=Fraction(1), depth=0, mode=EvalMode.EXACT)
+    enc = None
+    for t in reference_tolerances(tol, tighten_limit):
+        enc = evaluate(point, t, settings=settings)
+        if enc.lo > 1:
+            return CheckReport(
+                point=point,
+                claim=Claim.ABOVE_ONE,
+                certified=True,
+                left=enc,
+                right=unit,
+                gap=enc.lo - 1,
+            )
+    raise InconclusiveError(
+        f"G enclosure still touches 1 at m={point.m}, lam={point.lam}",
+        claim=Claim.ABOVE_ONE,
+        left=enc,
+        right=unit,
+    )
+
+
+def reference_check_reciprocal(lam, tol=DEFAULT_TOL, *, settings=None, tighten_limit=None):
+    """check_reciprocal over reference_tolerances, letting a budget error propagate."""
+    lam = as_fraction(lam)
+    tol = as_fraction(tol)
+    p0 = CFPoint(Fraction(0), lam)
+    p1 = CFPoint(Fraction(1), lam)
+    g0 = g1 = None
+    for t in reference_tolerances(tol, tighten_limit):
+        g0 = evaluate(p0, t, settings=settings)
+        g1 = evaluate(p1, t, settings=settings)
+        if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
+            raise ViolationError(
+                f"product interval excludes 1 at lam={lam}: {g0} * {g1}"
+            )
+        if g0.hi < 1:
+            return CheckReport(
+                point=p0,
+                claim=Claim.RECIPROCAL,
+                certified=True,
+                left=g0,
+                right=g1,
+                gap=1 - g0.hi,
+            )
+    raise InconclusiveError(
+        f"G(0, lam) enclosure still touches 1 at lam={lam}",
+        claim=Claim.RECIPROCAL,
+        left=g0,
+        right=g1,
+    )
 
 
 def _reference_series_interval(nu: int, x: Fraction, last: int) -> tuple[Fraction, Fraction]:
@@ -208,7 +375,8 @@ def reference_find_alpha(
 
     Reference for alpha_root.find_alpha, whose exact-routed steps walk the
     recurrence once instead: the two must return equal AlphaResults, or
-    raise the same error, for the same arguments.
+    raise the same error, for the same arguments.  The midpoint enclosure
+    is the best one reached when its evaluation runs out of budget.
     """
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
@@ -248,7 +416,10 @@ def reference_find_alpha(
             break
         iterations += 1
 
-    g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, settings=settings)
+    try:
+        g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, settings=settings)
+    except (BudgetExceededError, NotConvergedError) as exc:
+        g_mid = exc.best
     return AlphaResult(
         lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=iterations, flag=flag
     )
@@ -345,12 +516,12 @@ def reference_find_witness(
     tol=DEFAULT_TOL,
     *,
     settings=None,
-    tighten_rounds: int = TIGHTEN_ROUNDS,
 ) -> Witness:
     """Witness search that scans the whole grid before trying any pair.
 
     Reference for lambda_scan.find_witness, which evaluates grid points
-    only when the pair search reaches them.
+    only when the pair search reaches them.  A near miss is judged at its
+    best enclosures once an evaluation runs out of budget, and not retried.
     """
     m = as_fraction(m)
     if not (0 < m < 1):
@@ -373,17 +544,20 @@ def reference_find_witness(
             if g1.midpoint <= g2.midpoint:
                 continue
             t = tol
-            for _ in range(tighten_rounds):
+            for _ in range(TIGHTEN_ROUNDS):
                 t = t / 10
-                try:
-                    e1 = evaluate(CFPoint(m, lam1), t, settings=settings)
-                    e2 = evaluate(CFPoint(m, lam2), t, settings=settings)
-                except (NotConvergedError, BudgetExceededError):
-                    break  # budget floor reached; this pair cannot be resolved
+                encs, out_of_budget = [], False
+                for lam in (lam1, lam2):
+                    try:
+                        encs.append(evaluate(CFPoint(m, lam), t, settings=settings))
+                    except (NotConvergedError, BudgetExceededError) as exc:
+                        encs.append(exc.best)
+                        out_of_budget = True
+                e1, e2 = encs
                 if e1.lo > e2.hi:
                     return Witness(m=m, lambda1=lam1, lambda2=lam2, g1=e1, g2=e2)
-                if e1.hi < e2.lo:
-                    break
+                if e1.hi < e2.lo or out_of_budget:
+                    break  # decided, or no tighter tolerance can go deeper
     raise NoWitnessFoundError(
         f"no certified decrease for m={m} on the scanned grid "
         "(absence on a grid is not a refutation)",

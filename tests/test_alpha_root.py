@@ -22,8 +22,8 @@ from cfcert import (
     evaluate,
     find_alpha,
 )
-from cfcert.alpha_root import FLAG_INCONCLUSIVE, TIGHTEN_ROUNDS
-from cfcert.cf_core import _side_of_one
+from cfcert.alpha_root import FLAG_INCONCLUSIVE
+from cfcert.cf_core import TIGHTEN_ROUNDS, _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
 G_TOL = Fraction(1, 10**6)

@@ -3,22 +3,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import reference_theorem_bound
+from conftest import (
+    reference_check_g_above_one,
+    reference_check_reciprocal,
+    reference_check_sandwich,
+    reference_theorem_bound,
+    reference_tolerances,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcert import (
+    DEFAULT_MAX_DEPTH,
+    BudgetExceededError,
+    CFCertError,
     CFPoint,
     DomainError,
     Enclosure,
     EvalMode,
+    EvalSettings,
     InconclusiveError,
+    NotConvergedError,
     check_functional_equation,
     check_g_above_one,
     check_reciprocal,
     check_sandwich,
+    evaluate,
     theorem_bound,
 )
+from cfcert.bounds import _rounds
 
 PHI = Fraction("1.618033988749894848204587")  # (1 + sqrt 5) / 2
 THREE_PLUS_SQRT10 = Fraction("6.162277660168379331998894")
@@ -203,3 +216,144 @@ class TestReciprocal:
     def test_gap_positive(self):
         report = check_reciprocal(1)
         assert report.gap == 1 - report.left.hi > 0
+
+
+FLOOR = Fraction(1, 10**30)
+
+
+@st.composite
+def schedule_tols(draw):
+    """Tolerances on and around the 1e-30 floor, above 1, and with huge denominators."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        tol = draw(st.sampled_from([FLOOR, Fraction(9, 10**31), Fraction(11, 10**31)]))
+        return tol * 10 ** draw(st.integers(0, 40)) * draw(
+            st.sampled_from([1, Fraction(10**20 - 1, 10**20), Fraction(10**20 + 1, 10**20)])
+        )
+    if kind == 1:
+        return draw(st.fractions(min_value=1, max_value=10**40, max_denominator=10**6))
+    den = BIG_DEN ** draw(st.integers(1, 6))
+    return Fraction(draw(st.integers(1, den)), den)
+
+
+@given(tol=schedule_tols(), cap=st.sampled_from([None, 0, 1, 50]))
+@example(tol=FLOOR, cap=None)  # already on the floor: one tolerance
+@example(tol=Fraction(11, 10**31), cap=None)
+@example(tol=Fraction(10**40), cap=None)
+@example(tol=Fraction(10**4280), cap=None)  # tol * 10**30: too many digits for str()
+@settings(max_examples=300, deadline=None)
+def test_rounds_match_tolerance_reference(tol, cap):
+    assert _rounds(tol, cap) + 1 == len(list(reference_tolerances(tol, cap)))
+
+
+@pytest.mark.parametrize(
+    "check, arg", [(check_sandwich, CFPoint(0, 1)), (check_g_above_one, CFPoint(1, 1)),
+                   (check_reciprocal, 1)],
+)
+def test_negative_tighten_limit_rejected(check, arg):
+    with pytest.raises(DomainError, match="tighten limit"):
+        check(arg, tighten_limit=-1)
+
+
+def _sandwich_decides(point, t, g_hi, g_lo):
+    bound = theorem_bound(point, t)
+    return (g_hi.lo > bound.hi and bound.lo > g_lo.hi), [g_hi, g_lo, bound]
+
+
+# claim -> (check, reference, points evaluated per tolerance, verdict and
+# carried enclosures at tolerance t)
+CHECKS = {
+    "sandwich": (
+        check_sandwich, reference_check_sandwich,
+        lambda p: [p.shifted(), p], _sandwich_decides,
+    ),
+    "above-one": (
+        check_g_above_one, reference_check_g_above_one,
+        lambda p: [p],
+        lambda p, t, g: (g.lo > 1, [g, Enclosure(1, 1, 0, EvalMode.EXACT)]),
+    ),
+    "reciprocal": (
+        check_reciprocal, reference_check_reciprocal,
+        lambda p: [CFPoint(0, p.lam), CFPoint(1, p.lam)],
+        lambda p, t, g0, g1: (g0.hi < 1, [g0, g1]),
+    ),
+}
+
+
+def _carried(got):
+    """The enclosures a check outcome carries, in evaluation order, then the bound."""
+    if isinstance(got, InconclusiveError):
+        return [got.left, got.right]
+    if isinstance(got, tuple):  # the sandwich (upper, lower) pair
+        return [got[0].left, got[1].right, got[0].right]
+    return [got.left, got.right]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CFCertError as exc:
+        return exc
+
+
+def _comparable(got):
+    if isinstance(got, CFCertError):
+        return type(got), str(got), getattr(got, "left", None), getattr(got, "right", None)
+    return got
+
+
+@given(
+    claim=st.sampled_from(sorted(CHECKS)),
+    m=st.fractions(min_value=0, max_value=3, max_denominator=BIG_DEN),
+    # both sides of the 1/64 directed cutoff
+    lam=st.sampled_from([997, BIG_DEN]).flatmap(
+        lambda den: st.integers(den // 200 + 1, 4 * den).map(lambda k: Fraction(k, den))
+    ),
+    tol=st.builds(lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(0, 32)),
+    cap=st.sampled_from([None, 0, 1, 3]),
+    max_depth=st.sampled_from([3, 12, DEFAULT_MAX_DEPTH]),
+)
+@example(claim="above-one", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
+         cap=None, max_depth=3)  # G(1, 1) > 1 from its depth-3 enclosure
+@example(claim="reciprocal", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
+         cap=None, max_depth=1)  # [2/3, 1] touches 1: inconclusive
+@example(claim="sandwich", m=Fraction(1), lam=Fraction(1, 100), tol=Fraction(1, 10**12),
+         cap=None, max_depth=12)
+@settings(max_examples=200, deadline=None)
+def test_checks_match_tightening_reference(claim, m, lam, tol, cap, max_depth):
+    check, reference, points_of, decides = CHECKS[claim]
+    point = CFPoint(m + 1 if claim == "above-one" else m, lam)
+    arg = lam if claim == "reciprocal" else point
+    kwargs = dict(settings=EvalSettings(max_depth=max_depth), tighten_limit=cap)
+    got = _outcome(check, arg, tol, **kwargs)
+    budget_error = None
+    try:
+        want = reference(arg, tol, **kwargs)
+    except (BudgetExceededError, NotConvergedError) as exc:
+        budget_error = exc
+    except CFCertError as exc:
+        want = exc
+    if budget_error is None:
+        assert _comparable(got) == _comparable(want)
+        return
+    # the reference ran out of budget at some tolerance t: the check stops
+    # there too and judges the best enclosures reached
+    for t in reference_tolerances(tol, cap):
+        encs, out = [], False
+        for p in points_of(point):
+            try:
+                encs.append(evaluate(p, t, settings=kwargs["settings"]))
+            except (BudgetExceededError, NotConvergedError) as exc:
+                encs.append(exc.best)
+                out = True
+        if out:
+            break
+    assert budget_error.best in encs
+    certified, carried = decides(point, t, *encs)
+    if certified:
+        assert not isinstance(got, CFCertError)
+        assert _carried(got) == carried
+    else:
+        assert isinstance(got, InconclusiveError)
+        # a sandwich error carries the upper enclosure and the bound only
+        assert _carried(got) == [carried[0], carried[-1]]

@@ -7,29 +7,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ConvergentPair,
+    advance,
+    reference_convergents,
     reference_directed_tail,
     reference_enclosure,
     reference_eval_enclosure,
     reference_side_of_one,
+    term,
 )
 
 from cfcert import (
     DEFAULT_MAX_DEPTH,
     BudgetExceededError,
     CFPoint,
-    ConvergentPair,
     DepthTooSmallError,
     DomainError,
     EvalMode,
     NotConvergedError,
     PrecisionError,
-    advance,
-    convergents,
     eval_directed,
     eval_enclosure,
     evaluate,
     tail_enclosure,
-    term,
 )
 from cfcert.cf_core import _bit_floor, _directed_tail, _side_of_one, _width_met
 
@@ -194,7 +194,7 @@ class TestBracketing:
     @given(point=nonneg_points)
     @settings(max_examples=40, deadline=None)
     def test_even_increase_odd_decrease_even_below_odd(self, point):
-        vals = convergents(point, 13)
+        vals = reference_convergents(point, 13)
         evens = vals[0::2]
         odds = vals[1::2]
         assert all(a < b for a, b in zip(evens, evens[1:]))

@@ -105,6 +105,34 @@ class TestCheck:
         (rec,) = parse_records(out, "csv")
         assert rec.certified is False
 
+    @pytest.mark.parametrize(
+        "argv, want_code, want_certified",
+        [
+            (("above-one", "--m", "1", "--lambda", "1", "--max-depth", "3"), EXIT_OK, [True]),
+            (("reciprocal", "--lambda", "1", "--max-depth", "3"), EXIT_OK, [True]),
+            (("sandwich", "--m", "1", "--lambda", "1", "--max-depth", "3"),
+             EXIT_OK, [True, True]),
+            # G(0, 1) in [2/3, 1] at depth 1 still touches 1
+            (("reciprocal", "--lambda", "1", "--max-depth", "1"), EXIT_INCONCLUSIVE, [False]),
+        ],
+    )
+    def test_out_of_budget_check_judges_best_enclosures(self, capsys, argv, want_code,
+                                                       want_certified):
+        code, out = run(capsys, "check", *argv)
+        assert code == want_code
+        recs = parse_records(out, "csv")
+        max_depth = int(argv[-1])
+        assert [r.certified for r in recs] == want_certified
+        assert all(r.depth == max_depth for r in recs)
+        assert reverify_records(recs)
+        assert reverify_records(recs, settings=EvalSettings(max_depth=max_depth))
+
+    def test_negative_tighten_cap_usage_error(self, capsys):
+        code, out = run(capsys, "check", "above-one", "--m", "1", "--lambda", "1",
+                        "--max-tighten", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_missing_m_usage_error(self, capsys):
         code, _ = run(capsys, "check", "sandwich", "--lambda", "1")
         assert code == EXIT_USAGE
@@ -169,6 +197,20 @@ class TestAlphaScanWitnessOracle:
         assert code == EXIT_INCONCLUSIVE
         recs = parse_records(out, "csv")
         assert [r.command for r in recs] == ["alpha-lo", "alpha-hi", "alpha-mid"]
+
+    def test_alpha_out_of_budget_midpoint(self, capsys):
+        # depth-3 walks certify both ends but not the next midpoint, and the
+        # bracket's midpoint keeps its depth-3 enclosure
+        code, out = run(capsys, "alpha", "--lambda", "1", "--max-depth", "3")
+        assert code == EXIT_INCONCLUSIVE
+        recs = parse_records(out, "csv")
+        assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
+            ("alpha-lo", "57/128", True, 3),
+            ("alpha-hi", "29/64", True, 3),
+            ("alpha-mid", "115/256", None, 3),
+        ]
+        assert reverify_records(recs)
+        assert reverify_records(recs, settings=EvalSettings(max_depth=3))
 
     def test_bad_grid_values_are_usage_errors(self, capsys):
         assert run(capsys, "scan", "--m", "1", "--grid-list", "a,b")[0] == EXIT_USAGE
@@ -286,8 +328,14 @@ class TestRecordFormat:
         tiny = [replace(r, inputs={**r.inputs, "lambda": "1/10000000000"}) for r in recs]
         with pytest.raises(ValueError, match=match):
             reverify_records(tiny)
-        with pytest.raises(ValueError, match=match):
-            reverify_records(recs, settings=EvalSettings(max_depth=2))
+        # depth 2 is out of budget at the default tol, but its best enclosures
+        # still certify every inequality; the functional check has no rounds
+        depth_two = EvalSettings(max_depth=2)
+        if claim == "functional":
+            with pytest.raises(ValueError, match=match):
+                reverify_records(recs, settings=depth_two)
+        else:
+            assert reverify_records(recs, settings=depth_two)
 
         def inconclusive(*args, **kwargs):
             raise InconclusiveError("forced overlap")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import conftest
 from conftest import reference_find_witness
 
+import cfcert.cf_core as cf_core
 import cfcert.lambda_scan as lambda_scan
 from cfcert import (
     DEFAULT_WITNESS_GRID,
@@ -125,8 +126,8 @@ def test_default_grid_shape():
 
 
 def counted_outcome(fn, *args, **kwargs):
-    """(result or error details, number of evaluate calls made by lambda_scan
-    and by the conftest references)."""
+    """(result or error details, number of evaluate calls made by lambda_scan,
+    by cf_core's tightening loop and by the conftest references)."""
     calls = []
 
     def counting(*a, **k):
@@ -134,6 +135,7 @@ def counted_outcome(fn, *args, **kwargs):
         return evaluate(*a, **k)
 
     with mock.patch.object(lambda_scan, "evaluate", counting), \
+            mock.patch.object(cf_core, "evaluate", counting), \
             mock.patch.object(conftest, "evaluate", counting):
         try:
             got = fn(*args, **kwargs)
@@ -154,28 +156,24 @@ WITNESS_LAMS = [Fraction(1, 2**130), Fraction(1, 100), Fraction(1, 16), Fraction
     ascending=st.sampled_from([True, True, True, False]),
     tol=st.sampled_from([Fraction(1, 10), Fraction(1, 100), Fraction(1, 10**4), Fraction(1, 10**12)]),
     eval_settings=st.sampled_from([None, EvalSettings(max_depth=3)]),
-    tighten_rounds=st.integers(0, 8),
 )
-# near misses that certify after tightening, and one that never does
+# near misses that certify after tightening, and one out of budget at once
 @example(m=Fraction(1, 10), lams=[Fraction(1, 5), Fraction(3, 10)], ascending=True,
-         tol=Fraction(1, 10), eval_settings=None, tighten_rounds=8)
+         tol=Fraction(1, 10), eval_settings=None)
 @example(m=Fraction(1, 10), lams=[Fraction(1, 5), Fraction(3, 10)], ascending=True,
-         tol=Fraction(1, 10), eval_settings=None, tighten_rounds=1)
-@example(m=Fraction(1, 10), lams=[Fraction(1, 5), Fraction(3, 10)], ascending=True,
-         tol=Fraction(1, 10), eval_settings=EvalSettings(max_depth=3), tighten_rounds=8)
+         tol=Fraction(1, 10), eval_settings=EvalSettings(max_depth=3))
 # (1/8, 3/10) certifies, but the earlier pair (1/16, 1/2) is the witness
 @example(m=Fraction(1, 10), lams=[Fraction(1, 16), Fraction(1, 8), Fraction(3, 10), Fraction(1, 2)],
-         ascending=True, tol=Fraction(1, 10), eval_settings=None, tighten_rounds=8)
+         ascending=True, tol=Fraction(1, 10), eval_settings=None)
 # the smallest lam rounds to zero in directed mode
 @example(m=Fraction(1, 2), lams=[Fraction(1, 2**130), Fraction(1, 16), Fraction(1, 8)],
-         ascending=True, tol=Fraction(1, 10**12), eval_settings=None, tighten_rounds=8)
+         ascending=True, tol=Fraction(1, 10**12), eval_settings=None)
 @example(m=Fraction(1, 2), lams=[Fraction(1, 2), Fraction(1, 4)], ascending=False,
-         tol=Fraction(1, 10**12), eval_settings=None, tighten_rounds=8)
+         tol=Fraction(1, 10**12), eval_settings=None)
 @settings(max_examples=150, deadline=None)
-def test_find_witness_matches_scan_first_reference(m, lams, ascending, tol, eval_settings,
-                                                   tighten_rounds):
+def test_find_witness_matches_scan_first_reference(m, lams, ascending, tol, eval_settings):
     grid = sorted(set(lams)) if ascending else lams
-    kwargs = dict(settings=eval_settings, tighten_rounds=tighten_rounds)
+    kwargs = dict(settings=eval_settings)
     got, calls = counted_outcome(find_witness, m, grid, tol, **kwargs)
     want, ref_calls = counted_outcome(reference_find_witness, m, grid, tol, **kwargs)
     assert got == want
