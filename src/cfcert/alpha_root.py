@@ -3,15 +3,15 @@
 The anchors are certified rather than assumed: G(0, lam) < 1 and
 G(1, lam) > 1 are both checked before bisection starts.  Bisection on m
 only ever moves an endpoint on certified evidence.  A bisection step only
-needs the side of 1 that G(mid, lam) lies on: at an exact-routed lam it
-walks the exact recurrence once and stops at the first convergent pair
-whose enclosure excludes 1; at a directed-routed lam classify_vs_one
-tightens the tolerance from g_tol by 10 per round, TIGHTEN_ROUNDS (8)
-rounds, and an evaluation out of depth budget decides from its best
-enclosure.  Both give up at the same depth, the one an enclosure of width
-g_tol / 10**8 needs (or max_depth), and a midpoint still undecided there
-returns the current bracket flagged instead of guessing.  The bracket's
-midpoint enclosure is the best one reached within the budget.
+needs the side of 1 that G(mid, lam) lies on.  At an exact-routed lam it
+walks the exact recurrence once, stops at the first convergent pair whose
+enclosure excludes 1, and gives up only at max_depth.  At a directed-routed
+lam classify_vs_one tightens the tolerance from g_tol by 10 per round,
+TIGHTEN_ROUNDS (8) rounds, and an evaluation out of depth budget decides
+from its best enclosure: running to the budget there needs widths near
+e^(-4/lam), which directed passes cannot afford.  A midpoint still
+undecided returns the current bracket flagged instead of guessing.  The
+bracket's midpoint enclosure is the best one reached within the budget.
 
 At an exact-routed lam the anchors are walked too, and bisection usually
 starts near its end: a double-precision Newton estimate of alpha names
@@ -32,9 +32,10 @@ from .cf_core import (
     EvalSettings,
     RationalLike,
     _depth_guess,
+    _pair_enclosure,
     _side_of_one,
     _tightened,
-    _width_met,
+    _width_bound,
     as_fraction,
 )
 from .errors import CFCertError, DomainError, InconclusiveError
@@ -73,12 +74,20 @@ class AlphaResult:
 def classify_vs_one(
     point: CFPoint, tol: RationalLike, *, settings: EvalSettings | None = None
 ) -> tuple[int, Enclosure]:
-    """Certified side of G(point) relative to 1, tightening on straddles.
+    """Certified side of G(point) relative to 1, with the enclosure that shows it.
 
-    The tolerance runs from tol down to tol / 10**TIGHTEN_ROUNDS.  An
-    evaluation out of budget ends the rounds: its best enclosure may still
-    decide the side, and otherwise the straddle verdict is returned.
+    At an exact-routed point (lam >= settings.directed_cutoff, as evaluate
+    routes) this is the cf_core._side_of_one walk, and tol is unused.  At a
+    directed-routed point the tolerance runs from tol down to
+    tol / 10**TIGHTEN_ROUNDS.  An evaluation out of budget ends the rounds:
+    its best enclosure may still decide the side, and otherwise the
+    straddle verdict is returned.
     """
+    s = settings or DEFAULT_SETTINGS
+    if point.lam >= s.directed_cutoff:
+        m, lam = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
+        side, pair = _side_of_one(*m, *lam, s.max_depth)
+        return side, _pair_enclosure(point, pair)
     for _, (enc,) in _tightened([point], tol, TIGHTEN_ROUNDS, settings):
         if enc.hi < 1:
             return _BELOW, enc
@@ -126,20 +135,18 @@ def find_alpha(
     (0, 1) and at most bracket_tol/4 wide (the extra factor keeps the
     midpoint's G value well within g_tol of 1).
 
-    When lam routes to exact mode, every side of 1, the anchors' included,
-    comes from one walk of the exact recurrence (cf_core._side_of_one),
-    which gives up at width give_up = g_tol / 10**TIGHTEN_ROUNDS and so
-    returns the side classify_vs_one would; each point is walked at most
-    once.  A float Newton estimate of alpha names the dyadic cell where the
-    loop would stop, at level 32 at most.  The loop starts from that cell
-    instead of (0, 1) when walks certify G < 1 at its lower end and G > 1
-    at its upper end, each more than give_up from 1, and every walk at
-    m >= 0 meets the give-up width within max_depth (cf_core._width_met).
-    The cell then holds the unique crossing, since G increases in m, and
-    the result is the one bisection from (0, 1) returns: each midpoint on
-    the way lies beyond an end, so its G is more than give_up from 1 and
-    its walk decides the side before giving up.  Directed-routed lams step
-    through classify_vs_one.
+    Every side of 1, the anchors' included, is decided once per point: when
+    lam routes to exact mode by one walk of the exact recurrence
+    (cf_core._side_of_one), which gives up only at max_depth, and otherwise
+    by classify_vs_one.  A float Newton estimate of alpha names the dyadic
+    cell where the loop would stop, at level 32 at most.  The loop starts
+    from that cell instead of (0, 1) when walks certify G < 1 at its lower
+    end and G > 1 at its upper end, each with a bound more than W from 1,
+    where W bounds the width of every exact enclosure at m >= 0 and depth
+    max_depth (cf_core._width_bound).  The cell then holds the unique
+    crossing, since G increases in m, and the result is the one bisection
+    from (0, 1) returns: each midpoint on the way lies beyond an end, so its
+    G is more than W from 1 and its walk decides the side within max_depth.
     """
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
@@ -151,26 +158,27 @@ def find_alpha(
 
     s = settings or DEFAULT_SETTINGS
     exact = lam >= s.directed_cutoff
-    give_up = g_tol / 10**TIGHTEN_ROUNDS
     c, d = lam.numerator, lam.denominator
-    walked: dict[tuple[int, int], tuple[int, bool]] = {}
+    decided: dict[tuple[int, int], tuple] = {}
 
-    def side_at(a: int, j: int) -> tuple[int, bool]:
-        """_side_of_one at m = a / 2**j, walked once per reduced point."""
+    def side_at(a: int, j: int) -> tuple:
+        """Side of G(a / 2**j, lam) relative to 1, once per reduced point, with the
+        walk's tail pair at an exact-routed lam, else classify_vs_one's enclosure."""
         while j and not a & 1:
             a >>= 1
             j -= 1
-        if (a, j) not in walked:
-            walked[a, j] = _side_of_one(a, 1 << j, c, d, give_up, s.max_depth)
-        return walked[a, j]
+        if (a, j) not in decided:
+            decided[a, j] = (
+                _side_of_one(a, 1 << j, c, d, s.max_depth) if exact
+                else classify_vs_one(CFPoint(Fraction(a, 1 << j), lam), g_tol, settings=settings)
+            )
+        return decided[a, j]
 
     for m, want, rel in ((0, _BELOW, "<"), (1, _ABOVE, ">")):
-        if not exact or side_at(m, 0)[0] != want:
-            side, enc = classify_vs_one(CFPoint(Fraction(m), lam), g_tol, settings=settings)
-            if side != want:
-                raise InconclusiveError(
-                    f"could not certify G({m}, {lam}) {rel} 1", left=enc
-                )
+        side, found = side_at(m, 0)
+        if side != want:
+            enc = _pair_enclosure(CFPoint(Fraction(m), lam), found) if exact else found
+            raise InconclusiveError(f"could not certify G({m}, {lam}) {rel} 1", left=enc)
 
     target = bracket_tol / 4
 
@@ -178,8 +186,22 @@ def find_alpha(
         """Whether [k, k + 1] / 2**j is wider than target or touches 0 or 1."""
         return target.numerator << j < target.denominator or k == 0 or k + 1 == 1 << j
 
+    def clear(a: int, j: int, want: int) -> bool:
+        """Whether the walk at m = a / 2**j decides ``want`` by a bound more than W from 1."""
+        side, (n, p, q, pp, qq) = side_at(a, j)
+        if n & 1 != (want > 0):  # an even convergent decides below, an odd one above
+            p, q = pp, qq
+        big_d = d << j
+        r = abs(p * (big_d - a * c) - q * big_d)  # the bound is r / (D * p) from 1
+        rhs = w_num * big_d * p
+        # w_den has about 2 * max_depth bits: try the bit lengths first
+        bits = r.bit_length() + w_den.bit_length() - 2 >= rhs.bit_length()
+        return side == want and (bits or r * w_den > rhs)
+
     k = j = 0  # the bracket is [k, k + 1] / 2**j
-    if exact and _width_met(lam, give_up, s.max_depth):
+    w = _width_bound(lam, s.max_depth) if exact else None
+    if w is not None:
+        w_num, w_den = w
         try:
             est = _newton_alpha(lam, s.max_depth)
         except ArithmeticError:
@@ -191,7 +213,7 @@ def find_alpha(
             while pj < min(32, max_iterations) and unfinished(pk, pj):
                 pj += 1
                 pk = min(int(est * (1 << pj)), (1 << (pj - 1)) - 1)
-            if side_at(pk + 1, pj) == (_ABOVE, True) and side_at(pk, pj) == (_BELOW, True):
+            if clear(pk + 1, pj, _ABOVE) and clear(pk, pj, _BELOW):
                 k, j = pk, pj
     flag = None
     while unfinished(k, j):
@@ -199,12 +221,7 @@ def find_alpha(
             flag = FLAG_BUDGET
             break
         mid = 2 * k + 1  # the midpoint is mid / 2**(j + 1)
-        if exact:
-            side, _ = side_at(mid, j + 1)
-        else:
-            side, _ = classify_vs_one(
-                CFPoint(Fraction(mid, 2 << j), lam), g_tol, settings=settings
-            )
+        side = side_at(mid, j + 1)[0]
         if side == _STRADDLE:
             flag = FLAG_INCONCLUSIVE
             break

@@ -7,11 +7,11 @@ encloses it with integer arithmetic and one isqrt, never a floating square
 root.  All certificates are interval statements: a strict inequality a < b
 is certified exactly when the enclosure of a lies entirely below the
 enclosure of b.  Overlapping enclosures are retried at tol/10, tol/100, ...
-until the tolerance reaches CERT_TOL_FLOOR or the tighten_limit cap
-(cf_core._tightened).  An evaluation out of depth budget contributes its
-best enclosure, which is still rigorous, and ends the retries; enclosures
-that still overlap then raise Inconclusive carrying them.  An identity that
-fails outright raises Violation since it can only mean an arithmetic bug.
+(cf_core._tightened).  Every claim here is strict, so the retries give up
+only where an evaluation reaches the depth budget (its best enclosure is
+still rigorous) or the tighten_limit cap: enclosures that still overlap
+then raise Inconclusive carrying them.  An identity that fails outright
+raises Violation since it can only mean an arithmetic bug.
 """
 
 from __future__ import annotations
@@ -31,12 +31,8 @@ from .cf_core import (
     _from_tail,
     _tightened,
     as_fraction,
-    evaluate,
 )
 from .errors import DomainError, InconclusiveError, ViolationError
-
-#: tightening stops once the working tolerance drops below this floor
-CERT_TOL_FLOOR = Fraction(1, 10**30)
 
 ONE = Fraction(1)
 
@@ -108,24 +104,6 @@ def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> Enclosure:
     return Enclosure(lo=lo, hi=lo + cell, depth=0, mode=EvalMode.EXACT)
 
 
-def _rounds(tol: Fraction, tighten_limit: int | None) -> int:
-    """Rounds a check tightens: the least k with tol/10**k <= CERT_TOL_FLOOR.
-
-    The count is capped at ``tighten_limit``, which must be >= 0.
-    tol/10**k <= 10**-30 holds exactly when ceil(tol * 10**30) <= 10**k,
-    that is when n = ceil(tol * 10**30) - 1 < 10**k, so k is the digit
-    count of n (0 when n <= 0).  It starts from a lower bound read off the
-    bit length, 30102/100000 < log10(2), so the loop steps a few times.
-    """
-    if tighten_limit is not None and tighten_limit < 0:
-        raise DomainError(f"tighten limit must be >= 0, got {tighten_limit}")
-    n = -(-tol.numerator * CERT_TOL_FLOOR.denominator // tol.denominator) - 1
-    k = (max(n, 1).bit_length() - 1) * 30102 // 100000
-    while 10**k <= n:
-        k += 1
-    return k if tighten_limit is None else min(k, tighten_limit)
-
-
 def check_sandwich(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
@@ -137,13 +115,12 @@ def check_sandwich(
 
     Returns the (upper, lower) report pair; each certificate is a disjoint
     pair of enclosures with a positive gap.  Raises InconclusiveError if
-    the enclosures still overlap at the last tolerance.
+    the enclosures still overlap at the last tolerance; it names a failing
+    half and carries the enclosures of G(m+1, lam) and G(m, lam).
     """
     if point.m < 0:
         raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
-    tol = as_fraction(tol)
-    rounds = _rounds(tol, tighten_limit)
-    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, rounds, settings):
+    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, tighten_limit, settings):
         bound = theorem_bound(point, t)
         if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
             upper = CheckReport(
@@ -165,9 +142,9 @@ def check_sandwich(
             return upper, lower
     raise InconclusiveError(
         f"sandwich enclosures still overlap at m={point.m}, lam={point.lam}",
-        claim=Claim.SANDWICH_UPPER,
+        claim=Claim.SANDWICH_LOWER if g_hi.lo > bound.hi else Claim.SANDWICH_UPPER,
         left=g_hi,
-        right=bound,
+        right=g_lo,
     )
 
 
@@ -180,11 +157,10 @@ def check_functional_equation(
     """Verify the enclosure of G(m, lam) meets m*lam + 1/[enclosure of G(m+1, lam)].
 
     Both intervals contain the same real number, so they must intersect;
-    a disjoint pair raises ViolationError.
+    a disjoint pair raises ViolationError.  An evaluation out of budget
+    contributes its best enclosure.
     """
-    tol = as_fraction(tol)
-    direct = evaluate(point, tol, settings=settings)
-    tail = evaluate(point.shifted(), tol, settings=settings)
+    _, (direct, tail) = next(_tightened([point, point.shifted()], tol, 0, settings))
     shifted = _from_tail(
         point, tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio(), tail.depth, tail.mode
     )
@@ -214,9 +190,8 @@ def check_g_above_one(
     """Certify G(m, lam) > 1 for m >= 1."""
     if point.m < 1:
         raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
-    tol = as_fraction(tol)
     unit = Enclosure(lo=ONE, hi=ONE, depth=0, mode=EvalMode.EXACT)
-    for _, (enc,) in _tightened([point], tol, _rounds(tol, tighten_limit), settings):
+    for _, (enc,) in _tightened([point], tol, tighten_limit, settings):
         if enc.lo > 1:
             return CheckReport(
                 point=point,
@@ -247,10 +222,8 @@ def check_reciprocal(
     reciprocals; a product interval that excludes 1 raises ViolationError.
     """
     lam = as_fraction(lam)
-    tol = as_fraction(tol)
     p0 = CFPoint(Fraction(0), lam)
-    rounds = _rounds(tol, tighten_limit)
-    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, rounds, settings):
+    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, tighten_limit, settings):
         if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
             raise ViolationError(
                 f"product interval excludes 1 at lam={lam}: {g0} * {g1}"

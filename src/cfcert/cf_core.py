@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 from typing import Iterator, Union
 
@@ -42,8 +43,7 @@ DEFAULT_PRECISION_BITS = 128
 #: below this lam, exact numerators blow up (the depth that meets tol grows
 #: like sqrt(2 ln(1/tol) / lam), see _depth_guess)
 DIRECTED_LAMBDA_CUTOFF = Fraction(1, 64)
-#: tightening rounds (each divides the tolerance by 10) for classify_vs_one,
-#: the witness near misses and find_alpha's give-up width
+#: rounds of x10 tightening for classify_vs_one at a directed-routed point
 TIGHTEN_ROUNDS = 8
 
 
@@ -243,9 +243,7 @@ def eval_enclosure(
         )
         if met or n >= max_depth:
             break
-    # even tail convergents are lower bounds, odd ones upper bounds
-    ends = ((p, q), (pp, qq)) if n % 2 == 0 else ((pp, qq), (p, q))
-    enc = _from_tail(point, *ends, n, EvalMode.EXACT)
+    enc = _pair_enclosure(point, (n, p, q, pp, qq))
     if met:
         return enc
     raise BudgetExceededError(
@@ -273,62 +271,60 @@ def _bit_floor(x: int, tn: int, dd: int) -> tuple[int, int]:
 
 
 def _side_of_one(
-    a: int, b: int, c: int, d: int, give_up_tol: Fraction, max_depth: int
-) -> tuple[int, bool]:
+    a: int, b: int, c: int, d: int, max_depth: int
+) -> tuple[int, tuple[int, int, int, int, int]]:
     """Side of G(a/b, c/d) relative to 1 (-1 below, 1 above, 0 undecided),
-    and whether the deciding bound is more than ``give_up_tol`` from 1.
+    and the tail pair (n, p, q, pp, qq) that decides it.
 
-    Walks eval_enclosure's exact tail pairs (n-1, n) and stops at the first
-    whose mapped enclosure excludes 1; the pairs are nested, so every deeper
-    one agrees.  It gives up (0) where eval_enclosure at ``give_up_tol``
-    would stop: at width <= give_up_tol, or at ``max_depth``.  The fractions
-    need not be reduced.
+    Walks eval_enclosure's exact tail pairs (n-1, n), n >= 1, and stops at
+    the first whose mapped enclosure excludes 1 (the pairs are nested, so
+    every deeper one agrees), or gives up (0) at ``max_depth`` with that
+    pair.  The fractions need not be reduced.
 
     With t = p/q a tail convergent, D = b*d and e = D - a*c, the mapped value
     m*lam + 1/t is 1 - r/(D*p) with r = p*e - q*D, so it is below 1 exactly
-    when r > 0 and above when r < 0, and more than give_up_tol = tn/td from
-    1 when |r| * D*td > tn * D**2 * p.  Only an even convergent (the lower
+    when r > 0 and above when r < 0.  Only an even convergent (the lower
     tail bound) can newly put a pair below 1 and only an odd one above, so
     each step tests just the newest one.
     """
     big_d = b * d
     e = big_d - a * c
-    dd = big_d * big_d
-    tn = give_up_tol.numerator
-    x = big_d * give_up_tol.denominator
-    base, slope = _bit_floor(x, tn, dd)  # eval_enclosure's width test
-    for n, p, q, pp, _ in _scaled_convergents(a + b, b, c, d):
+    side = 0
+    for pair in _scaled_convergents(a + b, b, c, d):
+        n, p, q, _, _ = pair
         r = p * e - q * big_d
         if r < 0 if n & 1 else r > 0:
-            return (1 if n & 1 else -1), abs(r) * x > tn * dd * p
-        if n == 0:
-            continue
-        if n >= max_depth or (
-            p.bit_length() + pp.bit_length() >= base + n * slope // 64
-            and p * pp * tn >= x * dd**n
-        ):
-            return 0, False
+            side = 1 if n & 1 else -1
+        if n and (side or n >= max_depth):
+            return side, pair
     raise AssertionError("unreachable")
 
 
-def _width_met(lam: Fraction, tol: Fraction, depth: int) -> bool:
-    """Whether the exact enclosure at every m >= 0 is <= tol wide by ``depth``.
+def _pair_enclosure(point: CFPoint, pair: tuple[int, int, int, int, int]) -> Enclosure:
+    """Exact enclosure of G(point) from the tail pair (n, p, q, pp, qq) at m + 1."""
+    n, p, q, pp, qq = pair
+    # even tail convergents are lower bounds, odd ones upper bounds
+    ends = ((p, q), (pp, qq)) if n % 2 == 0 else ((pp, qq), (p, q))
+    return _from_tail(point, *ends, n, EvalMode.EXACT)
 
-    A True answer is proven; False may be conservative.  The width at the
-    pair (n-1, n) is 1/(P_n * P_{n-1}), with P_n the numerators of the tail
-    at m + 1, whose terms (m + 1 + j) * lam grow with m, so m = 0 is the
-    widest.  There P_n >= min(1, lam) for every n >= -1 (P_n >= P_{n-2}),
-    and P_n >= 2 * P_{n-1} once the term (1 + n) * lam >= 2, which holds
-    for n > k = ceil(2/lam).  So the width at ``depth`` is at most
-    2**-(2*depth - 2*k - 1) / min(1, lam)**2, compared by bit lengths.
+
+def _width_bound(lam: Fraction, depth: int) -> tuple[int, int] | None:
+    """A proven bound W = num/den on the exact width at ``depth``, for every m >= 0.
+
+    The width at the pair (n-1, n) is 1/(P_n * P_{n-1}), with P_n the
+    numerators of the tail at m + 1, whose terms (m + 1 + j) * lam grow with
+    m, so m = 0 is the widest.  There P_n >= min(1, lam) for every n >= -1
+    (P_n >= P_{n-2}), and P_n >= 2 * P_{n-1} once the term (1 + n) * lam >= 2,
+    which holds for n > k = ceil(2/lam).  So the width at ``depth`` is at
+    most W = 2**-(2*depth - 2*k - 1) / min(1, lam)**2, as an unreduced
+    (num, den), or None when that exponent is negative.
     """
     k = -(-2 * lam.denominator // lam.numerator)
     shift = 2 * depth - 2 * k - 1
     if shift < 0:
-        return False
+        return None
     low_n, low_d = (lam.numerator, lam.denominator) if lam < 1 else (1, 1)
-    need = (low_d * low_d * tol.denominator).bit_length()
-    return shift + (low_n * low_n * tol.numerator).bit_length() - 1 >= need
+    return low_d * low_d, low_n * low_n << shift
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +456,20 @@ def evaluate(
 
 
 def _tightened(
-    points: list[CFPoint], tol: RationalLike, rounds: int, settings: EvalSettings | None
+    points: list[CFPoint], tol: RationalLike, rounds: int | None, settings: EvalSettings | None
 ) -> Iterator[tuple[Fraction, list[Enclosure]]]:
     """Enclosures of G at ``points``, at tol, tol/10, ..., tol/10**rounds.
 
     Yields (t, enclosures) per tolerance, evaluating the points in order;
-    the caller stops when its predicate decides.  An evaluation out of
-    budget contributes its best enclosure, which is still rigorous, and
-    makes that tolerance the last one, since no tighter tolerance can go
-    deeper.
+    the caller stops when its predicate decides.  ``rounds`` must be >= 0,
+    or None for no cap.  An evaluation out of budget contributes its best
+    enclosure, which is still rigorous, and makes that tolerance the last
+    one, since no tighter tolerance can go deeper.
     """
+    if rounds is not None and rounds < 0:
+        raise DomainError(f"tighten limit must be >= 0, got {rounds}")
     t = as_fraction(tol)
-    for k in range(rounds + 1):
+    for k in count():
         last = k == rounds
         encs = []
         for point in points:

@@ -28,6 +28,7 @@ from typing import Iterable
 from .alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE, classify_vs_one, find_alpha
 from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
 from .bounds import (
+    Claim,
     check_functional_equation,
     check_g_above_one,
     check_reciprocal,
@@ -279,6 +280,12 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _cap_arg(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
+    return int(text)
+
+
 def _settings(args) -> EvalSettings:
     max_depth = args.max_depth
     if max_depth is None:
@@ -336,10 +343,10 @@ def _cmd_check(args):
             upper, lower = check_sandwich(
                 point, tol, settings=settings, tighten_limit=args.max_tighten
             )
-        except InconclusiveError as exc:
-            rec = record_from_enclosure(
-                "check-sandwich-upper", inputs, exc.left, certified=False
-            )
+        except InconclusiveError as exc:  # the row of the half that fails
+            lower = exc.claim is Claim.SANDWICH_LOWER
+            half, enc = ("lower", exc.right) if lower else ("upper", exc.left)
+            rec = record_from_enclosure(f"check-sandwich-{half}", inputs, enc, certified=False)
             return EXIT_INCONCLUSIVE, [rec]
         return EXIT_OK, [
             record_from_enclosure("check-sandwich-upper", inputs, upper.left, certified=True),
@@ -475,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=("sandwich", "functional", "above-one", "reciprocal"))
     p.add_argument("--m", type=_fraction_arg, default=None)
     p.add_argument("--lambda", dest="lam", type=_fraction_arg, required=True)
-    p.add_argument("--max-tighten", type=int, default=None,
-                   help="cap the tolerance-tightening rounds (default: until 1e-30)")
+    p.add_argument("--max-tighten", type=_cap_arg, default=None,
+                   help="cap the tolerance-tightening rounds (default: until the depth budget)")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("alpha", parents=[common], help="bracket the m where G crosses 1")
@@ -637,13 +644,16 @@ def _claim_holds(
     """Whether a check row's verdict reproduces; a certificate that fails raises.
 
     A row printed uncertified (inconclusive) is not re-run, except a
-    functional one, whose certificate never comes back uncertified.  A
-    sandwich pair is certified once per point.
+    functional one, whose certificate never comes back uncertified.  Any
+    two rigorous enclosures pass the functional check, so its row's interval
+    must also meet the fresh enclosure of G(m, lam).  A sandwich pair is
+    certified once per point.
     """
     cmd = rec.command
     if cmd == "check-functional":
-        report = check_functional_equation(_rec_point(rec), DEFAULT_TOL, settings=settings)
-        return report.certified == rec.certified
+        enc = check_functional_equation(_rec_point(rec), DEFAULT_TOL, settings=settings).left
+        lo, hi = _parsed_interval(rec)
+        return rec.certified is True and max(lo, enc.lo) <= min(hi, enc.hi)
     if not rec.certified:
         return True
     if cmd == "check-reciprocal":

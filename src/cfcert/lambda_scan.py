@@ -5,10 +5,10 @@ approach of G(m, lam) to 1 can be observed with certified error bars.
 find_witness searches an ascending grid for a certified decrease
 G(m, lam1) > G(m, lam2) with lam1 < lam2, which is a rigorous witness that
 the map is not monotonically increasing.  A near miss (midpoints ordered
-as a decrease, enclosures overlapping) is retried at tol/10 down to
-tol/10**TIGHTEN_ROUNDS, and judged once at its best enclosures when an
-evaluation runs out of depth budget.  Absence of a witness on a grid is
-reported as exactly that, never as a refutation.
+as a decrease, enclosures overlapping) is retried at tol/10, tol/100, ...
+until the enclosures separate, either way, or an evaluation runs out of
+depth budget; it is then judged once at its best enclosures.  Absence of a
+witness on a grid is reported as exactly that, never as a refutation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterator
 
 from .cf_core import (
     DEFAULT_TOL,
-    TIGHTEN_ROUNDS,
     CFPoint,
     Enclosure,
     EvalSettings,
@@ -150,8 +149,8 @@ def find_witness(
     evaluated when the search first reaches it: the pairs (lam_0, lam_j)
     come first, so a witness there leaves the rest of the grid unevaluated.
     Near misses (midpoints ordered as a decrease but enclosures overlapping)
-    are retried at tol/10 down to tol/10**TIGHTEN_ROUNDS; a pair that runs
-    out of budget is judged once at its best enclosures.  Raises
+    are retried from tol/10 until they separate; a pair that runs out of
+    budget first is judged once at its best enclosures.  Raises
     NoWitnessFoundError when the grid shows no certified decrease.
     """
     m = as_fraction(m)
@@ -182,7 +181,7 @@ def find_witness(
             if g1.midpoint <= g2.midpoint:
                 continue
             pair = [CFPoint(m, lam1), CFPoint(m, lam2)]
-            for _, (e1, e2) in _tightened(pair, tol / 10, TIGHTEN_ROUNDS - 1, settings):
+            for _, (e1, e2) in _tightened(pair, tol / 10, None, settings):
                 if e1.lo > e2.hi:
                     return Witness(m=m, lambda1=lam1, lambda2=lam2, g1=e1, g2=e2)
                 if e1.hi < e2.lo:

@@ -8,6 +8,7 @@ import pytest
 
 from cfcert import (
     DEFAULT_MAX_DEPTH,
+    DEFAULT_SETTINGS,
     DEFAULT_TOL,
     DEFAULT_WITNESS_GRID,
     AlphaResult,
@@ -26,16 +27,17 @@ from cfcert import (
     ViolationError,
     Witness,
     as_fraction,
-    classify_vs_one,
     evaluate,
     scan,
     series_ratio,
     theorem_bound,
 )
-from cfcert.alpha_root import _ABOVE, _BELOW, FLAG_BUDGET, FLAG_INCONCLUSIVE
+from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_BUDGET, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
-from cfcert.bounds import CERT_TOL_FLOOR
 from cfcert.cf_core import TIGHTEN_ROUNDS, _scaled_convergents
+
+#: the checks' former give-up: tightening stopped once the tolerance reached it
+REFERENCE_TOL_FLOOR = Fraction(1, 10**30)
 
 
 @dataclass(frozen=True)
@@ -168,11 +170,12 @@ def reference_theorem_bound(point: CFPoint, tol: Fraction) -> tuple[Fraction, Fr
     return lo, hi
 
 
-def reference_tolerances(tol: Fraction, tighten_limit: int | None):
-    """Working tolerances: tol, tol/10, ... down to the floor (or a step cap).
+def reference_tolerances(tol: Fraction, tighten_limit: int | None, floor=REFERENCE_TOL_FLOOR):
+    """Working tolerances: tol, tol/10, ... down to ``floor`` (or a step cap).
 
-    Reference for bounds._rounds: a check runs _rounds(tol, cap) + 1
-    tolerances, as many as this eager Fraction loop yields.
+    With the default floor this is the checks' former schedule, which the
+    reference checks below keep; with floor=None only the cap ends it, as
+    in bounds' checks, which also stop where an evaluation is out of budget.
     """
     t = tol
     steps = 0
@@ -181,7 +184,7 @@ def reference_tolerances(tol: Fraction, tighten_limit: int | None):
         steps += 1
         if tighten_limit is not None and steps > tighten_limit:
             return
-        if t <= CERT_TOL_FLOOR:
+        if floor is not None and t <= floor:
             return
         t = t / 10
 
@@ -189,8 +192,8 @@ def reference_tolerances(tol: Fraction, tighten_limit: int | None):
 def reference_check_sandwich(point, tol=DEFAULT_TOL, *, settings=None, tighten_limit=None):
     """check_sandwich over reference_tolerances, letting a budget error propagate.
 
-    Reference for bounds.check_sandwich: wherever no evaluation runs out of
-    budget the two must agree exactly.
+    Reference for bounds.check_sandwich: wherever it certifies, or raises
+    anything but a budget or inconclusive error, the two must agree exactly.
     """
     if point.m < 0:
         raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
@@ -363,6 +366,45 @@ def reference_cross_check(
         gap=overlap,
     )
 
+def reference_classify_vs_one(point, tol, *, settings=None):
+    """Side of G(point) relative to 1 from tol down to tol/10**TIGHTEN_ROUNDS, in any mode.
+
+    Reference for alpha_root.classify_vs_one, which keeps these rounds only
+    at directed-routed points and walks the recurrence at exact-routed ones.
+    An evaluation out of budget ends the rounds and decides from its best
+    enclosure.
+    """
+    t = as_fraction(tol)
+    for _ in range(TIGHTEN_ROUNDS + 1):
+        try:
+            enc, out = evaluate(point, t, settings=settings), False
+        except (BudgetExceededError, NotConvergedError) as exc:
+            enc, out = exc.best, True
+        if enc.hi < 1:
+            return _BELOW, enc
+        if enc.lo > 1:
+            return _ABOVE, enc
+        if out:
+            break
+        t = t / 10
+    return _STRADDLE, enc
+
+
+def reference_walk_classify_vs_one(point, tol, *, settings=None):
+    """Side of G(point) relative to 1 from the first exact pair enclosure that
+    excludes 1, or the straddle verdict at max_depth (reference_side_of_one).
+
+    Reference for alpha_root.classify_vs_one at an exact-routed point; tol
+    is not used.
+    """
+    m, lam = point.m, point.lam
+    max_depth = (settings or DEFAULT_SETTINGS).max_depth
+    side, pair = reference_side_of_one(
+        m.numerator, m.denominator, lam.numerator, lam.denominator, max_depth
+    )
+    return side, _reference_from_tail(point, *_reference_pair_interval(*pair), pair[0])
+
+
 def reference_find_alpha(
     lam,
     bracket_tol=Fraction(1, 10**6),
@@ -370,14 +412,19 @@ def reference_find_alpha(
     *,
     settings=None,
     max_iterations=256,
+    classify=None,
 ) -> AlphaResult:
-    """Fraction bisection that classifies every midpoint by tightening rounds.
+    """Fraction bisection from (0, 1) that classifies every point by ``classify``.
 
-    Reference for alpha_root.find_alpha, whose exact-routed steps walk the
-    recurrence once instead: the two must return equal AlphaResults, or
-    raise the same error, for the same arguments.  The midpoint enclosure
-    is the best one reached when its evaluation runs out of budget.
+    The default, reference_classify_vs_one, tightens 8 rounds from g_tol.
+    alpha_root.find_alpha walks the recurrence to the depth budget at
+    exact-routed points instead: wherever this bisection is not flagged,
+    the two must return equal AlphaResults, or raise the same error, for
+    the same arguments; with classify=reference_walk_classify_vs_one they
+    must agree at every exact-routed lam.  The midpoint enclosure is the
+    best one reached when its evaluation runs out of budget.
     """
+    classify = classify or reference_classify_vs_one
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
     g_tol = as_fraction(g_tol)
@@ -386,12 +433,12 @@ def reference_find_alpha(
     if bracket_tol <= 0 or g_tol <= 0:
         raise DomainError("tolerances must be positive")
 
-    side, enc = classify_vs_one(CFPoint(Fraction(0), lam), g_tol, settings=settings)
+    side, enc = classify(CFPoint(Fraction(0), lam), g_tol, settings=settings)
     if side != _BELOW:
         raise InconclusiveError(
             f"could not certify G(0, {lam}) < 1", left=enc
         )
-    side, enc = classify_vs_one(CFPoint(Fraction(1), lam), g_tol, settings=settings)
+    side, enc = classify(CFPoint(Fraction(1), lam), g_tol, settings=settings)
     if side != _ABOVE:
         raise InconclusiveError(
             f"could not certify G(1, {lam}) > 1", left=enc
@@ -406,7 +453,7 @@ def reference_find_alpha(
             flag = FLAG_BUDGET
             break
         mid = (lo + hi) / 2
-        side, _ = classify_vs_one(CFPoint(mid, lam), g_tol, settings=settings)
+        side, _ = classify(CFPoint(mid, lam), g_tol, settings=settings)
         if side == _BELOW:
             lo = mid
         elif side == _ABOVE:
@@ -475,38 +522,27 @@ def reference_eval_enclosure(point: CFPoint, tol, *, max_depth: int = DEFAULT_MA
     raise AssertionError("unreachable")
 
 
-def reference_side_of_one(
-    a: int, b: int, c: int, d: int, give_up_tol: Fraction, max_depth: int
-) -> tuple[int, bool]:
-    """cf_core._side_of_one with the running-product width test.
+def reference_side_of_one(a: int, b: int, c: int, d: int, max_depth: int):
+    """cf_core._side_of_one from both ends of every pair enclosure.
 
-    The deciding bound m*lam + q/p is formed as a Fraction and its distance
-    from 1 compared with give_up_tol directly.
+    Each tail pair (n-1, n), n >= 1, bounds G(a/b, c/d) by m*lam + 1/t at
+    both tail ends t; the first pair with both bounds on one side of 1
+    decides, and the pair at max_depth (at least 1) gives up.  Each bound is
+    compared with 1 by cross-multiplication.  Returns the side and the pair.
     """
-    big_d = b * d
-    e = big_d - a * c
-    dd = big_d * big_d
-    tn, td = give_up_tol.numerator, give_up_tol.denominator
-    tn_bits = tn.bit_length()
-    rhs = big_d * td  # D**(2n+1) * tol_den, as in reference_eval_enclosure
-    for n, p, q, pp, _ in _scaled_convergents(a + b, b, c, d):
-        side = 0
-        if n & 1:
-            if p * e < q * big_d:
-                side = 1
-        elif p * e > q * big_d:
-            side = -1
-        if side:
-            bound = Fraction(a * c, big_d) + Fraction(q, p)
-            return side, abs(bound - 1) > give_up_tol
+    ac, bd = a * c, b * d
+    for pair in _scaled_convergents(a + b, b, c, d):
+        n, p, q, pp, qq = pair
         if n == 0:
             continue
-        rhs *= dd
-        if n >= max_depth or (
-            p.bit_length() + pp.bit_length() + tn_bits >= rhs.bit_length()
-            and p * pp * tn >= rhs
-        ):
-            return 0, False
+        # even tail convergents are lower bounds, odd ones upper bounds
+        (lo_p, lo_q), (hi_p, hi_q) = ((p, q), (pp, qq)) if n % 2 == 0 else ((pp, qq), (p, q))
+        if ac * lo_p + bd * lo_q < bd * lo_p:  # m*lam + 1/t_lo, G's upper bound, < 1
+            return -1, pair
+        if ac * hi_p + bd * hi_q > bd * hi_p:  # m*lam + 1/t_hi, G's lower bound, > 1
+            return 1, pair
+        if n >= max_depth:
+            return 0, pair
     raise AssertionError("unreachable")
 
 
@@ -520,8 +556,9 @@ def reference_find_witness(
     """Witness search that scans the whole grid before trying any pair.
 
     Reference for lambda_scan.find_witness, which evaluates grid points
-    only when the pair search reaches them.  A near miss is judged at its
-    best enclosures once an evaluation runs out of budget, and not retried.
+    only when the pair search reaches them.  A near miss is retried from
+    tol/10 until its enclosures separate or an evaluation runs out of
+    budget, when it is judged once at its best enclosures.
     """
     m = as_fraction(m)
     if not (0 < m < 1):
@@ -544,7 +581,7 @@ def reference_find_witness(
             if g1.midpoint <= g2.midpoint:
                 continue
             t = tol
-            for _ in range(TIGHTEN_ROUNDS):
+            while True:
                 t = t / 10
                 encs, out_of_budget = [], False
                 for lam in (lam1, lam2):

@@ -4,7 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import reference_find_alpha
+from conftest import (
+    reference_classify_vs_one,
+    reference_enclosure,
+    reference_find_alpha,
+    reference_side_of_one,
+    reference_walk_classify_vs_one,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,18 +18,22 @@ import cfcert.alpha_root as alpha_root
 import cfcert.cf_core as cf_core
 from cfcert import (
     DEFAULT_MAX_DEPTH,
+    DEFAULT_SETTINGS,
+    AlphaResult,
+    BudgetExceededError,
     CFCertError,
     CFPoint,
     DomainError,
     EvalSettings,
     InconclusiveError,
+    NotConvergedError,
     alpha_curve,
     classify_vs_one,
     evaluate,
     find_alpha,
 )
-from cfcert.alpha_root import FLAG_INCONCLUSIVE
-from cfcert.cf_core import TIGHTEN_ROUNDS, _side_of_one
+from cfcert.alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE
+from cfcert.cf_core import _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
 G_TOL = Fraction(1, 10**6)
@@ -139,6 +149,54 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc), getattr(exc, "left", None)
 
 
+def assert_matches_reference(lam, bracket_tol, g_tol, *, settings=None, max_iterations=256):
+    """find_alpha against the 8-round reference, which gives up where G is near 1.
+
+    Wherever the reference is not flagged inconclusive, the results are
+    equal.  Where it is, at an exact-routed lam, find_alpha walks on from the
+    same path: its bracket nests in the reference's, its ends re-certify at
+    max_depth, and it stops unflagged, at max_iterations, or at a midpoint
+    still undecided at max_depth.  At every exact-routed lam the result is
+    the one bisection from (0, 1) by walks to max_depth returns.
+    """
+    kwargs = dict(settings=settings, max_iterations=max_iterations)
+    got = outcome(find_alpha, lam, bracket_tol, g_tol, **kwargs)
+    want = outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs)
+    s = settings or DEFAULT_SETTINGS
+    lam = Fraction(lam)
+    exact = lam >= s.directed_cutoff  # directed-routed lams keep the 8 rounds
+    if exact:
+        walked = outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs,
+                         classify=reference_walk_classify_vs_one)
+        assert got == walked
+    if exact and isinstance(want, AlphaResult) and want.flag == FLAG_INCONCLUSIVE:
+        lo, hi, steps = want.m_lo, want.m_hi, want.iterations
+    elif exact and isinstance(want, tuple) and want[0] is InconclusiveError:  # an anchor
+        lo, hi, steps = Fraction(0), Fraction(1), 0
+    else:
+        assert got == want
+        return
+    depth = max(s.max_depth, 1)
+    if isinstance(got, tuple):  # the anchor is undecided at max_depth too
+        assert got[:2] == want[:2]
+        assert got[2].depth == depth and got[2].contains(1)
+        return
+    assert got.iterations >= steps and lo <= got.m_lo < got.m_hi <= hi
+    c, d = lam.numerator, lam.denominator
+    assert reference_side_of_one(got.m_lo.numerator, got.m_lo.denominator, c, d, depth)[0] == -1
+    assert reference_side_of_one(got.m_hi.numerator, got.m_hi.denominator, c, d, depth)[0] == 1
+    if got.flag == FLAG_INCONCLUSIVE:
+        g_lo, g_hi = reference_enclosure(CFPoint(got.midpoint, lam), depth)
+        assert g_lo <= 1 <= g_hi
+    else:
+        assert got.flag is None or (got.flag, got.iterations) == (FLAG_BUDGET, max_iterations)
+    try:
+        g_mid = evaluate(CFPoint(got.midpoint, lam), g_tol, settings=settings)
+    except (BudgetExceededError, NotConvergedError) as exc:
+        g_mid = exc.best
+    assert got.g_at_mid == g_mid
+
+
 # every lam drawn here (<= 4) routes to directed mode under this cutoff
 ALL_DIRECTED = EvalSettings(directed_cutoff=Fraction(8))
 
@@ -150,16 +208,21 @@ ALL_DIRECTED = EvalSettings(directed_cutoff=Fraction(8))
     max_iterations=st.one_of(st.just(256), st.just(256), st.integers(0, 40)),
     eval_settings=st.sampled_from([None, None, None, EvalSettings(max_depth=12), ALL_DIRECTED]),
 )
-# exact, flagged: G(mid, 1/50) - 1 is below 1e-12 / 1e8 from the first midpoint on
+# exact, the reference flags: G(mid, 1/50) - 1 is below 1e-12 / 1e8 from the
+# first midpoint on, and the walks decide on
 @example(lam=Fraction(1, 50), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**12),
          max_iterations=256, eval_settings=None)
-# exact, flagged after 47 steps: some midpoints are decided only in the last round
+# exact, the reference flags after 47 steps: some midpoints are decided only in
+# its last round
 @example(lam=Fraction(1, 2), bracket_tol=Fraction(1, 10**15), g_tol=Fraction(1, 10**6),
+         max_iterations=256, eval_settings=None)
+# exact, the reference flags: 1/2 at lam 1/16 needs a width near 2e-28
+@example(lam=Fraction(1, 16), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
          max_iterations=256, eval_settings=None)
 # exact, capped by max_iterations
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**12), g_tol=Fraction(1, 10**9),
          max_iterations=5, eval_settings=None)
-# exact, flagged after 65 steps: the walk reaches max_depth before the give-up width
+# exact, flagged after 65 steps: a midpoint straddles 1 at max_depth
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**25), g_tol=Fraction(1, 10**19),
          max_iterations=256, eval_settings=EvalSettings(max_depth=12))
 # directed, flagged at the first midpoint
@@ -170,9 +233,9 @@ ALL_DIRECTED = EvalSettings(directed_cutoff=Fraction(8))
          max_iterations=256, eval_settings=ALL_DIRECTED)
 @settings(max_examples=150, deadline=None)
 def test_matches_tightening_reference(lam, bracket_tol, g_tol, max_iterations, eval_settings):
-    kwargs = dict(settings=eval_settings, max_iterations=max_iterations)
-    got = outcome(find_alpha, lam, bracket_tol, g_tol, **kwargs)
-    assert got == outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs)
+    assert_matches_reference(
+        lam, bracket_tol, g_tol, settings=eval_settings, max_iterations=max_iterations
+    )
 
 
 @st.composite
@@ -190,13 +253,13 @@ def wide_exact_lams(draw):
         st.just(Fraction(10**400)),
     ),
     bracket_tol=decimal_tols(1, 30),
-    # g_tol >= 1 puts the give-up width near the predicted cell's G values
+    # g_tol >= 1 makes the reference give up near the predicted cell
     g_tol=st.one_of(decimal_tols(6, 30), decimal_tols(6, 30), st.integers(1, 10**7).map(Fraction)),
     max_iterations=st.one_of(st.just(256), st.integers(0, 40)),
     eval_settings=st.sampled_from([None, None, EvalSettings(max_depth=12)]),
 )
-# both ends of the level-9 cell decide, but bisection gives up at 55/128 after
-# 6 steps: the ends are within the give-up width of 1, so the cell is not taken
+# the reference gives up at 55/128 after 6 steps, within g_tol / 10**8 of 1,
+# where the walks decide on
 @example(lam=Fraction(1178, 997), bracket_tol=Fraction(157, 12800),
          g_tol=Fraction(5421875, 8), max_iterations=256, eval_settings=None)
 # bracket_tol 1e-30 goes on bisecting past the level-32 cap
@@ -208,9 +271,9 @@ def wide_exact_lams(draw):
 def test_predicted_start_matches_tightening_reference(
     lam, bracket_tol, g_tol, max_iterations, eval_settings
 ):
-    kwargs = dict(settings=eval_settings, max_iterations=max_iterations)
-    got = outcome(find_alpha, lam, bracket_tol, g_tol, **kwargs)
-    assert got == outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs)
+    assert_matches_reference(
+        lam, bracket_tol, g_tol, settings=eval_settings, max_iterations=max_iterations
+    )
 
 
 @st.composite
@@ -230,17 +293,26 @@ def dyadic_points(draw):
 @example(kj=(-1, 0), lam=Fraction(1), tol=Fraction(1, 10**9), max_depth=1)
 @example(kj=(-1, 0), lam=Fraction(1), tol=Fraction(1, 10**9), max_depth=2)
 @example(kj=(0, 0), lam=Fraction(4), tol=Fraction(1, 10), max_depth=1)  # m*lam >= 1
-# that pair's width 1/3 is exactly the give-up width; the next pair is below 1
-@example(kj=(-1, 0), lam=Fraction(1), tol=Fraction(10**8, 3), max_depth=DEFAULT_MAX_DEPTH)
+# G(0, 2) <= 1/2 from the depth-0 convergent, returned at depth 1
+@example(kj=(-1, 0), lam=Fraction(2), tol=Fraction(1, 10**9), max_depth=1)
 @settings(max_examples=300, deadline=None)
 def test_side_of_one_matches_classify(kj, lam, tol, max_depth):
+    # at an exact-routed point classify_vs_one is the walk: it decides wherever
+    # the 8-round classification does, the same way, from the first exact
+    # enclosure that excludes 1, at depth 1 or deeper
     k, j = kj
-    side, _ = _side_of_one(
-        k + 2**j, 2**j, lam.numerator, lam.denominator,
-        tol / 10**TIGHTEN_ROUNDS, max_depth,
-    )
     point = CFPoint(Fraction(k + 2**j, 2**j), lam)
-    assert side == classify_vs_one(point, tol, settings=EvalSettings(max_depth=max_depth))[0]
+    eval_settings = EvalSettings(max_depth=max_depth)
+    side, enc = classify_vs_one(point, tol, settings=eval_settings)
+    assert side == _side_of_one(k + 2**j, 2**j, lam.numerator, lam.denominator, max_depth)[0]
+    assert 1 <= enc.depth <= max(max_depth, 1)
+    assert (enc.lo, enc.hi) == reference_enclosure(point, enc.depth)
+    assert (side == -1, side == 1) == (enc.hi < 1, enc.lo > 1)
+    ref_side, ref_enc = reference_classify_vs_one(point, tol, settings=eval_settings)
+    if ref_side:
+        assert side == ref_side and enc.depth <= ref_enc.depth
+    elif not side:
+        assert enc.depth == max(max_depth, 1)
 
 
 def counting(monkeypatch, module, name):
@@ -280,19 +352,26 @@ def test_missed_prediction_matches_reference(monkeypatch, lam, estimate):
 
     monkeypatch.setattr(alpha_root, "_newton_alpha", fake_estimate)
     walks = counting(monkeypatch, alpha_root, "_side_of_one")
-    got = find_alpha(lam, BRACKET_TOL, G_TOL)
-    assert got == reference_find_alpha(lam, BRACKET_TOL, G_TOL)
+    assert_matches_reference(lam, BRACKET_TOL, G_TOL)
     points = walked_points(walks)
     assert len(points) == len(set(points))
 
 
 def test_straddling_half_is_walked_once(monkeypatch):
-    # G(1/2, 1/16) - 1 = coth(32) - 1 is below the give-up width; 1/2 is both
-    # the predicted cell's upper end and the loop's first midpoint
+    # G(1/2, 1/16) - 1 = coth(32) - 1, about 2e-28, is decided at depth 47 but
+    # lies within W(1/16, 80), about 6e-27, of 1; so the predicted cell, whose
+    # upper end is 1/2, is not taken, and 1/2 is the loop's first midpoint
     walks = counting(monkeypatch, alpha_root, "_side_of_one")
-    res = find_alpha(Fraction(1, 16))
-    assert res.flag == FLAG_INCONCLUSIVE and res.iterations == 0
+    res = find_alpha(Fraction(1, 16), settings=EvalSettings(max_depth=80))
+    assert res.flag is None and res.iterations == 22
+    assert (res.m_lo, res.m_hi) == (Fraction(2097151, 4194304), Fraction(1, 2))
     assert walked_points(walks).count(Fraction(1, 2)) == 1
+    # the anchors, 1/2, and the loop's other 21 midpoints
+    assert len(walks) == 24
+    # with the default budget the cell is taken: its two ends are walked
+    walks.clear()
+    assert find_alpha(Fraction(1, 16)) == res
+    assert len(walks) == 4
 
 
 def test_directed_steps_classify(monkeypatch):

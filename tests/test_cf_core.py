@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from cfcert import (
     DepthTooSmallError,
     DomainError,
     EvalMode,
+    EvalSettings,
     NotConvergedError,
     PrecisionError,
     eval_directed,
@@ -31,7 +33,14 @@ from cfcert import (
     evaluate,
     tail_enclosure,
 )
-from cfcert.cf_core import _bit_floor, _directed_tail, _side_of_one, _width_met
+from cfcert.cf_core import (
+    _bit_floor,
+    _directed_tail,
+    _scaled_convergents,
+    _side_of_one,
+    _tightened,
+    _width_bound,
+)
 
 # reference midpoints frozen from exact convergent runs at width < 1e-45
 G_1_1 = Fraction("1.433127426722311758317183455775992")
@@ -269,21 +278,19 @@ class TestEvalEnclosure:
         want = exact_outcome(reference_eval_enclosure, point, tol, max_depth=max_depth)
         assert got == want
 
-    @given(point=wide_points, tol=wide_tols, max_depth=depth_caps)
-    @example(point=CFPoint(0, 1), tol=Fraction(3, 10**40), max_depth=DEFAULT_MAX_DEPTH)
-    # the give-up width is met at a step whose bit test has equal sides
-    @example(point=CFPoint(Fraction(1, 4), Fraction(47, 16)), tol=Fraction(3, 256),
-             max_depth=DEFAULT_MAX_DEPTH)
-    # tol_num = 5 decides whether that width is met before 1 is excluded
-    @example(point=CFPoint(Fraction(-1, 4), Fraction(5, 16)), tol=Fraction(5, 8),
-             max_depth=DEFAULT_MAX_DEPTH)
-    # decided, but the deciding bound is within tol of 1
-    @example(point=CFPoint(1, Fraction(39, 8)), tol=Fraction(8), max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(Fraction(1, 8), 3), tol=Fraction(2), max_depth=DEFAULT_MAX_DEPTH)
+    @given(point=wide_points, max_depth=depth_caps)
+    @example(point=CFPoint(0, 1), max_depth=DEFAULT_MAX_DEPTH)
+    # the depth-1 pair of G(0, 1), [2/3, 1], touches 1: undecided at max_depth 1
+    @example(point=CFPoint(0, 1), max_depth=1)
+    # G(0, 2) <= 1/2 from the depth-0 convergent: returned with the depth-1 pair
+    @example(point=CFPoint(0, 2), max_depth=1)
+    @example(point=CFPoint(0, 2), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(-1, 4), Fraction(5, 16)), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(1, Fraction(39, 8)), max_depth=DEFAULT_MAX_DEPTH)
     @settings(max_examples=300, deadline=None)
-    def test_side_of_one_matches_running_product_reference(self, point, tol, max_depth):
+    def test_side_of_one_matches_pair_reference(self, point, max_depth):
         args = (point.m.numerator, point.m.denominator,
-                point.lam.numerator, point.lam.denominator, tol, max_depth)
+                point.lam.numerator, point.lam.denominator, max_depth)
         assert _side_of_one(*args) == reference_side_of_one(*args)
 
     @given(dd=st.integers(1, 2**400))
@@ -304,17 +311,31 @@ class TestEvalEnclosure:
             st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=997),
             st.integers(1, 10**6).map(Fraction),
         ),
-        tol=st.builds(lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(0, 60)),
-        depth=st.one_of(st.integers(1, 400), st.just(DEFAULT_MAX_DEPTH)),
+        # past k = ceil(2/lam) <= 128 a step divides the width by at least
+        # the 4 it divides the bound by, so deeper draws add nothing
+        depth=st.integers(1, 400),
     )
+    @example(m=Fraction(0), lam=Fraction(1, 64), depth=DEFAULT_MAX_DEPTH)
+    @example(m=Fraction(0), lam=Fraction(2), depth=2)  # the first depth with a bound
     @settings(max_examples=200, deadline=None)
-    def test_width_met_is_proven(self, m, lam, tol, depth):
-        if _width_met(lam, tol, depth):
-            assert eval_enclosure(CFPoint(m, lam), tol, max_depth=depth).depth <= depth
+    def test_width_met_is_proven(self, m, lam, depth):
+        # _width_bound(lam, depth) bounds the exact width at depth for every m >= 0
+        bound = _width_bound(lam, depth)
+        if bound is None:
+            return
+        w_num, w_den = bound
+        a, b = m.numerator + m.denominator, m.denominator
+        for n, p, q, pp, qq in _scaled_convergents(a, b, lam.numerator, lam.denominator):
+            if n == depth:
+                break
+        # the width is |q/p - qq/pp|, without reducing the depth-sized fractions
+        assert abs(q * pp - qq * p) * w_den <= w_num * p * pp
 
     def test_width_met_at_default_depth(self):
-        assert _width_met(Fraction(1, 64), Fraction(1, 10**300), DEFAULT_MAX_DEPTH)
-        assert not _width_met(Fraction(1, 64), Fraction(1, 10**9), 12)
+        w_num, w_den = _width_bound(Fraction(1, 64), DEFAULT_MAX_DEPTH)
+        assert w_num * 10**300 <= w_den
+        assert _width_bound(Fraction(1, 64), 12) is None
+        assert _width_bound(Fraction(2), 1) is None
 
     @given(point=points)
     @settings(max_examples=30, deadline=None)
@@ -457,3 +478,20 @@ class TestEvaluateRouting:
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
             evaluate(CFPoint(1, 1), mode="fast")
+
+
+class TestTightened:
+    def test_tolerances_run_to_the_cap(self):
+        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), 2, None), 5))
+        assert [t for t, _ in rounds] == [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
+
+    def test_uncapped_rounds_end_at_the_budget(self):
+        # tol/10**k for every k until G(1, 1)'s enclosure needs more than depth 3
+        depth_three = EvalSettings(max_depth=3)
+        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), None, depth_three), 9))
+        assert [t for t, _ in rounds] == [Fraction(1, 10**k) for k in range(1, 5)]
+        assert [enc.depth for _, (enc,) in rounds] == [1, 2, 3, 3]
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(DomainError, match="tighten limit"):
+            next(_tightened([CFPoint(1, 1)], Fraction(1, 10), -1, None))

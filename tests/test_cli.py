@@ -114,6 +114,10 @@ class TestCheck:
              EXIT_OK, [True, True]),
             # G(0, 1) in [2/3, 1] at depth 1 still touches 1
             (("reciprocal", "--lambda", "1", "--max-depth", "1"), EXIT_INCONCLUSIVE, [False]),
+            (("functional", "--m", "1", "--lambda", "1", "--max-depth", "3"), EXIT_OK, [True]),
+            # ... and B(0, 1) = 1: the lower half fails, and its row is printed
+            (("sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"),
+             EXIT_INCONCLUSIVE, [False]),
         ],
     )
     def test_out_of_budget_check_judges_best_enclosures(self, capsys, argv, want_code,
@@ -128,10 +132,30 @@ class TestCheck:
         assert reverify_records(recs, settings=EvalSettings(max_depth=max_depth))
 
     def test_negative_tighten_cap_usage_error(self, capsys):
-        code, out = run(capsys, "check", "above-one", "--m", "1", "--lambda", "1",
-                        "--max-tighten", "-1")
-        assert code == EXIT_USAGE
-        assert out == ""
+        for claim in ("sandwich", "functional", "above-one", "reciprocal"):
+            code, out = run(capsys, "check", claim, "--m", "1", "--lambda", "1",
+                            "--max-tighten", "-1")
+            assert code == EXIT_USAGE
+            assert out == ""
+
+    def test_sandwich_inconclusive_row_is_the_failing_half(self, capsys):
+        code, out = run(capsys, "check", "sandwich", "--m", "0", "--lambda", "1",
+                        "--max-depth", "1")
+        assert code == EXIT_INCONCLUSIVE
+        (rec,) = parse_records(out, "csv")
+        # G(0, 1) in [2/3, 1] touches B(0, 1) = 1; G(1, 1) in [10/7, 3/2] is above it
+        assert (rec.command, rec.lo, rec.hi, rec.certified) == (
+            "check-sandwich-lower", "0.666666666666666", "1", False)
+
+    def test_sandwich_gap_below_former_floor(self, capsys):
+        # B - G(m) is about 7e-37 here, below the 1e-30 where tightening
+        # used to stop; the depth-1 enclosures separate once tol is below it
+        code, out = run(capsys, "check", "sandwich", "--m", "1000000000000",
+                        "--lambda", "1000000000000")
+        assert code == EXIT_OK
+        recs = parse_records(out, "csv")
+        assert [(r.certified, r.depth) for r in recs] == [(True, 1), (True, 1)]
+        assert reverify_records(recs)
 
     def test_missing_m_usage_error(self, capsys):
         code, _ = run(capsys, "check", "sandwich", "--lambda", "1")
@@ -199,18 +223,45 @@ class TestAlphaScanWitnessOracle:
         assert [r.command for r in recs] == ["alpha-lo", "alpha-hi", "alpha-mid"]
 
     def test_alpha_out_of_budget_midpoint(self, capsys):
-        # depth-3 walks certify both ends but not the next midpoint, and the
-        # bracket's midpoint keeps its depth-3 enclosure
+        # depth-3 walks certify both ends (the lower one already at depth 2)
+        # but not the next midpoint, and the bracket's midpoint keeps its
+        # depth-3 enclosure
         code, out = run(capsys, "alpha", "--lambda", "1", "--max-depth", "3")
         assert code == EXIT_INCONCLUSIVE
         recs = parse_records(out, "csv")
         assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
-            ("alpha-lo", "57/128", True, 3),
+            ("alpha-lo", "57/128", True, 2),
             ("alpha-hi", "29/64", True, 3),
             ("alpha-mid", "115/256", None, 3),
         ]
         assert reverify_records(recs)
         assert reverify_records(recs, settings=EvalSettings(max_depth=3))
+
+    def test_alpha_at_cutoff_walks_to_the_budget(self, capsys):
+        # G(1/2, 1/64) - 1 is about 1e-111: the walk decides it at depth 191,
+        # far below a give-up width of g_tol / 10**8
+        code, out = run(capsys, "alpha", "--lambda", "1/64")
+        assert code == EXIT_OK
+        recs = parse_records(out, "csv")
+        assert [(r.command, r.inputs["m"], r.certified) for r in recs] == [
+            ("alpha-lo", "2097151/4194304", True),
+            ("alpha-hi", "1/2", True),
+            ("alpha-mid", "4194303/8388608", None),
+        ]
+        assert reverify_records(recs)
+
+    def test_alpha_endpoints_never_at_depth_zero(self, capsys):
+        # G(1/4, 2) <= 0.9 is decided by the depth-0 convergent, but rows start at depth 1
+        code, out = run(capsys, "alpha", "--lambda", "2", "--max-depth", "1")
+        assert code == EXIT_INCONCLUSIVE
+        recs = parse_records(out, "csv")
+        assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
+            ("alpha-lo", "1/4", True, 1),
+            ("alpha-hi", "3/8", True, 1),
+            ("alpha-mid", "5/16", None, 1),
+        ]
+        assert reverify_records(recs)
+        assert reverify_records(recs, settings=EvalSettings(max_depth=1))
 
     def test_bad_grid_values_are_usage_errors(self, capsys):
         assert run(capsys, "scan", "--m", "1", "--grid-list", "a,b")[0] == EXIT_USAGE
@@ -324,18 +375,21 @@ class TestRecordFormat:
         recs = parse_records(out, "csv")
         assert reverify_records(recs)
         match = f"{claim} verdict did not reproduce"
-        # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth
+        # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth:
+        # no inequality certifies from it, and it cannot refute a functional row
         tiny = [replace(r, inputs={**r.inputs, "lambda": "1/10000000000"}) for r in recs]
-        with pytest.raises(ValueError, match=match):
-            reverify_records(tiny)
-        # depth 2 is out of budget at the default tol, but its best enclosures
-        # still certify every inequality; the functional check has no rounds
-        depth_two = EvalSettings(max_depth=2)
         if claim == "functional":
+            assert reverify_records(tiny)
+            # G(1, 2) is about 2.4, far from the row's interval
+            moved = [replace(r, inputs={**r.inputs, "lambda": "2/1"}) for r in recs]
             with pytest.raises(ValueError, match=match):
-                reverify_records(recs, settings=depth_two)
+                reverify_records(moved)
         else:
-            assert reverify_records(recs, settings=depth_two)
+            with pytest.raises(ValueError, match=match):
+                reverify_records(tiny)
+        # depth 2 is out of budget at the default tol, but its best enclosures
+        # still certify every inequality and meet in the functional check
+        assert reverify_records(recs, settings=EvalSettings(max_depth=2))
 
         def inconclusive(*args, **kwargs):
             raise InconclusiveError("forced overlap")
