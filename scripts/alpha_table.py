@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from cfcert import alpha_curve
+from cfcert import AlphaResult, CFCertError, find_alpha
 
 
 def main() -> int:
@@ -22,7 +22,12 @@ def main() -> int:
 
     lams = [Fraction(s) for s in args.lambdas.split(",")]
     print("lambda,m_lo,m_hi,width,alpha_mid,iterations,flag")
-    for res in alpha_curve(lams, args.bracket_tol, args.g_tol):
+    for lam in lams:
+        try:
+            res = find_alpha(lam, args.bracket_tol, args.g_tol)
+        except CFCertError as exc:  # flagged inline, in order
+            res = AlphaResult(lam=lam, m_lo=Fraction(0), m_hi=Fraction(1), g_at_mid=None,
+                              iterations=0, flag=f"error: {exc}")
         print(f"{res.lam},{res.m_lo},{res.m_hi},{float(res.width):.3e},"
               f"{float(res.midpoint):.12f},{res.iterations},{res.flag or ''}")
     return 0

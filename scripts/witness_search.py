@@ -11,7 +11,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-from cfcert import DEFAULT_WITNESS_GRID, DEFAULT_WITNESS_MS, NoWitnessFoundError, find_witness
+from cfcert import DEFAULT_WITNESS_GRID, NoWitnessFoundError, find_witness
+
+#: m values worth scanning by default (the dip below 1 lives at small m)
+DEFAULT_WITNESS_MS = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))
 
 
 def main() -> int:

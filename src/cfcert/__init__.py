@@ -5,9 +5,13 @@ Everything user-facing works over exact rationals.  Enclosures are closed
 intervals guaranteed to contain the limit value; a strict inequality is
 "certified" exactly when the enclosures of its two sides are disjoint in
 the claimed direction.
+
+The names below are what the CLI, the scripts and the benchmark use.  The
+layers under them (eval_enclosure, eval_directed, theorem_bound,
+classify_vs_one, ...) are imported from their own modules.
 """
 
-from .alpha_root import AlphaResult, alpha_curve, classify_vs_one, find_alpha
+from .alpha_root import AlphaResult, find_alpha
 from .bessel_oracle import SeriesEnclosure, cross_check, series_ratio
 from .bounds import (
     CheckReport,
@@ -16,28 +20,19 @@ from .bounds import (
     check_g_above_one,
     check_reciprocal,
     check_sandwich,
-    theorem_bound,
 )
 from .cf_core import (
     DEFAULT_MAX_DEPTH,
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_SETTINGS,
     DEFAULT_TOL,
-    DIRECTED_LAMBDA_CUTOFF,
     CFPoint,
     Enclosure,
     EvalMode,
     EvalSettings,
-    as_fraction,
-    eval_directed,
-    eval_enclosure,
     evaluate,
-    tail_enclosure,
 )
 from .errors import (
     BudgetExceededError,
     CFCertError,
-    DepthTooSmallError,
     DomainError,
     InconclusiveError,
     NotConvergedError,
@@ -48,7 +43,6 @@ from .errors import (
 )
 from .lambda_scan import (
     DEFAULT_WITNESS_GRID,
-    DEFAULT_WITNESS_MS,
     ScanPoint,
     Witness,
     find_witness,
@@ -66,13 +60,8 @@ __all__ = [
     "CheckReport",
     "Claim",
     "DEFAULT_MAX_DEPTH",
-    "DEFAULT_PRECISION_BITS",
-    "DEFAULT_SETTINGS",
     "DEFAULT_TOL",
     "DEFAULT_WITNESS_GRID",
-    "DEFAULT_WITNESS_MS",
-    "DIRECTED_LAMBDA_CUTOFF",
-    "DepthTooSmallError",
     "DomainError",
     "Enclosure",
     "EvalMode",
@@ -86,22 +75,15 @@ __all__ = [
     "TailNotBoundedError",
     "ViolationError",
     "Witness",
-    "alpha_curve",
-    "as_fraction",
     "check_functional_equation",
     "check_g_above_one",
     "check_reciprocal",
     "check_sandwich",
-    "classify_vs_one",
     "cross_check",
-    "eval_directed",
-    "eval_enclosure",
     "evaluate",
     "find_alpha",
     "find_witness",
     "limit_check",
     "scan",
     "series_ratio",
-    "tail_enclosure",
-    "theorem_bound",
 ]

@@ -1,22 +1,23 @@
 """Locate the crossing alpha(lam) in (0, 1) where G(alpha, lam) = 1.
 
-The anchors are certified rather than assumed: G(0, lam) < 1 and
-G(1, lam) > 1 are both checked before bisection starts.  Bisection on m
-only ever moves an endpoint on certified evidence.  A bisection step only
-needs the side of 1 that G(mid, lam) lies on.  At an exact-routed lam it
-walks the exact recurrence once, stops at the first convergent pair whose
-enclosure excludes 1, and gives up only at max_depth.  At a directed-routed
-lam classify_vs_one tightens the tolerance from g_tol by 10 per round,
-TIGHTEN_ROUNDS (8) rounds, and an evaluation out of depth budget decides
-from its best enclosure: running to the budget there needs widths near
-e^(-4/lam), which directed passes cannot afford.  A midpoint still
-undecided returns the current bracket flagged instead of guessing.  The
-bracket's midpoint enclosure is the best one reached within the budget.
+find_alpha bisects on m and only ever moves an endpoint on certified
+evidence: G(0, lam) < 1 and G(1, lam) > 1 are certified before it starts,
+and each step needs only the side of 1 that G(mid, lam) lies on.  At an
+exact-routed lam that side comes from one walk of the exact recurrence,
+which stops at the first convergent pair whose enclosure excludes 1 and
+gives up only at max_depth.  At a directed-routed lam classify_vs_one
+tightens the tolerance from g_tol by 10 per round, TIGHTEN_ROUNDS (8)
+rounds, and an evaluation out of depth budget decides from its best
+enclosure: running to the budget there needs widths near e^(-4/lam), which
+directed passes cannot afford.  A midpoint still undecided returns the
+current bracket flagged FLAG_INCONCLUSIVE instead of guessing, and one
+still too wide after max_iterations halvings is flagged FLAG_BUDGET.  The
+midpoint enclosure is the best one reached within the depth budget.
 
-At an exact-routed lam the anchors are walked too, and bisection usually
-starts near its end: a double-precision Newton estimate of alpha names
-the dyadic cell where the loop would stop, and two walks certify its ends.
-The float only picks which cell the walks look at; every verdict is exact.
+At an exact-routed lam bisection usually starts near its end: a
+double-precision Newton estimate of alpha names the dyadic cell where the
+loop would stop, and two walks certify its ends.  The float only picks
+which cell the walks look at; every verdict is exact.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .cf_core import (
     _width_bound,
     as_fraction,
 )
-from .errors import CFCertError, DomainError, InconclusiveError
+from .errors import DomainError, InconclusiveError
 
 _BELOW, _STRADDLE, _ABOVE = -1, 0, 1
 
@@ -234,31 +235,3 @@ def find_alpha(
     return AlphaResult(
         lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=j, flag=flag
     )
-
-
-def alpha_curve(
-    lams: list[RationalLike],
-    bracket_tol: RationalLike = Fraction(1, 10**6),
-    g_tol: RationalLike = Fraction(1, 10**9),
-    *,
-    settings: EvalSettings | None = None,
-) -> list[AlphaResult]:
-    """find_alpha per lam, order preserved; per-point failures are flagged inline."""
-    out = []
-    for lam in lams:
-        try:
-            out.append(
-                find_alpha(lam, bracket_tol, g_tol, settings=settings)
-            )
-        except CFCertError as exc:
-            out.append(
-                AlphaResult(
-                    lam=as_fraction(lam),
-                    m_lo=Fraction(0),
-                    m_hi=Fraction(1),
-                    g_at_mid=None,
-                    iterations=0,
-                    flag=f"error: {exc}",
-                )
-            )
-    return out

@@ -209,7 +209,6 @@ def cross_check(
     return CheckReport(
         point=point,
         claim=Claim.ORACLE,
-        certified=True,
         left=cf_enc,
         right=oracle,
         gap=overlap,

@@ -48,7 +48,7 @@ class Claim(str, Enum):
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one certificate.
+    """One certificate that holds; a claim that does not certify raises instead.
 
     For inequality claims ``gap`` is the certified separation between the
     two enclosures (positive).  For identity claims (functional equation,
@@ -58,7 +58,6 @@ class CheckReport:
 
     point: CFPoint
     claim: Claim
-    certified: bool
     left: Enclosure
     right: Enclosure
     gap: Fraction
@@ -126,7 +125,6 @@ def check_sandwich(
             upper = CheckReport(
                 point=point,
                 claim=Claim.SANDWICH_UPPER,
-                certified=True,
                 left=g_hi,
                 right=bound,
                 gap=g_hi.lo - bound.hi,
@@ -134,7 +132,6 @@ def check_sandwich(
             lower = CheckReport(
                 point=point,
                 claim=Claim.SANDWICH_LOWER,
-                certified=True,
                 left=bound,
                 right=g_lo,
                 gap=bound.lo - g_lo.hi,
@@ -173,7 +170,6 @@ def check_functional_equation(
     return CheckReport(
         point=point,
         claim=Claim.FUNCTIONAL_EQUATION,
-        certified=True,
         left=direct,
         right=shifted,
         gap=overlap,
@@ -196,7 +192,6 @@ def check_g_above_one(
             return CheckReport(
                 point=point,
                 claim=Claim.ABOVE_ONE,
-                certified=True,
                 left=enc,
                 right=unit,
                 gap=enc.lo - 1,
@@ -232,7 +227,6 @@ def check_reciprocal(
             return CheckReport(
                 point=p0,
                 claim=Claim.RECIPROCAL,
-                certified=True,
                 left=g0,
                 right=g1,
                 gap=1 - g0.hi,

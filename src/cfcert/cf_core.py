@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import isqrt
 from typing import Iterator, Union
 
 from .errors import (
     BudgetExceededError,
-    DepthTooSmallError,
     DomainError,
     NotConvergedError,
     PrecisionError,
@@ -177,29 +176,6 @@ def _from_tail(
     )
 
 
-def tail_enclosure(point: CFPoint, depth: int) -> Enclosure:
-    """Bracket G(point) between the last even and odd convergents up to ``depth``.
-
-    Requires m >= 0 so every term from index 1 on is positive; then even
-    convergents increase, odd ones decrease, and the limit is strictly
-    between the consecutive pair (depth - 1, depth).
-    """
-    if depth < 1:
-        raise DepthTooSmallError(f"depth must be >= 1, got {depth}")
-    if point.m < 0:
-        raise DomainError("tail bracketing needs m >= 0 so all tail terms are positive")
-    m, lam = point.m, point.lam
-    for n, p, q, pp, qq in _scaled_convergents(
-        m.numerator, m.denominator, lam.numerator, lam.denominator
-    ):
-        if n == depth:
-            lo, hi = Fraction(p, q), Fraction(pp, qq)
-            if n % 2:  # an odd convergent is the upper bound
-                lo, hi = hi, lo
-            return Enclosure(lo=lo, hi=hi, depth=depth, mode=EvalMode.EXACT)
-    raise AssertionError("unreachable")
-
-
 def eval_enclosure(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
@@ -306,6 +282,15 @@ def _pair_enclosure(point: CFPoint, pair: tuple[int, int, int, int, int]) -> Enc
     # even tail convergents are lower bounds, odd ones upper bounds
     ends = ((p, q), (pp, qq)) if n % 2 == 0 else ((pp, qq), (p, q))
     return _from_tail(point, *ends, n, EvalMode.EXACT)
+
+
+def _exact_at(point: CFPoint, depth: int) -> Enclosure:
+    """Exact enclosure of G(point) from the tail pair (depth - 1, depth) at m + 1."""
+    m, lam = point.m, point.lam
+    pairs = _scaled_convergents(
+        m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
+    )
+    return _pair_enclosure(point, next(islice(pairs, depth, None)))
 
 
 def _width_bound(lam: Fraction, depth: int) -> tuple[int, int] | None:

@@ -28,6 +28,7 @@ from typing import Iterable
 from .alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE, classify_vs_one, find_alpha
 from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
 from .bounds import (
+    CheckReport,
     Claim,
     check_functional_equation,
     check_g_above_one,
@@ -43,10 +44,9 @@ from .cf_core import (
     Enclosure,
     EvalMode,
     EvalSettings,
-    _from_tail,
+    _exact_at,
     as_fraction,
     evaluate,
-    tail_enclosure,
 )
 from .errors import (
     BudgetExceededError,
@@ -553,14 +553,6 @@ def _rec_point(rec: OutputRecord) -> CFPoint:
     return CFPoint(Fraction(rec.inputs["m"]), Fraction(rec.inputs["lambda"]))
 
 
-def _exact_at(point: CFPoint, depth: int) -> Enclosure:
-    """The exact enclosure of G(point) at tail depth ``depth``."""
-    tail = tail_enclosure(point.shifted(), depth)
-    return _from_tail(
-        point, tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio(), depth, EvalMode.EXACT
-    )
-
-
 def _regenerate_exact(rec: OutputRecord) -> Enclosure:
     """Exact-mode rows are a pure function of (m, lambda, depth): rebuild and compare."""
     enc = _exact_at(_rec_point(rec), rec.depth)
@@ -639,33 +631,36 @@ _CLAIMS = {
 
 
 def _claim_holds(
-    rec: OutputRecord, settings: EvalSettings, sandwiches: set[CFPoint]
+    rec: OutputRecord,
+    settings: EvalSettings,
+    sandwiches: dict[CFPoint, tuple[CheckReport, CheckReport]],
 ) -> bool:
     """Whether a check row's verdict reproduces; a certificate that fails raises.
 
-    A row printed uncertified (inconclusive) is not re-run, except a
-    functional one, whose certificate never comes back uncertified.  Any
-    two rigorous enclosures pass the functional check, so its row's interval
-    must also meet the fresh enclosure of G(m, lam).  A sandwich pair is
-    certified once per point.
+    A row printed uncertified (inconclusive) is not re-run; a functional
+    row never prints so.  Otherwise the claim is certified afresh and the
+    printed interval must meet the enclosure that row printed: ``right`` of
+    the lower sandwich report for a sandwich-lower row, ``left`` of the
+    report for every other row.  A sandwich pair is certified once per point.
     """
     cmd = rec.command
-    if cmd == "check-functional":
-        enc = check_functional_equation(_rec_point(rec), DEFAULT_TOL, settings=settings).left
-        lo, hi = _parsed_interval(rec)
-        return rec.certified is True and max(lo, enc.lo) <= min(hi, enc.hi)
     if not rec.certified:
-        return True
+        return cmd != "check-functional"
     if cmd == "check-reciprocal":
         lam = Fraction(rec.inputs["lambda"])
-        return check_reciprocal(lam, DEFAULT_TOL, settings=settings).certified
-    point = _rec_point(rec)
-    if cmd == "check-above-one":
-        return check_g_above_one(point, DEFAULT_TOL, settings=settings).certified
-    if point not in sandwiches:
-        check_sandwich(point, DEFAULT_TOL, settings=settings)
-        sandwiches.add(point)
-    return True
+        enc = check_reciprocal(lam, DEFAULT_TOL, settings=settings).left
+    elif cmd == "check-functional":
+        enc = check_functional_equation(_rec_point(rec), DEFAULT_TOL, settings=settings).left
+    elif cmd == "check-above-one":
+        enc = check_g_above_one(_rec_point(rec), DEFAULT_TOL, settings=settings).left
+    else:
+        point = _rec_point(rec)
+        if point not in sandwiches:
+            sandwiches[point] = check_sandwich(point, DEFAULT_TOL, settings=settings)
+        upper, lower = sandwiches[point]
+        enc = lower.right if cmd == "check-sandwich-lower" else upper.left
+    lo, hi = _parsed_interval(rec)
+    return max(lo, enc.lo) <= min(hi, enc.hi)
 
 
 def reverify_records(
@@ -677,13 +672,14 @@ def reverify_records(
     re-certify; pair claims (witness, oracle, sandwich) are checked jointly.
     Every depth is range-checked before any record is re-evaluated.  A check
     row whose certificate comes back inconclusive or out of budget is a
-    mismatch too.
+    mismatch too, and so is one whose printed interval misses the fresh
+    enclosure of the value it printed.
     """
     s = settings or DEFAULT_SETTINGS
     for rec in records:
         _check_depth(rec, s)
     by_command = {rec.command: rec for rec in records}
-    sandwiches = set()  # points whose sandwich pair has re-certified
+    sandwiches = {}  # the sandwich pair re-certified at each point
     for rec in records:
         cmd = rec.command
         if cmd in _ENCLOSURE_ROWS:

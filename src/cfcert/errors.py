@@ -11,10 +11,6 @@ class DomainError(CFCertError, ValueError):
     """Input outside the supported domain (m <= -1, lam <= 0, bad tolerance...)."""
 
 
-class DepthTooSmallError(CFCertError, ValueError):
-    """A bracketing enclosure needs at least one even and one odd convergent."""
-
-
 class PrecisionError(CFCertError):
     """Fixed-precision bound collapsed to zero; raise precision_bits."""
 
@@ -39,7 +35,12 @@ class NotConvergedError(CFCertError):
 
 
 class InconclusiveError(CFCertError):
-    """Enclosures still overlap after maximum tightening; no verdict either way."""
+    """No verdict either way: the enclosures still overlap where the retries stop.
+
+    Retries stop only where an evaluation reaches the depth budget or at an
+    explicit cap on the rounds.  ``claim`` names what failed, and ``left``
+    and ``right`` carry the last enclosures reached.
+    """
 
     def __init__(self, message: str, claim=None, left=None, right=None):
         super().__init__(message)

@@ -38,12 +38,6 @@ from .errors import (
 DEFAULT_WITNESS_GRID: tuple[Fraction, ...] = tuple(
     Fraction(2) ** k for k in range(-4, 3)
 )
-#: m values worth scanning by default (the dip below 1 lives at small m)
-DEFAULT_WITNESS_MS: tuple[Fraction, ...] = (
-    Fraction(1, 10),
-    Fraction(1, 4),
-    Fraction(1, 2),
-)
 
 
 @dataclass(frozen=True)

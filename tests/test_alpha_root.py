@@ -18,7 +18,6 @@ import cfcert.alpha_root as alpha_root
 import cfcert.cf_core as cf_core
 from cfcert import (
     DEFAULT_MAX_DEPTH,
-    DEFAULT_SETTINGS,
     AlphaResult,
     BudgetExceededError,
     CFCertError,
@@ -27,13 +26,11 @@ from cfcert import (
     EvalSettings,
     InconclusiveError,
     NotConvergedError,
-    alpha_curve,
-    classify_vs_one,
     evaluate,
     find_alpha,
 )
-from cfcert.alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE
-from cfcert.cf_core import _side_of_one
+from cfcert.alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE, classify_vs_one
+from cfcert.cf_core import DEFAULT_SETTINGS, _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
 G_TOL = Fraction(1, 10**6)
@@ -380,23 +377,3 @@ def test_directed_steps_classify(monkeypatch):
     assert res.flag is None and res.iterations == 22
     assert len(calls) == 2 + 22
 
-
-class TestAlphaCurve:
-    def test_singleton(self):
-        out = alpha_curve([1], BRACKET_TOL, G_TOL)
-        assert len(out) == 1
-        assert out[0].flag is None
-
-    def test_three_lambdas_order_preserved(self):
-        out = alpha_curve([Fraction(1, 2), 1, 2], BRACKET_TOL, G_TOL)
-        assert [r.lam for r in out] == [Fraction(1, 2), 1, 2]
-        for r in out:
-            assert 0 < r.m_lo < r.m_hi < 1
-
-    def test_empty(self):
-        assert alpha_curve([], BRACKET_TOL, G_TOL) == []
-
-    def test_bad_lambda_recorded_inline(self):
-        out = alpha_curve([1, -1], BRACKET_TOL, G_TOL)
-        assert out[0].flag is None
-        assert out[1].flag is not None and out[1].flag.startswith("error")

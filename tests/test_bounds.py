@@ -30,8 +30,8 @@ from cfcert import (
     check_reciprocal,
     check_sandwich,
     evaluate,
-    theorem_bound,
 )
+from cfcert.bounds import theorem_bound
 
 PHI = Fraction("1.618033988749894848204587")  # (1 + sqrt 5) / 2
 THREE_PLUS_SQRT10 = Fraction("6.162277660168379331998894")
@@ -42,6 +42,18 @@ points = st.builds(
     st.fractions(min_value=Fraction(-9, 10), max_value=4, max_denominator=20),
     st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=20),
 )
+
+
+def separated(report) -> bool:
+    """The report's left enclosure lies above its right one, by exactly its gap."""
+    return report.gap > 0 and report.gap == report.left.lo - report.right.hi
+
+
+def overlap(report) -> bool:
+    """The report's two enclosures meet, and its gap is the width they share."""
+    shared = min(report.left.hi, report.right.hi) - max(report.left.lo, report.right.lo)
+    return report.gap == shared >= 0
+
 
 BIG_DEN = 999999999989  # a prime, so m = k / BIG_DEN stays in lowest terms
 
@@ -130,7 +142,7 @@ class TestTheoremBound:
 class TestSandwich:
     def test_m0_lambda1(self):
         upper, lower = check_sandwich(CFPoint(0, 1))
-        assert upper.certified and lower.certified
+        assert separated(upper) and separated(lower)
         assert upper.gap > 0 and lower.gap > 0
         # G(1,1) > 1 > G(0,1) with the documented approximate magnitudes
         assert upper.left.lo > Fraction(14, 10)
@@ -138,7 +150,7 @@ class TestSandwich:
 
     def test_m1_lambda1(self):
         upper, lower = check_sandwich(CFPoint(1, 1))
-        assert upper.certified and lower.certified
+        assert separated(upper) and separated(lower)
         assert upper.left.lo > PHI - Fraction(1, 10**6)  # G(2,1) above the bound
         assert upper.right.lo <= PHI <= upper.right.hi
 
@@ -153,7 +165,7 @@ class TestSandwich:
     def test_certificate_stable_under_tighter_tol(self):
         u1, l1 = check_sandwich(CFPoint(2, Fraction(1, 2)), Fraction(1, 10**8))
         u2, l2 = check_sandwich(CFPoint(2, Fraction(1, 2)), Fraction(1, 10**14))
-        assert u1.certified and u2.certified and l1.certified and l2.certified
+        assert all(separated(r) for r in (u1, u2, l1, l2))
 
     @given(
         m=st.fractions(min_value=0, max_value=3, max_denominator=10),
@@ -163,8 +175,8 @@ class TestSandwich:
     def test_coherence_with_above_one(self, m, lam):
         point = CFPoint(m, lam)
         upper, lower = check_sandwich(point)
-        assert upper.certified and lower.certified
-        assert check_g_above_one(point.shifted()).certified
+        assert separated(upper) and separated(lower)
+        assert separated(check_g_above_one(point.shifted()))
 
 
 class TestFunctionalEquation:
@@ -174,30 +186,30 @@ class TestFunctionalEquation:
     )
     def test_consistent(self, m, lam):
         report = check_functional_equation(CFPoint(m, lam))
-        assert report.certified
+        assert overlap(report)
         assert 0 <= report.gap <= 2 * Fraction(1, 10**12)
 
     def test_reciprocal_special_case_m0(self):
         # at m = 0 the shifted interval is exactly the reciprocal of the tail
         report = check_functional_equation(CFPoint(0, 1))
-        assert report.certified
+        assert overlap(report)
         assert report.right.lo > 0
 
 
 class TestAboveOne:
     def test_m1_lambda1_gap(self):
         report = check_g_above_one(CFPoint(1, 1))
-        assert report.certified
+        assert separated(report)
         assert abs(report.gap - Fraction(433127, 10**6)) < Fraction(1, 10**3)
 
     def test_small_lambda_directed(self):
         report = check_g_above_one(CFPoint(1, Fraction(1, 100)))
-        assert report.certified
+        assert separated(report)
         assert report.gap > 0
 
     def test_m5_lambda2(self):
         report = check_g_above_one(CFPoint(5, 2))
-        assert report.certified
+        assert separated(report)
         assert report.left.lo <= G_5_2 <= report.left.hi
 
     def test_hypothesis_gate(self):
@@ -209,8 +221,7 @@ class TestReciprocal:
     @pytest.mark.parametrize("lam", [Fraction(1, 10), 1, 10])
     def test_certified(self, lam):
         report = check_reciprocal(lam)
-        assert report.certified
-        assert report.left.hi < 1
+        assert report.gap == 1 - report.left.hi > 0
         assert report.left.lo * report.right.lo <= 1 <= report.left.hi * report.right.hi
 
     def test_gap_positive(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -22,25 +23,25 @@ from cfcert import (
     DEFAULT_MAX_DEPTH,
     BudgetExceededError,
     CFPoint,
-    DepthTooSmallError,
     DomainError,
     EvalMode,
     EvalSettings,
     NotConvergedError,
     PrecisionError,
-    eval_directed,
-    eval_enclosure,
     evaluate,
-    tail_enclosure,
 )
 from cfcert.cf_core import (
     _bit_floor,
     _directed_tail,
+    _exact_at,
     _scaled_convergents,
     _side_of_one,
     _tightened,
     _width_bound,
+    eval_directed,
+    eval_enclosure,
 )
+from cfcert.cli import main, parse_records, reverify_records
 
 # reference midpoints frozen from exact convergent runs at width < 1e-45
 G_1_1 = Fraction("1.433127426722311758317183455775992")
@@ -91,6 +92,11 @@ def exact_outcome(fn, *args, **kwargs):
 nonneg_points = st.builds(
     CFPoint,
     st.fractions(min_value=0, max_value=4, max_denominator=20),
+    st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=20),
+)
+negative_m_points = st.builds(
+    CFPoint,
+    st.fractions(min_value=-1, max_value=0, max_denominator=10**6).filter(lambda m: -1 < m < 0),
     st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=20),
 )
 
@@ -163,40 +169,52 @@ class TestAdvance:
 
 
 class TestTailEnclosure:
+    """_exact_at: G(point) from the tail pair (depth - 1, depth) at m + 1."""
+
     def test_hand_computed_convergents(self):
-        enc = tail_enclosure(CFPoint(1, 1), 4)
-        assert enc.lo == Fraction(225, 157)
-        assert enc.hi == Fraction(43, 30)
+        # the tail G(1, 1) lies in [225/157, 43/30] at depth 4
+        enc = _exact_at(CFPoint(0, 1), 4)
+        assert (enc.lo, enc.hi) == (Fraction(30, 43), Fraction(157, 225))
+        assert (enc.depth, enc.mode) == (4, EvalMode.EXACT)
 
     def test_width_small_by_depth_20(self):
-        enc = tail_enclosure(CFPoint(1, 1), 20)
+        enc = _exact_at(CFPoint(0, 1), 20)
         assert enc.width < Fraction(1, 10**12)
 
     def test_nesting_two_steps(self):
-        outer = tail_enclosure(CFPoint(1, 1), 6)
-        inner = tail_enclosure(CFPoint(1, 1), 8)
+        outer = _exact_at(CFPoint(0, 1), 6)
+        inner = _exact_at(CFPoint(0, 1), 8)
         assert outer.encloses(inner)
         assert inner.width < outer.width
 
-    def test_depth_too_small(self):
-        with pytest.raises(DepthTooSmallError):
-            tail_enclosure(CFPoint(1, 1), 0)
-
-    def test_negative_m_rejected(self):
-        with pytest.raises(DomainError):
-            tail_enclosure(CFPoint(Fraction(-1, 2), 1), 4)
+    def test_depth_too_small(self, capsys):
+        # the record check rejects depth < 1 before any exact rebuild
+        assert main(["eval", "--m", "1", "--lambda", "1"]) == 0
+        (rec,) = parse_records(capsys.readouterr().out, "csv")
+        for depth in (-1, 0):
+            with pytest.raises(ValueError, match="depth outside"):
+                reverify_records([replace(rec, depth=depth)])
 
     @given(point=nonneg_points, depth=st.integers(min_value=1, max_value=15))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_chain(self, point, depth):
-        vals = []
-        state = ConvergentPair.seed()
-        for j in range(depth + 1):
-            state = advance(state, term(point, j))
-            vals.append(state.value())
-        enc = tail_enclosure(point, depth)
-        assert {enc.lo, enc.hi} == {vals[-1], vals[-2]}
-        assert enc.lo <= enc.hi
+        enc = _exact_at(point, depth)
+        assert (enc.lo, enc.hi) == reference_enclosure(point, depth)
+        assert (enc.depth, enc.mode) == (depth, EvalMode.EXACT)
+
+    @given(point=negative_m_points, depth=st.integers(min_value=1, max_value=15))
+    @example(point=CFPoint(Fraction(-1, 2), 1), depth=4)
+    @settings(max_examples=40, deadline=None)
+    def test_negative_m_matches_reference_chain(self, point, depth):
+        enc = _exact_at(point, depth)
+        assert (enc.lo, enc.hi) == reference_enclosure(point, depth)
+
+    @given(point=wide_points, tol=wide_tols, max_depth=depth_caps)
+    @settings(max_examples=40, deadline=None)
+    def test_rebuilds_eval_enclosure(self, point, tol, max_depth):
+        outcome = exact_outcome(eval_enclosure, point, tol, max_depth=max_depth)
+        enc = outcome[1] if isinstance(outcome, tuple) else outcome
+        assert _exact_at(point, enc.depth) == enc
 
 
 class TestBracketing:
@@ -227,9 +245,8 @@ class TestEvalEnclosure:
 
     def test_m_zero_is_pure_reciprocal_of_tail(self):
         enc = eval_enclosure(CFPoint(0, 1), Fraction(1, 10**9))
-        tail = tail_enclosure(CFPoint(1, 1), enc.depth)
-        assert enc.lo == 1 / tail.hi
-        assert enc.hi == 1 / tail.lo
+        tail = reference_convergents(CFPoint(1, 1), enc.depth)[-2:]
+        assert {enc.lo, enc.hi} == {1 / t for t in tail}
 
     def test_budget_exceeded_carries_best(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -250,16 +267,11 @@ class TestEvalEnclosure:
     def test_deep_tolerance_depth_is_minimal(self, m, lam, tol):
         point = CFPoint(m, lam)
         enc = eval_enclosure(point, tol)
-        x0 = point.m * point.lam
-
-        def mapped_width(depth):
-            tail = tail_enclosure(point.shifted(), depth)
-            return (x0 + 1 / tail.lo) - (x0 + 1 / tail.hi)
-
-        assert enc.width == mapped_width(enc.depth) <= tol
-        assert mapped_width(enc.depth - 1) > tol
-        if lam == Fraction(1, 64):
-            assert (enc.lo, enc.hi) == reference_enclosure(point, enc.depth)
+        lo, hi = reference_enclosure(point, enc.depth)
+        assert (enc.lo, enc.hi) == (lo, hi)
+        assert enc.width <= tol
+        lo, hi = reference_enclosure(point, enc.depth - 1)
+        assert hi - lo > tol
 
     @given(point=wide_points, tol=wide_tols, max_depth=depth_caps)
     @example(point=CFPoint(1, 1), tol=Fraction(3, 10**40), max_depth=DEFAULT_MAX_DEPTH)

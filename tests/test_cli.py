@@ -402,6 +402,23 @@ class TestRecordFormat:
 
     @pytest.mark.parametrize(
         "argv",
+        [("check", "above-one", "--m", "1", "--lambda", "1"),
+         ("check", "functional", "--m", "1", "--lambda", "1"),
+         ("check", "reciprocal", "--lambda", "1"),
+         ("check", "sandwich", "--m", "1", "--lambda", "1")],
+    )
+    def test_reverify_check_rows_meet_their_interval(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        recs = parse_records(out, "csv")
+        assert reverify_records(recs)
+        for i, rec in enumerate(recs):
+            tampered = [*recs[:i], replace(rec, lo="500", hi="600"), *recs[i + 1:]]
+            with pytest.raises(ValueError, match="verdict did not reproduce"):
+                reverify_records(tampered)
+
+    @pytest.mark.parametrize(
+        "argv",
         [("eval", "--m", "1", "--lambda", "1e-10"),
          ("scan", "--m", "1", "--grid-list", "1e-10,1")],
     )

@@ -1,0 +1,57 @@
+"""The public surface: exactly the names the CLI, the scripts and the benchmark use."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import cfcert
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+PUBLIC = {
+    # classes and constants
+    "AlphaResult", "CFPoint", "CheckReport", "Claim", "DEFAULT_MAX_DEPTH", "DEFAULT_TOL",
+    "DEFAULT_WITNESS_GRID", "Enclosure", "EvalMode", "EvalSettings", "ScanPoint",
+    "SeriesEnclosure", "Witness",
+    # functions
+    "check_functional_equation", "check_g_above_one", "check_reciprocal", "check_sandwich",
+    "cross_check", "evaluate", "find_alpha", "find_witness", "limit_check", "scan",
+    "series_ratio",
+    # errors
+    "BudgetExceededError", "CFCertError", "DomainError", "InconclusiveError",
+    "NoWitnessFoundError", "NotConvergedError", "PrecisionError", "TailNotBoundedError",
+    "ViolationError",
+}
+
+
+def test_all_is_the_public_surface():
+    assert len(cfcert.__all__) == len(PUBLIC) == 33
+    assert set(cfcert.__all__) == PUBLIC
+    namespace: dict = {}
+    exec("from cfcert import *", namespace)
+    assert all(namespace[name] is getattr(cfcert, name) for name in PUBLIC)
+
+
+def test_bench_reads_only_package_attributes():
+    # the benchmark calls the library as api.<name>, with api the cfcert package
+    read = set()
+    for path in BENCH.glob("*.py"):
+        read |= set(re.findall(r"\bapi\.(\w+)", path.read_text()))
+    assert {"evaluate", "series_ratio", "limit_check", "scan"} <= read
+    assert [name for name in sorted(read) if not hasattr(cfcert, name)] == []
+
+
+def test_bench_layers_resolve_in_their_modules():
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    (layers,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    layers = ast.literal_eval(layers)
+    assert layers
+    for module_name, attr in layers.values():
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
