@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import math
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -377,3 +380,37 @@ def test_directed_steps_classify(monkeypatch):
     assert res.flag is None and res.iterations == 22
     assert len(calls) == 2 + 22
 
+
+
+def alpha_table_rows(capsys, monkeypatch, lams: str) -> list[list[str]]:
+    """The rows `scripts/alpha_table.py --lambdas <lams>` prints, split into fields."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "alpha_table.py"
+    main = runpy.run_path(str(script))["main"]
+    argv = [str(script), "--lambdas", lams, "--bracket-tol", str(BRACKET_TOL), "--g-tol", str(G_TOL)]
+    monkeypatch.setattr(sys, "argv", argv)
+    capsys.readouterr()
+    assert main() == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "lambda,m_lo,m_hi,width,alpha_mid,iterations,flag"
+    return [row.split(",", 6) for row in rows]
+
+
+class TestAlphaCurve:
+    """The per-lam loop of scripts/alpha_table.py: order kept, failures flagged inline."""
+
+    def test_singleton(self, capsys, monkeypatch):
+        out = alpha_table_rows(capsys, monkeypatch, "1")
+        assert len(out) == 1
+        assert out[0][0] == "1" and out[0][6] == ""
+
+    def test_three_lambdas_order_preserved(self, capsys, monkeypatch):
+        out = alpha_table_rows(capsys, monkeypatch, "1/2,1,2")
+        assert [Fraction(r[0]) for r in out] == [Fraction(1, 2), 1, 2]
+        for r in out:
+            assert 0 < Fraction(r[1]) < Fraction(r[2]) < 1
+            assert r[6] == ""
+
+    def test_bad_lambda_recorded_inline(self, capsys, monkeypatch):
+        out = alpha_table_rows(capsys, monkeypatch, "1,-1")
+        assert out[0][6] == ""
+        assert out[1][0] == "-1" and out[1][6].startswith("error")
