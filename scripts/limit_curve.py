@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from cfcert import EvalSettings, limit_check
+from cfcert import limit_check
 
 
 def main() -> int:
@@ -23,9 +23,8 @@ def main() -> int:
     args = ap.parse_args()
 
     grid = [Fraction(1, 10**k) for k in range(1, args.decades + 1)]
-    settings = EvalSettings(max_depth=args.max_depth)
     print("lambda,lo,hi,dist_to_one,depth,mode")
-    for lam, enc in zip(grid, limit_check(args.m, grid, args.tol, settings=settings)):
+    for lam, enc in zip(grid, limit_check(args.m, grid, args.tol, max_depth=args.max_depth)):
         dist = abs(enc.midpoint - 1)
         print(f"{lam},{float(enc.lo):.12f},{float(enc.hi):.12f},"
               f"{float(dist):.3e},{enc.depth},{enc.mode.value}")

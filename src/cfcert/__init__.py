@@ -8,7 +8,9 @@ the claimed direction.
 
 The names below are what the CLI, the scripts and the benchmark use.  The
 layers under them (eval_enclosure, eval_directed, theorem_bound,
-classify_vs_one, ...) are imported from their own modules.
+classify_vs_one, ...) are imported from their own modules.  Every
+evaluating function takes one setting, the depth budget ``max_depth``
+(default DEFAULT_MAX_DEPTH), as a keyword.
 """
 
 from .alpha_root import AlphaResult, find_alpha
@@ -27,7 +29,6 @@ from .cf_core import (
     CFPoint,
     Enclosure,
     EvalMode,
-    EvalSettings,
     evaluate,
 )
 from .errors import (
@@ -37,7 +38,6 @@ from .errors import (
     InconclusiveError,
     NotConvergedError,
     NoWitnessFoundError,
-    PrecisionError,
     TailNotBoundedError,
     ViolationError,
 )
@@ -65,11 +65,9 @@ __all__ = [
     "DomainError",
     "Enclosure",
     "EvalMode",
-    "EvalSettings",
     "InconclusiveError",
     "NoWitnessFoundError",
     "NotConvergedError",
-    "PrecisionError",
     "ScanPoint",
     "SeriesEnclosure",
     "TailNotBoundedError",

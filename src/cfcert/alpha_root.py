@@ -12,7 +12,8 @@ enclosure: running to the budget there needs widths near e^(-4/lam), which
 directed passes cannot afford.  A midpoint still undecided returns the
 current bracket flagged FLAG_INCONCLUSIVE instead of guessing, and one
 still too wide after max_iterations halvings is flagged FLAG_BUDGET.  The
-midpoint enclosure is the best one reached within the depth budget.
+midpoint enclosure is the best one reached within the depth budget, and
+each end keeps the enclosure that decided it.
 
 At an exact-routed lam bisection usually starts near its end: a
 double-precision Newton estimate of alpha names the dyadic cell where the
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf_core import (
-    DEFAULT_SETTINGS,
+    DEFAULT_MAX_DEPTH,
+    DIRECTED_LAMBDA_CUTOFF,
     TIGHTEN_ROUNDS,
     CFPoint,
     Enclosure,
-    EvalSettings,
     RationalLike,
     _depth_guess,
     _pair_enclosure,
@@ -52,8 +53,9 @@ class AlphaResult:
     """Bracket [m_lo, m_hi] for the crossing, with the G enclosure at its midpoint.
 
     The endpoints carry re-certifiable verdicts: G(m_lo, lam) < 1 and
-    G(m_hi, lam) > 1 both hold with disjoint enclosures.  ``flag`` is None
-    on a clean run, or names why the bracket was returned early.
+    G(m_hi, lam) > 1 both hold with disjoint enclosures, ``g_at_lo`` and
+    ``g_at_hi``, the ones that decided them.  ``flag`` is None on a clean
+    run, or names why the bracket was returned early.
     """
 
     lam: Fraction
@@ -62,6 +64,8 @@ class AlphaResult:
     g_at_mid: Enclosure | None
     iterations: int
     flag: str | None = None
+    g_at_lo: Enclosure | None = None
+    g_at_hi: Enclosure | None = None
 
     @property
     def width(self) -> Fraction:
@@ -73,23 +77,22 @@ class AlphaResult:
 
 
 def classify_vs_one(
-    point: CFPoint, tol: RationalLike, *, settings: EvalSettings | None = None
+    point: CFPoint, tol: RationalLike, *, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> tuple[int, Enclosure]:
     """Certified side of G(point) relative to 1, with the enclosure that shows it.
 
-    At an exact-routed point (lam >= settings.directed_cutoff, as evaluate
+    At an exact-routed point (lam >= DIRECTED_LAMBDA_CUTOFF, as evaluate
     routes) this is the cf_core._side_of_one walk, and tol is unused.  At a
     directed-routed point the tolerance runs from tol down to
     tol / 10**TIGHTEN_ROUNDS.  An evaluation out of budget ends the rounds:
     its best enclosure may still decide the side, and otherwise the
     straddle verdict is returned.
     """
-    s = settings or DEFAULT_SETTINGS
-    if point.lam >= s.directed_cutoff:
+    if point.lam >= DIRECTED_LAMBDA_CUTOFF:
         m, lam = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
-        side, pair = _side_of_one(*m, *lam, s.max_depth)
+        side, pair = _side_of_one(*m, *lam, max_depth)
         return side, _pair_enclosure(point, pair)
-    for _, (enc,) in _tightened([point], tol, TIGHTEN_ROUNDS, settings):
+    for _, (enc,) in _tightened([point], tol, TIGHTEN_ROUNDS, max_depth):
         if enc.hi < 1:
             return _BELOW, enc
         if enc.lo > 1:
@@ -126,7 +129,7 @@ def find_alpha(
     bracket_tol: RationalLike = Fraction(1, 10**6),
     g_tol: RationalLike = Fraction(1, 10**9),
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     max_iterations: int = 256,
 ) -> AlphaResult:
     """Bisect m over (0, 1) down to a certified bracket for the crossing.
@@ -157,8 +160,7 @@ def find_alpha(
     if bracket_tol <= 0 or g_tol <= 0:
         raise DomainError("tolerances must be positive")
 
-    s = settings or DEFAULT_SETTINGS
-    exact = lam >= s.directed_cutoff
+    exact = lam >= DIRECTED_LAMBDA_CUTOFF
     c, d = lam.numerator, lam.denominator
     decided: dict[tuple[int, int], tuple] = {}
 
@@ -170,16 +172,21 @@ def find_alpha(
             j -= 1
         if (a, j) not in decided:
             decided[a, j] = (
-                _side_of_one(a, 1 << j, c, d, s.max_depth) if exact
-                else classify_vs_one(CFPoint(Fraction(a, 1 << j), lam), g_tol, settings=settings)
+                _side_of_one(a, 1 << j, c, d, max_depth) if exact
+                else classify_vs_one(CFPoint(Fraction(a, 1 << j), lam), g_tol, max_depth=max_depth)
             )
         return decided[a, j]
 
+    def enclosure_at(a: int, j: int) -> Enclosure:
+        """The enclosure that decided the side of G(a / 2**j, lam)."""
+        found = side_at(a, j)[1]
+        return _pair_enclosure(CFPoint(Fraction(a, 1 << j), lam), found) if exact else found
+
     for m, want, rel in ((0, _BELOW, "<"), (1, _ABOVE, ">")):
-        side, found = side_at(m, 0)
-        if side != want:
-            enc = _pair_enclosure(CFPoint(Fraction(m), lam), found) if exact else found
-            raise InconclusiveError(f"could not certify G({m}, {lam}) {rel} 1", left=enc)
+        if side_at(m, 0)[0] != want:
+            raise InconclusiveError(
+                f"could not certify G({m}, {lam}) {rel} 1", left=enclosure_at(m, 0)
+            )
 
     target = bracket_tol / 4
 
@@ -200,11 +207,11 @@ def find_alpha(
         return side == want and (bits or r * w_den > rhs)
 
     k = j = 0  # the bracket is [k, k + 1] / 2**j
-    w = _width_bound(lam, s.max_depth) if exact else None
+    w = _width_bound(lam, max_depth) if exact else None
     if w is not None:
         w_num, w_den = w
         try:
-            est = _newton_alpha(lam, s.max_depth)
+            est = _newton_alpha(lam, max_depth)
         except ArithmeticError:
             est = None
         if est is not None and 0 <= est <= 0.5:
@@ -231,7 +238,8 @@ def find_alpha(
 
     lo, hi = Fraction(k, 1 << j), Fraction(k + 1, 1 << j)
     # out of budget, the midpoint keeps its best enclosure
-    _, (g_mid,) = next(_tightened([CFPoint((lo + hi) / 2, lam)], g_tol, 0, settings))
+    _, (g_mid,) = next(_tightened([CFPoint((lo + hi) / 2, lam)], g_tol, 0, max_depth))
     return AlphaResult(
-        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=j, flag=flag
+        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=j, flag=flag,
+        g_at_lo=enclosure_at(k, j), g_at_hi=enclosure_at(k + 1, j),
     )

@@ -34,11 +34,11 @@ from math import factorial
 
 from .bounds import CheckReport, Claim
 from .cf_core import (
+    DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
     CFPoint,
     Enclosure,
     EvalMode,
-    EvalSettings,
     RationalLike,
     as_fraction,
     evaluate,
@@ -161,7 +161,7 @@ def cross_check(
     lam: RationalLike,
     tol: RationalLike = DEFAULT_TOL,
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     max_terms: int = MAX_TERMS,
 ) -> CheckReport:
     """Certified-intersection test between the convergent and series enclosures.
@@ -177,7 +177,7 @@ def cross_check(
     lam = as_fraction(lam)
     tol = as_fraction(tol)
     point = CFPoint(Fraction(m), lam)
-    cf_enc = evaluate(point, tol, settings=settings)
+    cf_enc = evaluate(point, tol, max_depth=max_depth)
     tol_num, tol_den = tol.numerator, tol.denominator
     terms = min(max(8, (2 * lam.denominator) // lam.numerator + 8), max_terms)
     while True:

@@ -22,11 +22,11 @@ from fractions import Fraction
 from math import isqrt
 
 from .cf_core import (
+    DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
     CFPoint,
     Enclosure,
     EvalMode,
-    EvalSettings,
     RationalLike,
     _from_tail,
     _tightened,
@@ -107,7 +107,7 @@ def check_sandwich(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     tighten_limit: int | None = None,
 ) -> tuple[CheckReport, CheckReport]:
     """Certify G(m+1, lam) > B(m, lam) > G(m, lam) for m >= 0.
@@ -119,7 +119,7 @@ def check_sandwich(
     """
     if point.m < 0:
         raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
-    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, tighten_limit, settings):
+    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, tighten_limit, max_depth):
         bound = theorem_bound(point, t)
         if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
             upper = CheckReport(
@@ -149,7 +149,7 @@ def check_functional_equation(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> CheckReport:
     """Verify the enclosure of G(m, lam) meets m*lam + 1/[enclosure of G(m+1, lam)].
 
@@ -157,7 +157,7 @@ def check_functional_equation(
     a disjoint pair raises ViolationError.  An evaluation out of budget
     contributes its best enclosure.
     """
-    _, (direct, tail) = next(_tightened([point, point.shifted()], tol, 0, settings))
+    _, (direct, tail) = next(_tightened([point, point.shifted()], tol, 0, max_depth))
     shifted = _from_tail(
         point, tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio(), tail.depth, tail.mode
     )
@@ -180,14 +180,14 @@ def check_g_above_one(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     tighten_limit: int | None = None,
 ) -> CheckReport:
     """Certify G(m, lam) > 1 for m >= 1."""
     if point.m < 1:
         raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
     unit = Enclosure(lo=ONE, hi=ONE, depth=0, mode=EvalMode.EXACT)
-    for _, (enc,) in _tightened([point], tol, tighten_limit, settings):
+    for _, (enc,) in _tightened([point], tol, tighten_limit, max_depth):
         if enc.lo > 1:
             return CheckReport(
                 point=point,
@@ -208,7 +208,7 @@ def check_reciprocal(
     lam: RationalLike,
     tol: RationalLike = DEFAULT_TOL,
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     tighten_limit: int | None = None,
 ) -> CheckReport:
     """Certify G(0, lam) * G(1, lam) = 1 (as an interval statement) and G(0, lam) < 1.
@@ -218,7 +218,7 @@ def check_reciprocal(
     """
     lam = as_fraction(lam)
     p0 = CFPoint(Fraction(0), lam)
-    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, tighten_limit, settings):
+    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, tighten_limit, max_depth):
         if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
             raise ViolationError(
                 f"product interval excludes 1 at lam={lam}: {g0} * {g1}"

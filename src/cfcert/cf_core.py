@@ -14,8 +14,12 @@ the shift identity G(m, lam) = m*lam + 1/G(m+1, lam).
 
 Two modes are provided.  Exact mode runs the convergent recurrence over big
 rationals; it is the reference semantics.  Directed mode runs a backward
-interval pass in fixed-precision dyadic arithmetic with outward rounding,
-for small lam where exact numerators get impractically large.
+interval pass in dyadic arithmetic with outward rounding, at a precision of
+at least 128 bits worked out from tol and the point, for small lam where
+exact numerators get impractically large.
+
+The one setting is the depth budget ``max_depth`` (at least 1): every
+evaluation stops there, and every layer above takes it as a keyword.
 """
 
 from __future__ import annotations
@@ -27,17 +31,13 @@ from itertools import count, islice
 from math import isqrt
 from typing import Iterator, Union
 
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    NotConvergedError,
-    PrecisionError,
-)
+from .errors import BudgetExceededError, DomainError, NotConvergedError
 
 RationalLike = Union[Fraction, int, str, float]
 
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 10_000
+#: the least precision of a directed pass, in bits
 DEFAULT_PRECISION_BITS = 128
 #: below this lam, exact numerators blow up (the depth that meets tol grows
 #: like sqrt(2 ln(1/tol) / lam), see _depth_guess)
@@ -56,16 +56,9 @@ class EvalMode(str, Enum):
     DIRECTED = "directed-fixed-precision"
 
 
-@dataclass(frozen=True)
-class EvalSettings:
-    """Evaluation budget and mode-routing knobs shared by the higher layers."""
-
-    max_depth: int = DEFAULT_MAX_DEPTH
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    directed_cutoff: Fraction = DIRECTED_LAMBDA_CUTOFF
-
-
-DEFAULT_SETTINGS = EvalSettings()
+def _check_budget(max_depth: int) -> None:
+    if max_depth < 1:
+        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
 
 
 @dataclass(frozen=True)
@@ -202,6 +195,7 @@ def eval_enclosure(
     tol = as_fraction(tol)
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
+    _check_budget(max_depth)
     m, lam = point.m, point.lam
     big_d = m.denominator * lam.denominator
     dd = big_d * big_d
@@ -263,6 +257,7 @@ def _side_of_one(
     tail bound) can newly put a pair below 1 and only an odd one above, so
     each step tests just the newest one.
     """
+    _check_budget(max_depth)
     big_d = b * d
     e = big_d - a * c
     side = 0
@@ -333,9 +328,10 @@ def _directed_tail(
     sq = 1 << (2 * bits)
     du = b * c
     u = (a + depth * b) * c
-    # terms grow with j, so the j = 0 term is the first to round to zero
+    # terms grow with j, so the j = 0 term is the first to round to zero;
+    # eval_directed sizes ``bits`` so that it never does
     if ((a * c) << bits) // big_d <= 0:
-        raise PrecisionError("tail term rounds to zero; raise precision_bits")
+        raise AssertionError("tail term rounds to zero")
     dq, dr = divmod(du << bits, big_d)
     q, r = divmod(u << bits, big_d)
     x_next = ((u + du) << bits) // big_d
@@ -370,28 +366,29 @@ def eval_directed(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
     *,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Enclosure:
     """Directed-rounding enclosure of G(point), for deep (small lam) evaluation.
 
     Same bracketing contract as eval_enclosure, but all tail arithmetic is
     fixed-precision with lower bounds rounded down and upper bounds rounded
-    up, so the result remains rigorous at any depth.  Raises
-    NotConvergedError with the best enclosure attached when the width is
-    still above tol at ``max_depth``.
+    up, so the result remains rigorous at any depth.  Its precision is
+    DEFAULT_PRECISION_BITS, raised to 64 bits past 1/tol (rounding stays far
+    below the width) and past D/(a*c), the first term's inverse (no term
+    rounds to zero).  Raises NotConvergedError with the best enclosure
+    attached when the width is still above tol at ``max_depth``.
     """
     tol = as_fraction(tol)
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if precision_bits < 64:
-        raise DomainError(f"precision_bits must be >= 64, got {precision_bits}")
-    # keep the rounding floor well below the requested width
-    bits = max(precision_bits, (tol.denominator // tol.numerator).bit_length() + 64)
+    _check_budget(max_depth)
     shift = point.shifted()
     a, b = shift.m.numerator, shift.m.denominator
     c = point.lam.numerator
     big_d = b * point.lam.denominator
+    tol_bits = (tol.denominator // tol.numerator).bit_length()
+    inverse_first_term_bits = big_d.bit_length() - (a * c).bit_length()
+    bits = max(DEFAULT_PRECISION_BITS, 64 + max(tol_bits, inverse_first_term_bits))
     one = 1 << bits
     best: Enclosure | None = None
     depth = min(_depth_guess(point.lam, tol), max_depth)
@@ -421,12 +418,11 @@ def evaluate(
     tol: RationalLike = DEFAULT_TOL,
     *,
     mode: str | EvalMode = "auto",
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Enclosure:
     """Evaluate with mode routing: exact for ordinary lam, directed below the cutoff."""
-    s = settings or DEFAULT_SETTINGS
     if mode == "auto":
-        mode = EvalMode.EXACT if point.lam >= s.directed_cutoff else EvalMode.DIRECTED
+        mode = EvalMode.EXACT if point.lam >= DIRECTED_LAMBDA_CUTOFF else EvalMode.DIRECTED
     elif mode in ("directed", EvalMode.DIRECTED):
         mode = EvalMode.DIRECTED
     elif mode in ("exact", EvalMode.EXACT):
@@ -434,14 +430,12 @@ def evaluate(
     else:
         raise DomainError(f"unknown mode {mode!r}")
     if mode is EvalMode.EXACT:
-        return eval_enclosure(point, tol, max_depth=s.max_depth)
-    return eval_directed(
-        point, tol, precision_bits=s.precision_bits, max_depth=s.max_depth
-    )
+        return eval_enclosure(point, tol, max_depth=max_depth)
+    return eval_directed(point, tol, max_depth=max_depth)
 
 
 def _tightened(
-    points: list[CFPoint], tol: RationalLike, rounds: int | None, settings: EvalSettings | None
+    points: list[CFPoint], tol: RationalLike, rounds: int | None, max_depth: int
 ) -> Iterator[tuple[Fraction, list[Enclosure]]]:
     """Enclosures of G at ``points``, at tol, tol/10, ..., tol/10**rounds.
 
@@ -459,7 +453,7 @@ def _tightened(
         encs = []
         for point in points:
             try:
-                encs.append(evaluate(point, t, settings=settings))
+                encs.append(evaluate(point, t, max_depth=max_depth))
             except (BudgetExceededError, NotConvergedError) as exc:
                 encs.append(exc.best)
                 last = True

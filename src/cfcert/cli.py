@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
@@ -37,13 +36,10 @@ from .bounds import (
 )
 from .cf_core import (
     DEFAULT_MAX_DEPTH,
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_SETTINGS,
     DEFAULT_TOL,
     CFPoint,
     Enclosure,
     EvalMode,
-    EvalSettings,
     _exact_at,
     as_fraction,
     evaluate,
@@ -286,22 +282,14 @@ def _cap_arg(text: str) -> int:
     return int(text)
 
 
-def _settings(args) -> EvalSettings:
-    max_depth = args.max_depth
-    if max_depth is None:
-        max_depth = int(os.environ.get("MAX_DEPTH", DEFAULT_MAX_DEPTH))
-    return EvalSettings(max_depth=max_depth, precision_bits=args.precision_bits)
-
-
 def _tol(args) -> Fraction:
     return DEFAULT_TOL if args.tol is None else args.tol
 
 
 def _cmd_eval(args):
     point = CFPoint(args.m, args.lam)
-    settings = _settings(args)
     try:
-        enc = evaluate(point, _tol(args), mode=args.mode, settings=settings)
+        enc = evaluate(point, _tol(args), mode=args.mode, max_depth=args.max_depth)
         code = EXIT_OK
     except (NotConvergedError, BudgetExceededError) as exc:
         enc = exc.best
@@ -318,13 +306,13 @@ def _require_m(args):
 
 
 def _cmd_check(args):
-    settings = _settings(args)
+    max_depth = args.max_depth
     tol = _tol(args)
     claim = args.claim
     if claim == "reciprocal":
         try:
             report = check_reciprocal(
-                args.lam, tol, settings=settings, tighten_limit=args.max_tighten
+                args.lam, tol, max_depth=max_depth, tighten_limit=args.max_tighten
             )
         except InconclusiveError as exc:
             rec = record_from_enclosure(
@@ -341,7 +329,7 @@ def _cmd_check(args):
     if claim == "sandwich":
         try:
             upper, lower = check_sandwich(
-                point, tol, settings=settings, tighten_limit=args.max_tighten
+                point, tol, max_depth=max_depth, tighten_limit=args.max_tighten
             )
         except InconclusiveError as exc:  # the row of the half that fails
             lower = exc.claim is Claim.SANDWICH_LOWER
@@ -353,13 +341,13 @@ def _cmd_check(args):
             record_from_enclosure("check-sandwich-lower", inputs, lower.right, certified=True),
         ]
     if claim == "functional":
-        report = check_functional_equation(point, tol, settings=settings)
+        report = check_functional_equation(point, tol, max_depth=max_depth)
         rec = record_from_enclosure("check-functional", inputs, report.left, certified=True)
         return EXIT_OK, [rec]
     if claim == "above-one":
         try:
             report = check_g_above_one(
-                point, tol, settings=settings, tighten_limit=args.max_tighten
+                point, tol, max_depth=max_depth, tighten_limit=args.max_tighten
             )
         except InconclusiveError as exc:
             rec = record_from_enclosure(
@@ -372,24 +360,16 @@ def _cmd_check(args):
 
 
 def _cmd_alpha(args):
-    settings = _settings(args)
-    result = find_alpha(
-        args.lam, args.bracket_tol, args.g_tol, settings=settings
-    )
-    side_lo, enc_lo = classify_vs_one(
-        CFPoint(result.m_lo, result.lam), args.g_tol, settings=settings
-    )
-    side_hi, enc_hi = classify_vs_one(
-        CFPoint(result.m_hi, result.lam), args.g_tol, settings=settings
-    )
+    result = find_alpha(args.lam, args.bracket_tol, args.g_tol, max_depth=args.max_depth)
+    # find_alpha returns only ends it certified, with the enclosures that did
     records = [
         record_from_enclosure(
-            "alpha-lo", {"m": result.m_lo, "lambda": result.lam}, enc_lo,
-            certified=side_lo == -1,
+            "alpha-lo", {"m": result.m_lo, "lambda": result.lam}, result.g_at_lo,
+            certified=True,
         ),
         record_from_enclosure(
-            "alpha-hi", {"m": result.m_hi, "lambda": result.lam}, enc_hi,
-            certified=side_hi == 1,
+            "alpha-hi", {"m": result.m_hi, "lambda": result.lam}, result.g_at_hi,
+            certified=True,
         ),
         record_from_enclosure(
             "alpha-mid", {"m": result.midpoint, "lambda": result.lam}, result.g_at_mid
@@ -406,7 +386,7 @@ def _cmd_scan(args):
     grid = _parse_grid(args)
     if grid is None:
         raise DomainError("scan needs --grid-geom or --grid-list")
-    entries = scan(args.m, grid, _tol(args), settings=_settings(args))
+    entries = scan(args.m, grid, _tol(args), max_depth=args.max_depth)
     code = EXIT_OK
     records = []
     for entry in entries:
@@ -425,7 +405,7 @@ def _cmd_scan(args):
 def _cmd_witness(args):
     grid = _parse_grid(args)
     try:
-        w = find_witness(args.m, grid, _tol(args), settings=_settings(args))
+        w = find_witness(args.m, grid, _tol(args), max_depth=args.max_depth)
     except NoWitnessFoundError as exc:
         print(f"no witness: {exc}", file=sys.stderr)
         return EXIT_NO_WITNESS, []
@@ -443,7 +423,7 @@ def _cmd_oracle(args):
     m = as_fraction(args.m)
     if m.denominator != 1 or m < 0:
         raise DomainError(f"oracle needs integer m >= 0, got {m}")
-    report = cross_check(int(m), args.lam, _tol(args), settings=_settings(args))
+    report = cross_check(int(m), args.lam, _tol(args), max_depth=args.max_depth)
     inputs = {"m": m, "lambda": as_fraction(args.lam)}
     return EXIT_OK, [
         record_from_enclosure("oracle-cf", inputs, report.left, certified=True),
@@ -461,9 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--tol", type=_fraction_arg, default=None,
                         help="enclosure width target (rational or decimal string)")
-    common.add_argument("--max-depth", type=int, default=None,
-                        help="depth budget (default 10000, or MAX_DEPTH env var)")
-    common.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
+    common.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH,
+                        help=f"depth budget, at least 1 (default {DEFAULT_MAX_DEPTH})")
 
     parser = argparse.ArgumentParser(
         prog="cfcert",
@@ -553,73 +532,24 @@ def _rec_point(rec: OutputRecord) -> CFPoint:
     return CFPoint(Fraction(rec.inputs["m"]), Fraction(rec.inputs["lambda"]))
 
 
-def _regenerate_exact(rec: OutputRecord) -> Enclosure:
-    """Exact-mode rows are a pure function of (m, lambda, depth): rebuild and compare."""
-    enc = _exact_at(_rec_point(rec), rec.depth)
+def _printed_point(rec: OutputRecord) -> CFPoint:
+    """The point whose G a check row printed: (m + 1, lam) for the upper
+    sandwich half, (0, lam) for the reciprocal claim, (m, lam) otherwise."""
+    if rec.command == "check-reciprocal":
+        return CFPoint(0, Fraction(rec.inputs["lambda"]))
+    point = _rec_point(rec)
+    return point.shifted() if rec.command == "check-sandwich-upper" else point
+
+
+def _regenerate_exact(rec: OutputRecord, point: CFPoint) -> Enclosure:
+    """Exact-mode rows are a pure function of (point, depth): rebuild and compare."""
+    enc = _exact_at(point, rec.depth)
     if decimal_down(enc.lo) != rec.lo or decimal_up(enc.hi) != rec.hi:
         raise ValueError(f"exact row does not regenerate: {rec}")
     return enc
 
 
 _ENCLOSURE_ROWS = ("eval", "scan", "alpha-mid", "witness-g1", "witness-g2", "oracle-cf")
-
-
-def _check_depth(rec: OutputRecord, settings: EvalSettings) -> None:
-    """Reject a depth that no evaluation returns, before any work runs on it.
-
-    The depth drives a recurrence for exact enclosure rows (rebuilt at it),
-    for alpha endpoint rows of either mode (a directed one is decided at
-    depth + 1) and for series rows (re-summed to it); other rows ignore it.
-    """
-    if rec.command == "oracle-series":
-        limit = MAX_TERMS
-    elif rec.command in ("alpha-lo", "alpha-hi") or (
-        rec.command in _ENCLOSURE_ROWS and rec.mode == EvalMode.EXACT.value
-    ):
-        limit = settings.max_depth
-    else:
-        return
-    if not 1 <= rec.depth <= limit:
-        raise ValueError(f"{rec.command} depth outside [1, {limit}]: {rec}")
-
-
-def _endpoint_side(rec: OutputRecord, settings: EvalSettings) -> int:
-    """Side of G relative to 1 at an alpha endpoint row, from the row's own depth.
-
-    An exact row rebuilds, from its depth, the very enclosure it printed.  A
-    directed pass at depth n encloses the exact tail pair (n, n+1), so the
-    exact enclosure at depth n + 1 decides whatever the row decided.  At small
-    lam those exact numerators are large, so a directed re-evaluation at the
-    default tolerance is tried first; any side it certifies is rigorous too.
-    """
-    if rec.mode == EvalMode.EXACT.value:
-        enc = _regenerate_exact(rec)
-    else:
-        side, _ = classify_vs_one(_rec_point(rec), DEFAULT_TOL, settings=settings)
-        if side != 0:
-            return side
-        enc = _exact_at(_rec_point(rec), rec.depth + 1)
-    return -1 if enc.hi < 1 else 1 if enc.lo > 1 else 0
-
-
-def _recheck_enclosure(rec: OutputRecord, settings: EvalSettings) -> None:
-    """The printed interval must meet a fresh enclosure of the same point.
-
-    A row printed not converged re-evaluates out of budget too; the best
-    enclosure then reached is still rigorous, so the check runs against it.
-    """
-    lo, hi = _parsed_interval(rec)
-    point = _rec_point(rec)
-    mode = "exact" if rec.mode == EvalMode.EXACT.value else "directed"
-    try:
-        enc = evaluate(point, DEFAULT_TOL, mode=mode, settings=settings)
-    except (NotConvergedError, BudgetExceededError) as exc:
-        enc = exc.best
-    if max(lo, enc.lo) > min(hi, enc.hi):
-        raise ValueError(f"re-evaluation disjoint from printed interval: {rec}")
-    if mode == "exact":
-        _regenerate_exact(rec)
-
 
 _CLAIMS = {
     "check-sandwich-upper": "sandwich",
@@ -630,33 +560,100 @@ _CLAIMS = {
 }
 
 
+def _check_depth(rec: OutputRecord, max_depth: int) -> None:
+    """Reject a depth that no evaluation returns, before any work runs on it.
+
+    The depth drives a recurrence for exact enclosure rows and uncertified
+    exact check rows (rebuilt at it), for alpha endpoint rows of either mode
+    (a directed one is decided at depth + 1) and for series rows (re-summed
+    to it); other rows ignore it.
+    """
+    enclosure_row = rec.command in _ENCLOSURE_ROWS or (
+        rec.command in _CLAIMS and not rec.certified
+    )
+    if rec.command == "oracle-series":
+        limit = MAX_TERMS
+    elif rec.command in ("alpha-lo", "alpha-hi") or (
+        enclosure_row and rec.mode == EvalMode.EXACT.value
+    ):
+        limit = max_depth
+    else:
+        return
+    if not 1 <= rec.depth <= limit:
+        raise ValueError(f"{rec.command} depth outside [1, {limit}]: {rec}")
+
+
+def _endpoint_side(rec: OutputRecord, max_depth: int) -> int:
+    """Side of G relative to 1 at an alpha endpoint row, from the row's own depth.
+
+    An exact row rebuilds, from its depth, the very enclosure it printed.  A
+    directed pass at depth n encloses the exact tail pair (n, n+1), so the
+    exact enclosure at depth n + 1 decides whatever the row decided.  At small
+    lam those exact numerators are large, so a directed re-evaluation at the
+    default tolerance is tried first; any side it certifies is rigorous too.
+    """
+    point = _rec_point(rec)
+    if rec.mode == EvalMode.EXACT.value:
+        enc = _regenerate_exact(rec, point)
+    else:
+        side, _ = classify_vs_one(point, DEFAULT_TOL, max_depth=max_depth)
+        if side != 0:
+            return side
+        enc = _exact_at(point, rec.depth + 1)
+    return -1 if enc.hi < 1 else 1 if enc.lo > 1 else 0
+
+
+def _recheck_enclosure(rec: OutputRecord, max_depth: int, point: CFPoint) -> None:
+    """The printed interval must meet a fresh enclosure of G(point).
+
+    A row printed not converged re-evaluates out of budget too; the best
+    enclosure then reached is still rigorous, so the check runs against it.
+    """
+    lo, hi = _parsed_interval(rec)
+    mode = "exact" if rec.mode == EvalMode.EXACT.value else "directed"
+    try:
+        enc = evaluate(point, DEFAULT_TOL, mode=mode, max_depth=max_depth)
+    except (NotConvergedError, BudgetExceededError) as exc:
+        enc = exc.best
+    if max(lo, enc.lo) > min(hi, enc.hi):
+        raise ValueError(f"re-evaluation disjoint from printed interval: {rec}")
+    if mode == "exact":
+        _regenerate_exact(rec, point)
+
+
 def _claim_holds(
     rec: OutputRecord,
-    settings: EvalSettings,
+    max_depth: int,
     sandwiches: dict[CFPoint, tuple[CheckReport, CheckReport]],
 ) -> bool:
     """Whether a check row's verdict reproduces; a certificate that fails raises.
 
-    A row printed uncertified (inconclusive) is not re-run; a functional
-    row never prints so.  Otherwise the claim is certified afresh and the
-    printed interval must meet the enclosure that row printed: ``right`` of
-    the lower sandwich report for a sandwich-lower row, ``left`` of the
-    report for every other row.  A sandwich pair is certified once per point.
+    A row printed uncertified (inconclusive) is not re-run: like an
+    enclosure row, its printed interval must meet a fresh enclosure of the
+    value it printed (_printed_point), and an exact one must rebuild from
+    its depth; a functional row never prints so.  Otherwise the claim is
+    certified afresh and the printed interval must meet the enclosure that
+    row printed: ``right`` of the lower sandwich report for a sandwich-lower
+    row, ``left`` of the report for every other row.  A sandwich pair is
+    certified once per point.
     """
     cmd = rec.command
     if not rec.certified:
-        return cmd != "check-functional"
+        if cmd == "check-functional":
+            return False
+        _recheck_enclosure(rec, max_depth, _printed_point(rec))
+        return True
     if cmd == "check-reciprocal":
         lam = Fraction(rec.inputs["lambda"])
-        enc = check_reciprocal(lam, DEFAULT_TOL, settings=settings).left
+        enc = check_reciprocal(lam, DEFAULT_TOL, max_depth=max_depth).left
     elif cmd == "check-functional":
-        enc = check_functional_equation(_rec_point(rec), DEFAULT_TOL, settings=settings).left
+        enc = check_functional_equation(_rec_point(rec), DEFAULT_TOL, max_depth=max_depth).left
     elif cmd == "check-above-one":
-        enc = check_g_above_one(_rec_point(rec), DEFAULT_TOL, settings=settings).left
+        enc = check_g_above_one(_rec_point(rec), DEFAULT_TOL, max_depth=max_depth).left
     else:
         point = _rec_point(rec)
         if point not in sandwiches:
-            sandwiches[point] = check_sandwich(point, DEFAULT_TOL, settings=settings)
+            sandwiches[point] = check_sandwich(point, DEFAULT_TOL, max_depth=max_depth)
         upper, lower = sandwiches[point]
         enc = lower.right if cmd == "check-sandwich-lower" else upper.left
     lo, hi = _parsed_interval(rec)
@@ -664,7 +661,7 @@ def _claim_holds(
 
 
 def reverify_records(
-    records: list[OutputRecord], *, settings: EvalSettings | None = None
+    records: list[OutputRecord], *, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> bool:
     """Re-parse and re-certify emitted records; raises ValueError on any mismatch.
 
@@ -672,18 +669,17 @@ def reverify_records(
     re-certify; pair claims (witness, oracle, sandwich) are checked jointly.
     Every depth is range-checked before any record is re-evaluated.  A check
     row whose certificate comes back inconclusive or out of budget is a
-    mismatch too, and so is one whose printed interval misses the fresh
+    mismatch too, and so is a row whose printed interval misses the fresh
     enclosure of the value it printed.
     """
-    s = settings or DEFAULT_SETTINGS
     for rec in records:
-        _check_depth(rec, s)
+        _check_depth(rec, max_depth)
     by_command = {rec.command: rec for rec in records}
     sandwiches = {}  # the sandwich pair re-certified at each point
     for rec in records:
         cmd = rec.command
         if cmd in _ENCLOSURE_ROWS:
-            _recheck_enclosure(rec, s)
+            _recheck_enclosure(rec, max_depth, _rec_point(rec))
         elif cmd == "oracle-series":
             _parsed_interval(rec)
             point = _rec_point(rec)
@@ -697,14 +693,14 @@ def reverify_records(
                 raise ValueError(f"series row does not regenerate: {rec}")
         elif cmd in _CLAIMS:
             try:
-                held = _claim_holds(rec, s, sandwiches)
+                held = _claim_holds(rec, max_depth, sandwiches)
             except (InconclusiveError, NotConvergedError, BudgetExceededError) as exc:
                 raise ValueError(f"{_CLAIMS[cmd]} verdict did not reproduce: {rec}") from exc
             if not held:
                 raise ValueError(f"{_CLAIMS[cmd]} verdict did not reproduce: {rec}")
         elif cmd in ("alpha-lo", "alpha-hi"):
             want = -1 if cmd == "alpha-lo" else 1
-            if _endpoint_side(rec, s) != want:
+            if _endpoint_side(rec, max_depth) != want:
                 raise ValueError(f"alpha endpoint verdict did not reproduce: {rec}")
         else:
             raise ValueError(f"unknown record command: {cmd}")

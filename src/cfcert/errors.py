@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Directed precision is worked
+out from the tolerance and the point, so it has no error of its own."""
 
 from __future__ import annotations
 
@@ -8,11 +9,7 @@ class CFCertError(Exception):
 
 
 class DomainError(CFCertError, ValueError):
-    """Input outside the supported domain (m <= -1, lam <= 0, bad tolerance...)."""
-
-
-class PrecisionError(CFCertError):
-    """Fixed-precision bound collapsed to zero; raise precision_bits."""
+    """Input outside the supported domain (m <= -1, lam <= 0, max_depth < 1...)."""
 
 
 class BudgetExceededError(CFCertError):

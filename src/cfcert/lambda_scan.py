@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cf_core import (
+    DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
     CFPoint,
     Enclosure,
-    EvalSettings,
     RationalLike,
     _tightened,
     as_fraction,
@@ -77,7 +77,7 @@ def limit_check(
     lambdas: list[RationalLike],
     tol: RationalLike = DEFAULT_TOL,
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> list[Enclosure]:
     """Enclosures of G(m, lam) along ``lambdas`` (intended descending toward 0).
 
@@ -89,7 +89,7 @@ def limit_check(
     for lam in lambdas:
         point = CFPoint(m, as_fraction(lam))
         try:
-            out.append(evaluate(point, tol, settings=settings))
+            out.append(evaluate(point, tol, max_depth=max_depth))
         except (NotConvergedError, BudgetExceededError) as exc:
             out.append(exc.best)
     return out
@@ -99,7 +99,7 @@ def _grid_points(
     m: Fraction,
     lambda_grid: list[RationalLike],
     tol: RationalLike,
-    settings: EvalSettings | None,
+    max_depth: int,
 ) -> Iterator[ScanPoint]:
     """Evaluate a strictly ascending positive grid lazily, in grid order.
 
@@ -114,7 +114,7 @@ def _grid_points(
         raise DomainError("lambda grid must be positive")
     for lam in grid:
         try:
-            yield ScanPoint(lam=lam, enclosure=evaluate(CFPoint(m, lam), tol, settings=settings))
+            yield ScanPoint(lam=lam, enclosure=evaluate(CFPoint(m, lam), tol, max_depth=max_depth))
         except (NotConvergedError, BudgetExceededError) as exc:
             yield ScanPoint(lam=lam, enclosure=exc.best, error=str(exc))
 
@@ -124,10 +124,10 @@ def scan(
     lambda_grid: list[RationalLike],
     tol: RationalLike = DEFAULT_TOL,
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> list[ScanPoint]:
     """Pointwise enclosures over a strictly ascending positive grid, order preserved."""
-    return list(_grid_points(as_fraction(m), lambda_grid, tol, settings))
+    return list(_grid_points(as_fraction(m), lambda_grid, tol, max_depth))
 
 
 def find_witness(
@@ -135,7 +135,7 @@ def find_witness(
     lambda_grid: list[RationalLike] | None = None,
     tol: RationalLike = DEFAULT_TOL,
     *,
-    settings: EvalSettings | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Witness:
     """First grid pair (lam_i < lam_j) whose enclosures certify G(m, lam_i) > G(m, lam_j).
 
@@ -153,7 +153,7 @@ def find_witness(
     tol = as_fraction(tol)
     grid = list(DEFAULT_WITNESS_GRID) if lambda_grid is None else lambda_grid
     usable: list[tuple[Fraction, Enclosure]] = []
-    for e in _grid_points(m, grid, tol, settings):
+    for e in _grid_points(m, grid, tol, max_depth):
         if e.enclosure is None:
             continue
         if usable and usable[0][1].lo > e.enclosure.hi:
@@ -175,7 +175,7 @@ def find_witness(
             if g1.midpoint <= g2.midpoint:
                 continue
             pair = [CFPoint(m, lam1), CFPoint(m, lam2)]
-            for _, (e1, e2) in _tightened(pair, tol / 10, None, settings):
+            for _, (e1, e2) in _tightened(pair, tol / 10, None, max_depth):
                 if e1.lo > e2.hi:
                     return Witness(m=m, lambda1=lam1, lambda2=lam2, g1=e1, g2=e2)
                 if e1.hi < e2.lo:

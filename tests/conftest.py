@@ -21,7 +21,6 @@ from cfcert import (
     InconclusiveError,
     NotConvergedError,
     NoWitnessFoundError,
-    PrecisionError,
     TailNotBoundedError,
     ViolationError,
     Witness,
@@ -32,7 +31,7 @@ from cfcert import (
 from cfcert.bounds import theorem_bound
 from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_BUDGET, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
-from cfcert.cf_core import DEFAULT_SETTINGS, TIGHTEN_ROUNDS, _scaled_convergents, as_fraction
+from cfcert.cf_core import TIGHTEN_ROUNDS, _scaled_convergents, as_fraction
 
 #: the checks' former give-up: tightening stopped once the tolerance reached it
 REFERENCE_TOL_FLOOR = Fraction(1, 10**30)
@@ -128,13 +127,13 @@ def reference_directed_tail(
     x_next = down(u + du)
     lo = down(u)
     if lo <= 0 or x_next <= 0:
-        raise PrecisionError("tail term rounds to zero")
+        raise AssertionError("tail term rounds to zero")
     hi = up(u) + (-(-sq // x_next))
     for _ in range(depth):
         u -= du
         xl = down(u)
         if xl <= 0:
-            raise PrecisionError("tail term rounds to zero")
+            raise AssertionError("tail term rounds to zero")
         lo, hi = xl + sq // hi, up(u) + (-(-sq // lo))
     return lo, hi
 
@@ -187,7 +186,7 @@ def reference_tolerances(tol: Fraction, tighten_limit: int | None, floor=REFEREN
         t = t / 10
 
 
-def reference_check_sandwich(point, tol=DEFAULT_TOL, *, settings=None, tighten_limit=None):
+def reference_check_sandwich(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH, tighten_limit=None):
     """check_sandwich over reference_tolerances, letting a budget error propagate.
 
     Reference for bounds.check_sandwich: wherever it certifies, or raises
@@ -199,8 +198,8 @@ def reference_check_sandwich(point, tol=DEFAULT_TOL, *, settings=None, tighten_l
     upper_point = point.shifted()
     last = None
     for t in reference_tolerances(tol, tighten_limit):
-        g_hi = evaluate(upper_point, t, settings=settings)
-        g_lo = evaluate(point, t, settings=settings)
+        g_hi = evaluate(upper_point, t, max_depth=max_depth)
+        g_lo = evaluate(point, t, max_depth=max_depth)
         bound = theorem_bound(point, t)
         last = (g_hi, g_lo, bound)
         if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
@@ -228,7 +227,7 @@ def reference_check_sandwich(point, tol=DEFAULT_TOL, *, settings=None, tighten_l
     )
 
 
-def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, settings=None, tighten_limit=None):
+def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH, tighten_limit=None):
     """check_g_above_one over reference_tolerances, letting a budget error propagate."""
     if point.m < 1:
         raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
@@ -236,7 +235,7 @@ def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, settings=None, tighte
     unit = Enclosure(lo=Fraction(1), hi=Fraction(1), depth=0, mode=EvalMode.EXACT)
     enc = None
     for t in reference_tolerances(tol, tighten_limit):
-        enc = evaluate(point, t, settings=settings)
+        enc = evaluate(point, t, max_depth=max_depth)
         if enc.lo > 1:
             return CheckReport(
                 point=point,
@@ -253,7 +252,7 @@ def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, settings=None, tighte
     )
 
 
-def reference_check_reciprocal(lam, tol=DEFAULT_TOL, *, settings=None, tighten_limit=None):
+def reference_check_reciprocal(lam, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH, tighten_limit=None):
     """check_reciprocal over reference_tolerances, letting a budget error propagate."""
     lam = as_fraction(lam)
     tol = as_fraction(tol)
@@ -261,8 +260,8 @@ def reference_check_reciprocal(lam, tol=DEFAULT_TOL, *, settings=None, tighten_l
     p1 = CFPoint(Fraction(1), lam)
     g0 = g1 = None
     for t in reference_tolerances(tol, tighten_limit):
-        g0 = evaluate(p0, t, settings=settings)
-        g1 = evaluate(p1, t, settings=settings)
+        g0 = evaluate(p0, t, max_depth=max_depth)
+        g1 = evaluate(p1, t, max_depth=max_depth)
         if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
             raise ViolationError(
                 f"product interval excludes 1 at lam={lam}: {g0} * {g1}"
@@ -316,7 +315,7 @@ def reference_cross_check(
     lam,
     tol=DEFAULT_TOL,
     *,
-    settings=None,
+    max_depth=DEFAULT_MAX_DEPTH,
     max_terms: int = MAX_TERMS,
 ) -> CheckReport:
     """Cross-check that builds every truncation's SeriesEnclosure and compares Fractions.
@@ -328,7 +327,7 @@ def reference_cross_check(
     lam = as_fraction(lam)
     tol = as_fraction(tol)
     point = CFPoint(Fraction(m), lam)
-    cf_enc = evaluate(point, tol, settings=settings)
+    cf_enc = evaluate(point, tol, max_depth=max_depth)
     terms = max(8, (2 * lam.denominator) // lam.numerator + 8)
     series = None
     while True:
@@ -359,7 +358,7 @@ def reference_cross_check(
         gap=overlap,
     )
 
-def reference_classify_vs_one(point, tol, *, settings=None):
+def reference_classify_vs_one(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
     """Side of G(point) relative to 1 from tol down to tol/10**TIGHTEN_ROUNDS, in any mode.
 
     Reference for alpha_root.classify_vs_one, which keeps these rounds only
@@ -370,7 +369,7 @@ def reference_classify_vs_one(point, tol, *, settings=None):
     t = as_fraction(tol)
     for _ in range(TIGHTEN_ROUNDS + 1):
         try:
-            enc, out = evaluate(point, t, settings=settings), False
+            enc, out = evaluate(point, t, max_depth=max_depth), False
         except (BudgetExceededError, NotConvergedError) as exc:
             enc, out = exc.best, True
         if enc.hi < 1:
@@ -383,7 +382,7 @@ def reference_classify_vs_one(point, tol, *, settings=None):
     return _STRADDLE, enc
 
 
-def reference_walk_classify_vs_one(point, tol, *, settings=None):
+def reference_walk_classify_vs_one(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
     """Side of G(point) relative to 1 from the first exact pair enclosure that
     excludes 1, or the straddle verdict at max_depth (reference_side_of_one).
 
@@ -391,7 +390,6 @@ def reference_walk_classify_vs_one(point, tol, *, settings=None):
     is not used.
     """
     m, lam = point.m, point.lam
-    max_depth = (settings or DEFAULT_SETTINGS).max_depth
     side, pair = reference_side_of_one(
         m.numerator, m.denominator, lam.numerator, lam.denominator, max_depth
     )
@@ -403,7 +401,7 @@ def reference_find_alpha(
     bracket_tol=Fraction(1, 10**6),
     g_tol=Fraction(1, 10**9),
     *,
-    settings=None,
+    max_depth=DEFAULT_MAX_DEPTH,
     max_iterations=256,
     classify=None,
 ) -> AlphaResult:
@@ -415,7 +413,8 @@ def reference_find_alpha(
     the two must return equal AlphaResults, or raise the same error, for
     the same arguments; with classify=reference_walk_classify_vs_one they
     must agree at every exact-routed lam.  The midpoint enclosure is the
-    best one reached when its evaluation runs out of budget.
+    best one reached when its evaluation runs out of budget, and each end
+    keeps the enclosure ``classify`` decided it by.
     """
     classify = classify or reference_classify_vs_one
     lam = as_fraction(lam)
@@ -426,15 +425,15 @@ def reference_find_alpha(
     if bracket_tol <= 0 or g_tol <= 0:
         raise DomainError("tolerances must be positive")
 
-    side, enc = classify(CFPoint(Fraction(0), lam), g_tol, settings=settings)
+    side, enc_lo = classify(CFPoint(Fraction(0), lam), g_tol, max_depth=max_depth)
     if side != _BELOW:
         raise InconclusiveError(
-            f"could not certify G(0, {lam}) < 1", left=enc
+            f"could not certify G(0, {lam}) < 1", left=enc_lo
         )
-    side, enc = classify(CFPoint(Fraction(1), lam), g_tol, settings=settings)
+    side, enc_hi = classify(CFPoint(Fraction(1), lam), g_tol, max_depth=max_depth)
     if side != _ABOVE:
         raise InconclusiveError(
-            f"could not certify G(1, {lam}) > 1", left=enc
+            f"could not certify G(1, {lam}) > 1", left=enc_hi
         )
 
     lo, hi = Fraction(0), Fraction(1)
@@ -446,22 +445,23 @@ def reference_find_alpha(
             flag = FLAG_BUDGET
             break
         mid = (lo + hi) / 2
-        side, _ = classify(CFPoint(mid, lam), g_tol, settings=settings)
+        side, enc = classify(CFPoint(mid, lam), g_tol, max_depth=max_depth)
         if side == _BELOW:
-            lo = mid
+            lo, enc_lo = mid, enc
         elif side == _ABOVE:
-            hi = mid
+            hi, enc_hi = mid, enc
         else:
             flag = FLAG_INCONCLUSIVE
             break
         iterations += 1
 
     try:
-        g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, settings=settings)
+        g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, max_depth=max_depth)
     except (BudgetExceededError, NotConvergedError) as exc:
         g_mid = exc.best
     return AlphaResult(
-        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=iterations, flag=flag
+        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=iterations, flag=flag,
+        g_at_lo=enc_lo, g_at_hi=enc_hi,
     )
 
 
@@ -544,7 +544,7 @@ def reference_find_witness(
     lambda_grid=None,
     tol=DEFAULT_TOL,
     *,
-    settings=None,
+    max_depth=DEFAULT_MAX_DEPTH,
 ) -> Witness:
     """Witness search that scans the whole grid before trying any pair.
 
@@ -558,7 +558,7 @@ def reference_find_witness(
         raise DomainError(f"witness search needs 0 < m < 1, got {m}")
     tol = as_fraction(tol)
     grid = list(DEFAULT_WITNESS_GRID) if lambda_grid is None else lambda_grid
-    entries = scan(m, grid, tol, settings=settings)
+    entries = scan(m, grid, tol, max_depth=max_depth)
     usable = [(e.lam, e.enclosure) for e in entries if e.enclosure is not None]
 
     for i in range(len(usable)):
@@ -579,7 +579,7 @@ def reference_find_witness(
                 encs, out_of_budget = [], False
                 for lam in (lam1, lam2):
                     try:
-                        encs.append(evaluate(CFPoint(m, lam), t, settings=settings))
+                        encs.append(evaluate(CFPoint(m, lam), t, max_depth=max_depth))
                     except (NotConvergedError, BudgetExceededError) as exc:
                         encs.append(exc.best)
                         out_of_budget = True

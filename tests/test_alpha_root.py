@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import runpy
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,14 +27,13 @@ from cfcert import (
     CFCertError,
     CFPoint,
     DomainError,
-    EvalSettings,
     InconclusiveError,
     NotConvergedError,
     evaluate,
     find_alpha,
 )
 from cfcert.alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE, classify_vs_one
-from cfcert.cf_core import DEFAULT_SETTINGS, _side_of_one
+from cfcert.cf_core import DIRECTED_LAMBDA_CUTOFF, _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
 G_TOL = Fraction(1, 10**6)
@@ -103,10 +103,8 @@ def test_classify_sides():
 def test_classify_survives_budget_cap():
     # too little depth to converge at tiny lam; the best rigorous enclosure
     # straddles 1, so the verdict is straddle rather than an exception
-    settings = EvalSettings(max_depth=64)
     side, enc = classify_vs_one(
-        CFPoint(Fraction(1, 2), Fraction(1, 10**6)), Fraction(1, 10**9),
-        settings=settings,
+        CFPoint(Fraction(1, 2), Fraction(1, 10**6)), Fraction(1, 10**9), max_depth=64
     )
     assert side == 0
     assert enc.lo <= 1 <= enc.hi
@@ -114,7 +112,7 @@ def test_classify_survives_budget_cap():
 
 def test_budget_capped_anchor_is_inconclusive():
     with pytest.raises(InconclusiveError):
-        find_alpha(Fraction(1, 10**6), settings=EvalSettings(max_depth=64))
+        find_alpha(Fraction(1, 10**6), max_depth=64)
 
 
 # lam = k / den: a small and a large prime denominator
@@ -149,7 +147,9 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc), getattr(exc, "left", None)
 
 
-def assert_matches_reference(lam, bracket_tol, g_tol, *, settings=None, max_iterations=256):
+def assert_matches_reference(
+    lam, bracket_tol, g_tol, *, max_depth=DEFAULT_MAX_DEPTH, max_iterations=256
+):
     """find_alpha against the 8-round reference, which gives up where G is near 1.
 
     Wherever the reference is not flagged inconclusive, the results are
@@ -157,14 +157,14 @@ def assert_matches_reference(lam, bracket_tol, g_tol, *, settings=None, max_iter
     same path: its bracket nests in the reference's, its ends re-certify at
     max_depth, and it stops unflagged, at max_iterations, or at a midpoint
     still undecided at max_depth.  At every exact-routed lam the result is
-    the one bisection from (0, 1) by walks to max_depth returns.
+    the one bisection from (0, 1) by walks to max_depth returns, ends'
+    enclosures included; the 8 rounds decide the same ends from other ones.
     """
-    kwargs = dict(settings=settings, max_iterations=max_iterations)
+    kwargs = dict(max_depth=max_depth, max_iterations=max_iterations)
     got = outcome(find_alpha, lam, bracket_tol, g_tol, **kwargs)
     want = outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs)
-    s = settings or DEFAULT_SETTINGS
     lam = Fraction(lam)
-    exact = lam >= s.directed_cutoff  # directed-routed lams keep the 8 rounds
+    exact = lam >= DIRECTED_LAMBDA_CUTOFF  # directed-routed lams keep the 8 rounds
     if exact:
         walked = outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs,
                          classify=reference_walk_classify_vs_one)
@@ -174,9 +174,11 @@ def assert_matches_reference(lam, bracket_tol, g_tol, *, settings=None, max_iter
     elif exact and isinstance(want, tuple) and want[0] is InconclusiveError:  # an anchor
         lo, hi, steps = Fraction(0), Fraction(1), 0
     else:
+        if exact and isinstance(got, AlphaResult) and isinstance(want, AlphaResult):
+            want = replace(want, g_at_lo=got.g_at_lo, g_at_hi=got.g_at_hi)
         assert got == want
         return
-    depth = max(s.max_depth, 1)
+    depth = max_depth
     if isinstance(got, tuple):  # the anchor is undecided at max_depth too
         assert got[:2] == want[:2]
         assert got[2].depth == depth and got[2].contains(1)
@@ -191,50 +193,51 @@ def assert_matches_reference(lam, bracket_tol, g_tol, *, settings=None, max_iter
     else:
         assert got.flag is None or (got.flag, got.iterations) == (FLAG_BUDGET, max_iterations)
     try:
-        g_mid = evaluate(CFPoint(got.midpoint, lam), g_tol, settings=settings)
+        g_mid = evaluate(CFPoint(got.midpoint, lam), g_tol, max_depth=max_depth)
     except (BudgetExceededError, NotConvergedError) as exc:
         g_mid = exc.best
     assert got.g_at_mid == g_mid
 
 
-# every lam drawn here (<= 4) routes to directed mode under this cutoff
-ALL_DIRECTED = EvalSettings(directed_cutoff=Fraction(8))
-
-
 @given(
     lam=st.one_of(exact_lams(), exact_lams(), exact_lams(), directed_lams()),
     bracket_tol=decimal_tols(1, 30),
-    g_tol=decimal_tols(6, 40),
+    # G(1/2, lam) - 1 is near 2e^(-4/lam), below 1e-110 at a directed lam:
+    # only the tightest g_tols let the 8 rounds decide there
+    g_tol=st.one_of(decimal_tols(6, 40), decimal_tols(6, 40), decimal_tols(150, 200)),
     max_iterations=st.one_of(st.just(256), st.just(256), st.integers(0, 40)),
-    eval_settings=st.sampled_from([None, None, None, EvalSettings(max_depth=12), ALL_DIRECTED]),
+    max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, 12]),
 )
 # exact, the reference flags: G(mid, 1/50) - 1 is below 1e-12 / 1e8 from the
 # first midpoint on, and the walks decide on
 @example(lam=Fraction(1, 50), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**12),
-         max_iterations=256, eval_settings=None)
+         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
 # exact, the reference flags after 47 steps: some midpoints are decided only in
 # its last round
 @example(lam=Fraction(1, 2), bracket_tol=Fraction(1, 10**15), g_tol=Fraction(1, 10**6),
-         max_iterations=256, eval_settings=None)
+         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
 # exact, the reference flags: 1/2 at lam 1/16 needs a width near 2e-28
 @example(lam=Fraction(1, 16), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
-         max_iterations=256, eval_settings=None)
+         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
 # exact, capped by max_iterations
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**12), g_tol=Fraction(1, 10**9),
-         max_iterations=5, eval_settings=None)
+         max_iterations=5, max_depth=DEFAULT_MAX_DEPTH)
 # exact, flagged after 65 steps: a midpoint straddles 1 at max_depth
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**25), g_tol=Fraction(1, 10**19),
-         max_iterations=256, eval_settings=EvalSettings(max_depth=12))
+         max_iterations=256, max_depth=12)
 # directed, flagged at the first midpoint
 @example(lam=Fraction(15, 997), bracket_tol=Fraction(1, 10**3), g_tol=Fraction(1, 10**9),
-         max_iterations=256, eval_settings=None)
-# directed by the cutoff, clean after 22 steps
-@example(lam=Fraction(1), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
-         max_iterations=256, eval_settings=ALL_DIRECTED)
+         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+# directed, clean after 22 steps
+@example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**180),
+         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+# directed, out of budget: G(0, 1/100)'s depth-12 enclosure still touches 1
+@example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**180),
+         max_iterations=256, max_depth=12)
 @settings(max_examples=150, deadline=None)
-def test_matches_tightening_reference(lam, bracket_tol, g_tol, max_iterations, eval_settings):
+def test_matches_tightening_reference(lam, bracket_tol, g_tol, max_iterations, max_depth):
     assert_matches_reference(
-        lam, bracket_tol, g_tol, settings=eval_settings, max_iterations=max_iterations
+        lam, bracket_tol, g_tol, max_depth=max_depth, max_iterations=max_iterations
     )
 
 
@@ -256,23 +259,23 @@ def wide_exact_lams(draw):
     # g_tol >= 1 makes the reference give up near the predicted cell
     g_tol=st.one_of(decimal_tols(6, 30), decimal_tols(6, 30), st.integers(1, 10**7).map(Fraction)),
     max_iterations=st.one_of(st.just(256), st.integers(0, 40)),
-    eval_settings=st.sampled_from([None, None, EvalSettings(max_depth=12)]),
+    max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, 12]),
 )
 # the reference gives up at 55/128 after 6 steps, within g_tol / 10**8 of 1,
 # where the walks decide on
 @example(lam=Fraction(1178, 997), bracket_tol=Fraction(157, 12800),
-         g_tol=Fraction(5421875, 8), max_iterations=256, eval_settings=None)
+         g_tol=Fraction(5421875, 8), max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
 # bracket_tol 1e-30 goes on bisecting past the level-32 cap
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**30), g_tol=Fraction(1, 10**25),
-         max_iterations=256, eval_settings=None)
+         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
 @example(lam=Fraction(10**400), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
-         max_iterations=256, eval_settings=None)
+         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
 @settings(max_examples=150, deadline=None)
 def test_predicted_start_matches_tightening_reference(
-    lam, bracket_tol, g_tol, max_iterations, eval_settings
+    lam, bracket_tol, g_tol, max_iterations, max_depth
 ):
     assert_matches_reference(
-        lam, bracket_tol, g_tol, settings=eval_settings, max_iterations=max_iterations
+        lam, bracket_tol, g_tol, max_depth=max_depth, max_iterations=max_iterations
     )
 
 
@@ -302,17 +305,16 @@ def test_side_of_one_matches_classify(kj, lam, tol, max_depth):
     # enclosure that excludes 1, at depth 1 or deeper
     k, j = kj
     point = CFPoint(Fraction(k + 2**j, 2**j), lam)
-    eval_settings = EvalSettings(max_depth=max_depth)
-    side, enc = classify_vs_one(point, tol, settings=eval_settings)
+    side, enc = classify_vs_one(point, tol, max_depth=max_depth)
     assert side == _side_of_one(k + 2**j, 2**j, lam.numerator, lam.denominator, max_depth)[0]
-    assert 1 <= enc.depth <= max(max_depth, 1)
+    assert 1 <= enc.depth <= max_depth
     assert (enc.lo, enc.hi) == reference_enclosure(point, enc.depth)
     assert (side == -1, side == 1) == (enc.hi < 1, enc.lo > 1)
-    ref_side, ref_enc = reference_classify_vs_one(point, tol, settings=eval_settings)
+    ref_side, ref_enc = reference_classify_vs_one(point, tol, max_depth=max_depth)
     if ref_side:
         assert side == ref_side and enc.depth <= ref_enc.depth
     elif not side:
-        assert enc.depth == max(max_depth, 1)
+        assert enc.depth == max_depth
 
 
 def counting(monkeypatch, module, name):
@@ -362,7 +364,7 @@ def test_straddling_half_is_walked_once(monkeypatch):
     # lies within W(1/16, 80), about 6e-27, of 1; so the predicted cell, whose
     # upper end is 1/2, is not taken, and 1/2 is the loop's first midpoint
     walks = counting(monkeypatch, alpha_root, "_side_of_one")
-    res = find_alpha(Fraction(1, 16), settings=EvalSettings(max_depth=80))
+    res = find_alpha(Fraction(1, 16), max_depth=80)
     assert res.flag is None and res.iterations == 22
     assert (res.m_lo, res.m_hi) == (Fraction(2097151, 4194304), Fraction(1, 2))
     assert walked_points(walks).count(Fraction(1, 2)) == 1
@@ -375,10 +377,29 @@ def test_straddling_half_is_walked_once(monkeypatch):
 
 
 def test_directed_steps_classify(monkeypatch):
+    # at a directed lam every point is classified once: the anchors and 22 midpoints
     calls = counting(monkeypatch, alpha_root, "classify_vs_one")
-    res = find_alpha(1, 1e-6, 1e-9, settings=ALL_DIRECTED)
+    res = find_alpha(Fraction(1, 100), Fraction(1, 10**6), Fraction(1, 10**180))
     assert res.flag is None and res.iterations == 22
     assert len(calls) == 2 + 22
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 100), Fraction(1)])
+def test_ends_carry_their_deciding_enclosures(lam):
+    res = find_alpha(lam, Fraction(1, 10**6), Fraction(1, 10**180))
+    assert res.flag is None
+    assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
+    for m, enc in ((res.m_lo, res.g_at_lo), (res.m_hi, res.g_at_hi)):
+        assert (classify_vs_one(CFPoint(m, lam), Fraction(1, 10**180))[1]) == enc
+
+
+@pytest.mark.parametrize("max_depth", [0, -5])
+def test_budget_below_one_rejected(max_depth):
+    for lam in (Fraction(1, 100), Fraction(1)):
+        with pytest.raises(DomainError, match="max_depth"):
+            find_alpha(lam, max_depth=max_depth)
+        with pytest.raises(DomainError, match="max_depth"):
+            classify_vs_one(CFPoint(Fraction(1, 2), lam), Fraction(1, 10**9), max_depth=max_depth)
 
 
 

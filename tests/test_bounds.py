@@ -22,7 +22,6 @@ from cfcert import (
     DomainError,
     Enclosure,
     EvalMode,
-    EvalSettings,
     InconclusiveError,
     NotConvergedError,
     check_functional_equation,
@@ -313,7 +312,7 @@ def test_checks_match_tightening_reference(claim, m, lam, tol, cap, max_depth):
     check, reference, points_of, decides = CHECKS[claim]
     point = CFPoint(m + 1 if claim == "above-one" else m, lam)
     arg = lam if claim == "reciprocal" else point
-    kwargs = dict(settings=EvalSettings(max_depth=max_depth), tighten_limit=cap)
+    kwargs = dict(max_depth=max_depth, tighten_limit=cap)
     got = _outcome(check, arg, tol, **kwargs)
     try:
         want = reference(arg, tol, **kwargs)
@@ -331,7 +330,7 @@ def test_checks_match_tightening_reference(claim, m, lam, tol, cap, max_depth):
         encs, out = [], False
         for p in points_of(point):
             try:
-                encs.append(evaluate(p, t, settings=kwargs["settings"]))
+                encs.append(evaluate(p, t, max_depth=max_depth))
             except (BudgetExceededError, NotConvergedError) as exc:
                 encs.append(exc.best)
                 out = True

@@ -25,9 +25,7 @@ from cfcert import (
     CFPoint,
     DomainError,
     EvalMode,
-    EvalSettings,
     NotConvergedError,
-    PrecisionError,
     evaluate,
 )
 from cfcert.cf_core import (
@@ -397,9 +395,15 @@ class TestEvalDirected:
         assert best is not None
         assert best.lo < best.hi
 
-    def test_rejects_low_precision(self):
-        with pytest.raises(DomainError):
-            eval_directed(CFPoint(1, 1), Fraction(1, 10), precision_bits=32)
+    def test_first_term_far_below_default_precision(self):
+        # the first tail term (m + 1) * lam = 10**-55 needs about 183 bits, so
+        # the pass runs at 64 more; at a fixed 128 bits it would round to zero
+        point = CFPoint(Fraction(-1) + Fraction(1, 10**50), Fraction(1, 10**5))
+        tol = Fraction(1, 10**3)
+        enc = eval_directed(point, tol)
+        ref = reference_eval_enclosure(point, tol)
+        assert enc.width <= tol and ref.width <= tol
+        assert max(enc.lo, ref.lo) <= min(enc.hi, ref.hi)
 
     @given(point=points)
     @settings(max_examples=20, deadline=None)
@@ -450,8 +454,8 @@ class TestEvalDirected:
         args = (a, b, lam.numerator, b * lam.denominator, depth, bits)
         try:
             expected = reference_directed_tail(*args)
-        except PrecisionError:
-            with pytest.raises(PrecisionError):
+        except AssertionError:
+            with pytest.raises(AssertionError, match="rounds to zero"):
                 _directed_tail(*args)
             return
         assert _directed_tail(*args) == expected
@@ -491,19 +495,24 @@ class TestEvaluateRouting:
         with pytest.raises(DomainError):
             evaluate(CFPoint(1, 1), mode="fast")
 
+    @pytest.mark.parametrize("max_depth", [0, -5])
+    @pytest.mark.parametrize("mode", ["exact", "directed"])
+    def test_budget_below_one_rejected(self, mode, max_depth):
+        with pytest.raises(DomainError, match="max_depth"):
+            evaluate(CFPoint(1, Fraction(1, 100)), mode=mode, max_depth=max_depth)
+
 
 class TestTightened:
     def test_tolerances_run_to_the_cap(self):
-        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), 2, None), 5))
+        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), 2, DEFAULT_MAX_DEPTH), 5))
         assert [t for t, _ in rounds] == [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
 
     def test_uncapped_rounds_end_at_the_budget(self):
         # tol/10**k for every k until G(1, 1)'s enclosure needs more than depth 3
-        depth_three = EvalSettings(max_depth=3)
-        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), None, depth_three), 9))
+        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), None, 3), 9))
         assert [t for t, _ in rounds] == [Fraction(1, 10**k) for k in range(1, 5)]
         assert [enc.depth for _, (enc,) in rounds] == [1, 2, 3, 3]
 
     def test_negative_cap_rejected(self):
         with pytest.raises(DomainError, match="tighten limit"):
-            next(_tightened([CFPoint(1, 1)], Fraction(1, 10), -1, None))
+            next(_tightened([CFPoint(1, 1)], Fraction(1, 10), -1, DEFAULT_MAX_DEPTH))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfcert import EvalSettings, InconclusiveError
+from cfcert import InconclusiveError
 from cfcert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NO_WITNESS,
@@ -63,11 +63,15 @@ class TestEval:
         (rec,) = parse_records(out, "csv")
         assert Fraction(rec.lo) <= Fraction(rec.hi)
 
-    def test_max_depth_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAX_DEPTH", "50")
-        code, _ = run(capsys, "eval", "--m", "1", "--lambda", "0.001",
-                      "--mode", "directed", "--tol", "1e-9")
-        assert code == EXIT_NOT_CONVERGED
+    @pytest.mark.parametrize("max_depth", ["0", "-5"])
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    def test_budget_below_one_usage_error(self, capsys, mode, max_depth):
+        code = main(["eval", "--m", "1", "--lambda", "1/100", "--mode", mode,
+                     f"--max-depth={max_depth}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "max_depth" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
@@ -129,7 +133,7 @@ class TestCheck:
         assert [r.certified for r in recs] == want_certified
         assert all(r.depth == max_depth for r in recs)
         assert reverify_records(recs)
-        assert reverify_records(recs, settings=EvalSettings(max_depth=max_depth))
+        assert reverify_records(recs, max_depth=max_depth)
 
     def test_negative_tighten_cap_usage_error(self, capsys):
         for claim in ("sandwich", "functional", "above-one", "reciprocal"):
@@ -235,7 +239,7 @@ class TestAlphaScanWitnessOracle:
             ("alpha-mid", "115/256", None, 3),
         ]
         assert reverify_records(recs)
-        assert reverify_records(recs, settings=EvalSettings(max_depth=3))
+        assert reverify_records(recs, max_depth=3)
 
     def test_alpha_at_cutoff_walks_to_the_budget(self, capsys):
         # G(1/2, 1/64) - 1 is about 1e-111: the walk decides it at depth 191,
@@ -261,7 +265,7 @@ class TestAlphaScanWitnessOracle:
             ("alpha-mid", "5/16", None, 1),
         ]
         assert reverify_records(recs)
-        assert reverify_records(recs, settings=EvalSettings(max_depth=1))
+        assert reverify_records(recs, max_depth=1)
 
     def test_bad_grid_values_are_usage_errors(self, capsys):
         assert run(capsys, "scan", "--m", "1", "--grid-list", "a,b")[0] == EXIT_USAGE
@@ -389,7 +393,7 @@ class TestRecordFormat:
                 reverify_records(tiny)
         # depth 2 is out of budget at the default tol, but its best enclosures
         # still certify every inequality and meet in the functional check
-        assert reverify_records(recs, settings=EvalSettings(max_depth=2))
+        assert reverify_records(recs, max_depth=2)
 
         def inconclusive(*args, **kwargs):
             raise InconclusiveError("forced overlap")
@@ -416,6 +420,33 @@ class TestRecordFormat:
             tampered = [*recs[:i], replace(rec, lo="500", hi="600"), *recs[i + 1:]]
             with pytest.raises(ValueError, match="verdict did not reproduce"):
                 reverify_records(tampered)
+
+    @pytest.mark.parametrize(
+        "argv, command, mode",
+        [
+            # G(0, 1) in [2/3, 1] at depth 1 touches B(0, 1) = 1
+            (("sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"),
+             "check-sandwich-lower", "exact"),
+            # G(2, 1/100) at depth 5 still overlaps B(1, 1/100)
+            (("sandwich", "--m", "1", "--lambda", "1/100", "--max-depth", "5"),
+             "check-sandwich-upper", "directed-fixed-precision"),
+            (("reciprocal", "--lambda", "1", "--max-depth", "1"), "check-reciprocal", "exact"),
+            (("above-one", "--m", "1", "--lambda", "1e-10"),
+             "check-above-one", "directed-fixed-precision"),
+        ],
+    )
+    def test_reverify_uncertified_rows_meet_their_interval(self, capsys, argv, command, mode):
+        code, out = run(capsys, "check", *argv)
+        assert code == EXIT_INCONCLUSIVE
+        (rec,) = parse_records(out, "csv")
+        assert (rec.command, rec.certified, rec.mode) == (command, False, mode)
+        assert reverify_records([rec])
+        with pytest.raises(ValueError, match="disjoint"):
+            reverify_records([replace(rec, lo="500", hi="600")])
+        if mode == "exact":
+            # the row is rebuilt from its depth, so another depth does not regenerate it
+            with pytest.raises(ValueError, match="does not regenerate"):
+                reverify_records([replace(rec, depth=rec.depth + 1)])
 
     @pytest.mark.parametrize(
         "argv",

@@ -14,8 +14,8 @@ import cfcert.cf_core as cf_core
 import cfcert.lambda_scan as lambda_scan
 from cfcert import (
     DEFAULT_WITNESS_GRID,
+    DEFAULT_MAX_DEPTH,
     DomainError,
-    EvalSettings,
     NoWitnessFoundError,
     Witness,
     evaluate,
@@ -48,8 +48,7 @@ class TestLimitCheck:
     @pytest.mark.parametrize("m", [0, 1])
     def test_distance_to_one_decreases_on_default_grid(self, m):
         grid = [Fraction(1, 10**k) for k in range(1, 5)]
-        settings = EvalSettings(max_depth=60_000)
-        encs = limit_check(m, grid, Fraction(1, 10**4), settings=settings)
+        encs = limit_check(m, grid, Fraction(1, 10**4), max_depth=60_000)
         dists = [abs(e.midpoint - 1) for e in encs]
         assert all(a > b for a, b in zip(dists, dists[1:]))
 
@@ -155,25 +154,25 @@ WITNESS_LAMS = [Fraction(1, 2**130), Fraction(1, 100), Fraction(1, 16), Fraction
     lams=st.lists(st.sampled_from(WITNESS_LAMS), max_size=5),
     ascending=st.sampled_from([True, True, True, False]),
     tol=st.sampled_from([Fraction(1, 10), Fraction(1, 100), Fraction(1, 10**4), Fraction(1, 10**12)]),
-    eval_settings=st.sampled_from([None, EvalSettings(max_depth=3)]),
+    max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, 3]),
 )
 # near misses that certify after tightening, and one out of budget at once
 @example(m=Fraction(1, 10), lams=[Fraction(1, 5), Fraction(3, 10)], ascending=True,
-         tol=Fraction(1, 10), eval_settings=None)
+         tol=Fraction(1, 10), max_depth=DEFAULT_MAX_DEPTH)
 @example(m=Fraction(1, 10), lams=[Fraction(1, 5), Fraction(3, 10)], ascending=True,
-         tol=Fraction(1, 10), eval_settings=EvalSettings(max_depth=3))
+         tol=Fraction(1, 10), max_depth=3)
 # (1/8, 3/10) certifies, but the earlier pair (1/16, 1/2) is the witness
 @example(m=Fraction(1, 10), lams=[Fraction(1, 16), Fraction(1, 8), Fraction(3, 10), Fraction(1, 2)],
-         ascending=True, tol=Fraction(1, 10), eval_settings=None)
-# the smallest lam rounds to zero in directed mode
+         ascending=True, tol=Fraction(1, 10), max_depth=DEFAULT_MAX_DEPTH)
+# the smallest lam's first tail term needs more than the default 128 bits
 @example(m=Fraction(1, 2), lams=[Fraction(1, 2**130), Fraction(1, 16), Fraction(1, 8)],
-         ascending=True, tol=Fraction(1, 10**12), eval_settings=None)
+         ascending=True, tol=Fraction(1, 10**12), max_depth=DEFAULT_MAX_DEPTH)
 @example(m=Fraction(1, 2), lams=[Fraction(1, 2), Fraction(1, 4)], ascending=False,
-         tol=Fraction(1, 10**12), eval_settings=None)
+         tol=Fraction(1, 10**12), max_depth=DEFAULT_MAX_DEPTH)
 @settings(max_examples=150, deadline=None)
-def test_find_witness_matches_scan_first_reference(m, lams, ascending, tol, eval_settings):
+def test_find_witness_matches_scan_first_reference(m, lams, ascending, tol, max_depth):
     grid = sorted(set(lams)) if ascending else lams
-    kwargs = dict(settings=eval_settings)
+    kwargs = dict(max_depth=max_depth)
     got, calls = counted_outcome(find_witness, m, grid, tol, **kwargs)
     want, ref_calls = counted_outcome(reference_find_witness, m, grid, tol, **kwargs)
     assert got == want
