@@ -27,7 +27,6 @@ from typing import Iterable
 from .alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE, classify_vs_one, find_alpha
 from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
 from .bounds import (
-    CheckReport,
     Claim,
     check_functional_equation,
     check_g_above_one,
@@ -64,6 +63,8 @@ EXIT_NO_WITNESS = 4
 DIGITS = 15
 CSV_HEADER = ("command", "m", "lambda", "lo", "hi", "depth", "certified", "mode")
 _GRID_SCALE = 10**9
+_CERTIFIED = {"true": True, "false": False, "": None}  # CSV text of OutputRecord.certified
+_MODES = tuple(mode.value for mode in EvalMode)
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,14 @@ class OutputRecord:
     depth: int
     certified: bool | None
     mode: str
+
+    def __post_init__(self) -> None:
+        if (
+            type(self.depth) is not int
+            or type(self.certified) not in (bool, type(None))
+            or self.mode not in _MODES
+        ):
+            raise ValueError(f"record field emit never writes: {self}")
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -157,7 +166,7 @@ def emit(records: Iterable[OutputRecord], fmt: str) -> str:
 
 
 def parse_records(text: str, fmt: str) -> list[OutputRecord]:
-    """Inverse of emit, used by the round-trip checks."""
+    """Inverse of emit, used by the round-trip checks; rejects what emit never writes."""
     records = []
     if fmt == "json":
         for line in text.splitlines():
@@ -170,7 +179,7 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
                     inputs=dict(obj["inputs"]),
                     lo=obj["lo"],
                     hi=obj["hi"],
-                    depth=int(obj["depth"]),
+                    depth=obj["depth"],
                     certified=obj["certified"],
                     mode=obj["mode"],
                 )
@@ -181,6 +190,8 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
         raise ValueError("missing or malformed CSV header")
     for row in rows[1:]:
         command, m, lam, lo, hi, depth, cert, mode = row
+        if str(int(depth)) != depth or cert not in _CERTIFIED:
+            raise ValueError(f"record field emit never writes: {row}")
         inputs = {}
         if m:
             inputs["m"] = m
@@ -193,7 +204,7 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
                 lo=lo,
                 hi=hi,
                 depth=int(depth),
-                certified=None if cert == "" else cert == "true",
+                certified=_CERTIFIED[cert],
                 mode=mode,
             )
         )
@@ -305,58 +316,45 @@ def _require_m(args):
     return args.m
 
 
-def _cmd_check(args):
-    max_depth = args.max_depth
-    tol = _tol(args)
-    claim = args.claim
-    if claim == "reciprocal":
-        try:
-            report = check_reciprocal(
-                args.lam, tol, max_depth=max_depth, tighten_limit=args.max_tighten
-            )
-        except InconclusiveError as exc:
-            rec = record_from_enclosure(
-                "check-reciprocal", {"lambda": args.lam}, exc.left, certified=False
-            )
-            return EXIT_INCONCLUSIVE, [rec]
-        rec = record_from_enclosure(
-            "check-reciprocal", {"lambda": args.lam}, report.left, certified=True
-        )
-        return EXIT_OK, [rec]
+def _check_rows(claim: str, point: CFPoint, tol, max_depth: int, cap: int | None):
+    """Whether ``claim`` certifies at ``point``, and the (command, enclosure)
+    rows a check of it prints.
 
-    point = CFPoint(_require_m(args), args.lam)
-    inputs = {"m": point.m, "lambda": point.lam}
-    if claim == "sandwich":
-        try:
-            upper, lower = check_sandwich(
-                point, tol, max_depth=max_depth, tighten_limit=args.max_tighten
-            )
-        except InconclusiveError as exc:  # the row of the half that fails
-            lower = exc.claim is Claim.SANDWICH_LOWER
-            half, enc = ("lower", exc.right) if lower else ("upper", exc.left)
-            rec = record_from_enclosure(f"check-sandwich-{half}", inputs, enc, certified=False)
-            return EXIT_INCONCLUSIVE, [rec]
-        return EXIT_OK, [
-            record_from_enclosure("check-sandwich-upper", inputs, upper.left, certified=True),
-            record_from_enclosure("check-sandwich-lower", inputs, lower.right, certified=True),
-        ]
-    if claim == "functional":
-        report = check_functional_equation(point, tol, max_depth=max_depth)
-        rec = record_from_enclosure("check-functional", inputs, report.left, certified=True)
-        return EXIT_OK, [rec]
-    if claim == "above-one":
-        try:
-            report = check_g_above_one(
-                point, tol, max_depth=max_depth, tighten_limit=args.max_tighten
-            )
-        except InconclusiveError as exc:
-            rec = record_from_enclosure(
-                "check-above-one", inputs, exc.left, certified=False
-            )
-            return EXIT_INCONCLUSIVE, [rec]
-        rec = record_from_enclosure("check-above-one", inputs, report.left, certified=True)
-        return EXIT_OK, [rec]
-    raise DomainError(f"unknown claim {claim!r}")
+    A certified sandwich prints G(m+1, lam) of the upper half and G(m, lam)
+    of the lower one; an inconclusive one prints only the half that fails.
+    The reciprocal claim is about ``point`` = (0, lam) and prints G(0, lam);
+    every other claim prints G(m, lam).
+    """
+    try:
+        if claim == "sandwich":
+            upper, lower = check_sandwich(point, tol, max_depth=max_depth, tighten_limit=cap)
+            return True, [
+                ("check-sandwich-upper", upper.left),
+                ("check-sandwich-lower", lower.right),
+            ]
+        if claim == "functional":
+            report = check_functional_equation(point, tol, max_depth=max_depth)
+        elif claim == "above-one":
+            report = check_g_above_one(point, tol, max_depth=max_depth, tighten_limit=cap)
+        else:
+            report = check_reciprocal(point.lam, tol, max_depth=max_depth, tighten_limit=cap)
+    except InconclusiveError as exc:
+        if exc.claim is Claim.SANDWICH_LOWER:
+            return False, [("check-sandwich-lower", exc.right)]
+        half = "-upper" if claim == "sandwich" else ""
+        return False, [(f"check-{claim}{half}", exc.left)]
+    return True, [(f"check-{claim}", report.left)]
+
+
+def _cmd_check(args):
+    reciprocal = args.claim == "reciprocal"
+    point = CFPoint(0 if reciprocal else _require_m(args), args.lam)
+    certified, rows = _check_rows(
+        args.claim, point, _tol(args), args.max_depth, args.max_tighten
+    )
+    inputs = {"lambda": point.lam} if reciprocal else {"m": point.m, "lambda": point.lam}
+    records = [record_from_enclosure(cmd, inputs, enc, certified=certified) for cmd, enc in rows]
+    return (EXIT_OK if certified else EXIT_INCONCLUSIVE), records
 
 
 def _cmd_alpha(args):
@@ -521,6 +519,21 @@ def main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+_CLAIMS = {
+    "check-sandwich-upper": "sandwich",
+    "check-sandwich-lower": "sandwich",
+    "check-functional": "functional",
+    "check-above-one": "above-one",
+    "check-reciprocal": "reciprocal",
+}
+_ROWS = (
+    "eval", "scan", "alpha-lo", "alpha-hi", "alpha-mid",
+    "witness-g1", "witness-g2", "oracle-cf", "oracle-series", *_CLAIMS,
+)
+# the CLI prints each pair's first row directly before its partner
+_PAIRS = {"witness-g1": "witness-g2", "oracle-cf": "oracle-series"}
+
+
 def _parsed_interval(rec: OutputRecord) -> tuple[Fraction, Fraction]:
     lo, hi = Fraction(rec.lo), Fraction(rec.hi)
     if lo > hi:
@@ -529,192 +542,149 @@ def _parsed_interval(rec: OutputRecord) -> tuple[Fraction, Fraction]:
 
 
 def _rec_point(rec: OutputRecord) -> CFPoint:
-    return CFPoint(Fraction(rec.inputs["m"]), Fraction(rec.inputs["lambda"]))
+    """The point a row is about; a reciprocal row prints no m and is about (0, lam)."""
+    m = 0 if rec.command == "check-reciprocal" else rec.inputs["m"]
+    return CFPoint(Fraction(m), Fraction(rec.inputs["lambda"]))
 
 
-def _printed_point(rec: OutputRecord) -> CFPoint:
-    """The point whose G a check row printed: (m + 1, lam) for the upper
-    sandwich half, (0, lam) for the reciprocal claim, (m, lam) otherwise."""
-    if rec.command == "check-reciprocal":
-        return CFPoint(0, Fraction(rec.inputs["lambda"]))
-    point = _rec_point(rec)
-    return point.shifted() if rec.command == "check-sandwich-upper" else point
+def _recertified(rec: OutputRecord) -> bool:
+    """Whether a row is checked by certifying its claim again, not by re-evaluation."""
+    return rec.command in _CLAIMS and bool(rec.certified)
 
 
-def _regenerate_exact(rec: OutputRecord, point: CFPoint) -> Enclosure:
-    """Exact-mode rows are a pure function of (point, depth): rebuild and compare."""
-    enc = _exact_at(point, rec.depth)
-    if decimal_down(enc.lo) != rec.lo or decimal_up(enc.hi) != rec.hi:
-        raise ValueError(f"exact row does not regenerate: {rec}")
-    return enc
-
-
-_ENCLOSURE_ROWS = ("eval", "scan", "alpha-mid", "witness-g1", "witness-g2", "oracle-cf")
-
-_CLAIMS = {
-    "check-sandwich-upper": "sandwich",
-    "check-sandwich-lower": "sandwich",
-    "check-functional": "functional",
-    "check-above-one": "above-one",
-    "check-reciprocal": "reciprocal",
-}
-
-
-def _check_depth(rec: OutputRecord, max_depth: int) -> None:
-    """Reject a depth that no evaluation returns, before any work runs on it.
-
-    The depth drives a recurrence for exact enclosure rows and uncertified
-    exact check rows (rebuilt at it), for alpha endpoint rows of either mode
-    (a directed one is decided at depth + 1) and for series rows (re-summed
-    to it); other rows ignore it.
-    """
-    enclosure_row = rec.command in _ENCLOSURE_ROWS or (
-        rec.command in _CLAIMS and not rec.certified
-    )
-    if rec.command == "oracle-series":
-        limit = MAX_TERMS
-    elif rec.command in ("alpha-lo", "alpha-hi") or (
-        enclosure_row and rec.mode == EvalMode.EXACT.value
-    ):
-        limit = max_depth
-    else:
-        return
-    if not 1 <= rec.depth <= limit:
-        raise ValueError(f"{rec.command} depth outside [1, {limit}]: {rec}")
-
-
-def _endpoint_side(rec: OutputRecord, max_depth: int) -> int:
-    """Side of G relative to 1 at an alpha endpoint row, from the row's own depth.
-
-    An exact row rebuilds, from its depth, the very enclosure it printed.  A
-    directed pass at depth n encloses the exact tail pair (n, n+1), so the
-    exact enclosure at depth n + 1 decides whatever the row decided.  At small
-    lam those exact numerators are large, so a directed re-evaluation at the
-    default tolerance is tried first; any side it certifies is rigorous too.
-    """
-    point = _rec_point(rec)
-    if rec.mode == EvalMode.EXACT.value:
-        enc = _regenerate_exact(rec, point)
-    else:
-        side, _ = classify_vs_one(point, DEFAULT_TOL, max_depth=max_depth)
-        if side != 0:
-            return side
-        enc = _exact_at(point, rec.depth + 1)
+def _side(enc: Enclosure) -> int:
     return -1 if enc.hi < 1 else 1 if enc.lo > 1 else 0
 
 
-def _recheck_enclosure(rec: OutputRecord, max_depth: int, point: CFPoint) -> None:
-    """The printed interval must meet a fresh enclosure of G(point).
+def _validate(records: list[OutputRecord], max_depth: int) -> None:
+    """Reject an unknown command or a depth that no evaluation returns.
 
-    A row printed not converged re-evaluates out of budget too; the best
-    enclosure then reached is still rigorous, so the check runs against it.
+    A depth is range-checked where re-verification uses it: series rows are
+    re-summed to it, other exact rows are rebuilt at it unless they are
+    re-certified, and a directed alpha endpoint may be decided at depth + 1.
     """
+    for rec in records:
+        if rec.command not in _ROWS:
+            raise ValueError(f"unknown record command: {rec.command}")
+        if rec.command == "oracle-series":
+            limit = MAX_TERMS
+        elif rec.command in ("alpha-lo", "alpha-hi") or (
+            rec.mode == EvalMode.EXACT.value and not _recertified(rec)
+        ):
+            limit = max_depth
+        else:
+            continue
+        if not 1 <= rec.depth <= limit:
+            raise ValueError(f"{rec.command} depth outside [1, {limit}]: {rec}")
+
+
+def _check_pairs(records: list[OutputRecord]) -> None:
+    """A witness-g1 row must be directly followed by its witness-g2 row at the
+    same m, their printed intervals certifying a decrease in lambda; an
+    oracle-cf row must be directly followed by its oracle-series row at the
+    same point, their printed intervals meeting."""
+    for first, second in zip([None, *records], [*records, None]):
+        opens = first is not None and first.command in _PAIRS
+        closes = second is not None and second.command in _PAIRS.values()
+        if not (opens or closes):
+            continue
+        if not (opens and closes and second.command == _PAIRS[first.command]):
+            raise ValueError(f"pair row without its partner: {first if opens else second}")
+        p1, p2 = _rec_point(first), _rec_point(second)
+        (lo1, hi1), (lo2, hi2) = _parsed_interval(first), _parsed_interval(second)
+        if first.command == "witness-g1":
+            if p1.m != p2.m or not (p1.lam < p2.lam and lo1 > hi2):
+                raise ValueError(f"printed witness rows do not certify a decrease: {first}")
+        elif p1 != p2 or max(lo1, lo2) > min(hi1, hi2):
+            raise ValueError(f"printed oracle rows do not meet at one point: {first}")
+
+
+def _fresh_enclosure(rec: OutputRecord, max_depth: int) -> Enclosure:
+    """One fresh enclosure of the value a row printed.
+
+    The value is G(m+1, lam) for check-sandwich-upper, G(0, lam) for
+    check-reciprocal, the series quotient for oracle-series and G(m, lam)
+    for every other row.  Series rows are re-summed to their depth and exact
+    rows rebuilt at it, so they must also print the same digits.  A directed
+    row is evaluated again at DEFAULT_TOL; out of budget, its best enclosure,
+    still rigorous, stands in.
+    """
+    point = _rec_point(rec)
+    if rec.command == "check-sandwich-upper":
+        point = point.shifted()
+    if rec.command == "oracle-series":
+        if point.m.denominator != 1:
+            raise ValueError(f"series row needs an integer m: {rec}")
+        try:
+            enc = series_ratio(int(point.m), point.lam, rec.depth)
+        except TailNotBoundedError as exc:
+            raise ValueError(f"series row has no tail bound at its depth: {rec}") from exc
+    elif rec.mode == EvalMode.EXACT.value:
+        enc = _exact_at(point, rec.depth)
+    else:
+        try:
+            enc = evaluate(point, DEFAULT_TOL, mode="directed", max_depth=max_depth)
+        except (NotConvergedError, BudgetExceededError) as exc:
+            enc = exc.best
     lo, hi = _parsed_interval(rec)
-    mode = "exact" if rec.mode == EvalMode.EXACT.value else "directed"
-    try:
-        enc = evaluate(point, DEFAULT_TOL, mode=mode, max_depth=max_depth)
-    except (NotConvergedError, BudgetExceededError) as exc:
-        enc = exc.best
     if max(lo, enc.lo) > min(hi, enc.hi):
         raise ValueError(f"re-evaluation disjoint from printed interval: {rec}")
-    if mode == "exact":
-        _regenerate_exact(rec, point)
-
-
-def _claim_holds(
-    rec: OutputRecord,
-    max_depth: int,
-    sandwiches: dict[CFPoint, tuple[CheckReport, CheckReport]],
-) -> bool:
-    """Whether a check row's verdict reproduces; a certificate that fails raises.
-
-    A row printed uncertified (inconclusive) is not re-run: like an
-    enclosure row, its printed interval must meet a fresh enclosure of the
-    value it printed (_printed_point), and an exact one must rebuild from
-    its depth; a functional row never prints so.  Otherwise the claim is
-    certified afresh and the printed interval must meet the enclosure that
-    row printed: ``right`` of the lower sandwich report for a sandwich-lower
-    row, ``left`` of the report for every other row.  A sandwich pair is
-    certified once per point.
-    """
-    cmd = rec.command
-    if not rec.certified:
-        if cmd == "check-functional":
-            return False
-        _recheck_enclosure(rec, max_depth, _printed_point(rec))
-        return True
-    if cmd == "check-reciprocal":
-        lam = Fraction(rec.inputs["lambda"])
-        enc = check_reciprocal(lam, DEFAULT_TOL, max_depth=max_depth).left
-    elif cmd == "check-functional":
-        enc = check_functional_equation(_rec_point(rec), DEFAULT_TOL, max_depth=max_depth).left
-    elif cmd == "check-above-one":
-        enc = check_g_above_one(_rec_point(rec), DEFAULT_TOL, max_depth=max_depth).left
-    else:
-        point = _rec_point(rec)
-        if point not in sandwiches:
-            sandwiches[point] = check_sandwich(point, DEFAULT_TOL, max_depth=max_depth)
-        upper, lower = sandwiches[point]
-        enc = lower.right if cmd == "check-sandwich-lower" else upper.left
-    lo, hi = _parsed_interval(rec)
-    return max(lo, enc.lo) <= min(hi, enc.hi)
+    if (rec.command == "oracle-series" or rec.mode == EvalMode.EXACT.value) and (
+        decimal_down(enc.lo) != rec.lo or decimal_up(enc.hi) != rec.hi
+    ):
+        raise ValueError(f"row does not regenerate: {rec}")
+    return enc
 
 
 def reverify_records(
     records: list[OutputRecord], *, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> bool:
-    """Re-parse and re-certify emitted records; raises ValueError on any mismatch.
+    """Re-check emitted records; raises ValueError on any mismatch.
 
-    Certified verdicts are monotone in tolerance, so a True record must
-    re-certify; pair claims (witness, oracle, sandwich) are checked jointly.
-    Every depth is range-checked before any record is re-evaluated.  A check
-    row whose certificate comes back inconclusive or out of budget is a
-    mismatch too, and so is a row whose printed interval misses the fresh
-    enclosure of the value it printed.
+    One rule covers every row: it gets one fresh enclosure of the value it
+    printed, and its printed interval must meet it (_fresh_enclosure).
+    Verdicts are checked on top of that:
+
+    - a certified check row has its claim certified afresh at DEFAULT_TOL,
+      once per claim and point, and must meet the enclosure that gives the
+      row, in place of a fresh one; a claim that comes back inconclusive is
+      a mismatch, and so is an uncertified check-functional row;
+    - alpha-lo must lie below 1 and alpha-hi above it; a directed endpoint
+      that its enclosure leaves undecided goes to classify_vs_one, then to
+      the exact enclosure at depth + 1, which a directed pass at depth n
+      encloses;
+    - witness and oracle rows come in pairs (_check_pairs).
+
+    Commands and depths are checked before any row is evaluated.
     """
-    for rec in records:
-        _check_depth(rec, max_depth)
-    by_command = {rec.command: rec for rec in records}
-    sandwiches = {}  # the sandwich pair re-certified at each point
+    _validate(records, max_depth)
+    checks = {}  # (claim, point) -> _check_rows at DEFAULT_TOL
     for rec in records:
         cmd = rec.command
-        if cmd in _ENCLOSURE_ROWS:
-            _recheck_enclosure(rec, max_depth, _rec_point(rec))
-        elif cmd == "oracle-series":
-            _parsed_interval(rec)
+        if _recertified(rec):
+            claim, point = _CLAIMS[cmd], _rec_point(rec)
+            if (claim, point) not in checks:
+                checks[claim, point] = _check_rows(claim, point, DEFAULT_TOL, max_depth, None)
+            certified, rows = checks[claim, point]
+            lo, hi = _parsed_interval(rec)
+            enc = dict(rows).get(cmd)
+            if not certified or max(lo, enc.lo) > min(hi, enc.hi):
+                raise ValueError(f"{claim} verdict did not reproduce: {rec}")
+            continue
+        if cmd == "check-functional":
+            raise ValueError(f"functional verdict did not reproduce: {rec}")
+        enc = _fresh_enclosure(rec, max_depth)
+        if cmd not in ("alpha-lo", "alpha-hi"):
+            continue
+        side = _side(enc)
+        if side == 0 and rec.mode != EvalMode.EXACT.value:
             point = _rec_point(rec)
-            if point.m.denominator != 1:
-                raise ValueError(f"series row needs an integer m: {rec}")
-            try:
-                se = series_ratio(int(point.m), point.lam, rec.depth)
-            except TailNotBoundedError as exc:
-                raise ValueError(f"series row has no tail bound at its depth: {rec}") from exc
-            if decimal_down(se.lo) != rec.lo or decimal_up(se.hi) != rec.hi:
-                raise ValueError(f"series row does not regenerate: {rec}")
-        elif cmd in _CLAIMS:
-            try:
-                held = _claim_holds(rec, max_depth, sandwiches)
-            except (InconclusiveError, NotConvergedError, BudgetExceededError) as exc:
-                raise ValueError(f"{_CLAIMS[cmd]} verdict did not reproduce: {rec}") from exc
-            if not held:
-                raise ValueError(f"{_CLAIMS[cmd]} verdict did not reproduce: {rec}")
-        elif cmd in ("alpha-lo", "alpha-hi"):
-            want = -1 if cmd == "alpha-lo" else 1
-            if _endpoint_side(rec, max_depth) != want:
-                raise ValueError(f"alpha endpoint verdict did not reproduce: {rec}")
-        else:
-            raise ValueError(f"unknown record command: {cmd}")
-
-    g1, g2 = by_command.get("witness-g1"), by_command.get("witness-g2")
-    if g1 is not None and g2 is not None:
-        if not Fraction(g1.lo) > Fraction(g2.hi):
-            raise ValueError("printed witness intervals do not certify a decrease")
-    cf, se = by_command.get("oracle-cf"), by_command.get("oracle-series")
-    if cf is not None and se is not None:
-        lo1, hi1 = _parsed_interval(cf)
-        lo2, hi2 = _parsed_interval(se)
-        if max(lo1, lo2) > min(hi1, hi2):
-            raise ValueError("printed oracle intervals are disjoint")
+            side, _ = classify_vs_one(point, DEFAULT_TOL, max_depth=max_depth)
+            if side == 0:
+                side = _side(_exact_at(point, rec.depth + 1))
+        if side != (-1 if cmd == "alpha-lo" else 1):
+            raise ValueError(f"alpha endpoint verdict did not reproduce: {rec}")
+    _check_pairs(records)
     return True
 
 

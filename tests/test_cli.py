@@ -464,6 +464,105 @@ class TestRecordFormat:
         with pytest.raises(ValueError, match="disjoint"):
             reverify_records([moved])
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [(("alpha", "--lambda", "1/100"), EXIT_INCONCLUSIVE),
+         (("alpha", "--lambda", "1/100", "--g-tol", "1e-200", "--bracket-tol", "1e-1"), EXIT_OK)],
+    )
+    def test_reverify_directed_alpha_rows_meet_their_interval(self, capsys, argv, want):
+        code, out = run(capsys, *argv)
+        assert code == want
+        recs = parse_records(out, "csv")
+        assert {r.mode for r in recs} == {"directed-fixed-precision"}
+        assert reverify_records(recs)
+        for i, rec in enumerate(recs):
+            tampered = [*recs[:i], replace(rec, lo="500", hi="600"), *recs[i + 1:]]
+            with pytest.raises(ValueError, match="disjoint"):
+                reverify_records(tampered)
+
+    def test_reverify_checks_every_pair_where_it_is_printed(self, capsys):
+        _, out = run(capsys, "witness", "--m", "0.1", "--grid-geom", "1/100000:1/65:12")
+        g1, g2 = parse_records(out, "csv")
+        assert g1.mode == g2.mode == "directed-fixed-precision"
+        _, out = run(capsys, "witness", "--m", "0.1")
+        witness = parse_records(out, "csv")
+        _, out = run(capsys, "oracle", "--m", "1", "--lambda", "1")
+        oracle = parse_records(out, "csv")
+        assert reverify_records([g1, g2, *witness, *oracle])
+        overlapping = [replace(g1, lo=g2.lo), g2]
+        for recs in (overlapping, [*overlapping, *witness]):
+            with pytest.raises(ValueError, match="do not certify a decrease"):
+                reverify_records(recs)
+        # genuine (m, lam) rows relabelled as witnesses: G(1, lam) rises from
+        # lam = 1 to lam = 2, and the other pair sits at two values of m
+        for points in ((("1", "2"), ("1", "1")), (("3", "1"), ("1", "2"))):
+            rows = []
+            for m, lam in points:
+                _, out = run(capsys, "eval", "--m", m, "--lambda", lam)
+                rows += parse_records(out, "csv")
+            assert reverify_records(rows)
+            rows = [replace(r, command=c) for r, c in zip(rows, ("witness-g1", "witness-g2"))]
+            with pytest.raises(ValueError, match="do not certify a decrease"):
+                reverify_records(rows)
+        for recs in ([g1], [g2], [g2, g1], [g1, *oracle, g2], oracle[:1], oracle[1:],
+                     oracle[::-1]):
+            with pytest.raises(ValueError, match="without its partner"):
+                reverify_records(recs)
+
+    @pytest.mark.parametrize(
+        "fmt, old, new",
+        [("json", '"depth": 7', '"depth": 7.9'),
+         ("json", '"depth": 7', '"depth": "7"'),
+         ("json", '"depth": 7', '"depth": true'),
+         ("json", '"certified": null', '"certified": "no"'),
+         ("json", '"certified": null', '"certified": 0'),
+         ("json", '"mode": "exact"', '"mode": "fast"'),
+         ("csv", ",7,,exact", ",+7,,exact"),
+         ("csv", ",7,,exact", ",7_0,,exact"),
+         ("csv", ",7,,exact", ", 7,,exact"),
+         ("csv", ",7,,exact", ",7,no,exact"),
+         ("csv", ",7,,exact", ",7,,fast")],
+    )
+    def test_parse_rejects_fields_emit_never_writes(self, capsys, fmt, old, new):
+        _, out = run(capsys, "eval", "--m", "1", "--lambda", "1", "--tol", "1e-9",
+                     "--format", fmt)
+        assert old in out
+        assert reverify_records(parse_records(out, fmt))
+        with pytest.raises(ValueError):
+            parse_records(out.replace(old, new), fmt)
+
+    def test_exact_rows_reverify_without_evaluating(self, capsys, monkeypatch):
+        import cfcert.cli as cli
+
+        rows = []
+        for argv in (("eval", "--m", "1/3", "--lambda", "7/5", "--tol", "1e-20"),
+                     ("scan", "--m=-1/2", "--grid-geom", "1/8:4:6"),
+                     ("alpha", "--lambda", "1/2"),
+                     ("witness", "--m", "0.1"),
+                     ("oracle", "--m", "2", "--lambda", "1/3", "--tol", "1e-15")):
+            code, out = run(capsys, *argv)
+            assert code == EXIT_OK
+            rows += parse_records(out, "csv")
+        assert {r.mode for r in rows} == {"exact"}
+        _, out = run(capsys, "eval", "--m", "1", "--lambda", "1/100")
+        (directed,) = parse_records(out, "csv")
+        assert directed.mode == "directed-fixed-precision"
+        original, calls = cli.evaluate, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", counting)
+        assert reverify_records(rows)
+        assert calls == []
+        assert reverify_records([directed])
+        assert len(calls) == 1
+        # commands are checked before any row is evaluated
+        with pytest.raises(ValueError, match="unknown record command"):
+            reverify_records([directed, replace(directed, command="evaluate")])
+        assert len(calls) == 1
+
     def test_directed_rounding_of_decimals(self):
         third = Fraction(1, 3)
         lo, hi = decimal_down(third), decimal_up(third)
