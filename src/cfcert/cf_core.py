@@ -14,9 +14,10 @@ the shift identity G(m, lam) = m*lam + 1/G(m+1, lam).
 
 Two modes are provided.  Exact mode runs the convergent recurrence over big
 rationals; it is the reference semantics.  Directed mode runs a backward
-interval pass in dyadic arithmetic with outward rounding, at a precision of
-at least 128 bits worked out from tol and the point, for small lam where
-exact numerators get impractically large.
+interval pass over integers scaled by D * 2**bits (D = b*d at m = a/b,
+lam = c/d), where every term is exact and only the reciprocals round,
+outward; bits is at least 128, and 64 past 1/tol.  It serves small lam,
+where exact numerators get impractically large.
 
 The one setting is the depth budget ``max_depth`` (at least 1): every
 evaluation stops there, and every layer above takes it as a keyword.
@@ -314,37 +315,26 @@ def _width_bound(lam: Fraction, depth: int) -> tuple[int, int] | None:
 
 def _directed_tail(
     a: int, b: int, c: int, big_d: int, depth: int, bits: int
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Backward interval pass over the tail terms u_j / D, u_j = (a + j*b) * c.
 
-    Bounds are integers scaled by 2**bits; every rounding is outward, so the
-    returned [lo, hi] (divided by 2**bits) rigorously contains the tail value.
-    The seed uses T_depth in (x_depth, x_depth + 1/x_{depth+1}).
-
-    Term j rounds down to q and up to q + (r != 0), where
-    (q, r) = divmod(u_j << bits, D).  Stepping j down subtracts the fixed
-    divmod(du << bits, D) with a borrow, so the loop never divides by D.
+    Returns integers (lo, hi, S) with lo/S <= tail value <= hi/S, where
+    S = D * 2**bits.  At that scale every term u_j / D is the exact integer
+    u_j << bits, so no term rounds.  Only the reciprocals round, outward:
+    1/(hi/S) is S*S/hi at scale S and rounds down, 1/(lo/S) rounds up.  The
+    seed uses T_depth in (x_depth, x_depth + 1/x_{depth+1}).
     """
-    sq = 1 << (2 * bits)
-    du = b * c
-    u = (a + depth * b) * c
-    # terms grow with j, so the j = 0 term is the first to round to zero;
-    # eval_directed sizes ``bits`` so that it never does
-    if ((a * c) << bits) // big_d <= 0:
-        raise AssertionError("tail term rounds to zero")
-    dq, dr = divmod(du << bits, big_d)
-    q, r = divmod(u << bits, big_d)
-    x_next = ((u + du) << bits) // big_d
-    lo, hi = q, q + (r != 0) + (-(-sq // x_next))
+    scale = big_d << bits
+    sq = scale * scale
+    sq1 = sq - 1  # ceil(sq / x) = (sq - 1) // x + 1
+    step = (b * c) << bits
+    t = ((a + depth * b) * c) << bits
+    lo, hi = t, t + sq1 // (t + step) + 1
     for _ in range(depth):
-        q -= dq
-        r -= dr
-        if r < 0:
-            q -= 1
-            r += big_d
+        t -= step
         # old hi feeds the new lower bound and vice versa (reciprocal flips order)
-        lo, hi = q + sq // hi, q + (r != 0) + (-(-sq // lo))
-    return lo, hi
+        lo, hi = t + sq // hi, t + sq1 // lo + 1
+    return lo, hi, scale
 
 
 def _depth_guess(lam: Fraction, tol: Fraction) -> int:
@@ -370,13 +360,14 @@ def eval_directed(
 ) -> Enclosure:
     """Directed-rounding enclosure of G(point), for deep (small lam) evaluation.
 
-    Same bracketing contract as eval_enclosure, but all tail arithmetic is
-    fixed-precision with lower bounds rounded down and upper bounds rounded
-    up, so the result remains rigorous at any depth.  Its precision is
-    DEFAULT_PRECISION_BITS, raised to 64 bits past 1/tol (rounding stays far
-    below the width) and past D/(a*c), the first term's inverse (no term
-    rounds to zero).  Raises NotConvergedError with the best enclosure
-    attached when the width is still above tol at ``max_depth``.
+    Same bracketing contract as eval_enclosure, but the tail runs on integers
+    scaled by D * 2**bits (see _directed_tail): the terms are exact, and the
+    reciprocal that feeds each lower bound rounds down and the one that
+    feeds each upper bound rounds up, so the result remains rigorous at any
+    depth.  bits is DEFAULT_PRECISION_BITS, raised to 64 past 1/tol so that
+    rounding stays far below the width.  Raises NotConvergedError with the
+    best enclosure attached when the width is still above tol at
+    ``max_depth``.
     """
     tol = as_fraction(tol)
     if tol <= 0:
@@ -387,14 +378,12 @@ def eval_directed(
     c = point.lam.numerator
     big_d = b * point.lam.denominator
     tol_bits = (tol.denominator // tol.numerator).bit_length()
-    inverse_first_term_bits = big_d.bit_length() - (a * c).bit_length()
-    bits = max(DEFAULT_PRECISION_BITS, 64 + max(tol_bits, inverse_first_term_bits))
-    one = 1 << bits
+    bits = max(DEFAULT_PRECISION_BITS, 64 + tol_bits)
     best: Enclosure | None = None
     depth = min(_depth_guess(point.lam, tol), max_depth)
     while True:
-        t_lo, t_hi = _directed_tail(a, b, c, big_d, depth, bits)
-        enc = _from_tail(point, (t_lo, one), (t_hi, one), depth, EvalMode.DIRECTED)
+        t_lo, t_hi, scale = _directed_tail(a, b, c, big_d, depth, bits)
+        enc = _from_tail(point, (t_lo, scale), (t_hi, scale), depth, EvalMode.DIRECTED)
         if best is not None:
             # successive passes both contain G, so the intersection does too
             enc = Enclosure(

@@ -81,7 +81,9 @@ class OutputRecord:
 
     def __post_init__(self) -> None:
         if (
-            type(self.depth) is not int
+            type(self.inputs) is not dict
+            or any(type(v) is not str for v in (self.lo, self.hi, *self.inputs.values()))
+            or type(self.depth) is not int
             or type(self.certified) not in (bool, type(None))
             or self.mode not in _MODES
         ):
@@ -176,7 +178,7 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
             records.append(
                 OutputRecord(
                     command=obj["command"],
-                    inputs=dict(obj["inputs"]),
+                    inputs=obj["inputs"],
                     lo=obj["lo"],
                     hi=obj["hi"],
                     depth=obj["depth"],

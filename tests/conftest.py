@@ -109,32 +109,49 @@ def reference_enclosure(point: CFPoint, depth: int) -> tuple[Fraction, Fraction]
 def reference_directed_tail(
     a: int, b: int, c: int, big_d: int, depth: int, bits: int
 ) -> tuple[int, int]:
-    """Backward directed pass that divides by D afresh for every rounded term.
+    """Backward interval pass over the tail terms u_j / D, u_j = (a + j*b) * c.
 
-    Reference for the stepped rounding in cf_core._directed_tail: the two
-    must return the same scaled (lo, hi) for the same arguments.
+    Bounds are integers scaled by 2**bits; every rounding is outward, so the
+    returned [lo, hi] (divided by 2**bits) rigorously contains the tail value.
+    The seed uses T_depth in (x_depth, x_depth + 1/x_{depth+1}).
+
+    Term j rounds down to q and up to q + (r != 0), where
+    (q, r) = divmod(u_j << bits, D).  Stepping j down subtracts the fixed
+    divmod(du << bits, D) with a borrow, so the loop never divides by D.
+
+    Reference for cf_core._directed_tail, which replaced this fixed-point
+    kernel with one on exact terms over D * 2**bits.
     """
     sq = 1 << (2 * bits)
-
-    def down(u: int) -> int:
-        return (u << bits) // big_d
-
-    def up(u: int) -> int:
-        return -((-u << bits) // big_d)
-
     du = b * c
     u = (a + depth * b) * c
-    x_next = down(u + du)
-    lo = down(u)
-    if lo <= 0 or x_next <= 0:
+    # terms grow with j, so the j = 0 term is the first to round to zero;
+    # eval_directed sizes ``bits`` so that it never does
+    if ((a * c) << bits) // big_d <= 0:
         raise AssertionError("tail term rounds to zero")
-    hi = up(u) + (-(-sq // x_next))
+    dq, dr = divmod(du << bits, big_d)
+    q, r = divmod(u << bits, big_d)
+    x_next = ((u + du) << bits) // big_d
+    lo, hi = q, q + (r != 0) + (-(-sq // x_next))
     for _ in range(depth):
-        u -= du
-        xl = down(u)
-        if xl <= 0:
-            raise AssertionError("tail term rounds to zero")
-        lo, hi = xl + sq // hi, up(u) + (-(-sq // lo))
+        q -= dq
+        r -= dr
+        if r < 0:
+            q -= 1
+            r += big_d
+        # old hi feeds the new lower bound and vice versa (reciprocal flips order)
+        lo, hi = q + sq // hi, q + (r != 0) + (-(-sq // lo))
+    return lo, hi
+
+
+def exact_directed_tail(
+    a: int, b: int, c: int, big_d: int, depth: int
+) -> tuple[Fraction, Fraction]:
+    """The directed pass's interval in exact Fractions, from the same seed."""
+    x = [Fraction((a + j * b) * c, big_d) for j in range(depth + 2)]
+    lo, hi = x[depth], x[depth] + 1 / x[depth + 1]
+    for j in range(depth - 1, -1, -1):
+        lo, hi = x[j] + 1 / hi, x[j] + 1 / lo
     return lo, hi
 
 

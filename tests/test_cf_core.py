@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     ConvergentPair,
     advance,
+    exact_directed_tail,
     reference_convergents,
     reference_directed_tail,
     reference_enclosure,
@@ -30,6 +31,7 @@ from cfcert import (
 )
 from cfcert.cf_core import (
     _bit_floor,
+    _depth_guess,
     _directed_tail,
     _exact_at,
     _scaled_convergents,
@@ -396,8 +398,9 @@ class TestEvalDirected:
         assert best.lo < best.hi
 
     def test_first_term_far_below_default_precision(self):
-        # the first tail term (m + 1) * lam = 10**-55 needs about 183 bits, so
-        # the pass runs at 64 more; at a fixed 128 bits it would round to zero
+        # the first tail term (m + 1) * lam = 10**-55 lies far below 2**-128,
+        # but it is the exact integer u_0 << bits at the pass's scale
+        # D * 2**bits, so the default precision still gives a valid enclosure
         point = CFPoint(Fraction(-1) + Fraction(1, 10**50), Fraction(1, 10**5))
         tol = Fraction(1, 10**3)
         enc = eval_directed(point, tol)
@@ -436,6 +439,22 @@ class TestEvalDirected:
         assert enc.width <= tol
         assert enc.depth <= 4100 < DEFAULT_MAX_DEPTH
 
+    def test_single_pass_across_small_lam_sweep(self):
+        # small-lam-sweep's range: lam = k/10000019 log-spaced in [1e-5, 1/65];
+        # a second pass at double depth would show up in the bench's depth_sum
+        ks = [round(101 * (153846 / 101) ** (i / 24)) for i in range(25)]
+        lams = [Fraction(k, 10000019) for k in ks]
+        assert Fraction(1, 10**5) <= lams[0] and lams[-1] <= Fraction(1, 65)
+        tols = [Fraction(1, 10**e) for e in range(12, 31, 3)]
+        misses = [
+            (m, lam, tol)
+            for m in (Fraction(-1, 2), 0, Fraction(1, 3), 1, 5)
+            for lam in lams
+            for tol in tols
+            if eval_directed(CFPoint(m, lam), tol).depth != _depth_guess(lam, tol)
+        ]
+        assert misses == []
+
     @given(
         # dyadic b and lam make exact terms (remainder 0) that a shortcut would miss
         b=st.one_of(st.integers(min_value=1, max_value=10**13), st.just(2**40)),
@@ -447,18 +466,27 @@ class TestEvalDirected:
         depth=st.integers(min_value=0, max_value=200),
         bits=st.sampled_from([64, 128, 200]),
     )
+    # first terms 10**-25 and 10**-55, below 2**-64 and 2**-128: the old
+    # kernel rounds them to zero
+    @example(b=10**13, a_frac=Fraction(0), lam=Fraction(1, 10**12), depth=30, bits=64)
+    @example(b=10**50, a_frac=Fraction(0), lam=Fraction(1, 10**5), depth=200, bits=128)
     @settings(max_examples=100, deadline=None)
-    def test_stepped_rounding_matches_division_pass(self, b, a_frac, lam, depth, bits):
+    def test_exact_term_pass_contains_exact_pass(self, b, a_frac, lam, depth, bits):
         # shifted m = a/b lies in (0, 1], i.e. the original m in (-1, 0]
         a = max(1, int(a_frac * b))
         args = (a, b, lam.numerator, b * lam.denominator, depth, bits)
+        lo, hi, scale = _directed_tail(*args)
+        lo, hi = Fraction(lo, scale), Fraction(hi, scale)
+        exact_lo, exact_hi = exact_directed_tail(*args[:-1])
+        assert lo <= exact_lo <= exact_hi <= hi
         try:
-            expected = reference_directed_tail(*args)
-        except AssertionError:
-            with pytest.raises(AssertionError, match="rounds to zero"):
-                _directed_tail(*args)
+            old_lo, old_hi = reference_directed_tail(*args)
+        except AssertionError as exc:
+            # the old fixed-point kernel gave up where a term rounded to zero
+            assert "rounds to zero" in str(exc)
             return
-        assert _directed_tail(*args) == expected
+        one = 1 << bits
+        assert max(lo, Fraction(old_lo, one)) <= min(hi, Fraction(old_hi, one))
 
 
 class TestClosedForms:

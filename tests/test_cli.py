@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -530,6 +531,26 @@ class TestRecordFormat:
         assert reverify_records(parse_records(out, fmt))
         with pytest.raises(ValueError):
             parse_records(out.replace(old, new), fmt)
+
+    @pytest.mark.parametrize(
+        "edits",
+        [{"lo": 1.0, "hi": 2.0, "lambda": 0.01},
+         {"lo": 1.0},
+         {"hi": None},
+         {"m": 1},
+         {"lambda": ["1/100"]},
+         {"inputs": [["m", "1/1"], ["lambda", "1/100"]]},
+         {"inputs": "m=1/1"}],
+    )
+    def test_parse_rejects_json_values_emit_writes_as_strings(self, capsys, edits):
+        # a number such as 0.01 would be checked at its binary value, not 1/100
+        _, out = run(capsys, "eval", "--m", "1", "--lambda", "1/100", "--format", "json")
+        assert reverify_records(parse_records(out, "json"))
+        obj = json.loads(out)
+        for key, value in edits.items():
+            (obj if key in obj else obj["inputs"])[key] = value
+        with pytest.raises(ValueError, match="record field emit never writes"):
+            parse_records(json.dumps(obj), "json")
 
     def test_exact_rows_reverify_without_evaluating(self, capsys, monkeypatch):
         import cfcert.cli as cli
