@@ -9,11 +9,11 @@ gives up only at max_depth.  At a directed-routed lam classify_vs_one
 tightens the tolerance from g_tol by 10 per round, TIGHTEN_ROUNDS (8)
 rounds, and an evaluation out of depth budget decides from its best
 enclosure: running to the budget there needs widths near e^(-4/lam), which
-directed passes cannot afford.  A midpoint still undecided returns the
-current bracket flagged FLAG_INCONCLUSIVE instead of guessing, and one
-still too wide after max_iterations halvings is flagged FLAG_BUDGET.  The
-midpoint enclosure is the best one reached within the depth budget, and
-each end keeps the enclosure that decided it.
+directed passes cannot afford.  Bisection runs until the bracket is as
+narrow as asked; a midpoint still undecided, at max_depth or after
+TIGHTEN_ROUNDS, returns the current bracket flagged FLAG_INCONCLUSIVE
+instead of guessing.  The midpoint enclosure is the best one reached
+within the depth budget, and each end keeps the enclosure that decided it.
 
 At an exact-routed lam bisection usually starts near its end: a
 double-precision Newton estimate of alpha names the dyadic cell where the
@@ -44,7 +44,6 @@ from .errors import DomainError, InconclusiveError
 
 _BELOW, _STRADDLE, _ABOVE = -1, 0, 1
 
-FLAG_BUDGET = "budget-exceeded"
 FLAG_INCONCLUSIVE = "inconclusive-midpoint"
 
 
@@ -130,14 +129,14 @@ def find_alpha(
     g_tol: RationalLike = Fraction(1, 10**9),
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    max_iterations: int = 256,
 ) -> AlphaResult:
     """Bisect m over (0, 1) down to a certified bracket for the crossing.
 
     Each accepted step halves the bracket, so the final width is exactly
     2**-iterations.  The loop keeps going until the bracket is interior to
     (0, 1) and at most bracket_tol/4 wide (the extra factor keeps the
-    midpoint's G value well within g_tol of 1).
+    midpoint's G value well within g_tol of 1), or until a midpoint's side
+    stays undecided, which flags the result FLAG_INCONCLUSIVE.
 
     Every side of 1, the anchors' included, is decided once per point: when
     lam routes to exact mode by one walk of the exact recurrence
@@ -218,16 +217,13 @@ def find_alpha(
             # the cell the loop stops in, at most at level 32, which a double
             # resolves; the upper end stays <= 1/2 where alpha rounds to 1/2
             pk = pj = 0
-            while pj < min(32, max_iterations) and unfinished(pk, pj):
+            while pj < 32 and unfinished(pk, pj):
                 pj += 1
                 pk = min(int(est * (1 << pj)), (1 << (pj - 1)) - 1)
             if clear(pk + 1, pj, _ABOVE) and clear(pk, pj, _BELOW):
                 k, j = pk, pj
     flag = None
     while unfinished(k, j):
-        if j >= max_iterations:
-            flag = FLAG_BUDGET
-            break
         mid = 2 * k + 1  # the midpoint is mid / 2**(j + 1)
         side = side_at(mid, j + 1)[0]
         if side == _STRADDLE:

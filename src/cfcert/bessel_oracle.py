@@ -162,24 +162,21 @@ def cross_check(
     tol: RationalLike = DEFAULT_TOL,
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    max_terms: int = MAX_TERMS,
 ) -> CheckReport:
     """Certified-intersection test between the convergent and series enclosures.
 
     Disjoint enclosures would mean one engine is wrong and raise
     ViolationError.  The series truncation starts near 2/lam + 8 terms and
     doubles until its width fits tol; no truncation is longer than
-    max_terms, and BudgetExceededError is raised once one that long fails.
+    MAX_TERMS, and BudgetExceededError is raised once one that long fails.
     """
     _check_order(m)
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
     lam = as_fraction(lam)
     tol = as_fraction(tol)
     point = CFPoint(Fraction(m), lam)
     cf_enc = evaluate(point, tol, max_depth=max_depth)
     tol_num, tol_den = tol.numerator, tol.denominator
-    terms = min(max(8, (2 * lam.denominator) // lam.numerator + 8), max_terms)
+    terms = min(max(8, (2 * lam.denominator) // lam.numerator + 8), MAX_TERMS)
     while True:
         try:
             bounds = _series_bounds(m, lam, terms)
@@ -190,15 +187,15 @@ def cross_check(
             # width <= tol, with every denominator positive
             if (hi_num * lo_den - lo_num * hi_den) * tol_den <= tol_num * hi_den * lo_den:
                 break
-        if terms >= max_terms:
+        if terms >= MAX_TERMS:
             raise BudgetExceededError(
-                f"series width did not reach tol within {max_terms} terms",
+                f"series width did not reach tol within {MAX_TERMS} terms",
                 best=(
                     None if bounds is None
                     else _series_enclosure(bounds, terms).as_enclosure()
                 ),
             )
-        terms = min(2 * terms, max_terms)
+        terms = min(2 * terms, MAX_TERMS)
     oracle = _series_enclosure(bounds, terms).as_enclosure()
     overlap = min(cf_enc.hi, oracle.hi) - max(cf_enc.lo, oracle.lo)
     if overlap < 0:

@@ -8,10 +8,10 @@ root.  All certificates are interval statements: a strict inequality a < b
 is certified exactly when the enclosure of a lies entirely below the
 enclosure of b.  Overlapping enclosures are retried at tol/10, tol/100, ...
 (cf_core._tightened).  Every claim here is strict, so the retries give up
-only where an evaluation reaches the depth budget (its best enclosure is
-still rigorous) or the tighten_limit cap: enclosures that still overlap
-then raise Inconclusive carrying them.  An identity that fails outright
-raises Violation since it can only mean an arithmetic bug.
+only where an evaluation reaches the depth budget max_depth: its best
+enclosure is still rigorous, and enclosures that still overlap there raise
+Inconclusive carrying them.  An identity that fails outright raises
+Violation since it can only mean an arithmetic bug.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ def check_sandwich(
     tol: RationalLike = DEFAULT_TOL,
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    tighten_limit: int | None = None,
 ) -> tuple[CheckReport, CheckReport]:
     """Certify G(m+1, lam) > B(m, lam) > G(m, lam) for m >= 0.
 
@@ -119,7 +118,7 @@ def check_sandwich(
     """
     if point.m < 0:
         raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
-    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, tighten_limit, max_depth):
+    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, None, max_depth):
         bound = theorem_bound(point, t)
         if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
             upper = CheckReport(
@@ -181,13 +180,12 @@ def check_g_above_one(
     tol: RationalLike = DEFAULT_TOL,
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    tighten_limit: int | None = None,
 ) -> CheckReport:
     """Certify G(m, lam) > 1 for m >= 1."""
     if point.m < 1:
         raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
     unit = Enclosure(lo=ONE, hi=ONE, depth=0, mode=EvalMode.EXACT)
-    for _, (enc,) in _tightened([point], tol, tighten_limit, max_depth):
+    for _, (enc,) in _tightened([point], tol, None, max_depth):
         if enc.lo > 1:
             return CheckReport(
                 point=point,
@@ -209,7 +207,6 @@ def check_reciprocal(
     tol: RationalLike = DEFAULT_TOL,
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    tighten_limit: int | None = None,
 ) -> CheckReport:
     """Certify G(0, lam) * G(1, lam) = 1 (as an interval statement) and G(0, lam) < 1.
 
@@ -218,7 +215,7 @@ def check_reciprocal(
     """
     lam = as_fraction(lam)
     p0 = CFPoint(Fraction(0), lam)
-    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, tighten_limit, max_depth):
+    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, None, max_depth):
         if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
             raise ViolationError(
                 f"product interval excludes 1 at lam={lam}: {g0} * {g1}"

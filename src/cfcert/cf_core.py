@@ -429,13 +429,12 @@ def _tightened(
     """Enclosures of G at ``points``, at tol, tol/10, ..., tol/10**rounds.
 
     Yields (t, enclosures) per tolerance, evaluating the points in order;
-    the caller stops when its predicate decides.  ``rounds`` must be >= 0,
-    or None for no cap.  An evaluation out of budget contributes its best
-    enclosure, which is still rigorous, and makes that tolerance the last
-    one, since no tighter tolerance can go deeper.
+    the caller stops when its predicate decides.  ``rounds`` is 0 for one
+    evaluation, TIGHTEN_ROUNDS for classify_vs_one's directed schedule, or
+    None to go on until the depth budget.  An evaluation out of budget
+    contributes its best enclosure, which is still rigorous, and makes that
+    tolerance the last one, since no tighter tolerance can go deeper.
     """
-    if rounds is not None and rounds < 0:
-        raise DomainError(f"tighten limit must be >= 0, got {rounds}")
     t = as_fraction(tol)
     for k in count():
         last = k == rounds

@@ -24,7 +24,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable
 
-from .alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE, classify_vs_one, find_alpha
+from .alpha_root import classify_vs_one, find_alpha
 from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
 from .bounds import (
     Claim,
@@ -289,12 +289,6 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _cap_arg(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
-    return int(text)
-
-
 def _tol(args) -> Fraction:
     return DEFAULT_TOL if args.tol is None else args.tol
 
@@ -318,7 +312,7 @@ def _require_m(args):
     return args.m
 
 
-def _check_rows(claim: str, point: CFPoint, tol, max_depth: int, cap: int | None):
+def _check_rows(claim: str, point: CFPoint, tol, max_depth: int):
     """Whether ``claim`` certifies at ``point``, and the (command, enclosure)
     rows a check of it prints.
 
@@ -329,7 +323,7 @@ def _check_rows(claim: str, point: CFPoint, tol, max_depth: int, cap: int | None
     """
     try:
         if claim == "sandwich":
-            upper, lower = check_sandwich(point, tol, max_depth=max_depth, tighten_limit=cap)
+            upper, lower = check_sandwich(point, tol, max_depth=max_depth)
             return True, [
                 ("check-sandwich-upper", upper.left),
                 ("check-sandwich-lower", lower.right),
@@ -337,9 +331,9 @@ def _check_rows(claim: str, point: CFPoint, tol, max_depth: int, cap: int | None
         if claim == "functional":
             report = check_functional_equation(point, tol, max_depth=max_depth)
         elif claim == "above-one":
-            report = check_g_above_one(point, tol, max_depth=max_depth, tighten_limit=cap)
+            report = check_g_above_one(point, tol, max_depth=max_depth)
         else:
-            report = check_reciprocal(point.lam, tol, max_depth=max_depth, tighten_limit=cap)
+            report = check_reciprocal(point.lam, tol, max_depth=max_depth)
     except InconclusiveError as exc:
         if exc.claim is Claim.SANDWICH_LOWER:
             return False, [("check-sandwich-lower", exc.right)]
@@ -351,9 +345,7 @@ def _check_rows(claim: str, point: CFPoint, tol, max_depth: int, cap: int | None
 def _cmd_check(args):
     reciprocal = args.claim == "reciprocal"
     point = CFPoint(0 if reciprocal else _require_m(args), args.lam)
-    certified, rows = _check_rows(
-        args.claim, point, _tol(args), args.max_depth, args.max_tighten
-    )
+    certified, rows = _check_rows(args.claim, point, _tol(args), args.max_depth)
     inputs = {"lambda": point.lam} if reciprocal else {"m": point.m, "lambda": point.lam}
     records = [record_from_enclosure(cmd, inputs, enc, certified=certified) for cmd, enc in rows]
     return (EXIT_OK if certified else EXIT_INCONCLUSIVE), records
@@ -375,11 +367,8 @@ def _cmd_alpha(args):
             "alpha-mid", {"m": result.midpoint, "lambda": result.lam}, result.g_at_mid
         ),
     ]
-    if result.flag == FLAG_INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE, records
-    if result.flag == FLAG_BUDGET:
-        return EXIT_NOT_CONVERGED, records
-    return EXIT_OK, records
+    # find_alpha flags only a midpoint it could not decide
+    return (EXIT_OK if result.flag is None else EXIT_INCONCLUSIVE), records
 
 
 def _cmd_scan(args):
@@ -461,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=("sandwich", "functional", "above-one", "reciprocal"))
     p.add_argument("--m", type=_fraction_arg, default=None)
     p.add_argument("--lambda", dest="lam", type=_fraction_arg, required=True)
-    p.add_argument("--max-tighten", type=_cap_arg, default=None,
-                   help="cap the tolerance-tightening rounds (default: until the depth budget)")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("alpha", parents=[common], help="bracket the m where G crosses 1")
@@ -549,11 +536,6 @@ def _rec_point(rec: OutputRecord) -> CFPoint:
     return CFPoint(Fraction(m), Fraction(rec.inputs["lambda"]))
 
 
-def _recertified(rec: OutputRecord) -> bool:
-    """Whether a row is checked by certifying its claim again, not by re-evaluation."""
-    return rec.command in _CLAIMS and bool(rec.certified)
-
-
 def _side(enc: Enclosure) -> int:
     return -1 if enc.hi < 1 else 1 if enc.lo > 1 else 0
 
@@ -562,17 +544,15 @@ def _validate(records: list[OutputRecord], max_depth: int) -> None:
     """Reject an unknown command or a depth that no evaluation returns.
 
     A depth is range-checked where re-verification uses it: series rows are
-    re-summed to it, other exact rows are rebuilt at it unless they are
-    re-certified, and a directed alpha endpoint may be decided at depth + 1.
+    re-summed to it, other exact rows are rebuilt at it, and a directed alpha
+    endpoint may be decided at depth + 1.
     """
     for rec in records:
         if rec.command not in _ROWS:
             raise ValueError(f"unknown record command: {rec.command}")
         if rec.command == "oracle-series":
             limit = MAX_TERMS
-        elif rec.command in ("alpha-lo", "alpha-hi") or (
-            rec.mode == EvalMode.EXACT.value and not _recertified(rec)
-        ):
+        elif rec.command in ("alpha-lo", "alpha-hi") or rec.mode == EvalMode.EXACT.value:
             limit = max_depth
         else:
             continue
@@ -644,36 +624,33 @@ def reverify_records(
     """Re-check emitted records; raises ValueError on any mismatch.
 
     One rule covers every row: it gets one fresh enclosure of the value it
-    printed, and its printed interval must meet it (_fresh_enclosure).
-    Verdicts are checked on top of that:
+    printed, and its printed interval must meet it (_fresh_enclosure); exact
+    and series rows must also regenerate their digits.  Verdicts are checked
+    on top of that:
 
     - a certified check row has its claim certified afresh at DEFAULT_TOL,
-      once per claim and point, and must meet the enclosure that gives the
-      row, in place of a fresh one; a claim that comes back inconclusive is
-      a mismatch, and so is an uncertified check-functional row;
+      once per claim and point, before its fresh enclosure; a claim that
+      comes back inconclusive is a mismatch, and so is an uncertified
+      check-functional row;
     - alpha-lo must lie below 1 and alpha-hi above it; a directed endpoint
-      that its enclosure leaves undecided goes to classify_vs_one, then to
-      the exact enclosure at depth + 1, which a directed pass at depth n
-      encloses;
+      that its fresh DEFAULT_TOL enclosure leaves undecided goes to
+      classify_vs_one from DEFAULT_TOL / 10, then to the exact enclosure at
+      depth + 1, which a directed pass at depth n encloses;
     - witness and oracle rows come in pairs (_check_pairs).
 
     Commands and depths are checked before any row is evaluated.
     """
     _validate(records, max_depth)
-    checks = {}  # (claim, point) -> _check_rows at DEFAULT_TOL
+    certifies = {}  # (claim, point) -> whether it certifies at DEFAULT_TOL
     for rec in records:
         cmd = rec.command
-        if _recertified(rec):
+        if cmd in _CLAIMS and rec.certified:
             claim, point = _CLAIMS[cmd], _rec_point(rec)
-            if (claim, point) not in checks:
-                checks[claim, point] = _check_rows(claim, point, DEFAULT_TOL, max_depth, None)
-            certified, rows = checks[claim, point]
-            lo, hi = _parsed_interval(rec)
-            enc = dict(rows).get(cmd)
-            if not certified or max(lo, enc.lo) > min(hi, enc.hi):
+            if (claim, point) not in certifies:
+                certifies[claim, point] = _check_rows(claim, point, DEFAULT_TOL, max_depth)[0]
+            if not certifies[claim, point]:
                 raise ValueError(f"{claim} verdict did not reproduce: {rec}")
-            continue
-        if cmd == "check-functional":
+        elif cmd == "check-functional":
             raise ValueError(f"functional verdict did not reproduce: {rec}")
         enc = _fresh_enclosure(rec, max_depth)
         if cmd not in ("alpha-lo", "alpha-hi"):
@@ -681,7 +658,8 @@ def reverify_records(
         side = _side(enc)
         if side == 0 and rec.mode != EvalMode.EXACT.value:
             point = _rec_point(rec)
-            side, _ = classify_vs_one(point, DEFAULT_TOL, max_depth=max_depth)
+            # _fresh_enclosure has just evaluated at DEFAULT_TOL
+            side, _ = classify_vs_one(point, DEFAULT_TOL / 10, max_depth=max_depth)
             if side == 0:
                 side = _side(_exact_at(point, rec.depth + 1))
         if side != (-1 if cmd == "alpha-lo" else 1):

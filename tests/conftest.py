@@ -29,9 +29,13 @@ from cfcert import (
     series_ratio,
 )
 from cfcert.bounds import theorem_bound
-from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_BUDGET, FLAG_INCONCLUSIVE
+from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
 from cfcert.cf_core import TIGHTEN_ROUNDS, _scaled_convergents, as_fraction
+
+#: reference_find_alpha's flag for a bracket still too wide after max_iterations
+#: halvings; find_alpha has no such cap and bisects until the bracket is narrow
+FLAG_BUDGET = "budget-exceeded"
 
 #: the checks' former give-up: tightening stopped once the tolerance reached it
 REFERENCE_TOL_FLOOR = Fraction(1, 10**30)

@@ -202,11 +202,8 @@ EXIT_TABLE = [
          "--max-depth", "50", "--tol", "1e-9"],
         2,
     ),
-    (
-        ["check", "sandwich", "--m", "0", "--lambda", "1", "--tol", "0.9",
-         "--max-tighten", "0"],
-        3,
-    ),
+    # G(0, 1) in [2/3, 1] at depth 1 touches B(0, 1) = 1
+    (["check", "sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"], 3),
     (["witness", "--m", "9/10", "--grid-list", "1,2"], 4),
 ]
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    FLAG_BUDGET,
     reference_classify_vs_one,
     reference_enclosure,
     reference_find_alpha,
@@ -32,7 +33,7 @@ from cfcert import (
     evaluate,
     find_alpha,
 )
-from cfcert.alpha_root import FLAG_BUDGET, FLAG_INCONCLUSIVE, classify_vs_one
+from cfcert.alpha_root import FLAG_INCONCLUSIVE, classify_vs_one
 from cfcert.cf_core import DIRECTED_LAMBDA_CUTOFF, _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
@@ -147,28 +148,40 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc), getattr(exc, "left", None)
 
 
-def assert_matches_reference(
-    lam, bracket_tol, g_tol, *, max_depth=DEFAULT_MAX_DEPTH, max_iterations=256
-):
+def assert_equal_or_narrower(got, want, bracket_tol):
+    """got equals want, unless want stopped at the reference's cap of
+    max_iterations halvings: find_alpha has no cap, so it bisects on from the
+    same path to an unflagged bracket inside want's, at most bracket_tol/4 wide.
+    """
+    if isinstance(want, AlphaResult) and want.flag == FLAG_BUDGET:
+        assert isinstance(got, AlphaResult) and got.flag is None
+        assert got.width <= Fraction(bracket_tol) / 4
+        assert want.m_lo <= got.m_lo < got.m_hi <= want.m_hi
+    else:
+        assert got == want
+
+
+def assert_matches_reference(lam, bracket_tol, g_tol, *, max_depth=DEFAULT_MAX_DEPTH):
     """find_alpha against the 8-round reference, which gives up where G is near 1.
 
-    Wherever the reference is not flagged inconclusive, the results are
-    equal.  Where it is, at an exact-routed lam, find_alpha walks on from the
-    same path: its bracket nests in the reference's, its ends re-certify at
-    max_depth, and it stops unflagged, at max_iterations, or at a midpoint
-    still undecided at max_depth.  At every exact-routed lam the result is
-    the one bisection from (0, 1) by walks to max_depth returns, ends'
-    enclosures included; the 8 rounds decide the same ends from other ones.
+    Wherever the reference is unflagged or flagged inconclusive at a
+    directed-routed lam, the results are equal; where it stops at its own
+    256-halving cap, find_alpha goes on (assert_equal_or_narrower).  Where it
+    is flagged inconclusive at an exact-routed lam, find_alpha walks on from
+    the same path: its bracket nests in the reference's, its ends re-certify
+    at max_depth, and it stops unflagged or at a midpoint still undecided at
+    max_depth.  At every exact-routed lam the result is the one bisection
+    from (0, 1) by walks to max_depth returns, ends' enclosures included;
+    the 8 rounds decide the same ends from other ones.
     """
-    kwargs = dict(max_depth=max_depth, max_iterations=max_iterations)
-    got = outcome(find_alpha, lam, bracket_tol, g_tol, **kwargs)
-    want = outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs)
+    got = outcome(find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth)
+    want = outcome(reference_find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth)
     lam = Fraction(lam)
     exact = lam >= DIRECTED_LAMBDA_CUTOFF  # directed-routed lams keep the 8 rounds
     if exact:
-        walked = outcome(reference_find_alpha, lam, bracket_tol, g_tol, **kwargs,
+        walked = outcome(reference_find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth,
                          classify=reference_walk_classify_vs_one)
-        assert got == walked
+        assert_equal_or_narrower(got, walked, bracket_tol)
     if exact and isinstance(want, AlphaResult) and want.flag == FLAG_INCONCLUSIVE:
         lo, hi, steps = want.m_lo, want.m_hi, want.iterations
     elif exact and isinstance(want, tuple) and want[0] is InconclusiveError:  # an anchor
@@ -176,7 +189,7 @@ def assert_matches_reference(
     else:
         if exact and isinstance(got, AlphaResult) and isinstance(want, AlphaResult):
             want = replace(want, g_at_lo=got.g_at_lo, g_at_hi=got.g_at_hi)
-        assert got == want
+        assert_equal_or_narrower(got, want, bracket_tol)
         return
     depth = max_depth
     if isinstance(got, tuple):  # the anchor is undecided at max_depth too
@@ -191,7 +204,7 @@ def assert_matches_reference(
         g_lo, g_hi = reference_enclosure(CFPoint(got.midpoint, lam), depth)
         assert g_lo <= 1 <= g_hi
     else:
-        assert got.flag is None or (got.flag, got.iterations) == (FLAG_BUDGET, max_iterations)
+        assert got.flag is None and got.width <= Fraction(bracket_tol) / 4
     try:
         g_mid = evaluate(CFPoint(got.midpoint, lam), g_tol, max_depth=max_depth)
     except (BudgetExceededError, NotConvergedError) as exc:
@@ -205,40 +218,40 @@ def assert_matches_reference(
     # G(1/2, lam) - 1 is near 2e^(-4/lam), below 1e-110 at a directed lam:
     # only the tightest g_tols let the 8 rounds decide there
     g_tol=st.one_of(decimal_tols(6, 40), decimal_tols(6, 40), decimal_tols(150, 200)),
-    max_iterations=st.one_of(st.just(256), st.just(256), st.integers(0, 40)),
     max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, 12]),
 )
 # exact, the reference flags: G(mid, 1/50) - 1 is below 1e-12 / 1e8 from the
 # first midpoint on, and the walks decide on
 @example(lam=Fraction(1, 50), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**12),
-         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+         max_depth=DEFAULT_MAX_DEPTH)
 # exact, the reference flags after 47 steps: some midpoints are decided only in
 # its last round
 @example(lam=Fraction(1, 2), bracket_tol=Fraction(1, 10**15), g_tol=Fraction(1, 10**6),
-         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+         max_depth=DEFAULT_MAX_DEPTH)
 # exact, the reference flags: 1/2 at lam 1/16 needs a width near 2e-28
 @example(lam=Fraction(1, 16), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
-         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
-# exact, capped by max_iterations
-@example(lam=Fraction(1), bracket_tol=Fraction(1, 10**12), g_tol=Fraction(1, 10**9),
-         max_iterations=5, max_depth=DEFAULT_MAX_DEPTH)
+         max_depth=DEFAULT_MAX_DEPTH)
+# exact, the reference stops at its 256-halving cap; find_alpha goes on to 268
+@example(lam=Fraction(1), bracket_tol=Fraction(1, 10**80), g_tol=Fraction(1, 10**90),
+         max_depth=DEFAULT_MAX_DEPTH)
+# directed, the same past the cap
+@example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**80), g_tol=Fraction(1, 10**180),
+         max_depth=DEFAULT_MAX_DEPTH)
 # exact, flagged after 65 steps: a midpoint straddles 1 at max_depth
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**25), g_tol=Fraction(1, 10**19),
-         max_iterations=256, max_depth=12)
+         max_depth=12)
 # directed, flagged at the first midpoint
 @example(lam=Fraction(15, 997), bracket_tol=Fraction(1, 10**3), g_tol=Fraction(1, 10**9),
-         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+         max_depth=DEFAULT_MAX_DEPTH)
 # directed, clean after 22 steps
 @example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**180),
-         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+         max_depth=DEFAULT_MAX_DEPTH)
 # directed, out of budget: G(0, 1/100)'s depth-12 enclosure still touches 1
 @example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**180),
-         max_iterations=256, max_depth=12)
+         max_depth=12)
 @settings(max_examples=150, deadline=None)
-def test_matches_tightening_reference(lam, bracket_tol, g_tol, max_iterations, max_depth):
-    assert_matches_reference(
-        lam, bracket_tol, g_tol, max_depth=max_depth, max_iterations=max_iterations
-    )
+def test_matches_tightening_reference(lam, bracket_tol, g_tol, max_depth):
+    assert_matches_reference(lam, bracket_tol, g_tol, max_depth=max_depth)
 
 
 @st.composite
@@ -258,25 +271,20 @@ def wide_exact_lams(draw):
     bracket_tol=decimal_tols(1, 30),
     # g_tol >= 1 makes the reference give up near the predicted cell
     g_tol=st.one_of(decimal_tols(6, 30), decimal_tols(6, 30), st.integers(1, 10**7).map(Fraction)),
-    max_iterations=st.one_of(st.just(256), st.integers(0, 40)),
     max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, 12]),
 )
 # the reference gives up at 55/128 after 6 steps, within g_tol / 10**8 of 1,
 # where the walks decide on
 @example(lam=Fraction(1178, 997), bracket_tol=Fraction(157, 12800),
-         g_tol=Fraction(5421875, 8), max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+         g_tol=Fraction(5421875, 8), max_depth=DEFAULT_MAX_DEPTH)
 # bracket_tol 1e-30 goes on bisecting past the level-32 cap
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**30), g_tol=Fraction(1, 10**25),
-         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+         max_depth=DEFAULT_MAX_DEPTH)
 @example(lam=Fraction(10**400), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
-         max_iterations=256, max_depth=DEFAULT_MAX_DEPTH)
+         max_depth=DEFAULT_MAX_DEPTH)
 @settings(max_examples=150, deadline=None)
-def test_predicted_start_matches_tightening_reference(
-    lam, bracket_tol, g_tol, max_iterations, max_depth
-):
-    assert_matches_reference(
-        lam, bracket_tol, g_tol, max_depth=max_depth, max_iterations=max_iterations
-    )
+def test_predicted_start_matches_tightening_reference(lam, bracket_tol, g_tol, max_depth):
+    assert_matches_reference(lam, bracket_tol, g_tol, max_depth=max_depth)
 
 
 @st.composite
@@ -400,6 +408,26 @@ def test_budget_below_one_rejected(max_depth):
             find_alpha(lam, max_depth=max_depth)
         with pytest.raises(DomainError, match="max_depth"):
             classify_vs_one(CFPoint(Fraction(1, 2), lam), Fraction(1, 10**9), max_depth=max_depth)
+
+
+def test_huge_lambda_bisects_past_256_halvings():
+    # alpha(1e80) is about 1e-80: the bracket [0, 2**-256] would still touch 0
+    res = find_alpha(10**80)
+    assert res.flag is None and res.iterations > 256
+    assert 0 < res.m_lo < res.m_hi < 1
+    assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
+
+
+def test_tiny_bracket_tol_certifies_from_the_cli(capsys):
+    from cfcert.cli import main, parse_records, reverify_records
+
+    code = main(["alpha", "--lambda", "1", "--bracket-tol", "1e-80", "--g-tol", "1e-90"])
+    assert code == 0
+    recs = parse_records(capsys.readouterr().out, "csv")
+    assert [r.command for r in recs] == ["alpha-lo", "alpha-hi", "alpha-mid"]
+    lo, hi = Fraction(recs[0].inputs["m"]), Fraction(recs[1].inputs["m"])
+    assert 0 < hi - lo <= Fraction(1, 4 * 10**80)
+    assert reverify_records(recs)
 
 
 

@@ -158,8 +158,9 @@ class TestSandwich:
             check_sandwich(CFPoint(Fraction(-1, 2), 1))
 
     def test_inconclusive_when_tightening_capped(self):
+        # G(0, 1) in [2/3, 1] at depth 1 touches B(0, 1) = 1
         with pytest.raises(InconclusiveError):
-            check_sandwich(CFPoint(0, 1), Fraction(9, 10), tighten_limit=0)
+            check_sandwich(CFPoint(0, 1), Fraction(9, 10), max_depth=1)
 
     def test_certificate_stable_under_tighter_tol(self):
         u1, l1 = check_sandwich(CFPoint(2, Fraction(1, 2)), Fraction(1, 10**8))
@@ -228,15 +229,6 @@ class TestReciprocal:
         assert report.gap == 1 - report.left.hi > 0
 
 
-@pytest.mark.parametrize(
-    "check, arg", [(check_sandwich, CFPoint(0, 1)), (check_g_above_one, CFPoint(1, 1)),
-                   (check_reciprocal, 1)],
-)
-def test_negative_tighten_limit_rejected(check, arg):
-    with pytest.raises(DomainError, match="tighten limit"):
-        check(arg, tighten_limit=-1)
-
-
 def _sandwich_decides(point, t, g_hi, g_lo):
     bound = theorem_bound(point, t)
     return (g_hi.lo > bound.hi and bound.lo > g_lo.hi), [g_hi, g_lo, bound]
@@ -292,30 +284,28 @@ def _comparable(got):
         lambda den: st.integers(den // 200 + 1, 4 * den).map(lambda k: Fraction(k, den))
     ),
     tol=st.builds(lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(0, 32)),
-    cap=st.sampled_from([None, 0, 1, 3]),
     max_depth=st.sampled_from([3, 12, DEFAULT_MAX_DEPTH]),
 )
 @example(claim="above-one", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
-         cap=None, max_depth=3)  # G(1, 1) > 1 from its depth-3 enclosure
+         max_depth=3)  # G(1, 1) > 1 from its depth-3 enclosure
 @example(claim="reciprocal", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
-         cap=None, max_depth=1)  # [2/3, 1] touches 1: inconclusive
+         max_depth=1)  # [2/3, 1] touches 1: inconclusive
 @example(claim="sandwich", m=Fraction(1), lam=Fraction(1, 100), tol=Fraction(1, 10**12),
-         cap=None, max_depth=12)
+         max_depth=12)
 # G(1, 1) > 1 = B(0, 1) holds at depth 1, but G(0, 1) in [2/3, 1] touches B
 @example(claim="sandwich", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
-         cap=None, max_depth=1)
+         max_depth=1)
 # B - G(m) is about 7e-37, below the reference's 1e-30 floor
 @example(claim="sandwich", m=Fraction(10**12), lam=Fraction(10**12), tol=Fraction(1, 10**12),
-         cap=None, max_depth=DEFAULT_MAX_DEPTH)
+         max_depth=DEFAULT_MAX_DEPTH)
 @settings(max_examples=200, deadline=None)
-def test_checks_match_tightening_reference(claim, m, lam, tol, cap, max_depth):
+def test_checks_match_tightening_reference(claim, m, lam, tol, max_depth):
     check, reference, points_of, decides = CHECKS[claim]
     point = CFPoint(m + 1 if claim == "above-one" else m, lam)
     arg = lam if claim == "reciprocal" else point
-    kwargs = dict(max_depth=max_depth, tighten_limit=cap)
-    got = _outcome(check, arg, tol, **kwargs)
+    got = _outcome(check, arg, tol, max_depth=max_depth)
     try:
-        want = reference(arg, tol, **kwargs)
+        want = reference(arg, tol, max_depth=max_depth)
     except (BudgetExceededError, NotConvergedError, InconclusiveError):
         want = None
     except CFCertError as exc:
@@ -323,10 +313,10 @@ def test_checks_match_tightening_reference(claim, m, lam, tol, cap, max_depth):
     if want is not None:
         assert _comparable(got) == _comparable(want)
         return
-    # the reference gave up at its 1e-30 floor, its cap or the depth budget;
-    # the check goes on to a verdict, its cap or the first tolerance where
-    # an evaluation is out of budget, and judges the enclosures reached there
-    for t in reference_tolerances(tol, cap, floor=None):
+    # the reference gave up at its 1e-30 floor or the depth budget; the check
+    # goes on to a verdict or the first tolerance where an evaluation is out
+    # of budget, and judges the enclosures reached there
+    for t in reference_tolerances(tol, None, floor=None):
         encs, out = [], False
         for p in points_of(point):
             try:

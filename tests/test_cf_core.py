@@ -540,7 +540,3 @@ class TestTightened:
         rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), None, 3), 9))
         assert [t for t, _ in rounds] == [Fraction(1, 10**k) for k in range(1, 5)]
         assert [enc.depth for _, (enc,) in rounds] == [1, 2, 3, 3]
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(DomainError, match="tighten limit"):
-            next(_tightened([CFPoint(1, 1)], Fraction(1, 10), -1, DEFAULT_MAX_DEPTH))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfcert import InconclusiveError
+from cfcert import CFPoint, InconclusiveError, check_g_above_one
 from cfcert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NO_WITNESS,
@@ -103,13 +103,6 @@ class TestCheck:
         (rec,) = parse_records(out, "csv")
         assert rec.certified
 
-    def test_inconclusive_exit_with_capped_tightening(self, capsys):
-        code, out = run(capsys, "check", "sandwich", "--m", "0", "--lambda", "1",
-                        "--tol", "0.9", "--max-tighten", "0")
-        assert code == EXIT_INCONCLUSIVE
-        (rec,) = parse_records(out, "csv")
-        assert rec.certified is False
-
     @pytest.mark.parametrize(
         "argv, want_code, want_certified",
         [
@@ -137,11 +130,13 @@ class TestCheck:
         assert reverify_records(recs, max_depth=max_depth)
 
     def test_negative_tighten_cap_usage_error(self, capsys):
-        for claim in ("sandwich", "functional", "above-one", "reciprocal"):
-            code, out = run(capsys, "check", claim, "--m", "1", "--lambda", "1",
-                            "--max-tighten", "-1")
+        # max_depth is the one budget: there is no cap on the tightening rounds
+        for cap in ("-1", "0", "3"):
+            code = main(["check", "sandwich", "--m", "1", "--lambda", "1", "--max-tighten", cap])
+            captured = capsys.readouterr()
             assert code == EXIT_USAGE
-            assert out == ""
+            assert captured.out == ""
+            assert "unrecognized arguments: --max-tighten" in captured.err
 
     def test_sandwich_inconclusive_row_is_the_failing_half(self, capsys):
         code, out = run(capsys, "check", "sandwich", "--m", "0", "--lambda", "1",
@@ -381,20 +376,22 @@ class TestRecordFormat:
         assert reverify_records(recs)
         match = f"{claim} verdict did not reproduce"
         # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth:
-        # no inequality certifies from it, and it cannot refute a functional row
+        # no inequality certifies from it, and it cannot refute a functional
+        # row, whose exact digits then do not regenerate at lam = 1e-10
         tiny = [replace(r, inputs={**r.inputs, "lambda": "1/10000000000"}) for r in recs]
-        if claim == "functional":
-            assert reverify_records(tiny)
-            # G(1, 2) is about 2.4, far from the row's interval
-            moved = [replace(r, inputs={**r.inputs, "lambda": "2/1"}) for r in recs]
-            with pytest.raises(ValueError, match=match):
-                reverify_records(moved)
-        else:
-            with pytest.raises(ValueError, match=match):
-                reverify_records(tiny)
-        # depth 2 is out of budget at the default tol, but its best enclosures
-        # still certify every inequality and meet in the functional check
-        assert reverify_records(recs, max_depth=2)
+        with pytest.raises(
+            ValueError, match="row does not regenerate" if claim == "functional" else match
+        ):
+            reverify_records(tiny)
+        # G(m, 2) is far from every row's interval, a claim that still certifies
+        moved = [replace(r, inputs={**r.inputs, "lambda": "2/1"}) for r in recs]
+        with pytest.raises(ValueError, match="re-evaluation disjoint"):
+            reverify_records(moved)
+        # the exact rows are rebuilt at their depth, which a budget of 2 does
+        # not reach; best enclosures out of budget are judged in
+        # test_out_of_budget_check_judges_best_enclosures
+        with pytest.raises(ValueError, match="depth outside"):
+            reverify_records(recs, max_depth=2)
 
         def inconclusive(*args, **kwargs):
             raise InconclusiveError("forced overlap")
@@ -419,8 +416,21 @@ class TestRecordFormat:
         assert reverify_records(recs)
         for i, rec in enumerate(recs):
             tampered = [*recs[:i], replace(rec, lo="500", hi="600"), *recs[i + 1:]]
-            with pytest.raises(ValueError, match="verdict did not reproduce"):
+            # the verdict re-certifies; the row's fresh enclosure then misses it
+            with pytest.raises(ValueError, match="re-evaluation disjoint"):
                 reverify_records(tampered)
+
+    def test_reverify_rejects_certified_row_that_excludes_its_value(self, capsys):
+        # hi moved to the ceiling of the re-certified enclosure's lower end: the
+        # interval still meets that enclosure, but lies below G(1, 1) = 1.4331274267223...
+        code, out = run(capsys, "check", "above-one", "--m", "1", "--lambda", "1")
+        assert code == EXIT_OK
+        (rec,) = parse_records(out, "csv")
+        enc = check_g_above_one(CFPoint(1, 1)).left
+        tampered = replace(rec, hi=decimal_up(enc.lo))
+        assert Fraction(tampered.hi) < Fraction("1.4331274267223")
+        with pytest.raises(ValueError, match="row does not regenerate"):
+            reverify_records([tampered])
 
     @pytest.mark.parametrize(
         "argv, command, mode",
@@ -480,6 +490,25 @@ class TestRecordFormat:
             tampered = [*recs[:i], replace(rec, lo="500", hi="600"), *recs[i + 1:]]
             with pytest.raises(ValueError, match="disjoint"):
                 reverify_records(tampered)
+
+    def test_reverify_evaluates_each_directed_point_once_per_tol(self, capsys, monkeypatch):
+        import cfcert.cf_core as cf_core
+
+        _, out = run(capsys, "alpha", "--lambda", "1/100", "--g-tol", "1e-200",
+                     "--bracket-tol", "1e-1")
+        recs = parse_records(out, "csv")
+        original, calls = cf_core.eval_directed, []
+
+        def counting(point, tol, **kwargs):
+            calls.append((point.m, Fraction(tol)))
+            return original(point, tol, **kwargs)
+
+        monkeypatch.setattr(cf_core, "eval_directed", counting)
+        assert reverify_records(recs)
+        # alpha-hi at m = 1/2 stays undecided at DEFAULT_TOL, so it is classified
+        # from DEFAULT_TOL / 10 on
+        assert Fraction(1, 2) in {m for m, _ in calls}
+        assert len(calls) == len(set(calls))
 
     def test_reverify_checks_every_pair_where_it_is_printed(self, capsys):
         _, out = run(capsys, "witness", "--m", "0.1", "--grid-geom", "1/100000:1/65:12")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -55,3 +56,23 @@ def test_bench_layers_resolve_in_their_modules():
     assert layers
     for module_name, attr in layers.values():
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_max_depth_is_the_one_budget():
+    # evaluate also picks its mode; series_ratio sums a given truncation
+    own = {"evaluate": {"mode", "max_depth"}, "series_ratio": set()}
+    for name in cfcert.__all__:
+        obj = getattr(cfcert, name)
+        if not inspect.isfunction(obj):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert keywords == own.get(name, {"max_depth"}), name
+
+
+def test_check_has_no_tightening_cap(capsys):
+    from cfcert.cli import main
+
+    assert main(["check", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--max-depth" in out and "--max-tighten" not in out
