@@ -25,11 +25,12 @@ evaluation stops there, and every layer above takes it as a keyword.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import count, islice
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Union
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
@@ -127,12 +128,20 @@ class Enclosure:
 def _scaled_convergents(a: int, b: int, c: int, d: int) -> Iterator[tuple[int, int, int, int, int]]:
     """Integer-scaled convergents (n, p, q, p_prev, q_prev) at the point (a/b, c/d).
 
-    With D = b*d, the terms are u_j / D with u_j = (a + j*b) * c.  Scaling
-    the classical recurrence by D**(n+1) keeps every state integral:
-    p_n = u_n * p_{n-1} + D**2 * p_{n-2}.  The scale cancels in the ratio, so
-    p/q is exactly the convergent G_n; the fractions need not be reduced.
+    With g = gcd(b, c) and D = (b/g)*d, the terms are u_j / D with
+    u_j = (a + j*b) * (c/g).  Scaling the classical recurrence by D**(n+1)
+    keeps every state integral: p_n = u_n * p_{n-1} + D**2 * p_{n-2}.  The
+    scale cancels in the ratio, so p/q is exactly the convergent G_n; the
+    fractions need not be reduced.  The depth-0 pair is (0, u_0, D, 1, 0).
+
+    Dividing g out of the terms keeps it out of the states: at scale b*d
+    every term and D**2 share g, so p_n and q_n would each carry about g**n.
+    What is left satisfies p_n*q_{n-1} - p_{n-1}*q_n = +-D**(2n+1), so
+    gcd(p_n, q_n) has only primes of D.
     """
-    big_d = b * d
+    g = gcd(b, c)
+    c //= g
+    big_d = b // g * d
     dd = big_d * big_d
     u = a * c
     du = b * c
@@ -148,23 +157,70 @@ def _scaled_convergents(a: int, b: int, c: int, d: int) -> Iterator[tuple[int, i
         yield n, p, q, p_prev, q_prev
 
 
+class _Lowest:
+    """A numerator and a positive denominator already in lowest terms.
+
+    It is registered as a numbers.Rational, so Fraction(x) copies the two
+    fields instead of reducing them again (fractions.Fraction.__new__, every
+    version from 3.10 on).
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int) -> None:
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_Lowest)
+
+
+def _reduced(num: int, den: int, k: int) -> Fraction:
+    """Fraction(num, den) for den > 0 when every prime of gcd(num, den) divides k.
+
+    h = gcd(k, num, den) holds every common prime.  After dividing by h,
+    every common prime left divides h, so the next round takes
+    gcd(h**2, num, den), and the exponents it removes can double from round
+    to round.  Each round costs remainders by a modulus no wider than the
+    square of the common factor, linear in the width of num, where the gcd
+    that Fraction(num, den) runs is quadratic.
+    """
+    h = gcd(k, num % k, den % k)
+    while h > 1:
+        num //= h
+        den //= h
+        h *= h
+        h = gcd(h, num % h, den % h)
+    return Fraction(_Lowest(num, den))
+
+
 def _from_tail(
     point: CFPoint, t_lo: tuple[int, int], t_hi: tuple[int, int], depth: int, mode: EvalMode
 ) -> Enclosure:
     """Map tail bounds t_lo <= G(m+1, lam) <= t_hi to G(m, lam) = m*lam + 1/tail.
 
     Each tail bound is an integer pair (p, q) standing for p/q > 0.  With
-    m*lam = ac/bd, the image of p/q is (ac*p + bd*q) / (bd*p), built as one
-    Fraction, so each end costs one gcd.  The map is decreasing, so the
-    tail's upper bound gives the lower one.
+    m*lam = ac/bd, the image of p/q is N/M = (ac*p + bd*q) / (bd*p).  The
+    map is decreasing, so the tail's upper bound gives the lower one.
+
+    Each end is reduced by _reduced with k = 2*bd, with no gcd as wide as N:
+    every prime of gcd(N, M) divides k.  A prime r that does not divide bd
+    but divides N and M divides p, hence bd*q, hence gcd(p, q).  Every
+    caller's gcd(p, q) has only primes of 2*bd:
+    - exact tail pairs from _scaled_convergents, where it divides D**(2n+1)
+      and D divides bd;
+    - directed ends (t, S) with S = D * 2**bits;
+    - bounds.check_functional_equation's (num, den) of a reduced Fraction,
+      which are coprime.
     """
     m, lam = point.m, point.lam
     ac = m.numerator * lam.numerator
     bd = m.denominator * lam.denominator
+    k = 2 * bd
     (p_lo, q_lo), (p_hi, q_hi) = t_lo, t_hi
     return Enclosure(
-        lo=Fraction(ac * p_hi + bd * q_hi, bd * p_hi),
-        hi=Fraction(ac * p_lo + bd * q_lo, bd * p_lo),
+        lo=_reduced(ac * p_hi + bd * q_hi, bd * p_hi, k),
+        hi=_reduced(ac * p_lo + bd * q_lo, bd * p_lo, k),
         depth=depth,
         mode=mode,
     )
@@ -184,11 +240,14 @@ def eval_enclosure(
     1 / (P_n * P_{n-1}), so the minimal sufficient depth is found by an
     integer comparison and the result is deterministic.
 
-    With the scaled convergents p_n = D**(n+1) * P_n, the test
-    width <= tol reads p_n * p_{n-1} * tol_num >= x * (D**2)**n with
-    x = D * tol_den.  A bit-length test rules out almost every step before
-    that product is formed (see _bit_floor), so a step costs work linear in
-    the size of the integers, like the recurrence itself.
+    With the scaled convergents p_n = D**(n+1) * P_n (D from
+    _scaled_convergents), the test width <= tol reads
+    p_n * p_{n-1} * tol_num >= x * (D**2)**n with x = D * tol_den.  A
+    bit-length test rules out almost every step before that right side is
+    formed (see _bit_floor).  From the first step that passes it, the right
+    side is kept as one running product and the exact test runs only where
+    the bit lengths of the two sides allow it, so a step costs work linear
+    in the size of the integers, like the recurrence itself.
 
     Raises BudgetExceededError with the best enclosure attached when the
     tolerance is unreachable within ``max_depth``.
@@ -198,20 +257,24 @@ def eval_enclosure(
         raise DomainError(f"tol must be positive, got {tol}")
     _check_budget(max_depth)
     m, lam = point.m, point.lam
-    big_d = m.denominator * lam.denominator
+    pairs = _scaled_convergents(
+        m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
+    )
+    _, _, big_d, _, _ = next(pairs)
     dd = big_d * big_d
     tn = tol.numerator
+    tn_bits = tn.bit_length()
     x = big_d * tol.denominator
     base, slope = _bit_floor(x, tn, dd)
-    for n, p, q, pp, qq in _scaled_convergents(
-        m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
-    ):
-        if n == 0:
-            continue
-        met = (
-            p.bit_length() + pp.bit_length() >= base + n * slope // 64
-            and p * pp * tn >= x * dd**n
-        )
+    rhs = 0  # x * dd**n, formed once the bit-length floor first passes
+    for n, p, q, pp, qq in pairs:
+        bits = p.bit_length() + pp.bit_length()
+        if rhs:
+            rhs *= dd
+        elif bits >= base + n * slope // 64:
+            rhs = x * dd**n
+        # p * pp * tn < 2**(bits + tn_bits) and rhs >= 2**(bits(rhs) - 1)
+        met = rhs > 0 and bits + tn_bits >= rhs.bit_length() and p * pp * tn >= rhs
         if met or n >= max_depth:
             break
     enc = _pair_enclosure(point, (n, p, q, pp, qq))

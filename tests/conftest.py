@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import factorial, isqrt
 
 import pytest
@@ -501,11 +502,30 @@ def _reference_from_tail(point: CFPoint, t_lo: Fraction, t_hi: Fraction, depth: 
     return Enclosure(lo=x0 + 1 / t_hi, hi=x0 + 1 / t_lo, depth=depth, mode=EvalMode.EXACT)
 
 
+def _reference_bd_convergents(a: int, b: int, c: int, d: int):
+    """Scaled convergents (n, p, q, p_prev, q_prev) at (a/b, c/d) at the scale D = b*d.
+
+    The terms are u_j / D with u_j = (a + j*b) * c, and p_n = u_n * p_{n-1} +
+    D**2 * p_{n-2}, so p/q is the convergent G_n.  cf_core._scaled_convergents
+    divides gcd(b, c) out of this scale; the reference keeps its own copy.
+    """
+    big_d = b * d
+    dd = big_d * big_d
+    u, du = a * c, b * c
+    p_prev, q_prev, p, q = 1, 0, u, big_d
+    for n in count():
+        yield n, p, q, p_prev, q_prev
+        u += du
+        p, p_prev = u * p + dd * p_prev, p
+        q, q_prev = u * q + dd * q_prev, q
+
+
 def reference_eval_enclosure(point: CFPoint, tol, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Enclosure:
     """Exact evaluation with the right side of the stopping test as a running product.
 
-    Reference for cf_core.eval_enclosure, whose bit-length test and integer
-    mapping must give equal enclosures, depths and budget errors.
+    Reference for cf_core.eval_enclosure, whose bit-length test, scale and
+    integer mapping must give equal enclosures, depths and budget errors.
+    It runs its own recurrence at the scale D = b*d.
     """
     tol = as_fraction(tol)
     if tol <= 0:
@@ -516,7 +536,7 @@ def reference_eval_enclosure(point: CFPoint, tol, *, max_depth: int = DEFAULT_MA
     tn, td = tol.numerator, tol.denominator
     tn_bits = tn.bit_length()
     rhs = big_d * td  # D**(2n+1) * tol_den at the pair (n-1, n), updated as n grows
-    for n, p, q, pp, qq in _scaled_convergents(
+    for n, p, q, pp, qq in _reference_bd_convergents(
         m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
     ):
         if n == 0:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,7 @@ from cfcert.cf_core import (
     _depth_guess,
     _directed_tail,
     _exact_at,
+    _from_tail,
     _scaled_convergents,
     _side_of_one,
     _tightened,
@@ -284,6 +287,25 @@ class TestEvalEnclosure:
              max_depth=DEFAULT_MAX_DEPTH)
     @example(point=CFPoint(3, Fraction(7, 4)), tol=Fraction(11, 2**41),
              max_depth=DEFAULT_MAX_DEPTH)
+    # a huge denominator at small lam: the bit-length floor's slack lets many
+    # steps through, so the right side is kept as a running product once formed
+    @example(point=CFPoint(-1 + Fraction(1, 10**50), Fraction(1, 3000)),
+             tol=Fraction(1, 10**12), max_depth=DEFAULT_MAX_DEPTH)
+    # gcd(m.den, lam.num) > 1: the kernel divides it out of its scale, the
+    # reference keeps the scale b*d (at seed 7 a shared recurrence stopped at
+    # depth 45 for the kernel's 18)
+    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), tol=Fraction(1, 10**12),
+             max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), tol=Fraction(1, 10**300),
+             max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(-1, 2), Fraction(80, 997)), tol=Fraction(1, 10**12),
+             max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(-1, 2), Fraction(80, 997)), tol=Fraction(1, 10**300),
+             max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(1, 3), Fraction(300, 997)), tol=Fraction(1, 10**12),
+             max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(1, 3), Fraction(300, 997)), tol=Fraction(1, 10**300),
+             max_depth=DEFAULT_MAX_DEPTH)
     @settings(max_examples=300, deadline=None)
     def test_matches_running_product_reference(self, point, tol, max_depth):
         got = exact_outcome(eval_enclosure, point, tol, max_depth=max_depth)
@@ -299,6 +321,10 @@ class TestEvalEnclosure:
     @example(point=CFPoint(0, 2), max_depth=DEFAULT_MAX_DEPTH)
     @example(point=CFPoint(Fraction(-1, 4), Fraction(5, 16)), max_depth=DEFAULT_MAX_DEPTH)
     @example(point=CFPoint(1, Fraction(39, 8)), max_depth=DEFAULT_MAX_DEPTH)
+    # gcd(m.den, lam.num) > 1, which the recurrence divides out of its scale
+    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(-1, 2), Fraction(80, 997)), max_depth=DEFAULT_MAX_DEPTH)
+    @example(point=CFPoint(Fraction(1, 3), Fraction(300, 997)), max_depth=DEFAULT_MAX_DEPTH)
     @settings(max_examples=300, deadline=None)
     def test_side_of_one_matches_pair_reference(self, point, max_depth):
         args = (point.m.numerator, point.m.denominator,
@@ -372,6 +398,86 @@ class TestEvalEnclosure:
         x0 = point.m * point.lam
         lo, hi = x0 + 1 / tail.hi, x0 + 1 / tail.lo
         assert max(direct.lo, lo) <= min(direct.hi, hi)
+
+
+@st.composite
+def tail_points(draw):
+    """m with the denominators used across the tests, lam with denominator 997,
+    64 or 81, and lam's numerator times m's denominator half the time.  Powers
+    of 2 and 3 then repeat in the tail pairs, so _reduced runs several rounds."""
+    b = draw(st.sampled_from([1, 2, 3, 997, 999999999989]))
+    m = Fraction(draw(st.integers(-b + 1, 5 * b)), b)
+    d = draw(st.sampled_from([997, 64, 81]))
+    c = draw(st.integers(1, 4 * d)) * (m.denominator if draw(st.booleans()) else 1)
+    return CFPoint(m, Fraction(c, d))
+
+
+class TestFromTail:
+    """_from_tail reduces each end without a wide gcd, to the lowest terms
+    that Fraction(ac*p + bd*q, bd*p) gives."""
+
+    @staticmethod
+    def assert_lowest_terms(point, t_lo, t_hi, mode):
+        m, lam = point.m, point.lam
+        ac, bd = m.numerator * lam.numerator, m.denominator * lam.denominator
+        enc = _from_tail(point, t_lo, t_hi, 0, mode)
+        for got, (p, q) in ((enc.lo, t_hi), (enc.hi, t_lo)):
+            want = Fraction(ac * p + bd * q, bd * p)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @given(point=tail_points(), depth=st.integers(1, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_tail_pairs(self, point, depth):
+        m, lam = point.m, point.lam
+        pairs = _scaled_convergents(
+            m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
+        )
+        n, p, q, pp, qq = next(islice(pairs, depth, None))
+        # even tail convergents are lower bounds, odd ones upper bounds
+        ends = ((p, q), (pp, qq)) if n % 2 == 0 else ((pp, qq), (p, q))
+        self.assert_lowest_terms(point, *ends, EvalMode.EXACT)
+
+    @given(point=tail_points(), depth=st.integers(0, 200), bits=st.integers(128, 1100))
+    @settings(max_examples=100, deadline=None)
+    def test_directed_ends(self, point, depth, bits):
+        shift = point.shifted()
+        a, b = shift.m.numerator, shift.m.denominator
+        c, d = point.lam.numerator, point.lam.denominator
+        lo, hi, scale = _directed_tail(a, b, c, b * d, depth, bits)
+        self.assert_lowest_terms(point, (lo, scale), (hi, scale), EvalMode.DIRECTED)
+
+    @given(
+        point=tail_points(),
+        ends=st.lists(
+            st.builds(Fraction, st.integers(1, 2**300), st.integers(1, 2**300)),
+            min_size=2, max_size=2,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_coprime_ends(self, point, ends):
+        # bounds.check_functional_equation passes the (num, den) of Fractions
+        t_lo, t_hi = sorted(ends)
+        self.assert_lowest_terms(
+            point, t_lo.as_integer_ratio(), t_hi.as_integer_ratio(), EvalMode.EXACT
+        )
+
+    def test_no_wide_gcd_in_deep_evaluation(self, monkeypatch):
+        # gcd(3, 600) = 3 at m + 1 = 4/3; the ends are about 8k bits wide
+        point, tol = CFPoint(Fraction(1, 3), Fraction(600, 997)), Fraction(1, 10**2000)
+        want = reference_eval_enclosure(point, tol)
+        calls = []
+
+        def recording_gcd(*args):
+            calls.append(args)
+            return gcd(*args)  # bound before the patch: the original
+
+        monkeypatch.setattr(math, "gcd", recording_gcd)  # the gcd that fractions calls
+        got = eval_enclosure(point, tol)
+        monkeypatch.undo()
+        assert all(min(abs(x).bit_length() for x in args) <= 64 for args in calls)
+        assert (got.lo.numerator, got.lo.denominator, got.hi.numerator, got.hi.denominator,
+                got.depth) == (want.lo.numerator, want.lo.denominator, want.hi.numerator,
+                               want.hi.denominator, want.depth)
 
 
 class TestEvalDirected:
