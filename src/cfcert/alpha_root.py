@@ -23,7 +23,7 @@ which cell the walks look at; every verdict is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cf_core import (
@@ -47,24 +47,24 @@ _BELOW, _STRADDLE, _ABOVE = -1, 0, 1
 FLAG_INCONCLUSIVE = "inconclusive-midpoint"
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(
+    namedtuple(
+        "AlphaResult",
+        "lam m_lo m_hi g_at_mid iterations flag g_at_lo g_at_hi",
+        defaults=(None, None, None),
+    )
+):
     """Bracket [m_lo, m_hi] for the crossing, with the G enclosure at its midpoint.
 
-    The endpoints carry re-certifiable verdicts: G(m_lo, lam) < 1 and
-    G(m_hi, lam) > 1 both hold with disjoint enclosures, ``g_at_lo`` and
-    ``g_at_hi``, the ones that decided them.  ``flag`` is None on a clean
-    run, or names why the bracket was returned early.
+    An immutable named tuple.  The endpoints carry re-certifiable verdicts:
+    G(m_lo, lam) < 1 and G(m_hi, lam) > 1 both hold with disjoint
+    enclosures, ``g_at_lo`` and ``g_at_hi``, the ones that decided them.
+    ``flag`` is None on a clean run, or names why the bracket was
+    returned early.  The m's and ``lam`` are Fractions, each ``g_at_*`` an
+    Enclosure or None, and ``iterations`` the number of halvings.
     """
 
-    lam: Fraction
-    m_lo: Fraction
-    m_hi: Fraction
-    g_at_mid: Enclosure | None
-    iterations: int
-    flag: str | None = None
-    g_at_lo: Enclosure | None = None
-    g_at_hi: Enclosure | None = None
+    __slots__ = ()
 
     @property
     def width(self) -> Fraction:

@@ -28,7 +28,7 @@ ratio is checked before any term is summed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -122,13 +122,13 @@ def _series_bounds(m: int, lam: Fraction, terms: int) -> tuple[int, int, int, in
     )
 
 
-@dataclass(frozen=True)
-class SeriesEnclosure:
-    """Exact-rational interval for the series ratio, with the truncation index used."""
+class SeriesEnclosure(namedtuple("SeriesEnclosure", "lo hi terms_used")):
+    """Exact-rational interval for the series ratio, with the truncation index used.
 
-    lo: Fraction
-    hi: Fraction
-    terms_used: int
+    An immutable named tuple: Fractions ``lo`` and ``hi``, int ``terms_used``.
+    """
+
+    __slots__ = ()
 
     @property
     def width(self) -> Fraction:

@@ -16,7 +16,7 @@ Violation since it can only mean an arithmetic bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
@@ -46,21 +46,18 @@ class Claim(str, Enum):
     ORACLE = "oracle-intersect"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "point claim left right gap")):
     """One certificate that holds; a claim that does not certify raises instead.
 
-    For inequality claims ``gap`` is the certified separation between the
-    two enclosures (positive).  For identity claims (functional equation,
-    reciprocal product, oracle intersection) ``gap`` is the width of the
-    overlap that witnesses consistency.
+    An immutable named tuple of the CFPoint, the Claim, the Enclosures
+    ``left`` and ``right`` and the Fraction ``gap``.  For inequality claims
+    ``gap`` is the certified separation between the two enclosures
+    (positive).  For identity claims (functional equation, reciprocal
+    product, oracle intersection) it is the width of the overlap that
+    witnesses consistency.
     """
 
-    point: CFPoint
-    claim: Claim
-    left: Enclosure
-    right: Enclosure
-    gap: Fraction
+    __slots__ = ()
 
 
 def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> Enclosure:

@@ -26,16 +26,16 @@ evaluation stops there, and every layer above takes it as a keyword.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, isqrt
-from typing import Iterator, Union
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
 
-RationalLike = Union[Fraction, int, str, float]
+RationalLike = Fraction | int | str | float
 
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 10_000
@@ -63,46 +63,54 @@ def _check_budget(max_depth: int) -> None:
         raise DomainError(f"max_depth must be >= 1, got {max_depth}")
 
 
-@dataclass(frozen=True)
-class CFPoint:
+class _Checked:
+    """Base for a named tuple whose __new__ checks its fields: _make, which
+    _replace and copy.replace build through, goes through __new__ too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class CFPoint(_Checked, namedtuple("CFPoint", "m lam")):
     """Parameter pair (m, lam); the fraction's j-th term is (m + j) * lam.
 
-    Construction rejects m <= -1 and lam <= 0, so downstream code never has
-    to re-check the standing hypotheses.
+    An immutable named tuple.  Construction coerces both to Fraction and
+    rejects m <= -1 and lam <= 0, so downstream code never has to re-check
+    the standing hypotheses.
     """
 
-    m: Fraction
-    lam: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", as_fraction(self.m))
-        object.__setattr__(self, "lam", as_fraction(self.lam))
-        if self.m <= -1:
-            raise DomainError(f"m must exceed -1, got {self.m}")
-        if self.lam <= 0:
-            raise DomainError(f"lam must be positive, got {self.lam}")
+    def __new__(cls, m: RationalLike, lam: RationalLike) -> CFPoint:
+        m, lam = as_fraction(m), as_fraction(lam)
+        if m <= -1:
+            raise DomainError(f"m must exceed -1, got {m}")
+        if lam <= 0:
+            raise DomainError(f"lam must be positive, got {lam}")
+        return tuple.__new__(cls, (m, lam))
 
-    def shifted(self) -> "CFPoint":
+    def shifted(self) -> CFPoint:
         """The (m + 1, lam) point whose fraction is the all-positive tail."""
         return CFPoint(self.m + 1, self.lam)
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode")):
     """Closed interval [lo, hi] certified to contain G at some point.
 
-    ``depth`` is the convergent index (exact mode) or backward-pass length
-    (directed mode) that produced the bounds.
+    An immutable named tuple; construction rejects lo > hi.  ``depth`` is
+    the convergent index (exact mode) or backward-pass length (directed
+    mode) that produced the bounds.
     """
 
-    lo: Fraction
-    hi: Fraction
-    depth: int
-    mode: EvalMode
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"malformed enclosure: {self.lo} > {self.hi}")
+    def __new__(cls, lo: Fraction, hi: Fraction, depth: int, mode: EvalMode) -> Enclosure:
+        if lo > hi:
+            raise ValueError(f"malformed enclosure: {lo} > {hi}")
+        return tuple.__new__(cls, (lo, hi, depth, mode))
 
     @property
     def width(self) -> Fraction:
@@ -116,7 +124,7 @@ class Enclosure:
         value = as_fraction(value)
         return self.lo <= value <= self.hi
 
-    def encloses(self, other: "Enclosure") -> bool:
+    def encloses(self, other: Enclosure) -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
 

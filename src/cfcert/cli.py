@@ -19,10 +19,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable
 
 from .alpha_root import classify_vs_one, find_alpha
 from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
@@ -39,6 +39,7 @@ from .cf_core import (
     CFPoint,
     Enclosure,
     EvalMode,
+    _Checked,
     _exact_at,
     as_fraction,
     evaluate,
@@ -67,40 +68,40 @@ _CERTIFIED = {"true": True, "false": False, "": None}  # CSV text of OutputRecor
 _MODES = tuple(mode.value for mode in EvalMode)
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted row; identical content in CSV and JSON form."""
+class OutputRecord(
+    _Checked, namedtuple("OutputRecord", "command inputs lo hi depth certified mode")
+):
+    """One emitted row; identical content in CSV and JSON form.
 
-    command: str
-    inputs: dict[str, str]
-    lo: str
-    hi: str
-    depth: int
-    certified: bool | None
-    mode: str
+    An immutable named tuple.  Construction, _replace included, rejects a
+    field that emit never writes.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        command: str,
+        inputs: dict[str, str],
+        lo: str,
+        hi: str,
+        depth: int,
+        certified: bool | None,
+        mode: str,
+    ) -> OutputRecord:
+        self = tuple.__new__(cls, (command, inputs, lo, hi, depth, certified, mode))
         if (
-            type(self.inputs) is not dict
-            or any(type(v) is not str for v in (self.lo, self.hi, *self.inputs.values()))
-            or type(self.depth) is not int
-            or type(self.certified) not in (bool, type(None))
-            or self.mode not in _MODES
+            type(inputs) is not dict
+            or any(type(v) is not str for v in (lo, hi, *inputs.values()))
+            or type(depth) is not int
+            or type(certified) not in (bool, type(None))
+            or mode not in _MODES
         ):
             raise ValueError(f"record field emit never writes: {self}")
+        return self
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "lo": self.lo,
-                "hi": self.hi,
-                "depth": self.depth,
-                "certified": self.certified,
-                "mode": self.mode,
-            }
-        )
+        return json.dumps(self._asdict())
 
     def to_csv_row(self) -> list[str]:
         cert = "" if self.certified is None else ("true" if self.certified else "false")
@@ -175,17 +176,7 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            records.append(
-                OutputRecord(
-                    command=obj["command"],
-                    inputs=obj["inputs"],
-                    lo=obj["lo"],
-                    hi=obj["hi"],
-                    depth=obj["depth"],
-                    certified=obj["certified"],
-                    mode=obj["mode"],
-                )
-            )
+            records.append(OutputRecord._make(obj[field] for field in OutputRecord._fields))
         return records
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
@@ -200,15 +191,7 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
         if lam:
             inputs["lambda"] = lam
         records.append(
-            OutputRecord(
-                command=command,
-                inputs=inputs,
-                lo=lo,
-                hi=hi,
-                depth=int(depth),
-                certified=_CERTIFIED[cert],
-                mode=mode,
-            )
+            OutputRecord(command, inputs, lo, hi, int(depth), _CERTIFIED[cert], mode)
         )
     return records
 

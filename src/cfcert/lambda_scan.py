@@ -13,9 +13,9 @@ witness on a grid is reported as exactly that, never as a refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .cf_core import (
     DEFAULT_MAX_DEPTH,
@@ -23,6 +23,7 @@ from .cf_core import (
     CFPoint,
     Enclosure,
     RationalLike,
+    _Checked,
     _tightened,
     as_fraction,
     evaluate,
@@ -40,36 +41,36 @@ DEFAULT_WITNESS_GRID: tuple[Fraction, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Checked, namedtuple("Witness", "m lambda1 lambda2 g1 g2")):
     """Certified decrease: lam1 < lam2 with disjoint enclosures g1 above g2.
 
-    Construction re-checks the certificate, so a Witness object cannot
-    exist unless the decrease really is certified.
+    An immutable named tuple.  Construction, _replace included, re-checks
+    the certificate, so a Witness object cannot exist unless the decrease
+    really is certified.
     """
 
-    m: Fraction
-    lambda1: Fraction
-    lambda2: Fraction
-    g1: Enclosure
-    g2: Enclosure
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 < self.lambda1 < self.lambda2):
+    def __new__(
+        cls, m: Fraction, lambda1: Fraction, lambda2: Fraction, g1: Enclosure, g2: Enclosure
+    ) -> Witness:
+        if not (0 < lambda1 < lambda2):
             raise ValueError("witness needs 0 < lambda1 < lambda2")
-        if not (0 < self.m < 1):
+        if not (0 < m < 1):
             raise ValueError("witness m must lie in (0, 1)")
-        if not self.g1.lo > self.g2.hi:
+        if not g1.lo > g2.hi:
             raise ValueError("enclosures do not certify a decrease")
+        return tuple.__new__(cls, (m, lambda1, lambda2, g1, g2))
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    """One grid entry: the enclosure, or the best rigorous one plus an error note."""
+class ScanPoint(namedtuple("ScanPoint", "lam enclosure error", defaults=(None,))):
+    """One grid entry: the enclosure, or the best rigorous one plus an error note.
 
-    lam: Fraction
-    enclosure: Enclosure | None
-    error: str | None = None
+    An immutable named tuple: Fraction ``lam``, ``enclosure`` an Enclosure
+    or None, and ``error`` a str, or None when tol was met.
+    """
+
+    __slots__ = ()
 
 
 def limit_check(

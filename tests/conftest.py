@@ -32,7 +32,7 @@ from cfcert import (
 from cfcert.bounds import theorem_bound
 from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
-from cfcert.cf_core import TIGHTEN_ROUNDS, _scaled_convergents, as_fraction
+from cfcert.cf_core import TIGHTEN_ROUNDS, as_fraction
 
 #: reference_find_alpha's flag for a bracket still too wide after max_iterations
 #: halvings; find_alpha has no such cap and bisects until the bracket is narrow
@@ -559,13 +559,16 @@ def reference_eval_enclosure(point: CFPoint, tol, *, max_depth: int = DEFAULT_MA
 def reference_side_of_one(a: int, b: int, c: int, d: int, max_depth: int):
     """cf_core._side_of_one from both ends of every pair enclosure.
 
-    Each tail pair (n-1, n), n >= 1, bounds G(a/b, c/d) by m*lam + 1/t at
-    both tail ends t; the first pair with both bounds on one side of 1
-    decides, and the pair at max_depth (at least 1) gives up.  Each bound is
-    compared with 1 by cross-multiplication.  Returns the side and the pair.
+    It walks its own tail recurrence at the scale b*d
+    (_reference_bd_convergents), not the kernel's, so its pairs match the
+    kernel's as ratios, not as integers.  Each tail pair (n-1, n), n >= 1,
+    bounds G(a/b, c/d) by m*lam + 1/t at both tail ends t; the first pair
+    with both bounds on one side of 1 decides, and the pair at max_depth
+    (at least 1) gives up.  Each bound is compared with 1 by
+    cross-multiplication.  Returns the side and the pair.
     """
     ac, bd = a * c, b * d
-    for pair in _scaled_convergents(a + b, b, c, d):
+    for pair in _reference_bd_convergents(a + b, b, c, d):
         n, p, q, pp, qq = pair
         if n == 0:
             continue

@@ -18,6 +18,7 @@ from cfcert import (
     BudgetExceededError,
     CFCertError,
     CFPoint,
+    CheckReport,
     Claim,
     DomainError,
     Enclosure,
@@ -256,11 +257,10 @@ CHECKS = {
 
 def _carried(got):
     """The enclosures a check outcome carries, in evaluation order, then the bound."""
-    if isinstance(got, InconclusiveError):
+    if isinstance(got, (InconclusiveError, CheckReport)):
         return [got.left, got.right]
-    if isinstance(got, tuple):  # the sandwich (upper, lower) pair
-        return [got[0].left, got[1].right, got[0].right]
-    return [got.left, got.right]
+    upper, lower = got  # the sandwich (upper, lower) pair
+    return [upper.left, lower.right, upper.right]
 
 
 def _outcome(fn, *args, **kwargs):

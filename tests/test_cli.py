@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -300,12 +299,12 @@ class TestRecordFormat:
         recs = parse_records(out, fmt)
         assert reverify_records(recs)
         by_command = {r.command: r for r in recs}
-        swapped = [replace(by_command["alpha-hi"], command="alpha-lo")]
+        swapped = [by_command["alpha-hi"]._replace(command="alpha-lo")]
         with pytest.raises(ValueError, match="alpha endpoint"):
             reverify_records(swapped)
         for depth in (-1, 0, 10**9):
             with pytest.raises(ValueError, match="depth outside"):
-                reverify_records([replace(by_command["alpha-hi"], depth=depth)])
+                reverify_records([by_command["alpha-hi"]._replace(depth=depth)])
 
     def test_reverify_rejects_out_of_range_depths(self, capsys):
         rows = []
@@ -325,14 +324,14 @@ class TestRecordFormat:
         for rec in rows:
             for depth in (-1, 0, 10**9):
                 with pytest.raises(ValueError, match="depth outside"):
-                    reverify_records([replace(rec, depth=depth)])
+                    reverify_records([rec._replace(depth=depth)])
         # order-1 term ratio 16 / (3 * 4) at k = 2: no tail bound, a ValueError
         series = next(r for r in rows if r.command == "oracle-series")
         with pytest.raises(ValueError, match="no tail bound"):
-            reverify_records([replace(series, depth=2)])
+            reverify_records([series._replace(depth=2)])
         # G(0, 1/4)'s digits under m = 1/2 used to regenerate through int(m) = 0
         with pytest.raises(ValueError, match="integer m"):
-            reverify_records([replace(series, inputs={**series.inputs, "m": "1/2"})])
+            reverify_records([series._replace(inputs={**series.inputs, "m": "1/2"})])
 
     def test_reverify_certifies_sandwich_pair_once(self, capsys, monkeypatch):
         import cfcert.cli as cli
@@ -356,7 +355,7 @@ class TestRecordFormat:
         monkeypatch.setattr(cli, "check_sandwich", inconclusive)
         with pytest.raises(ValueError, match="sandwich verdict did not reproduce"):
             reverify_records(recs)
-        assert reverify_records([replace(r, certified=False) for r in recs])
+        assert reverify_records([r._replace(certified=False) for r in recs])
 
     @pytest.mark.parametrize(
         "argv, claim",
@@ -378,13 +377,13 @@ class TestRecordFormat:
         # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth:
         # no inequality certifies from it, and it cannot refute a functional
         # row, whose exact digits then do not regenerate at lam = 1e-10
-        tiny = [replace(r, inputs={**r.inputs, "lambda": "1/10000000000"}) for r in recs]
+        tiny = [r._replace(inputs={**r.inputs, "lambda": "1/10000000000"}) for r in recs]
         with pytest.raises(
             ValueError, match="row does not regenerate" if claim == "functional" else match
         ):
             reverify_records(tiny)
         # G(m, 2) is far from every row's interval, a claim that still certifies
-        moved = [replace(r, inputs={**r.inputs, "lambda": "2/1"}) for r in recs]
+        moved = [r._replace(inputs={**r.inputs, "lambda": "2/1"}) for r in recs]
         with pytest.raises(ValueError, match="re-evaluation disjoint"):
             reverify_records(moved)
         # the exact rows are rebuilt at their depth, which a budget of 2 does
@@ -415,7 +414,7 @@ class TestRecordFormat:
         recs = parse_records(out, "csv")
         assert reverify_records(recs)
         for i, rec in enumerate(recs):
-            tampered = [*recs[:i], replace(rec, lo="500", hi="600"), *recs[i + 1:]]
+            tampered = [*recs[:i], rec._replace(lo="500", hi="600"), *recs[i + 1:]]
             # the verdict re-certifies; the row's fresh enclosure then misses it
             with pytest.raises(ValueError, match="re-evaluation disjoint"):
                 reverify_records(tampered)
@@ -427,7 +426,7 @@ class TestRecordFormat:
         assert code == EXIT_OK
         (rec,) = parse_records(out, "csv")
         enc = check_g_above_one(CFPoint(1, 1)).left
-        tampered = replace(rec, hi=decimal_up(enc.lo))
+        tampered = rec._replace(hi=decimal_up(enc.lo))
         assert Fraction(tampered.hi) < Fraction("1.4331274267223")
         with pytest.raises(ValueError, match="row does not regenerate"):
             reverify_records([tampered])
@@ -453,11 +452,11 @@ class TestRecordFormat:
         assert (rec.command, rec.certified, rec.mode) == (command, False, mode)
         assert reverify_records([rec])
         with pytest.raises(ValueError, match="disjoint"):
-            reverify_records([replace(rec, lo="500", hi="600")])
+            reverify_records([rec._replace(lo="500", hi="600")])
         if mode == "exact":
             # the row is rebuilt from its depth, so another depth does not regenerate it
             with pytest.raises(ValueError, match="does not regenerate"):
-                reverify_records([replace(rec, depth=rec.depth + 1)])
+                reverify_records([rec._replace(depth=rec.depth + 1)])
 
     @pytest.mark.parametrize(
         "argv",
@@ -471,7 +470,7 @@ class TestRecordFormat:
         recs = parse_records(out, "csv")
         assert recs[0].mode == "directed-fixed-precision"
         assert reverify_records(recs)
-        moved = replace(recs[0], lo="500", hi="600")
+        moved = recs[0]._replace(lo="500", hi="600")
         with pytest.raises(ValueError, match="disjoint"):
             reverify_records([moved])
 
@@ -487,7 +486,7 @@ class TestRecordFormat:
         assert {r.mode for r in recs} == {"directed-fixed-precision"}
         assert reverify_records(recs)
         for i, rec in enumerate(recs):
-            tampered = [*recs[:i], replace(rec, lo="500", hi="600"), *recs[i + 1:]]
+            tampered = [*recs[:i], rec._replace(lo="500", hi="600"), *recs[i + 1:]]
             with pytest.raises(ValueError, match="disjoint"):
                 reverify_records(tampered)
 
@@ -519,7 +518,7 @@ class TestRecordFormat:
         _, out = run(capsys, "oracle", "--m", "1", "--lambda", "1")
         oracle = parse_records(out, "csv")
         assert reverify_records([g1, g2, *witness, *oracle])
-        overlapping = [replace(g1, lo=g2.lo), g2]
+        overlapping = [g1._replace(lo=g2.lo), g2]
         for recs in (overlapping, [*overlapping, *witness]):
             with pytest.raises(ValueError, match="do not certify a decrease"):
                 reverify_records(recs)
@@ -531,7 +530,7 @@ class TestRecordFormat:
                 _, out = run(capsys, "eval", "--m", m, "--lambda", lam)
                 rows += parse_records(out, "csv")
             assert reverify_records(rows)
-            rows = [replace(r, command=c) for r, c in zip(rows, ("witness-g1", "witness-g2"))]
+            rows = [r._replace(command=c) for r, c in zip(rows, ("witness-g1", "witness-g2"))]
             with pytest.raises(ValueError, match="do not certify a decrease"):
                 reverify_records(rows)
         for recs in ([g1], [g2], [g2, g1], [g1, *oracle, g2], oracle[:1], oracle[1:],
@@ -610,7 +609,7 @@ class TestRecordFormat:
         assert len(calls) == 1
         # commands are checked before any row is evaluated
         with pytest.raises(ValueError, match="unknown record command"):
-            reverify_records([directed, replace(directed, command="evaluate")])
+            reverify_records([directed, directed._replace(command="evaluate")])
         assert len(calls) == 1
 
     def test_directed_rounding_of_decimals(self):

@@ -177,7 +177,7 @@ def test_find_witness_matches_scan_first_reference(m, lams, ascending, tol, max_
     want, ref_calls = counted_outcome(reference_find_witness, m, grid, tol, **kwargs)
     assert got == want
     assert calls <= ref_calls
-    if isinstance(got, tuple) and got[0] is DomainError:
+    if not isinstance(got, Witness) and got[0] is DomainError:
         assert calls == 0
 
 

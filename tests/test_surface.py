@@ -5,12 +5,16 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cfcert
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 PUBLIC = {
     # classes and constants
@@ -76,3 +80,29 @@ def test_check_has_no_tightening_cap(capsys):
     assert main(["check", "--help"]) == 0
     out = capsys.readouterr().out
     assert "--max-depth" in out and "--max-tighten" not in out
+
+
+def run_bare(*args: str) -> subprocess.CompletedProcess:
+    """A ``python -S`` child (no site, so no .pth preloads) importing cfcert from src/."""
+    return subprocess.run(
+        [sys.executable, "-S", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    run = run_bare("-c", "import sys, cfcert.cli; "
+                   "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+def test_bare_module_run_prints_what_main_prints(capsys):
+    from cfcert.cli import main
+
+    argv = ["eval", "--m", "1/3", "--lambda", "1932/997", "--tol", "1e-25"]
+    run = run_bare("-m", "cfcert", *argv)
+    assert main(argv) == 0
+    assert (run.returncode, run.stdout) == (0, capsys.readouterr().out), run.stderr
