@@ -14,10 +14,11 @@ the shift identity G(m, lam) = m*lam + 1/G(m+1, lam).
 
 Two modes are provided.  Exact mode runs the convergent recurrence over big
 rationals; it is the reference semantics.  Directed mode runs a backward
-interval pass over integers scaled by D * 2**bits (D = b*d at m = a/b,
-lam = c/d), where every term is exact and only the reciprocals round,
-outward; bits is at least 128, and 64 past 1/tol.  It serves small lam,
-where exact numerators get impractically large.
+interval pass: its deep end runs in binary64 with outward factors, and the
+rest over integers scaled by D * 2**bits (D = b*d at m = a/b, lam = c/d),
+where every term is exact and only the reciprocals round, outward; bits is
+bitlen(1/tol) plus a guard sized by the number of those roundings.  It
+serves small lam, where exact numerators get impractically large.
 
 The one setting is the depth budget ``max_depth`` (at least 1): every
 evaluation stops there, and every layer above takes it as a keyword.
@@ -39,8 +40,6 @@ RationalLike = Fraction | int | str | float
 
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 10_000
-#: the least precision of a directed pass, in bits
-DEFAULT_PRECISION_BITS = 128
 #: below this lam, exact numerators blow up (the depth that meets tol grows
 #: like sqrt(2 ln(1/tol) / lam), see _depth_guess)
 DIRECTED_LAMBDA_CUTOFF = Fraction(1, 64)
@@ -123,6 +122,9 @@ class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode")):
     def contains(self, value: RationalLike) -> bool:
         value = as_fraction(value)
         return self.lo <= value <= self.hi
+
+    # ``value in enc`` tests the interval, not the tuple's fields
+    __contains__ = contains
 
     def encloses(self, other: Enclosure) -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -383,25 +385,82 @@ def _width_bound(lam: Fraction, depth: int) -> tuple[int, int] | None:
 # directed mode
 # ---------------------------------------------------------------------------
 
+#: outward factors of the float stage of _directed_tail
+_DOWN, _UP = 1 - 2.0**-50, 1 + 2.0**-50
+#: the float stage hands over below this width relative to its upper end
+_NARROW = 2.0**-36
+#: the float stage's range guard keeps every value normal
+_TINY, _HUGE = 2.0**-900, 2.0**900
+
 
 def _directed_tail(
     a: int, b: int, c: int, big_d: int, depth: int, bits: int
 ) -> tuple[int, int, int]:
-    """Backward interval pass over the tail terms u_j / D, u_j = (a + j*b) * c.
+    """Backward interval pass over the tail terms x_j = u_j / D, u_j = (a + j*b) * c.
 
     Returns integers (lo, hi, S) with lo/S <= tail value <= hi/S, where
-    S = D * 2**bits.  At that scale every term u_j / D is the exact integer
-    u_j << bits, so no term rounds.  Only the reciprocals round, outward:
-    1/(hi/S) is S*S/hi at scale S and rounds down, 1/(lo/S) rounds up.  The
-    seed uses T_depth in (x_depth, x_depth + 1/x_{depth+1}).
+    S = D * 2**bits.  The seed uses T_depth in (x_depth, x_depth + 1/x_{depth+1}),
+    and each step T_j = x_j + 1/T_{j+1}: the old upper bound feeds the new
+    lower one and vice versa.  The pass runs in two stages.
+
+    Deep steps run in binary64 on x_j = (m1 + j) * lam, from m1 = a/b and
+    lam = b*c/D, which int true division rounds correctly.  Each new lower
+    bound is multiplied by 1 - 2**-50 and each new upper bound by
+    1 + 2**-50, both exact.  Every float bound stays on its side:
+    - Every value is positive and, by the range guard, normal, so each
+      round-to-nearest operation multiplies its exact result by some 1 + e
+      with |e| <= u = 2**-53.  A sum of positive parts carries the worst
+      factor of its parts, then its own.  The reciprocal of a value that
+      carries at most (1 + u)**k carries at least 1/(1 + u)**k >= (1 - u)**k,
+      then its own: the one direction the seed's upper bound needs.
+    - A term carries at most (1 -+ u)**4: m1, m1 + j, lam and the product.
+      A loop step's new bound carries at most (1 -+ u)**6: four from the
+      term (the reciprocal of a float bound carries one), then the sum and
+      the product by the factor.  The seed's lower bound carries five, and
+      its upper bound seven, since 1/x_{depth+1} carries five.
+    - (1 + u)**7 * (1 - 2**-50) < 1 < (1 - u)**7 * (1 + 2**-50).  So each new
+      lower bound lies below x_j + 1/hi <= T_j, and each upper bound above
+      x_j + 1/lo >= T_j, with lo, hi the float bounds of T_{j+1}.
+    The range guard: m1, lam and the first term m1*lam are at least 2**-900,
+    the term past the seed is at most 2**900, and depth is below 2**52, so
+    m1 + j is one rounding.  Then every term, bound and reciprocal lies in
+    [2**-902, 2**902].  Otherwise the float stage runs no step.
+
+    The float stage hands over at the first step whose width is below
+    2**-36 of its upper end, before its own rounding (about 2**-50 relative
+    a step) shows in the width.  The bounds convert exactly, lo down and hi
+    up, to scale S, where every term is the exact integer u_j << bits, so no
+    term rounds.  Only the reciprocals round, outward: 1/(hi/S) is S*S/hi at
+    scale S and rounds down, 1/(lo/S) rounds up.  lo/S stays above x_j / 2,
+    at least 2**(bits - 1) / S, so lo is a positive integer.  When the float
+    stage runs no step, the integer stage takes the seed itself.
     """
     scale = big_d << bits
+    j = depth
+    try:
+        m1, lam = a / b, b * c / big_d
+    except OverflowError:
+        m1 = lam = 0.0
+    if min(m1, lam, m1 * lam) >= _TINY and (m1 + depth + 1) * lam <= _HUGE and depth < 2**52:
+        down, up, narrow = _DOWN, _UP, _NARROW
+        x = (m1 + j) * lam
+        lo, hi = x * down, (x + 1 / ((m1 + j + 1) * lam)) * up
+        while j and hi - lo >= hi * narrow:
+            j -= 1
+            x = (m1 + j) * lam
+            lo, hi = (x + 1 / hi) * down, (x + 1 / lo) * up
     sq = scale * scale
     sq1 = sq - 1  # ceil(sq / x) = (sq - 1) // x + 1
     step = (b * c) << bits
-    t = ((a + depth * b) * c) << bits
-    lo, hi = t, t + sq1 // (t + step) + 1
-    for _ in range(depth):
+    t = ((a + j * b) * c) << bits
+    if j < depth:
+        n, d = lo.as_integer_ratio()
+        lo = n * scale // d
+        n, d = hi.as_integer_ratio()
+        hi = -(-n * scale // d)
+    else:
+        lo, hi = t, t + sq1 // (t + step) + 1
+    for _ in range(j):
         t -= step
         # old hi feeds the new lower bound and vice versa (reciprocal flips order)
         lo, hi = t + sq // hi, t + sq1 // lo + 1
@@ -414,13 +473,18 @@ def _depth_guess(lam: Fraction, tol: Fraction) -> int:
     For small lam, P_n P_{n-1} grows like exp(lam * n**2 / 2), so the width
     meets tol near n = sqrt(2 ln(1/tol) / lam).  Integer arithmetic with
     2 ln 2 ~ 1386/1000 and ln(1/tol) ~ ln 2 * bitlen(1/tol), plus a margin.
+    Near n, one more step takes about lam * n off the log of the width, so
+    the margin is the larger of n/16 steps and the ceil(4/(3*lam*n)) steps
+    that take 4/3 off it.  The second covers loose tol, where n/16 is too
+    few; from tol 1e-7 down the first is the larger at every lam <= 1/64.
     Once the terms pass about 2 the growth slows to the factorial rate, so
     for large lam with tight tol the guess can fall short; the caller then
     doubles the depth.
     """
     tol_bits = (tol.denominator // tol.numerator).bit_length()
     n = isqrt(1386 * tol_bits * lam.denominator // (1000 * lam.numerator))
-    return max(32, n + n // 16 + 16)
+    log_margin = -(-4 * lam.denominator // (3 * lam.numerator * max(n, 1)))
+    return max(32, n + max(n // 16, log_margin) + 16)
 
 
 def eval_directed(
@@ -431,14 +495,23 @@ def eval_directed(
 ) -> Enclosure:
     """Directed-rounding enclosure of G(point), for deep (small lam) evaluation.
 
-    Same bracketing contract as eval_enclosure, but the tail runs on integers
-    scaled by D * 2**bits (see _directed_tail): the terms are exact, and the
-    reciprocal that feeds each lower bound rounds down and the one that
-    feeds each upper bound rounds up, so the result remains rigorous at any
-    depth.  bits is DEFAULT_PRECISION_BITS, raised to 64 past 1/tol so that
-    rounding stays far below the width.  Raises NotConvergedError with the
-    best enclosure attached when the width is still above tol at
-    ``max_depth``.
+    Same bracketing contract as eval_enclosure, but the tail runs as a
+    backward interval pass (see _directed_tail): its deep end in binary64
+    with outward factors, the rest on integers scaled by S = D * 2**bits,
+    where the terms are exact and the reciprocal that feeds each lower bound
+    rounds down and the one that feeds each upper bound rounds up.  So the
+    result remains rigorous at any depth.
+
+    bits is worked out from tol and the number of integer roundings.  A pass
+    of depth n rounds each end under one unit of 1/S per step, plus once at
+    the handover: at most 2*n + 2 units.  Consecutive tail values have
+    T_j * T_{j+1} = x_j * T_{j+1} + 1 >= 1, so the reciprocals that carry an
+    error back to G do not grow it over any two steps, nor over one at small
+    lam, where the tail values are near 1.  bits = bitlen(1/tol) +
+    bitlen(2*n + 2) + 24 then keeps the rounding about 2**-24 below tol.
+
+    Raises NotConvergedError with the best enclosure attached when the width
+    is still above tol at ``max_depth``.
     """
     tol = as_fraction(tol)
     if tol <= 0:
@@ -449,10 +522,10 @@ def eval_directed(
     c = point.lam.numerator
     big_d = b * point.lam.denominator
     tol_bits = (tol.denominator // tol.numerator).bit_length()
-    bits = max(DEFAULT_PRECISION_BITS, 64 + tol_bits)
     best: Enclosure | None = None
     depth = min(_depth_guess(point.lam, tol), max_depth)
     while True:
+        bits = tol_bits + (2 * depth + 2).bit_length() + 24
         t_lo, t_hi, scale = _directed_tail(a, b, c, big_d, depth, bits)
         enc = _from_tail(point, (t_lo, scale), (t_hi, scale), depth, EvalMode.DIRECTED)
         if best is not None:

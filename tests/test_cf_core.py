@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -508,9 +509,10 @@ class TestEvalDirected:
         assert best.lo < best.hi
 
     def test_first_term_far_below_default_precision(self):
-        # the first tail term (m + 1) * lam = 10**-55 lies far below 2**-128,
-        # but it is the exact integer u_0 << bits at the pass's scale
-        # D * 2**bits, so the default precision still gives a valid enclosure
+        # the first tail term (m + 1) * lam = 10**-55 lies far below 2**-bits,
+        # but it is a normal double in the float stage and the exact integer
+        # u_0 << bits at the integer stage's scale D * 2**bits, so the
+        # precision worked out from tol still gives a valid enclosure
         point = CFPoint(Fraction(-1) + Fraction(1, 10**50), Fraction(1, 10**5))
         tol = Fraction(1, 10**3)
         enc = eval_directed(point, tol)
@@ -555,7 +557,7 @@ class TestEvalDirected:
         ks = [round(101 * (153846 / 101) ** (i / 24)) for i in range(25)]
         lams = [Fraction(k, 10000019) for k in ks]
         assert Fraction(1, 10**5) <= lams[0] and lams[-1] <= Fraction(1, 65)
-        tols = [Fraction(1, 10**e) for e in range(12, 31, 3)]
+        tols = [Fraction(1, 10**e) for e in range(3, 31, 3)]
         misses = [
             (m, lam, tol)
             for m in (Fraction(-1, 2), 0, Fraction(1, 3), 1, 5)
@@ -565,24 +567,51 @@ class TestEvalDirected:
         ]
         assert misses == []
 
+    def test_float_stage_premises(self):
+        # the outward-factor proof in _directed_tail assumes binary64 that
+        # rounds to nearest
+        assert sys.float_info.radix == 2
+        assert sys.float_info.mant_dig == 53
+        assert sys.float_info.rounds == 1
+
     @given(
         # dyadic b and lam make exact terms (remainder 0) that a shortcut would miss
-        b=st.one_of(st.integers(min_value=1, max_value=10**13), st.just(2**40)),
-        a_frac=st.fractions(min_value=0, max_value=1),
+        b=st.one_of(
+            st.integers(min_value=1, max_value=10**13), st.just(2**40),
+            st.integers(min_value=1, max_value=10**50),
+        ),
+        a_frac=st.fractions(min_value=0, max_value=6),
         lam=st.one_of(
+            # small lam keeps the float stage's interval wide for many steps
+            st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(1, 100),
+                         max_denominator=10**12),
             st.fractions(min_value=Fraction(1, 10**5), max_value=4, max_denominator=10**12),
             st.builds(Fraction, st.integers(min_value=1, max_value=2**22), st.just(2**20)),
+            # first terms from 10**-250 down to 10**-300, on both sides of the
+            # float stage's range guard at 2**-900
+            st.just(Fraction(1, 10**250)),
         ),
-        depth=st.integers(min_value=0, max_value=200),
-        bits=st.sampled_from([64, 128, 200]),
+        depth=st.integers(min_value=0, max_value=300),
+        bits=st.integers(min_value=26, max_value=200),
     )
     # first terms 10**-25 and 10**-55, below 2**-64 and 2**-128: the old
     # kernel rounds them to zero
     @example(b=10**13, a_frac=Fraction(0), lam=Fraction(1, 10**12), depth=30, bits=64)
     @example(b=10**50, a_frac=Fraction(0), lam=Fraction(1, 10**5), depth=200, bits=128)
+    # all 1000 steps in floats: the width never falls to 2**-36 of the bound
+    @example(b=3, a_frac=Fraction(4, 3), lam=Fraction(1, 10**6), depth=1000, bits=40)
+    # floats, then integers: 242, 10 and 310 float steps, the last at b = 10**50
+    @example(b=3, a_frac=Fraction(4, 3), lam=Fraction(1, 10**4), depth=1200, bits=40)
+    @example(b=7, a_frac=Fraction(1, 2), lam=Fraction(3, 1000), depth=1000, bits=26)
+    @example(b=10**50, a_frac=Fraction(0), lam=Fraction(1, 10**4), depth=1000, bits=64)
+    # the range guard: first term 10**-300, no float step
+    @example(b=10**50, a_frac=Fraction(0), lam=Fraction(1, 10**250), depth=40, bits=64)
+    # a handover where the bounds have only about 28 bits at scale S, so a
+    # handover that rounds to nearest, not outward, breaks containment
+    @example(b=1, a_frac=Fraction(0), lam=Fraction(1, 10**250), depth=1, bits=26)
     @settings(max_examples=100, deadline=None)
     def test_exact_term_pass_contains_exact_pass(self, b, a_frac, lam, depth, bits):
-        # shifted m = a/b lies in (0, 1], i.e. the original m in (-1, 0]
+        # shifted m = a/b lies in (0, 6], i.e. the original m in (-1, 5]
         a = max(1, int(a_frac * b))
         args = (a, b, lam.numerator, b * lam.denominator, depth, bits)
         lo, hi, scale = _directed_tail(*args)

@@ -103,3 +103,10 @@ def test_records_are_tuples():
     assert POINT == (Fraction(1, 3), Fraction(1))
     lo, hi, depth, mode = LOW
     assert (lo, hi, depth, mode) == (Fraction(1, 2), Fraction(3, 4), 5, EvalMode.EXACT)
+
+
+def test_enclosure_membership_is_the_interval():
+    # tuple membership would test the fields: 1/2 is none of (0, 2, 1, mode)
+    enc = Enclosure(0, 2, 1, EvalMode.EXACT)
+    assert Fraction(1, 2) in enc and "3/2" in enc and 2 in enc
+    assert 3 not in enc and Fraction(-1, 2) not in enc
