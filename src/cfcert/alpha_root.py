@@ -2,23 +2,14 @@
 
 find_alpha bisects on m and only ever moves an endpoint on certified
 evidence: G(0, lam) < 1 and G(1, lam) > 1 are certified before it starts,
-and each step needs only the side of 1 that G(mid, lam) lies on.  At an
-exact-routed lam that side comes from one walk of the exact recurrence,
-which stops at the first convergent pair whose enclosure excludes 1 and
-gives up only at max_depth.  At a directed-routed lam classify_vs_one
-tightens the tolerance from g_tol by 10 per round, TIGHTEN_ROUNDS (8)
-rounds, and an evaluation out of depth budget decides from its best
-enclosure: running to the budget there needs widths near e^(-4/lam), which
-directed passes cannot afford.  Bisection runs until the bracket is as
-narrow as asked; a midpoint still undecided, at max_depth or after
-TIGHTEN_ROUNDS, returns the current bracket flagged FLAG_INCONCLUSIVE
-instead of guessing.  The midpoint enclosure is the best one reached
-within the depth budget, and each end keeps the enclosure that decided it.
-
-At an exact-routed lam bisection usually starts near its end: a
-double-precision Newton estimate of alpha names the dyadic cell where the
-loop would stop, and two walks certify its ends.  The float only picks
-which cell the walks look at; every verdict is exact.
+and each step needs only the side of 1 that G(mid, lam) lies on.  Where a
+midpoint stays undecided, find_alpha certifies the ends of the cell of the
+target width centred on it instead (epsilon-inflation; Rump, "Verification
+methods", Acta Numerica 2010).  Below DIRECTED_LAMBDA_CUTOFF the first
+midpoint, 1/2, is such a point: G(1/2, lam) = coth(2/lam) lies within about
+2e^(-4/lam) of 1, while the cell's ends lie about lam * width / 4 from 1.
+At an exact-routed lam a float Newton estimate of alpha picks the cell
+where bisection starts; every verdict is exact.
 """
 
 from __future__ import annotations
@@ -29,10 +20,10 @@ from fractions import Fraction
 from .cf_core import (
     DEFAULT_MAX_DEPTH,
     DIRECTED_LAMBDA_CUTOFF,
-    TIGHTEN_ROUNDS,
     CFPoint,
     Enclosure,
     RationalLike,
+    _best,
     _depth_guess,
     _pair_enclosure,
     _side_of_one,
@@ -45,6 +36,11 @@ from .errors import DomainError, InconclusiveError
 _BELOW, _STRADDLE, _ABOVE = -1, 0, 1
 
 FLAG_INCONCLUSIVE = "inconclusive-midpoint"
+
+
+def _side(enc: Enclosure) -> int:
+    """The side of 1 that enc shows its value on, or _STRADDLE."""
+    return _BELOW if enc.hi < 1 else _ABOVE if enc.lo > 1 else _STRADDLE
 
 
 class AlphaResult(
@@ -61,7 +57,7 @@ class AlphaResult(
     enclosures, ``g_at_lo`` and ``g_at_hi``, the ones that decided them.
     ``flag`` is None on a clean run, or names why the bracket was
     returned early.  The m's and ``lam`` are Fractions, each ``g_at_*`` an
-    Enclosure or None, and ``iterations`` the number of halvings.
+    Enclosure or None, and ``iterations`` is log2(1/width).
     """
 
     __slots__ = ()
@@ -82,21 +78,20 @@ def classify_vs_one(
 
     At an exact-routed point (lam >= DIRECTED_LAMBDA_CUTOFF, as evaluate
     routes) this is the cf_core._side_of_one walk, and tol is unused.  At a
-    directed-routed point the tolerance runs from tol down to
-    tol / 10**TIGHTEN_ROUNDS.  An evaluation out of budget ends the rounds:
-    its best enclosure may still decide the side, and otherwise the
-    straddle verdict is returned.
+    directed-routed point the tolerance runs from tol down by 10 a round
+    until the side is decided or an evaluation runs out of budget: its best
+    enclosure may still decide the side, and otherwise the straddle verdict
+    is returned.  So a point whose G lies extremely near 1, such as m = 1/2,
+    costs passes up to max_depth; find_alpha sends it no midpoint.
     """
     if point.lam >= DIRECTED_LAMBDA_CUTOFF:
         m, lam = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
         side, pair = _side_of_one(*m, *lam, max_depth)
         return side, _pair_enclosure(point, pair)
-    for _, (enc,) in _tightened([point], tol, TIGHTEN_ROUNDS, max_depth):
-        if enc.hi < 1:
-            return _BELOW, enc
-        if enc.lo > 1:
-            return _ABOVE, enc
-    return _STRADDLE, enc
+    for _, (enc,) in _tightened([point], tol, max_depth):
+        if _side(enc):
+            break
+    return _side(enc), enc
 
 
 def _newton_alpha(lam: Fraction, max_depth: int) -> float | None:
@@ -132,17 +127,20 @@ def find_alpha(
 ) -> AlphaResult:
     """Bisect m over (0, 1) down to a certified bracket for the crossing.
 
-    Each accepted step halves the bracket, so the final width is exactly
-    2**-iterations.  The loop keeps going until the bracket is interior to
-    (0, 1) and at most bracket_tol/4 wide (the extra factor keeps the
-    midpoint's G value well within g_tol of 1), or until a midpoint's side
-    stays undecided, which flags the result FLAG_INCONCLUSIVE.
+    The loop keeps going until the bracket is interior to (0, 1) and at most
+    bracket_tol/4 wide (the extra factor keeps the midpoint's G value well
+    within g_tol of 1).  A midpoint c whose side stays undecided is not
+    bisected: the result is the cell [c - h, c + h] when its ends certify,
+    with h = 2**-e and e the least level past c's own with 2h <= bracket_tol/4,
+    so the cell lies strictly inside the bracket; otherwise the bracket,
+    flagged FLAG_INCONCLUSIVE.  Either way the width is 2**-iterations.
 
-    Every side of 1, the anchors' included, is decided once per point: when
-    lam routes to exact mode by one walk of the exact recurrence
-    (cf_core._side_of_one), which gives up only at max_depth, and otherwise
-    by classify_vs_one.  A float Newton estimate of alpha names the dyadic
-    cell where the loop would stop, at level 32 at most.  The loop starts
+    Every side of 1 is decided once per point: when lam routes to exact mode
+    by one walk of the exact recurrence (cf_core._side_of_one), which gives
+    up only at max_depth; otherwise a midpoint's by one evaluation at g_tol,
+    and the anchors' and the cell ends' by classify_vs_one.  A float Newton
+    estimate of alpha names the dyadic cell where the loop would stop, at
+    level 32 at most.  The loop starts
     from that cell instead of (0, 1) when walks certify G < 1 at its lower
     end and G > 1 at its upper end, each with a bound more than W from 1,
     where W bounds the width of every exact enclosure at m >= 0 and depth
@@ -163,17 +161,22 @@ def find_alpha(
     c, d = lam.numerator, lam.denominator
     decided: dict[tuple[int, int], tuple] = {}
 
-    def side_at(a: int, j: int) -> tuple:
+    def side_at(a: int, j: int, probe: bool = False) -> tuple:
         """Side of G(a / 2**j, lam) relative to 1, once per reduced point, with the
-        walk's tail pair at an exact-routed lam, else classify_vs_one's enclosure."""
+        walk's tail pair at an exact-routed lam, else the enclosure that showed it:
+        one evaluation at g_tol for a midpoint ``probe``, classify_vs_one's otherwise."""
         while j and not a & 1:
             a >>= 1
             j -= 1
         if (a, j) not in decided:
-            decided[a, j] = (
-                _side_of_one(a, 1 << j, c, d, max_depth) if exact
-                else classify_vs_one(CFPoint(Fraction(a, 1 << j), lam), g_tol, max_depth=max_depth)
-            )
+            if exact:
+                decided[a, j] = _side_of_one(a, 1 << j, c, d, max_depth)
+            elif probe:
+                enc = _best(CFPoint(Fraction(a, 1 << j), lam), g_tol, max_depth)[0]
+                decided[a, j] = _side(enc), enc
+            else:
+                point = CFPoint(Fraction(a, 1 << j), lam)
+                decided[a, j] = classify_vs_one(point, g_tol, max_depth=max_depth)
         return decided[a, j]
 
     def enclosure_at(a: int, j: int) -> Enclosure:
@@ -222,20 +225,31 @@ def find_alpha(
                 pk = min(int(est * (1 << pj)), (1 << (pj - 1)) - 1)
             if clear(pk + 1, pj, _ABOVE) and clear(pk, pj, _BELOW):
                 k, j = pk, pj
-    flag = None
+    flag = cell = g_mid = None
     while unfinished(k, j):
         mid = 2 * k + 1  # the midpoint is mid / 2**(j + 1)
-        side = side_at(mid, j + 1)[0]
+        side, found = side_at(mid, j + 1, probe=True)
         if side == _STRADDLE:
-            flag = FLAG_INCONCLUSIVE
+            if not exact:
+                g_mid = found
+            e = j + 2  # the cell's ends, (a -+ 1) / 2**e, lie inside the bracket
+            while target.numerator << (e - 1) < target.denominator:
+                e += 1
+            a = mid << (e - j - 1)
+            if side_at(a - 1, e)[0] == _BELOW and side_at(a + 1, e)[0] == _ABOVE:
+                cell, j = (a - 1, a + 1, e), e - 1
+            else:
+                flag = FLAG_INCONCLUSIVE
             break
         k = mid if side == _BELOW else 2 * k
         j += 1
 
-    lo, hi = Fraction(k, 1 << j), Fraction(k + 1, 1 << j)
-    # out of budget, the midpoint keeps its best enclosure
-    _, (g_mid,) = next(_tightened([CFPoint((lo + hi) / 2, lam)], g_tol, 0, max_depth))
+    a_lo, a_hi, level = cell or (k, k + 1, j)
+    lo, hi = Fraction(a_lo, 1 << level), Fraction(a_hi, 1 << level)
+    if g_mid is None:
+        # out of budget, the midpoint keeps its best enclosure
+        g_mid = _best(CFPoint((lo + hi) / 2, lam), g_tol, max_depth)[0]
     return AlphaResult(
         lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=j, flag=flag,
-        g_at_lo=enclosure_at(k, j), g_at_hi=enclosure_at(k + 1, j),
+        g_at_lo=enclosure_at(a_lo, level), g_at_hi=enclosure_at(a_hi, level),
     )

@@ -28,6 +28,7 @@ from .cf_core import (
     Enclosure,
     EvalMode,
     RationalLike,
+    _best,
     _from_tail,
     _tightened,
     as_fraction,
@@ -115,7 +116,7 @@ def check_sandwich(
     """
     if point.m < 0:
         raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
-    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, None, max_depth):
+    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, max_depth):
         bound = theorem_bound(point, t)
         if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
             upper = CheckReport(
@@ -153,7 +154,7 @@ def check_functional_equation(
     a disjoint pair raises ViolationError.  An evaluation out of budget
     contributes its best enclosure.
     """
-    _, (direct, tail) = next(_tightened([point, point.shifted()], tol, 0, max_depth))
+    direct, tail = (_best(p, tol, max_depth)[0] for p in (point, point.shifted()))
     shifted = _from_tail(
         point, tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio(), tail.depth, tail.mode
     )
@@ -182,7 +183,7 @@ def check_g_above_one(
     if point.m < 1:
         raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
     unit = Enclosure(lo=ONE, hi=ONE, depth=0, mode=EvalMode.EXACT)
-    for _, (enc,) in _tightened([point], tol, None, max_depth):
+    for _, (enc,) in _tightened([point], tol, max_depth):
         if enc.lo > 1:
             return CheckReport(
                 point=point,
@@ -212,7 +213,7 @@ def check_reciprocal(
     """
     lam = as_fraction(lam)
     p0 = CFPoint(Fraction(0), lam)
-    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, None, max_depth):
+    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, max_depth):
         if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
             raise ViolationError(
                 f"product interval excludes 1 at lam={lam}: {g0} * {g1}"

@@ -29,9 +29,10 @@ from __future__ import annotations
 import numbers
 from collections import namedtuple
 from collections.abc import Iterator
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
@@ -43,8 +44,6 @@ DEFAULT_MAX_DEPTH = 10_000
 #: below this lam, exact numerators blow up (the depth that meets tol grows
 #: like sqrt(2 ln(1/tol) / lam), see _depth_guess)
 DIRECTED_LAMBDA_CUTOFF = Fraction(1, 64)
-#: rounds of x10 tightening for classify_vs_one at a directed-routed point
-TIGHTEN_ROUNDS = 8
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -55,6 +54,14 @@ def as_fraction(value: RationalLike) -> Fraction:
 class EvalMode(str, Enum):
     EXACT = "exact"
     DIRECTED = "directed-fixed-precision"
+
+
+def _sci(value: Fraction) -> str:
+    """value > 0 as f"{float(value):.3e}" prints it, also where a float overflows."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 4, MAX_EMAX, MIN_EMIN
+        mant, _, exp = f"{Decimal(value.numerator) / value.denominator:.3e}".partition("e")
+    return f"{mant}e{int(exp):+03d}"
 
 
 def _check_budget(max_depth: int) -> None:
@@ -291,7 +298,7 @@ def eval_enclosure(
     if met:
         return enc
     raise BudgetExceededError(
-        f"width {float(enc.width):.3e} > tol {float(tol):.3e} "
+        f"width {_sci(enc.width)} > tol {_sci(tol)} "
         f"at max_depth={max_depth}; raise the budget or use directed mode",
         best=enc,
     )
@@ -539,7 +546,7 @@ def eval_directed(
             return best
         if depth >= max_depth:
             raise NotConvergedError(
-                f"width {float(best.width):.3e} > tol {float(tol):.3e} "
+                f"width {_sci(best.width)} > tol {_sci(tol)} "
                 f"at max_depth={max_depth}",
                 best=best,
             )
@@ -567,29 +574,31 @@ def evaluate(
     return eval_directed(point, tol, max_depth=max_depth)
 
 
+def _best(
+    point: CFPoint, tol: RationalLike, max_depth: int, mode: str | EvalMode = "auto"
+) -> tuple[Enclosure, NotConvergedError | BudgetExceededError | None]:
+    """(enclosure, None) when evaluate meets tol; out of budget, (its best
+    enclosure, still rigorous, and the error)."""
+    try:
+        return evaluate(point, tol, mode=mode, max_depth=max_depth), None
+    except (BudgetExceededError, NotConvergedError) as exc:
+        return exc.best, exc
+
+
 def _tightened(
-    points: list[CFPoint], tol: RationalLike, rounds: int | None, max_depth: int
+    points: list[CFPoint], tol: RationalLike, max_depth: int
 ) -> Iterator[tuple[Fraction, list[Enclosure]]]:
-    """Enclosures of G at ``points``, at tol, tol/10, ..., tol/10**rounds.
+    """Enclosures of G at ``points``, at tol, tol/10, tol/100, ...
 
     Yields (t, enclosures) per tolerance, evaluating the points in order;
-    the caller stops when its predicate decides.  ``rounds`` is 0 for one
-    evaluation, TIGHTEN_ROUNDS for classify_vs_one's directed schedule, or
-    None to go on until the depth budget.  An evaluation out of budget
-    contributes its best enclosure, which is still rigorous, and makes that
-    tolerance the last one, since no tighter tolerance can go deeper.
+    the caller stops when its predicate decides.  An evaluation out of
+    budget contributes its best enclosure (_best) and makes that tolerance
+    the last one, since no tighter tolerance can go deeper.
     """
     t = as_fraction(tol)
-    for k in count():
-        last = k == rounds
-        encs = []
-        for point in points:
-            try:
-                encs.append(evaluate(point, t, max_depth=max_depth))
-            except (BudgetExceededError, NotConvergedError) as exc:
-                encs.append(exc.best)
-                last = True
-        yield t, encs
-        if last:
+    while True:
+        found = [_best(point, t, max_depth) for point in points]
+        yield t, [enc for enc, _ in found]
+        if any(exc for _, exc in found):
             return
         t = t / 10

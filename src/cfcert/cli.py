@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
-from .alpha_root import classify_vs_one, find_alpha
+from .alpha_root import _side, find_alpha
 from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
 from .bounds import (
     Claim,
@@ -39,10 +39,10 @@ from .cf_core import (
     CFPoint,
     Enclosure,
     EvalMode,
+    _best,
     _Checked,
     _exact_at,
     as_fraction,
-    evaluate,
 )
 from .errors import (
     BudgetExceededError,
@@ -278,15 +278,11 @@ def _tol(args) -> Fraction:
 
 def _cmd_eval(args):
     point = CFPoint(args.m, args.lam)
-    try:
-        enc = evaluate(point, _tol(args), mode=args.mode, max_depth=args.max_depth)
-        code = EXIT_OK
-    except (NotConvergedError, BudgetExceededError) as exc:
-        enc = exc.best
-        code = EXIT_NOT_CONVERGED
+    enc, exc = _best(point, _tol(args), args.max_depth, args.mode)
+    if exc is not None:
         print(f"not converged: {exc}", file=sys.stderr)
     rec = record_from_enclosure("eval", {"m": point.m, "lambda": point.lam}, enc)
-    return code, [rec]
+    return (EXIT_OK if exc is None else EXIT_NOT_CONVERGED), [rec]
 
 
 def _require_m(args):
@@ -365,12 +361,8 @@ def _cmd_scan(args):
         if entry.error is not None:
             code = EXIT_NOT_CONVERGED
             print(f"not converged at lambda={entry.lam}: {entry.error}", file=sys.stderr)
-        if entry.enclosure is not None:
-            records.append(
-                record_from_enclosure(
-                    "scan", {"m": as_fraction(args.m), "lambda": entry.lam}, entry.enclosure
-                )
-            )
+        inputs = {"m": as_fraction(args.m), "lambda": entry.lam}
+        records.append(record_from_enclosure("scan", inputs, entry.enclosure))
     return code, records
 
 
@@ -519,10 +511,6 @@ def _rec_point(rec: OutputRecord) -> CFPoint:
     return CFPoint(Fraction(m), Fraction(rec.inputs["lambda"]))
 
 
-def _side(enc: Enclosure) -> int:
-    return -1 if enc.hi < 1 else 1 if enc.lo > 1 else 0
-
-
 def _validate(records: list[OutputRecord], max_depth: int) -> None:
     """Reject an unknown command or a depth that no evaluation returns.
 
@@ -587,10 +575,7 @@ def _fresh_enclosure(rec: OutputRecord, max_depth: int) -> Enclosure:
     elif rec.mode == EvalMode.EXACT.value:
         enc = _exact_at(point, rec.depth)
     else:
-        try:
-            enc = evaluate(point, DEFAULT_TOL, mode="directed", max_depth=max_depth)
-        except (NotConvergedError, BudgetExceededError) as exc:
-            enc = exc.best
+        enc, _ = _best(point, DEFAULT_TOL, max_depth, "directed")
     lo, hi = _parsed_interval(rec)
     if max(lo, enc.lo) > min(hi, enc.hi):
         raise ValueError(f"re-evaluation disjoint from printed interval: {rec}")
@@ -616,9 +601,10 @@ def reverify_records(
       comes back inconclusive is a mismatch, and so is an uncertified
       check-functional row;
     - alpha-lo must lie below 1 and alpha-hi above it; a directed endpoint
-      that its fresh DEFAULT_TOL enclosure leaves undecided goes to
-      classify_vs_one from DEFAULT_TOL / 10, then to the exact enclosure at
-      depth + 1, which a directed pass at depth n encloses;
+      that its fresh DEFAULT_TOL enclosure leaves undecided gets one directed
+      evaluation at half the distance of its printed interval from 1, when
+      that is positive, which must meet the interval, then the exact
+      enclosure at depth + 1, which a directed pass at depth n encloses;
     - witness and oracle rows come in pairs (_check_pairs).
 
     Commands and depths are checked before any row is evaluated.
@@ -640,9 +626,13 @@ def reverify_records(
             continue
         side = _side(enc)
         if side == 0 and rec.mode != EvalMode.EXACT.value:
-            point = _rec_point(rec)
-            # _fresh_enclosure has just evaluated at DEFAULT_TOL
-            side, _ = classify_vs_one(point, DEFAULT_TOL / 10, max_depth=max_depth)
+            point, (lo, hi) = _rec_point(rec), _parsed_interval(rec)
+            gap = max(lo - 1, 1 - hi)
+            if gap > 0:  # an enclosure gap/2 wide that meets [lo, hi] excludes 1
+                enc, _ = _best(point, gap / 2, max_depth, "directed")
+                if max(lo, enc.lo) > min(hi, enc.hi):
+                    raise ValueError(f"re-evaluation disjoint from printed interval: {rec}")
+                side = _side(enc)
             if side == 0:
                 side = _side(_exact_at(point, rec.depth + 1))
         if side != (-1 if cmd == "alpha-lo" else 1):

@@ -35,9 +35,8 @@ class InconclusiveError(CFCertError):
     """No verdict either way: the enclosures still overlap where the retries stop.
 
     Retries stop only where an evaluation reaches the depth budget
-    max_depth, or, for find_alpha at a directed-routed lam, after
-    TIGHTEN_ROUNDS.  ``claim`` names what failed, and ``left`` and
-    ``right`` carry the last enclosures reached.
+    max_depth.  ``claim`` names what failed, and ``left`` and ``right``
+    carry the last enclosures reached.
     """
 
     def __init__(self, message: str, claim=None, left=None, right=None):

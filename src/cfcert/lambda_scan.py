@@ -23,17 +23,12 @@ from .cf_core import (
     CFPoint,
     Enclosure,
     RationalLike,
+    _best,
     _Checked,
     _tightened,
     as_fraction,
-    evaluate,
 )
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    NoWitnessFoundError,
-    NotConvergedError,
-)
+from .errors import DomainError, NoWitnessFoundError
 
 #: geometric default grid 2**-4 .. 2**2 for the witness search
 DEFAULT_WITNESS_GRID: tuple[Fraction, ...] = tuple(
@@ -66,8 +61,8 @@ class Witness(_Checked, namedtuple("Witness", "m lambda1 lambda2 g1 g2")):
 class ScanPoint(namedtuple("ScanPoint", "lam enclosure error", defaults=(None,))):
     """One grid entry: the enclosure, or the best rigorous one plus an error note.
 
-    An immutable named tuple: Fraction ``lam``, ``enclosure`` an Enclosure
-    or None, and ``error`` a str, or None when tol was met.
+    An immutable named tuple: Fraction ``lam``, ``enclosure`` an Enclosure,
+    and ``error`` a str, or None when tol was met.
     """
 
     __slots__ = ()
@@ -86,14 +81,7 @@ def limit_check(
     rigorous enclosure instead of aborting the sweep.
     """
     m = as_fraction(m)
-    out = []
-    for lam in lambdas:
-        point = CFPoint(m, as_fraction(lam))
-        try:
-            out.append(evaluate(point, tol, max_depth=max_depth))
-        except (NotConvergedError, BudgetExceededError) as exc:
-            out.append(exc.best)
-    return out
+    return [_best(CFPoint(m, as_fraction(lam)), tol, max_depth)[0] for lam in lambdas]
 
 
 def _grid_points(
@@ -114,10 +102,8 @@ def _grid_points(
     if grid and grid[0] <= 0:
         raise DomainError("lambda grid must be positive")
     for lam in grid:
-        try:
-            yield ScanPoint(lam=lam, enclosure=evaluate(CFPoint(m, lam), tol, max_depth=max_depth))
-        except (NotConvergedError, BudgetExceededError) as exc:
-            yield ScanPoint(lam=lam, enclosure=exc.best, error=str(exc))
+        enc, exc = _best(CFPoint(m, lam), tol, max_depth)
+        yield ScanPoint(lam=lam, enclosure=enc, error=None if exc is None else str(exc))
 
 
 def scan(
@@ -153,30 +139,28 @@ def find_witness(
         raise DomainError(f"witness search needs 0 < m < 1, got {m}")
     tol = as_fraction(tol)
     grid = list(DEFAULT_WITNESS_GRID) if lambda_grid is None else lambda_grid
-    usable: list[tuple[Fraction, Enclosure]] = []
+    reached: list[tuple[Fraction, Enclosure]] = []
     for e in _grid_points(m, grid, tol, max_depth):
-        if e.enclosure is None:
-            continue
-        if usable and usable[0][1].lo > e.enclosure.hi:
-            lam1, g1 = usable[0]
+        if reached and reached[0][1].lo > e.enclosure.hi:
+            lam1, g1 = reached[0]
             return Witness(m=m, lambda1=lam1, lambda2=e.lam, g1=g1, g2=e.enclosure)
-        usable.append((e.lam, e.enclosure))
+        reached.append((e.lam, e.enclosure))
 
     # the pairs (lam_0, lam_j) are done and every point is evaluated
-    for i in range(1, len(usable)):
-        lam1, g1 = usable[i]
-        for lam2, g2 in usable[i + 1 :]:
+    for i in range(1, len(reached)):
+        lam1, g1 = reached[i]
+        for lam2, g2 in reached[i + 1 :]:
             if g1.lo > g2.hi:
                 return Witness(m=m, lambda1=lam1, lambda2=lam2, g1=g1, g2=g2)
 
     # near misses: decreasing midpoints but overlapping enclosures
-    for i in range(len(usable)):
-        lam1, g1 = usable[i]
-        for lam2, g2 in usable[i + 1 :]:
+    for i in range(len(reached)):
+        lam1, g1 = reached[i]
+        for lam2, g2 in reached[i + 1 :]:
             if g1.midpoint <= g2.midpoint:
                 continue
             pair = [CFPoint(m, lam1), CFPoint(m, lam2)]
-            for _, (e1, e2) in _tightened(pair, tol / 10, None, max_depth):
+            for _, (e1, e2) in _tightened(pair, tol / 10, max_depth):
                 if e1.lo > e2.hi:
                     return Witness(m=m, lambda1=lam1, lambda2=lam2, g1=e1, g2=e2)
                 if e1.hi < e2.lo:
@@ -185,5 +169,5 @@ def find_witness(
         f"no certified decrease for m={m} on the scanned grid "
         "(absence on a grid is not a refutation)",
         m=m,
-        grid=[lam for lam, _ in usable],
+        grid=[lam for lam, _ in reached],
     )

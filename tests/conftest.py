@@ -32,7 +32,7 @@ from cfcert import (
 from cfcert.bounds import theorem_bound
 from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
-from cfcert.cf_core import TIGHTEN_ROUNDS, as_fraction
+from cfcert.cf_core import as_fraction
 
 #: reference_find_alpha's flag for a bracket still too wide after max_iterations
 #: halvings; find_alpha has no such cap and bisects until the bracket is narrow
@@ -380,28 +380,42 @@ def reference_cross_check(
         gap=overlap,
     )
 
-def reference_classify_vs_one(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
-    """Side of G(point) relative to 1 from tol down to tol/10**TIGHTEN_ROUNDS, in any mode.
+def _reference_side(enc: Enclosure) -> int:
+    return _BELOW if enc.hi < 1 else _ABOVE if enc.lo > 1 else _STRADDLE
 
-    Reference for alpha_root.classify_vs_one, which keeps these rounds only
+
+def reference_probe(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
+    """Side of G(point) relative to 1 from one evaluation at tol, in any mode,
+    or from its best enclosure when it runs out of budget.
+
+    Reference for alpha_root.find_alpha's midpoint probe at a
+    directed-routed lam.
+    """
+    try:
+        enc = evaluate(point, tol, max_depth=max_depth)
+    except (BudgetExceededError, NotConvergedError) as exc:
+        enc = exc.best
+    return _reference_side(enc), enc
+
+
+def reference_classify_vs_one(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
+    """Side of G(point) relative to 1 from tol down by 10 a round, in any mode.
+
+    Reference for alpha_root.classify_vs_one, which runs these rounds only
     at directed-routed points and walks the recurrence at exact-routed ones.
-    An evaluation out of budget ends the rounds and decides from its best
-    enclosure.
+    The rounds end at the first enclosure that excludes 1, or at an
+    evaluation out of budget, which decides from its best enclosure.
     """
     t = as_fraction(tol)
-    for _ in range(TIGHTEN_ROUNDS + 1):
+    while True:
         try:
             enc, out = evaluate(point, t, max_depth=max_depth), False
         except (BudgetExceededError, NotConvergedError) as exc:
             enc, out = exc.best, True
-        if enc.hi < 1:
-            return _BELOW, enc
-        if enc.lo > 1:
-            return _ABOVE, enc
-        if out:
-            break
+        side = _reference_side(enc)
+        if side or out:
+            return side, enc
         t = t / 10
-    return _STRADDLE, enc
 
 
 def reference_walk_classify_vs_one(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
@@ -425,19 +439,25 @@ def reference_find_alpha(
     *,
     max_depth=DEFAULT_MAX_DEPTH,
     max_iterations=256,
+    probe=None,
     classify=None,
 ) -> AlphaResult:
-    """Fraction bisection from (0, 1) that classifies every point by ``classify``.
+    """Fraction bisection from (0, 1) that decides each midpoint by ``probe``,
+    and the anchors and the ends of a centred cell by ``classify``.
 
-    The default, reference_classify_vs_one, tightens 8 rounds from g_tol.
-    alpha_root.find_alpha walks the recurrence to the depth budget at
-    exact-routed points instead: wherever this bisection is not flagged,
-    the two must return equal AlphaResults, or raise the same error, for
-    the same arguments; with classify=reference_walk_classify_vs_one they
-    must agree at every exact-routed lam.  The midpoint enclosure is the
-    best one reached when its evaluation runs out of budget, and each end
-    keeps the enclosure ``classify`` decided it by.
+    The defaults, reference_probe and reference_classify_vs_one, are
+    alpha_root.find_alpha's policy at a directed-routed lam; with both set
+    to reference_walk_classify_vs_one, it is its policy at an exact-routed
+    one.  Under the same policy, the two must return equal AlphaResults, or
+    raise the same error, for the same arguments.  Where a midpoint c
+    straddles 1, the cell [c - h, c + h] is returned when ``classify``
+    certifies G < 1 at its lower end and G > 1 at its upper one, and the
+    bracket, flagged, otherwise.  h is a quarter of the bracket's width,
+    halved until 2h <= bracket_tol/4.  The midpoint enclosure is the best
+    one reached when its evaluation runs out of budget, and each end keeps
+    the enclosure that decided it.
     """
+    probe = probe or reference_probe
     classify = classify or reference_classify_vs_one
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
@@ -467,13 +487,23 @@ def reference_find_alpha(
             flag = FLAG_BUDGET
             break
         mid = (lo + hi) / 2
-        side, enc = classify(CFPoint(mid, lam), g_tol, max_depth=max_depth)
+        side, enc = probe(CFPoint(mid, lam), g_tol, max_depth=max_depth)
         if side == _BELOW:
             lo, enc_lo = mid, enc
         elif side == _ABOVE:
             hi, enc_hi = mid, enc
         else:
-            flag = FLAG_INCONCLUSIVE
+            h = (hi - lo) / 4
+            while 2 * h > target:
+                h /= 2
+            side_lo, cell_lo = classify(CFPoint(mid - h, lam), g_tol, max_depth=max_depth)
+            if side_lo == _BELOW:
+                side_hi, cell_hi = classify(CFPoint(mid + h, lam), g_tol, max_depth=max_depth)
+            if side_lo == _BELOW and side_hi == _ABOVE:
+                lo, hi, enc_lo, enc_hi = mid - h, mid + h, cell_lo, cell_hi
+                iterations = (1 / (2 * h)).numerator.bit_length() - 1
+            else:
+                flag = FLAG_INCONCLUSIVE
             break
         iterations += 1
 

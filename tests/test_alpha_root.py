@@ -12,7 +12,6 @@ from conftest import (
     reference_classify_vs_one,
     reference_enclosure,
     reference_find_alpha,
-    reference_side_of_one,
     reference_walk_classify_vs_one,
 )
 from hypothesis import example, given, settings
@@ -23,16 +22,14 @@ import cfcert.cf_core as cf_core
 from cfcert import (
     DEFAULT_MAX_DEPTH,
     AlphaResult,
-    BudgetExceededError,
     CFCertError,
     CFPoint,
     DomainError,
     InconclusiveError,
-    NotConvergedError,
     evaluate,
     find_alpha,
 )
-from cfcert.alpha_root import FLAG_INCONCLUSIVE, classify_vs_one
+from cfcert.alpha_root import classify_vs_one
 from cfcert.cf_core import DIRECTED_LAMBDA_CUTOFF, _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
@@ -161,73 +158,37 @@ def assert_equal_or_narrower(got, want, bracket_tol):
 
 
 def assert_matches_reference(lam, bracket_tol, g_tol, *, max_depth=DEFAULT_MAX_DEPTH):
-    """find_alpha against the 8-round reference, which gives up where G is near 1.
+    """find_alpha against reference_find_alpha under the same policy.
 
-    Wherever the reference is unflagged or flagged inconclusive at a
-    directed-routed lam, the results are equal; where it stops at its own
-    256-halving cap, find_alpha goes on (assert_equal_or_narrower).  Where it
-    is flagged inconclusive at an exact-routed lam, find_alpha walks on from
-    the same path: its bracket nests in the reference's, its ends re-certify
-    at max_depth, and it stops unflagged or at a midpoint still undecided at
-    max_depth.  At every exact-routed lam the result is the one bisection
-    from (0, 1) by walks to max_depth returns, ends' enclosures included;
-    the 8 rounds decide the same ends from other ones.
+    At an exact-routed lam every point is walked to max_depth.  At a
+    directed-routed lam each midpoint is probed by one evaluation at g_tol,
+    and the anchors and the cell ends are tightened from g_tol to max_depth.
+    The results are equal, ends' enclosures included, except where the
+    reference stops at its own 256-halving cap (assert_equal_or_narrower).
     """
     got = outcome(find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth)
-    want = outcome(reference_find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth)
-    lam = Fraction(lam)
-    exact = lam >= DIRECTED_LAMBDA_CUTOFF  # directed-routed lams keep the 8 rounds
-    if exact:
-        walked = outcome(reference_find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth,
-                         classify=reference_walk_classify_vs_one)
-        assert_equal_or_narrower(got, walked, bracket_tol)
-    if exact and isinstance(want, AlphaResult) and want.flag == FLAG_INCONCLUSIVE:
-        lo, hi, steps = want.m_lo, want.m_hi, want.iterations
-    elif exact and not isinstance(want, AlphaResult) and want[0] is InconclusiveError:  # an anchor
-        lo, hi, steps = Fraction(0), Fraction(1), 0
-    else:
-        if exact and isinstance(got, AlphaResult) and isinstance(want, AlphaResult):
-            want = want._replace(g_at_lo=got.g_at_lo, g_at_hi=got.g_at_hi)
-        assert_equal_or_narrower(got, want, bracket_tol)
-        return
-    depth = max_depth
-    if not isinstance(got, AlphaResult):  # the anchor is undecided at max_depth too
-        assert got[:2] == want[:2]
-        assert got[2].depth == depth and got[2].contains(1)
-        return
-    assert got.iterations >= steps and lo <= got.m_lo < got.m_hi <= hi
-    c, d = lam.numerator, lam.denominator
-    assert reference_side_of_one(got.m_lo.numerator, got.m_lo.denominator, c, d, depth)[0] == -1
-    assert reference_side_of_one(got.m_hi.numerator, got.m_hi.denominator, c, d, depth)[0] == 1
-    if got.flag == FLAG_INCONCLUSIVE:
-        g_lo, g_hi = reference_enclosure(CFPoint(got.midpoint, lam), depth)
-        assert g_lo <= 1 <= g_hi
-    else:
-        assert got.flag is None and got.width <= Fraction(bracket_tol) / 4
-    try:
-        g_mid = evaluate(CFPoint(got.midpoint, lam), g_tol, max_depth=max_depth)
-    except (BudgetExceededError, NotConvergedError) as exc:
-        g_mid = exc.best
-    assert got.g_at_mid == g_mid
+    walk = reference_walk_classify_vs_one
+    policy = dict(probe=walk, classify=walk) if Fraction(lam) >= DIRECTED_LAMBDA_CUTOFF else {}
+    want = outcome(reference_find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth, **policy)
+    assert_equal_or_narrower(got, want, bracket_tol)
 
 
 @given(
     lam=st.one_of(exact_lams(), exact_lams(), exact_lams(), directed_lams()),
     bracket_tol=decimal_tols(1, 30),
     # G(1/2, lam) - 1 is near 2e^(-4/lam), below 1e-110 at a directed lam:
-    # only the tightest g_tols let the 8 rounds decide there
+    # only the tightest g_tols let the first probe decide there, and the
+    # others take the cell centred on 1/2
     g_tol=st.one_of(decimal_tols(6, 40), decimal_tols(6, 40), decimal_tols(150, 200)),
     max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, 12]),
 )
-# exact, the reference flags: G(mid, 1/50) - 1 is below 1e-12 / 1e8 from the
-# first midpoint on, and the walks decide on
+# exact: G(1/2, 1/50) - 1 is about 4e-87, and the walks decide every midpoint
 @example(lam=Fraction(1, 50), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**12),
          max_depth=DEFAULT_MAX_DEPTH)
-# exact, the reference flags after 47 steps: some midpoints are decided only in
-# its last round
+# exact, clean after 52 steps
 @example(lam=Fraction(1, 2), bracket_tol=Fraction(1, 10**15), g_tol=Fraction(1, 10**6),
          max_depth=DEFAULT_MAX_DEPTH)
-# exact, the reference flags: 1/2 at lam 1/16 needs a width near 2e-28
+# exact: 1/2 at lam 1/16 needs a width near 2e-28
 @example(lam=Fraction(1, 16), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
          max_depth=DEFAULT_MAX_DEPTH)
 # exact, the reference stops at its 256-halving cap; find_alpha goes on to 268
@@ -236,12 +197,18 @@ def assert_matches_reference(lam, bracket_tol, g_tol, *, max_depth=DEFAULT_MAX_D
 # directed, the same past the cap
 @example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**80), g_tol=Fraction(1, 10**180),
          max_depth=DEFAULT_MAX_DEPTH)
-# exact, flagged after 65 steps: a midpoint straddles 1 at max_depth
+# exact, flagged after 65 steps: a midpoint and its cell's lower end straddle 1
+# at max_depth
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**25), g_tol=Fraction(1, 10**19),
          max_depth=12)
-# directed, flagged at the first midpoint
+# directed: the first midpoint, 1/2, straddles 1, and the cell
+# [4095/8192, 4097/8192] certifies
 @example(lam=Fraction(15, 997), bracket_tol=Fraction(1, 10**3), g_tol=Fraction(1, 10**9),
          max_depth=DEFAULT_MAX_DEPTH)
+# directed, flagged at the first midpoint: the cell's lower end, about 1e-33
+# from 1, needs more than depth 100
+@example(lam=Fraction(15, 997), bracket_tol=Fraction(1, 10**30), g_tol=Fraction(1, 10**9),
+         max_depth=100)
 # directed, clean after 22 steps
 @example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**180),
          max_depth=DEFAULT_MAX_DEPTH)
@@ -268,12 +235,11 @@ def wide_exact_lams(draw):
         st.just(Fraction(10**400)),
     ),
     bracket_tol=decimal_tols(1, 30),
-    # g_tol >= 1 makes the reference give up near the predicted cell
+    # g_tol >= 1 leaves every midpoint to the walks
     g_tol=st.one_of(decimal_tols(6, 30), decimal_tols(6, 30), st.integers(1, 10**7).map(Fraction)),
     max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, 12]),
 )
-# the reference gives up at 55/128 after 6 steps, within g_tol / 10**8 of 1,
-# where the walks decide on
+# G(55/128) - 1 is within g_tol / 10**8 of 1 at step 6, and the walk decides it
 @example(lam=Fraction(1178, 997), bracket_tol=Fraction(157, 12800),
          g_tol=Fraction(5421875, 8), max_depth=DEFAULT_MAX_DEPTH)
 # bracket_tol 1e-30 goes on bisecting past the level-32 cap
@@ -281,6 +247,9 @@ def wide_exact_lams(draw):
          max_depth=DEFAULT_MAX_DEPTH)
 @example(lam=Fraction(10**400), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
          max_depth=DEFAULT_MAX_DEPTH)
+# depth-12 walks leave 1/2 undecided, but certify the cell [4095/8192, 4097/8192]
+@example(lam=Fraction(160, 997), bracket_tol=Fraction(1, 10**3), g_tol=Fraction(1, 10**9),
+         max_depth=12)
 @settings(max_examples=150, deadline=None)
 def test_predicted_start_matches_tightening_reference(lam, bracket_tol, g_tol, max_depth):
     assert_matches_reference(lam, bracket_tol, g_tol, max_depth=max_depth)
@@ -308,8 +277,8 @@ def dyadic_points(draw):
 @settings(max_examples=300, deadline=None)
 def test_side_of_one_matches_classify(kj, lam, tol, max_depth):
     # at an exact-routed point classify_vs_one is the walk: it decides wherever
-    # the 8-round classification does, the same way, from the first exact
-    # enclosure that excludes 1, at depth 1 or deeper
+    # tightening from tol does, the same way, from the first exact enclosure
+    # that excludes 1, at depth 1 or deeper
     k, j = kj
     point = CFPoint(Fraction(k + 2**j, 2**j), lam)
     side, enc = classify_vs_one(point, tol, max_depth=max_depth)
@@ -384,11 +353,41 @@ def test_straddling_half_is_walked_once(monkeypatch):
 
 
 def test_directed_steps_classify(monkeypatch):
-    # at a directed lam every point is classified once: the anchors and 22 midpoints
+    # at a directed lam the anchors are classified and each of the 22 midpoints
+    # is probed by one evaluation, as is the final midpoint for g_at_mid
     calls = counting(monkeypatch, alpha_root, "classify_vs_one")
+    probes = counting(monkeypatch, alpha_root, "_best")
     res = find_alpha(Fraction(1, 100), Fraction(1, 10**6), Fraction(1, 10**180))
     assert res.flag is None and res.iterations == 22
-    assert len(calls) == 2 + 22
+    assert [Fraction(point.m) for point, *_ in calls] == [0, 1]
+    assert len(probes) == 22 + 1
+
+
+CELL = (Fraction(4194303, 8388608), Fraction(4194305, 8388608))
+
+
+@pytest.mark.parametrize(
+    "lam, depth", [(Fraction(1, 100), 84), (Fraction(1, 1000), 231), (Fraction(1, 10**5), 2421)]
+)
+def test_undecided_half_gives_the_centred_cell(lam, depth):
+    # G(1/2, lam) is within about 2e^(-4/lam) of 1, so the first probe straddles
+    # 1; the ends of the cell centred on 1/2 lie about lam * 2**-24 from 1
+    res = find_alpha(lam)
+    assert res.flag is None and (res.m_lo, res.m_hi) == CELL
+    assert res.iterations == 22 and res.width == Fraction(1, 2**22)
+    assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
+    assert res.g_at_lo.depth == res.g_at_hi.depth == depth
+    assert res.g_at_mid.contains(1) and res.midpoint == Fraction(1, 2)
+    for side, m, enc in ((-1, res.m_lo, res.g_at_lo), (1, res.m_hi, res.g_at_hi)):
+        assert classify_vs_one(CFPoint(m, lam), Fraction(1, 10**9)) == (side, enc)
+
+
+def test_tight_bracket_cell_certifies():
+    # the cell ends lie about 1e-33 from 1: classify_vs_one tightens to them
+    res = find_alpha(Fraction(1, 100), Fraction(1, 10**30))
+    assert res.flag is None and res.iterations == 102
+    assert res.width <= Fraction(1, 4 * 10**30) and res.midpoint == Fraction(1, 2)
+    assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 100), Fraction(1)])

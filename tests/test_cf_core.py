@@ -33,6 +33,7 @@ from cfcert import (
     evaluate,
 )
 from cfcert.cf_core import (
+    _best,
     _bit_floor,
     _depth_guess,
     _directed_tail,
@@ -670,12 +671,17 @@ class TestEvaluateRouting:
 
 
 class TestTightened:
-    def test_tolerances_run_to_the_cap(self):
-        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), 2, DEFAULT_MAX_DEPTH), 5))
-        assert [t for t, _ in rounds] == [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
-
     def test_uncapped_rounds_end_at_the_budget(self):
         # tol/10**k for every k until G(1, 1)'s enclosure needs more than depth 3
-        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), None, 3), 9))
+        rounds = list(islice(_tightened([CFPoint(1, 1)], Fraction(1, 10), 3), 9))
         assert [t for t, _ in rounds] == [Fraction(1, 10**k) for k in range(1, 5)]
         assert [enc.depth for _, (enc,) in rounds] == [1, 2, 3, 3]
+
+    @pytest.mark.parametrize("mode, error", [("exact", BudgetExceededError),
+                                             ("directed", NotConvergedError)])
+    def test_best_hands_back_the_error_and_its_enclosure(self, mode, error):
+        point = CFPoint(1, 1)
+        enc, exc = _best(point, Fraction(1, 10**9), DEFAULT_MAX_DEPTH, mode)
+        assert exc is None and enc == evaluate(point, Fraction(1, 10**9), mode=mode)
+        enc, exc = _best(point, Fraction(1, 10**9), 3, mode)
+        assert type(exc) is error and enc is exc.best and enc.depth == 3

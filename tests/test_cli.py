@@ -12,6 +12,7 @@ from cfcert.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_USAGE,
+    OutputRecord,
     decimal_down,
     decimal_up,
     emit,
@@ -213,13 +214,35 @@ class TestAlphaScanWitnessOracle:
         code, _ = run(capsys, "oracle", "--m", "1/2", "--lambda", "1")
         assert code == EXIT_USAGE
 
-    def test_alpha_inconclusive_in_flat_region(self, capsys):
+    def test_alpha_certifies_the_cell_in_flat_region(self, capsys):
         # G(1/2, lam) sits exponentially close to 1 at tiny lam, so the first
-        # midpoint can never be classified and the bracket comes back flagged
+        # midpoint cannot be classified; the cell centred on it certifies
         code, out = run(capsys, "alpha", "--lambda", "0.000001")
-        assert code == EXIT_INCONCLUSIVE
+        assert code == EXIT_OK
         recs = parse_records(out, "csv")
-        assert [r.command for r in recs] == ["alpha-lo", "alpha-hi", "alpha-mid"]
+        assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
+            ("alpha-lo", "4194303/8388608", True, 7926),
+            ("alpha-hi", "4194305/8388608", True, 7926),
+            ("alpha-mid", "1/2", None, 6867),
+        ]
+        assert Fraction(recs[0].hi) < 1 < Fraction(recs[1].lo)
+        assert reverify_records(recs)
+        # alpha-lo with alpha-hi's digits meets its fresh DEFAULT_TOL enclosure;
+        # the evaluation at half their distance from 1 does not
+        moved = recs[0]._replace(lo=recs[1].lo, hi=recs[1].hi)
+        with pytest.raises(ValueError, match="disjoint"):
+            reverify_records([moved, *recs[1:]])
+
+    @pytest.mark.parametrize("mode", ["directed", "exact"])
+    def test_eval_out_of_budget_beyond_the_float_range(self, capsys, mode):
+        # the best enclosure is about 1e316 wide: its width is no float
+        code = main(["eval", "--m", "1/3", "--lambda", "1e-320", "--tol", "0.1",
+                     "--max-depth", "200", "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == EXIT_NOT_CONVERGED
+        assert "width 9.771e+315 > tol 1.000e-01 at max_depth=200" in captured.err
+        (rec,) = parse_records(captured.out, "csv")
+        assert rec.command == "eval" and rec.depth == 200 and Fraction(rec.hi) > 10**315
 
     def test_alpha_out_of_budget_midpoint(self, capsys):
         # depth-3 walks certify both ends (the lower one already at depth 2)
@@ -289,7 +312,7 @@ class TestRecordFormat:
     @pytest.mark.parametrize(
         "lam, g_tol, bracket_tol",
         # exact-mode endpoints, then directed ones: both sit far closer to 1
-        # than a re-classification from 1e-9 in 8 rounds of x10 can resolve
+        # than the default tolerance resolves
         [("1", "1e-25", "1e-20"), ("1/100", "1e-200", "1e-1")],
     )
     def test_reverify_alpha_endpoints_at_tight_g_tol(self, capsys, fmt, lam, g_tol, bracket_tol):
@@ -476,7 +499,7 @@ class TestRecordFormat:
 
     @pytest.mark.parametrize(
         "argv, want",
-        [(("alpha", "--lambda", "1/100"), EXIT_INCONCLUSIVE),
+        [(("alpha", "--lambda", "1/100"), EXIT_OK),
          (("alpha", "--lambda", "1/100", "--g-tol", "1e-200", "--bracket-tol", "1e-1"), EXIT_OK)],
     )
     def test_reverify_directed_alpha_rows_meet_their_interval(self, capsys, argv, want):
@@ -489,6 +512,33 @@ class TestRecordFormat:
             tampered = [*recs[:i], rec._replace(lo="500", hi="600"), *recs[i + 1:]]
             with pytest.raises(ValueError, match="disjoint"):
                 reverify_records(tampered)
+
+    def test_reverify_rejects_a_cell_end_moved_past_the_crossing(self, capsys):
+        code, out = run(capsys, "alpha", "--lambda", "1/100")
+        assert code == EXIT_OK
+        recs = parse_records(out, "csv")
+        assert reverify_records(recs)
+        # alpha-lo moved to the upper cell end: its printed interval, above 1,
+        # no longer meets the fresh enclosure there
+        moved = recs[0]._replace(inputs={**recs[0].inputs, "m": "4194305/8388608"})
+        with pytest.raises(ValueError, match="disjoint"):
+            reverify_records([moved, *recs[1:]])
+        # moved with the upper end's digits, it meets them but lies above 1
+        moved = recs[1]._replace(command="alpha-lo")
+        with pytest.raises(ValueError, match="alpha endpoint"):
+            reverify_records([moved, *recs[1:]])
+
+    def test_reverify_rejects_a_crafted_hard_point_row_quickly(self):
+        import time
+
+        # G(1/2, 1/1000) is within about 1e-1737 of 1: the printed interval meets
+        # the fresh enclosure but touches 1, so the exact enclosure decides
+        row = OutputRecord("alpha-lo", {"m": "1/2", "lambda": "1/1000"}, "0.999999999999",
+                           "1.000000000001", 231, True, "directed-fixed-precision")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="alpha endpoint"):
+            reverify_records([row])
+        assert time.perf_counter() - start < 0.5
 
     def test_reverify_evaluates_each_directed_point_once_per_tol(self, capsys, monkeypatch):
         import cfcert.cf_core as cf_core
@@ -504,8 +554,8 @@ class TestRecordFormat:
 
         monkeypatch.setattr(cf_core, "eval_directed", counting)
         assert reverify_records(recs)
-        # alpha-hi at m = 1/2 stays undecided at DEFAULT_TOL, so it is classified
-        # from DEFAULT_TOL / 10 on
+        # alpha-hi at m = 1/2 stays undecided at DEFAULT_TOL, and its printed
+        # interval touches 1, so it is decided by the exact enclosure
         assert Fraction(1, 2) in {m for m, _ in calls}
         assert len(calls) == len(set(calls))
 
@@ -581,7 +631,7 @@ class TestRecordFormat:
             parse_records(json.dumps(obj), "json")
 
     def test_exact_rows_reverify_without_evaluating(self, capsys, monkeypatch):
-        import cfcert.cli as cli
+        import cfcert.cf_core as cf_core
 
         rows = []
         for argv in (("eval", "--m", "1/3", "--lambda", "7/5", "--tol", "1e-20"),
@@ -596,13 +646,13 @@ class TestRecordFormat:
         _, out = run(capsys, "eval", "--m", "1", "--lambda", "1/100")
         (directed,) = parse_records(out, "csv")
         assert directed.mode == "directed-fixed-precision"
-        original, calls = cli.evaluate, []
+        original, calls = cf_core.evaluate, []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "evaluate", counting)
+        monkeypatch.setattr(cf_core, "evaluate", counting)
         assert reverify_records(rows)
         assert calls == []
         assert reverify_records([directed])

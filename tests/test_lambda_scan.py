@@ -11,7 +11,6 @@ import conftest
 from conftest import reference_find_witness
 
 import cfcert.cf_core as cf_core
-import cfcert.lambda_scan as lambda_scan
 from cfcert import (
     DEFAULT_WITNESS_GRID,
     DEFAULT_MAX_DEPTH,
@@ -125,16 +124,15 @@ def test_default_grid_shape():
 
 
 def counted_outcome(fn, *args, **kwargs):
-    """(result or error details, number of evaluate calls made by lambda_scan,
-    by cf_core's tightening loop and by the conftest references)."""
+    """(result or error details, number of evaluate calls made through
+    cf_core (lambda_scan's included) and by the conftest references)."""
     calls = []
 
     def counting(*a, **k):
         calls.append(a)
         return evaluate(*a, **k)
 
-    with mock.patch.object(lambda_scan, "evaluate", counting), \
-            mock.patch.object(cf_core, "evaluate", counting), \
+    with mock.patch.object(cf_core, "evaluate", counting), \
             mock.patch.object(conftest, "evaluate", counting):
         try:
             got = fn(*args, **kwargs)
