@@ -103,20 +103,24 @@ class CFPoint(_Checked, namedtuple("CFPoint", "m lam")):
         return CFPoint(self.m + 1, self.lam)
 
 
-class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode")):
+class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode tol")):
     """Closed interval [lo, hi] certified to contain G at some point.
 
     An immutable named tuple; construction rejects lo > hi.  ``depth`` is
     the convergent index (exact mode) or backward-pass length (directed
-    mode) that produced the bounds.
+    mode) that produced the bounds.  ``tol`` is the Fraction a directed
+    evaluation ran at, and None otherwise: with the depth as budget, it
+    rebuilds the same enclosure (eval_directed).
     """
 
     __slots__ = ()
 
-    def __new__(cls, lo: Fraction, hi: Fraction, depth: int, mode: EvalMode) -> Enclosure:
+    def __new__(
+        cls, lo: Fraction, hi: Fraction, depth: int, mode: EvalMode, tol: Fraction | None = None
+    ) -> Enclosure:
         if lo > hi:
             raise ValueError(f"malformed enclosure: {lo} > {hi}")
-        return tuple.__new__(cls, (lo, hi, depth, mode))
+        return tuple.__new__(cls, (lo, hi, depth, mode, tol))
 
     @property
     def width(self) -> Fraction:
@@ -517,6 +521,10 @@ def eval_directed(
     lam, where the tail values are near 1.  bits = bitlen(1/tol) +
     bitlen(2*n + 2) + 24 then keeps the rounding about 2**-24 below tol.
 
+    The passes run at depths d0, 2*d0, ..., each capped at max_depth, so
+    the result, which carries tol, is rebuilt bit for bit by this call at
+    its own tol with max_depth set to its depth.
+
     Raises NotConvergedError with the best enclosure attached when the width
     is still above tol at ``max_depth``.
     """
@@ -535,13 +543,11 @@ def eval_directed(
         bits = tol_bits + (2 * depth + 2).bit_length() + 24
         t_lo, t_hi, scale = _directed_tail(a, b, c, big_d, depth, bits)
         enc = _from_tail(point, (t_lo, scale), (t_hi, scale), depth, EvalMode.DIRECTED)
+        lo, hi = enc.lo, enc.hi
         if best is not None:
             # successive passes both contain G, so the intersection does too
-            enc = Enclosure(
-                lo=max(enc.lo, best.lo), hi=min(enc.hi, best.hi),
-                depth=depth, mode=EvalMode.DIRECTED,
-            )
-        best = enc
+            lo, hi = max(lo, best.lo), min(hi, best.hi)
+        best = Enclosure(lo, hi, depth, EvalMode.DIRECTED, tol)
         if best.width <= tol:
             return best
         if depth >= max_depth:

@@ -1,12 +1,14 @@
 """Command-line front end and the machine-readable record format.
 
 Subcommands: eval, check, alpha, scan, witness, oracle.  Records go to
-stdout as CSV (fixed header ``command,m,lambda,lo,hi,depth,certified,mode``)
+stdout as CSV (fixed header ``command,m,lambda,lo,hi,depth,certified,mode,tol``)
 or newline-delimited JSON; both formats carry identical values.  Rational
 inputs are parsed exactly ("p/q" or decimal strings, so 0.1 means 1/10),
 and decimal output is printed at 15 significant digits with lo rounded
 toward -inf and hi toward +inf, keeping every printed interval a valid
-enclosure.
+enclosure.  A directed row also prints the tol its evaluation ran at, as
+``p/q``; every other row leaves tol empty.  So each row carries what
+rebuilds it (reverify_records).
 
 Exit codes are a total function of the outcome:
 0 ok, 1 usage error, 2 not converged, 3 inconclusive, 4 no witness found.
@@ -24,7 +26,7 @@ from collections.abc import Iterable
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
-from .alpha_root import _side, find_alpha
+from .alpha_root import find_alpha
 from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
 from .bounds import (
     Claim,
@@ -62,14 +64,14 @@ EXIT_INCONCLUSIVE = 3
 EXIT_NO_WITNESS = 4
 
 DIGITS = 15
-CSV_HEADER = ("command", "m", "lambda", "lo", "hi", "depth", "certified", "mode")
+CSV_HEADER = ("command", "m", "lambda", "lo", "hi", "depth", "certified", "mode", "tol")
 _GRID_SCALE = 10**9
 _CERTIFIED = {"true": True, "false": False, "": None}  # CSV text of OutputRecord.certified
 _MODES = tuple(mode.value for mode in EvalMode)
 
 
 class OutputRecord(
-    _Checked, namedtuple("OutputRecord", "command inputs lo hi depth certified mode")
+    _Checked, namedtuple("OutputRecord", "command inputs lo hi depth certified mode tol")
 ):
     """One emitted row; identical content in CSV and JSON form.
 
@@ -88,11 +90,12 @@ class OutputRecord(
         depth: int,
         certified: bool | None,
         mode: str,
+        tol: str,
     ) -> OutputRecord:
-        self = tuple.__new__(cls, (command, inputs, lo, hi, depth, certified, mode))
+        self = tuple.__new__(cls, (command, inputs, lo, hi, depth, certified, mode, tol))
         if (
             type(inputs) is not dict
-            or any(type(v) is not str for v in (lo, hi, *inputs.values()))
+            or any(type(v) is not str for v in (lo, hi, tol, *inputs.values()))
             or type(depth) is not int
             or type(certified) not in (bool, type(None))
             or mode not in _MODES
@@ -114,6 +117,7 @@ class OutputRecord(
             str(self.depth),
             cert,
             self.mode,
+            self.tol,
         ]
 
 
@@ -153,6 +157,7 @@ def record_from_enclosure(
         depth=enc.depth,
         certified=certified,
         mode=enc.mode.value,
+        tol="" if enc.tol is None else fraction_str(enc.tol),
     )
 
 
@@ -176,13 +181,15 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
             if not line.strip():
                 continue
             obj = json.loads(line)
+            if type(obj) is not dict or obj.keys() != set(OutputRecord._fields):
+                raise ValueError(f"record field emit never writes: {line}")
             records.append(OutputRecord._make(obj[field] for field in OutputRecord._fields))
         return records
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("missing or malformed CSV header")
     for row in rows[1:]:
-        command, m, lam, lo, hi, depth, cert, mode = row
+        command, m, lam, lo, hi, depth, cert, mode, tol = row
         if str(int(depth)) != depth or cert not in _CERTIFIED:
             raise ValueError(f"record field emit never writes: {row}")
         inputs = {}
@@ -191,7 +198,7 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
         if lam:
             inputs["lambda"] = lam
         records.append(
-            OutputRecord(command, inputs, lo, hi, int(depth), _CERTIFIED[cert], mode)
+            OutputRecord(command, inputs, lo, hi, int(depth), _CERTIFIED[cert], mode, tol)
         )
     return records
 
@@ -483,26 +490,25 @@ def main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-_CLAIMS = {
-    "check-sandwich-upper": "sandwich",
-    "check-sandwich-lower": "sandwich",
-    "check-functional": "functional",
-    "check-above-one": "above-one",
-    "check-reciprocal": "reciprocal",
+#: the verdict a row states, as an exact predicate on its rebuilt enclosure,
+#: with c = m*lam at the row's point.  B(m, lam), the positive root of
+#: y**2 - c*y - 1, is never formed: y > 0 lies above it exactly when
+#: y*(y - c) > 1.  A check-functional row holds by construction.
+_VERDICTS = {
+    "check-above-one": lambda enc, c: enc.lo > 1,
+    "alpha-hi": lambda enc, c: enc.lo > 1,
+    "check-reciprocal": lambda enc, c: enc.hi < 1,
+    "alpha-lo": lambda enc, c: enc.hi < 1,
+    # the row holds G(m+1, lam)
+    "check-sandwich-upper": lambda enc, c: enc.lo > 0 and enc.lo * (enc.lo - c) > 1,
+    "check-sandwich-lower": lambda enc, c: enc.hi * (enc.hi - c) < 1,
 }
 _ROWS = (
-    "eval", "scan", "alpha-lo", "alpha-hi", "alpha-mid",
-    "witness-g1", "witness-g2", "oracle-cf", "oracle-series", *_CLAIMS,
+    "eval", "scan", "alpha-mid", "check-functional", "witness-g1", "witness-g2",
+    "oracle-cf", "oracle-series", *_VERDICTS,
 )
 # the CLI prints each pair's first row directly before its partner
 _PAIRS = {"witness-g1": "witness-g2", "oracle-cf": "oracle-series"}
-
-
-def _parsed_interval(rec: OutputRecord) -> tuple[Fraction, Fraction]:
-    lo, hi = Fraction(rec.lo), Fraction(rec.hi)
-    if lo > hi:
-        raise ValueError(f"record interval inverted: {rec}")
-    return lo, hi
 
 
 def _rec_point(rec: OutputRecord) -> CFPoint:
@@ -512,31 +518,77 @@ def _rec_point(rec: OutputRecord) -> CFPoint:
 
 
 def _validate(records: list[OutputRecord], max_depth: int) -> None:
-    """Reject an unknown command or a depth that no evaluation returns.
+    """Reject, before any row is evaluated, an unknown command, inputs that
+    name no point, a depth that no evaluation returns, a tol that does not
+    fit the mode, and an uncertified check-functional row.
 
-    A depth is range-checked where re-verification uses it: series rows are
-    re-summed to it, other exact rows are rebuilt at it, and a directed alpha
-    endpoint may be decided at depth + 1.
+    Series rows are re-summed to their depth, at most MAX_TERMS terms, and
+    every other row is rebuilt with its depth as the budget, at most
+    max_depth.  A directed row needs a positive tol, and no other row has
+    one.
     """
     for rec in records:
         if rec.command not in _ROWS:
             raise ValueError(f"unknown record command: {rec.command}")
-        if rec.command == "oracle-series":
-            limit = MAX_TERMS
-        elif rec.command in ("alpha-lo", "alpha-hi") or rec.mode == EvalMode.EXACT.value:
-            limit = max_depth
-        else:
-            continue
+        keys = {"lambda"} if rec.command == "check-reciprocal" else {"m", "lambda"}
+        if rec.inputs.keys() != keys:
+            raise ValueError(f"{rec.command} inputs are not {sorted(keys)}: {rec}")
+        limit = MAX_TERMS if rec.command == "oracle-series" else max_depth
         if not 1 <= rec.depth <= limit:
             raise ValueError(f"{rec.command} depth outside [1, {limit}]: {rec}")
+        try:
+            _rec_point(rec)
+            tol = Fraction(rec.tol) if rec.tol else None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"inputs or tol are not rationals in range: {rec}") from exc
+        directed = rec.mode == EvalMode.DIRECTED.value
+        if (tol is not None) != directed or directed and tol <= 0:
+            raise ValueError(f"a directed row needs a positive tol, any other none: {rec}")
+        if rec.command == "check-functional" and not rec.certified:
+            raise ValueError(f"functional verdict did not reproduce: {rec}")
 
 
-def _check_pairs(records: list[OutputRecord]) -> None:
+def _reverified(rec: OutputRecord) -> Enclosure:
+    """The enclosure a row printed, rebuilt from the row alone.
+
+    The value is G(m+1, lam) for check-sandwich-upper, G(0, lam) for
+    check-reciprocal, the series quotient for oracle-series and G(m, lam)
+    for every other row.  A series row is re-summed to its depth and an
+    exact row rebuilt at it.  A directed row is evaluated again at its own
+    tol with its depth as the budget, which repeats the passes that printed
+    it (cf_core.eval_directed).  The row printed from the rebuilt enclosure
+    must be the row itself, and the row's verdict, unless it prints
+    certified=false, must hold on the rebuilt enclosure (_VERDICTS).
+    """
+    point = _rec_point(rec)
+    value_at = point.shifted() if rec.command == "check-sandwich-upper" else point
+    if rec.command == "oracle-series":
+        if point.m.denominator != 1:
+            raise ValueError(f"series row needs an integer m: {rec}")
+        try:
+            enc = series_ratio(int(point.m), point.lam, rec.depth).as_enclosure()
+        except TailNotBoundedError as exc:
+            raise ValueError(f"series row has no tail bound at its depth: {rec}") from exc
+    elif rec.mode == EvalMode.EXACT.value:
+        enc = _exact_at(value_at, rec.depth)
+    else:
+        enc, _ = _best(value_at, Fraction(rec.tol), rec.depth, "directed")
+    inputs = {key: Fraction(value) for key, value in rec.inputs.items()}
+    if record_from_enclosure(rec.command, inputs, enc, rec.certified) != rec:
+        raise ValueError(f"row does not regenerate: {rec}")
+    holds = _VERDICTS.get(rec.command)
+    if holds and rec.certified is not False and not holds(enc, point.m * point.lam):
+        raise ValueError(f"{rec.command} verdict does not hold: {rec}")
+    return enc
+
+
+def _check_pairs(records: list[OutputRecord], encs: list[Enclosure]) -> None:
     """A witness-g1 row must be directly followed by its witness-g2 row at the
-    same m, their printed intervals certifying a decrease in lambda; an
-    oracle-cf row must be directly followed by its oracle-series row at the
-    same point, their printed intervals meeting."""
-    for first, second in zip([None, *records], [*records, None]):
+    same m and a larger lam, their rebuilt enclosures certifying a decrease;
+    an oracle-cf row must be directly followed by its oracle-series row at
+    the same point, their rebuilt enclosures meeting."""
+    rows = list(zip(records, encs))
+    for (first, e1), (second, e2) in zip([(None, None), *rows], [*rows, (None, None)]):
         opens = first is not None and first.command in _PAIRS
         closes = second is not None and second.command in _PAIRS.values()
         if not (opens or closes):
@@ -544,46 +596,11 @@ def _check_pairs(records: list[OutputRecord]) -> None:
         if not (opens and closes and second.command == _PAIRS[first.command]):
             raise ValueError(f"pair row without its partner: {first if opens else second}")
         p1, p2 = _rec_point(first), _rec_point(second)
-        (lo1, hi1), (lo2, hi2) = _parsed_interval(first), _parsed_interval(second)
         if first.command == "witness-g1":
-            if p1.m != p2.m or not (p1.lam < p2.lam and lo1 > hi2):
-                raise ValueError(f"printed witness rows do not certify a decrease: {first}")
-        elif p1 != p2 or max(lo1, lo2) > min(hi1, hi2):
-            raise ValueError(f"printed oracle rows do not meet at one point: {first}")
-
-
-def _fresh_enclosure(rec: OutputRecord, max_depth: int) -> Enclosure:
-    """One fresh enclosure of the value a row printed.
-
-    The value is G(m+1, lam) for check-sandwich-upper, G(0, lam) for
-    check-reciprocal, the series quotient for oracle-series and G(m, lam)
-    for every other row.  Series rows are re-summed to their depth and exact
-    rows rebuilt at it, so they must also print the same digits.  A directed
-    row is evaluated again at DEFAULT_TOL; out of budget, its best enclosure,
-    still rigorous, stands in.
-    """
-    point = _rec_point(rec)
-    if rec.command == "check-sandwich-upper":
-        point = point.shifted()
-    if rec.command == "oracle-series":
-        if point.m.denominator != 1:
-            raise ValueError(f"series row needs an integer m: {rec}")
-        try:
-            enc = series_ratio(int(point.m), point.lam, rec.depth)
-        except TailNotBoundedError as exc:
-            raise ValueError(f"series row has no tail bound at its depth: {rec}") from exc
-    elif rec.mode == EvalMode.EXACT.value:
-        enc = _exact_at(point, rec.depth)
-    else:
-        enc, _ = _best(point, DEFAULT_TOL, max_depth, "directed")
-    lo, hi = _parsed_interval(rec)
-    if max(lo, enc.lo) > min(hi, enc.hi):
-        raise ValueError(f"re-evaluation disjoint from printed interval: {rec}")
-    if (rec.command == "oracle-series" or rec.mode == EvalMode.EXACT.value) and (
-        decimal_down(enc.lo) != rec.lo or decimal_up(enc.hi) != rec.hi
-    ):
-        raise ValueError(f"row does not regenerate: {rec}")
-    return enc
+            if p1.m != p2.m or not (p1.lam < p2.lam and e1.lo > e2.hi):
+                raise ValueError(f"witness rows do not certify a decrease: {first}")
+        elif p1 != p2 or max(e1.lo, e2.lo) > min(e1.hi, e2.hi):
+            raise ValueError(f"oracle rows do not meet at one point: {first}")
 
 
 def reverify_records(
@@ -591,53 +608,17 @@ def reverify_records(
 ) -> bool:
     """Re-check emitted records; raises ValueError on any mismatch.
 
-    One rule covers every row: it gets one fresh enclosure of the value it
-    printed, and its printed interval must meet it (_fresh_enclosure); exact
-    and series rows must also regenerate their digits.  Verdicts are checked
-    on top of that:
+    One rule covers every row: it is rebuilt from its own inputs, depth and
+    tol, must print the same row again, and its verdict must hold on the
+    rebuilt enclosure (_reverified).  Witness and oracle rows come in pairs,
+    judged on their rebuilt enclosures (_check_pairs).  Nothing is
+    certified afresh, and no row is evaluated at a tol it does not print.
 
-    - a certified check row has its claim certified afresh at DEFAULT_TOL,
-      once per claim and point, before its fresh enclosure; a claim that
-      comes back inconclusive is a mismatch, and so is an uncertified
-      check-functional row;
-    - alpha-lo must lie below 1 and alpha-hi above it; a directed endpoint
-      that its fresh DEFAULT_TOL enclosure leaves undecided gets one directed
-      evaluation at half the distance of its printed interval from 1, when
-      that is positive, which must meet the interval, then the exact
-      enclosure at depth + 1, which a directed pass at depth n encloses;
-    - witness and oracle rows come in pairs (_check_pairs).
-
-    Commands and depths are checked before any row is evaluated.
+    Commands, depths and tols are checked before any row is evaluated
+    (_validate); max_depth bounds the depths a row may print.
     """
     _validate(records, max_depth)
-    certifies = {}  # (claim, point) -> whether it certifies at DEFAULT_TOL
-    for rec in records:
-        cmd = rec.command
-        if cmd in _CLAIMS and rec.certified:
-            claim, point = _CLAIMS[cmd], _rec_point(rec)
-            if (claim, point) not in certifies:
-                certifies[claim, point] = _check_rows(claim, point, DEFAULT_TOL, max_depth)[0]
-            if not certifies[claim, point]:
-                raise ValueError(f"{claim} verdict did not reproduce: {rec}")
-        elif cmd == "check-functional":
-            raise ValueError(f"functional verdict did not reproduce: {rec}")
-        enc = _fresh_enclosure(rec, max_depth)
-        if cmd not in ("alpha-lo", "alpha-hi"):
-            continue
-        side = _side(enc)
-        if side == 0 and rec.mode != EvalMode.EXACT.value:
-            point, (lo, hi) = _rec_point(rec), _parsed_interval(rec)
-            gap = max(lo - 1, 1 - hi)
-            if gap > 0:  # an enclosure gap/2 wide that meets [lo, hi] excludes 1
-                enc, _ = _best(point, gap / 2, max_depth, "directed")
-                if max(lo, enc.lo) > min(hi, enc.hi):
-                    raise ValueError(f"re-evaluation disjoint from printed interval: {rec}")
-                side = _side(enc)
-            if side == 0:
-                side = _side(_exact_at(point, rec.depth + 1))
-        if side != (-1 if cmd == "alpha-lo" else 1):
-            raise ValueError(f"alpha endpoint verdict did not reproduce: {rec}")
-    _check_pairs(records)
+    _check_pairs(records, [_reverified(rec) for rec in records])
     return True
 
 

@@ -189,26 +189,22 @@ def reference_theorem_bound(point: CFPoint, tol: Fraction) -> tuple[Fraction, Fr
     return lo, hi
 
 
-def reference_tolerances(tol: Fraction, tighten_limit: int | None, floor=REFERENCE_TOL_FLOOR):
-    """Working tolerances: tol, tol/10, ... down to ``floor`` (or a step cap).
+def reference_tolerances(tol: Fraction, floor=REFERENCE_TOL_FLOOR):
+    """Working tolerances: tol, tol/10, ... down to ``floor``.
 
     With the default floor this is the checks' former schedule, which the
-    reference checks below keep; with floor=None only the cap ends it, as
-    in bounds' checks, which also stop where an evaluation is out of budget.
+    reference checks below keep; with floor=None it never ends, as in
+    bounds' checks, which stop only where an evaluation is out of budget.
     """
     t = tol
-    steps = 0
     while True:
         yield t
-        steps += 1
-        if tighten_limit is not None and steps > tighten_limit:
-            return
         if floor is not None and t <= floor:
             return
         t = t / 10
 
 
-def reference_check_sandwich(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH, tighten_limit=None):
+def reference_check_sandwich(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH):
     """check_sandwich over reference_tolerances, letting a budget error propagate.
 
     Reference for bounds.check_sandwich: wherever it certifies, or raises
@@ -219,7 +215,7 @@ def reference_check_sandwich(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DE
     tol = as_fraction(tol)
     upper_point = point.shifted()
     last = None
-    for t in reference_tolerances(tol, tighten_limit):
+    for t in reference_tolerances(tol):
         g_hi = evaluate(upper_point, t, max_depth=max_depth)
         g_lo = evaluate(point, t, max_depth=max_depth)
         bound = theorem_bound(point, t)
@@ -249,14 +245,14 @@ def reference_check_sandwich(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DE
     )
 
 
-def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH, tighten_limit=None):
+def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH):
     """check_g_above_one over reference_tolerances, letting a budget error propagate."""
     if point.m < 1:
         raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
     tol = as_fraction(tol)
     unit = Enclosure(lo=Fraction(1), hi=Fraction(1), depth=0, mode=EvalMode.EXACT)
     enc = None
-    for t in reference_tolerances(tol, tighten_limit):
+    for t in reference_tolerances(tol):
         enc = evaluate(point, t, max_depth=max_depth)
         if enc.lo > 1:
             return CheckReport(
@@ -274,14 +270,14 @@ def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX
     )
 
 
-def reference_check_reciprocal(lam, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH, tighten_limit=None):
+def reference_check_reciprocal(lam, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH):
     """check_reciprocal over reference_tolerances, letting a budget error propagate."""
     lam = as_fraction(lam)
     tol = as_fraction(tol)
     p0 = CFPoint(Fraction(0), lam)
     p1 = CFPoint(Fraction(1), lam)
     g0 = g1 = None
-    for t in reference_tolerances(tol, tighten_limit):
+    for t in reference_tolerances(tol):
         g0 = evaluate(p0, t, max_depth=max_depth)
         g1 = evaluate(p1, t, max_depth=max_depth)
         if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):

@@ -316,7 +316,7 @@ def test_checks_match_tightening_reference(claim, m, lam, tol, max_depth):
     # the reference gave up at its 1e-30 floor or the depth budget; the check
     # goes on to a verdict or the first tolerance where an evaluation is out
     # of budget, and judges the enclosures reached there
-    for t in reference_tolerances(tol, None, floor=None):
+    for t in reference_tolerances(tol, floor=None):
         encs, out = [], False
         for p in points_of(point):
             try:

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cfcert import CFPoint, InconclusiveError, check_g_above_one
+from cfcert import DEFAULT_MAX_DEPTH, DEFAULT_TOL, CFPoint, check_g_above_one, evaluate
 from cfcert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NO_WITNESS,
@@ -16,11 +22,21 @@ from cfcert.cli import (
     decimal_down,
     decimal_up,
     emit,
+    fraction_str,
     geometric_grid,
     main,
     parse_records,
+    record_from_enclosure,
     reverify_records,
 )
+
+
+#: per claim, a check whose depth budget leaves its row undecided
+UNDECIDED = {
+    "above-one": ("check", "above-one", "--m", "1", "--lambda", "1e-10"),
+    "reciprocal": ("check", "reciprocal", "--lambda", "1", "--max-depth", "1"),
+    "sandwich": ("check", "sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"),
+}
 
 
 def run(capsys, *argv):
@@ -227,10 +243,10 @@ class TestAlphaScanWitnessOracle:
         ]
         assert Fraction(recs[0].hi) < 1 < Fraction(recs[1].lo)
         assert reverify_records(recs)
-        # alpha-lo with alpha-hi's digits meets its fresh DEFAULT_TOL enclosure;
-        # the evaluation at half their distance from 1 does not
+        # alpha-lo with alpha-hi's digits: rebuilt at its own point and tol,
+        # it prints its own
         moved = recs[0]._replace(lo=recs[1].lo, hi=recs[1].hi)
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="does not regenerate"):
             reverify_records([moved, *recs[1:]])
 
     @pytest.mark.parametrize("mode", ["directed", "exact"])
@@ -312,7 +328,8 @@ class TestRecordFormat:
     @pytest.mark.parametrize(
         "lam, g_tol, bracket_tol",
         # exact-mode endpoints, then directed ones: both sit far closer to 1
-        # than the default tolerance resolves
+        # than the default tolerance resolves, and each is rebuilt from its
+        # own depth, and tol where it prints one
         [("1", "1e-25", "1e-20"), ("1/100", "1e-200", "1e-1")],
     )
     def test_reverify_alpha_endpoints_at_tight_g_tol(self, capsys, fmt, lam, g_tol, bracket_tol):
@@ -323,7 +340,7 @@ class TestRecordFormat:
         assert reverify_records(recs)
         by_command = {r.command: r for r in recs}
         swapped = [by_command["alpha-hi"]._replace(command="alpha-lo")]
-        with pytest.raises(ValueError, match="alpha endpoint"):
+        with pytest.raises(ValueError, match="alpha-lo verdict does not hold"):
             reverify_records(swapped)
         for depth in (-1, 0, 10**9):
             with pytest.raises(ValueError, match="depth outside"):
@@ -356,30 +373,6 @@ class TestRecordFormat:
         with pytest.raises(ValueError, match="integer m"):
             reverify_records([series._replace(inputs={**series.inputs, "m": "1/2"})])
 
-    def test_reverify_certifies_sandwich_pair_once(self, capsys, monkeypatch):
-        import cfcert.cli as cli
-
-        _, out = run(capsys, "check", "sandwich", "--m", "1", "--lambda", "1")
-        recs = parse_records(out, "csv")
-        assert [r.command for r in recs] == ["check-sandwich-upper", "check-sandwich-lower"]
-        original, calls = cli.check_sandwich, []
-
-        def counting(point, *args, **kwargs):
-            calls.append(point)
-            return original(point, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "check_sandwich", counting)
-        assert reverify_records(recs)
-        assert len(calls) == 1
-
-        def inconclusive(point, *args, **kwargs):
-            raise InconclusiveError("forced overlap")
-
-        monkeypatch.setattr(cli, "check_sandwich", inconclusive)
-        with pytest.raises(ValueError, match="sandwich verdict did not reproduce"):
-            reverify_records(recs)
-        assert reverify_records([r._replace(certified=False) for r in recs])
-
     @pytest.mark.parametrize(
         "argv, claim",
         [
@@ -395,34 +388,38 @@ class TestRecordFormat:
         code, out = run(capsys, *argv)
         assert code == EXIT_OK
         recs = parse_records(out, "csv")
+        if claim in UNDECIDED:  # a row its depth budget left undecided
+            (undecided,) = parse_records(run(capsys, *UNDECIDED[claim])[1], "csv")
+
+        def recertify(*args, **kwargs):
+            raise AssertionError("a claim was certified afresh")
+
+        # no claim is certified afresh: each row is rebuilt from its own depth
+        # and its verdict judged on the rebuilt enclosure
+        monkeypatch.setattr(cli, "_check_rows", recertify)
         assert reverify_records(recs)
-        match = f"{claim} verdict did not reproduce"
-        # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth:
-        # no inequality certifies from it, and it cannot refute a functional
-        # row, whose exact digits then do not regenerate at lam = 1e-10
-        tiny = [r._replace(inputs={**r.inputs, "lambda": "1/10000000000"}) for r in recs]
-        with pytest.raises(
-            ValueError, match="row does not regenerate" if claim == "functional" else match
-        ):
-            reverify_records(tiny)
-        # G(m, 2) is far from every row's interval, a claim that still certifies
-        moved = [r._replace(inputs={**r.inputs, "lambda": "2/1"}) for r in recs]
-        with pytest.raises(ValueError, match="re-evaluation disjoint"):
-            reverify_records(moved)
+        # directed evaluation at lam = 1e-10 is still about 400 wide at any
+        # depth a row prints, and G(m, 2) is far from every row's interval
+        for lam in ("1/10000000000", "2/1"):
+            moved = [r._replace(inputs={**r.inputs, "lambda": lam}) for r in recs]
+            with pytest.raises(ValueError, match="does not regenerate"):
+                reverify_records(moved)
         # the exact rows are rebuilt at their depth, which a budget of 2 does
         # not reach; best enclosures out of budget are judged in
         # test_out_of_budget_check_judges_best_enclosures
         with pytest.raises(ValueError, match="depth outside"):
             reverify_records(recs, max_depth=2)
-
-        def inconclusive(*args, **kwargs):
-            raise InconclusiveError("forced overlap")
-
-        for name in ("check_g_above_one", "check_reciprocal", "check_functional_equation",
-                     "check_sandwich"):
-            monkeypatch.setattr(cli, name, inconclusive)
-        with pytest.raises(ValueError, match=match):
-            reverify_records(recs)
+        if claim == "functional":
+            # it holds by construction, so an uncertified row is rejected
+            # before any row is evaluated
+            monkeypatch.setattr(cli, "_reverified", recertify)
+            with pytest.raises(ValueError, match="functional verdict did not reproduce"):
+                reverify_records([r._replace(certified=False) for r in recs])
+            return
+        # the undecided row, printed as certified
+        assert reverify_records([undecided])
+        with pytest.raises(ValueError, match=f"{undecided.command} verdict does not hold"):
+            reverify_records([undecided._replace(certified=True)])
 
     @pytest.mark.parametrize(
         "argv",
@@ -438,8 +435,8 @@ class TestRecordFormat:
         assert reverify_records(recs)
         for i, rec in enumerate(recs):
             tampered = [*recs[:i], rec._replace(lo="500", hi="600"), *recs[i + 1:]]
-            # the verdict re-certifies; the row's fresh enclosure then misses it
-            with pytest.raises(ValueError, match="re-evaluation disjoint"):
+            # the row rebuilt from its depth prints its own digits
+            with pytest.raises(ValueError, match="does not regenerate"):
                 reverify_records(tampered)
 
     def test_reverify_rejects_certified_row_that_excludes_its_value(self, capsys):
@@ -474,12 +471,15 @@ class TestRecordFormat:
         (rec,) = parse_records(out, "csv")
         assert (rec.command, rec.certified, rec.mode) == (command, False, mode)
         assert reverify_records([rec])
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="does not regenerate"):
             reverify_records([rec._replace(lo="500", hi="600")])
-        if mode == "exact":
-            # the row is rebuilt from its depth, so another depth does not regenerate it
-            with pytest.raises(ValueError, match="does not regenerate"):
-                reverify_records([rec._replace(depth=rec.depth + 1)])
+        # the row is rebuilt from its depth, so another depth does not regenerate it
+        other = rec.depth + 1 if rec.depth < DEFAULT_MAX_DEPTH else rec.depth - 1
+        with pytest.raises(ValueError, match="does not regenerate"):
+            reverify_records([rec._replace(depth=other)])
+        # the rebuilt enclosure does not decide the claim, so it may not say it does
+        with pytest.raises(ValueError, match=f"{command} verdict does not hold"):
+            reverify_records([rec._replace(certified=True)])
 
     @pytest.mark.parametrize(
         "argv",
@@ -487,14 +487,15 @@ class TestRecordFormat:
          ("scan", "--m", "1", "--grid-list", "1e-10,1")],
     )
     def test_reverify_not_converged_rows(self, capsys, argv):
-        # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth
+        # directed evaluation at lam = 1e-10 is still about 400 wide at max_depth;
+        # rebuilt to that depth, it is out of budget again, with the same best
         code, out = run(capsys, *argv, "--format", "csv")
         assert code == EXIT_NOT_CONVERGED
         recs = parse_records(out, "csv")
         assert recs[0].mode == "directed-fixed-precision"
         assert reverify_records(recs)
         moved = recs[0]._replace(lo="500", hi="600")
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="does not regenerate"):
             reverify_records([moved])
 
     @pytest.mark.parametrize(
@@ -510,7 +511,7 @@ class TestRecordFormat:
         assert reverify_records(recs)
         for i, rec in enumerate(recs):
             tampered = [*recs[:i], rec._replace(lo="500", hi="600"), *recs[i + 1:]]
-            with pytest.raises(ValueError, match="disjoint"):
+            with pytest.raises(ValueError, match="does not regenerate"):
                 reverify_records(tampered)
 
     def test_reverify_rejects_a_cell_end_moved_past_the_crossing(self, capsys):
@@ -518,26 +519,34 @@ class TestRecordFormat:
         assert code == EXIT_OK
         recs = parse_records(out, "csv")
         assert reverify_records(recs)
-        # alpha-lo moved to the upper cell end: its printed interval, above 1,
-        # no longer meets the fresh enclosure there
+        # alpha-lo moved to the upper cell end: rebuilt there, it prints the
+        # upper end's digits, not its own
         moved = recs[0]._replace(inputs={**recs[0].inputs, "m": "4194305/8388608"})
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="does not regenerate"):
             reverify_records([moved, *recs[1:]])
-        # moved with the upper end's digits, it meets them but lies above 1
+        # moved with the upper end's digits, it regenerates but lies above 1
         moved = recs[1]._replace(command="alpha-lo")
-        with pytest.raises(ValueError, match="alpha endpoint"):
+        with pytest.raises(ValueError, match="alpha-lo verdict does not hold"):
             reverify_records([moved, *recs[1:]])
 
     def test_reverify_rejects_a_crafted_hard_point_row_quickly(self):
         import time
 
-        # G(1/2, 1/1000) is within about 1e-1737 of 1: the printed interval meets
-        # the fresh enclosure but touches 1, so the exact enclosure decides
-        row = OutputRecord("alpha-lo", {"m": "1/2", "lambda": "1/1000"}, "0.999999999999",
-                           "1.000000000001", 231, True, "directed-fixed-precision")
+        # G(1/2, 1/1000) is within about 1e-1737 of 1.  A crafted row touching 1
+        # does not regenerate; the row its own depth and tol do rebuild still
+        # touches 1, so it fails its verdict, with one pass and no deeper one
+        point = CFPoint(Fraction(1, 2), Fraction(1, 1000))
+        enc = evaluate(point, Fraction(1, 10**12), mode="directed")
+        genuine = record_from_enclosure("alpha-lo", {"m": point.m, "lambda": point.lam}, enc,
+                                        certified=True)
+        crafted = OutputRecord("alpha-lo", {"m": "1/2", "lambda": "1/1000"}, "0.999999999999",
+                               "1.000000000001", enc.depth, True, "directed-fixed-precision",
+                               "1/1000000000000")
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="alpha endpoint"):
-            reverify_records([row])
+        with pytest.raises(ValueError, match="does not regenerate"):
+            reverify_records([crafted])
+        with pytest.raises(ValueError, match="alpha-lo verdict does not hold"):
+            reverify_records([genuine])
         assert time.perf_counter() - start < 0.5
 
     def test_reverify_evaluates_each_directed_point_once_per_tol(self, capsys, monkeypatch):
@@ -549,15 +558,16 @@ class TestRecordFormat:
         original, calls = cf_core.eval_directed, []
 
         def counting(point, tol, **kwargs):
-            calls.append((point.m, Fraction(tol)))
+            calls.append((point.m, Fraction(tol), kwargs["max_depth"]))
             return original(point, tol, **kwargs)
 
         monkeypatch.setattr(cf_core, "eval_directed", counting)
         assert reverify_records(recs)
-        # alpha-hi at m = 1/2 stays undecided at DEFAULT_TOL, and its printed
-        # interval touches 1, so it is decided by the exact enclosure
-        assert Fraction(1, 2) in {m for m, _ in calls}
-        assert len(calls) == len(set(calls))
+        # alpha-hi at m = 1/2 lies about 1e-174 above 1: no evaluation at a
+        # tol the row does not print, and no exact walk, decides it
+        assert calls == [
+            (Fraction(r.inputs["m"]), Fraction(r.tol), r.depth) for r in recs
+        ]
 
     def test_reverify_checks_every_pair_where_it_is_printed(self, capsys):
         _, out = run(capsys, "witness", "--m", "0.1", "--grid-geom", "1/100000:1/65:12")
@@ -570,7 +580,7 @@ class TestRecordFormat:
         assert reverify_records([g1, g2, *witness, *oracle])
         overlapping = [g1._replace(lo=g2.lo), g2]
         for recs in (overlapping, [*overlapping, *witness]):
-            with pytest.raises(ValueError, match="do not certify a decrease"):
+            with pytest.raises(ValueError, match="does not regenerate"):
                 reverify_records(recs)
         # genuine (m, lam) rows relabelled as witnesses: G(1, lam) rises from
         # lam = 1 to lam = 2, and the other pair sits at two values of m
@@ -669,6 +679,185 @@ class TestRecordFormat:
         assert decimal_down(Fraction(1)) == decimal_up(Fraction(1)) == "1"
         neg = Fraction(-1, 3)
         assert Fraction(decimal_down(neg)) < neg < Fraction(decimal_up(neg))
+
+
+#: every row kind in both modes (a series row is always exact), at a tol
+#: where each printed interval is many digits wide, so that a row rebuilt at
+#: another depth or point prints other digits
+SAMPLE_ARGVS = (
+    ("eval", "--m", "1/3", "--lambda", "7/5", "--tol", "1e-6"),
+    ("scan", "--m", "1/10", "--grid-list", "1/4,1", "--tol", "1e-6"),
+    ("alpha", "--lambda", "1"),
+    ("witness", "--m", "0.1", "--tol", "1e-6"),
+    ("oracle", "--m", "2", "--lambda", "1/3", "--tol", "1e-6"),
+    ("check", "sandwich", "--m", "1", "--lambda", "1", "--tol", "1e-6"),
+    ("check", "functional", "--m", "1", "--lambda", "1", "--tol", "1e-6"),
+    ("check", "above-one", "--m", "1", "--lambda", "1", "--tol", "1e-6"),
+    ("check", "reciprocal", "--lambda", "1", "--tol", "1e-6"),
+    ("check", "sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"),
+    ("eval", "--m", "1/3", "--lambda", "1/100", "--tol", "1e-6"),
+    ("scan", "--m", "1", "--grid-list", "1/1000,1/100", "--tol", "1e-6"),
+    ("alpha", "--lambda", "1/100", "--g-tol", "1e-6"),
+    ("witness", "--m", "0.1", "--grid-geom", "1/100000:1/65:12", "--tol", "1e-6"),
+    ("oracle", "--m", "1", "--lambda", "1/100", "--tol", "1e-6"),
+    ("check", "sandwich", "--m", "1", "--lambda", "1/100", "--tol", "1e-6"),
+    ("check", "functional", "--m", "1", "--lambda", "1/100", "--tol", "1e-6"),
+    ("check", "above-one", "--m", "1", "--lambda", "1/100", "--tol", "1e-6"),
+    ("check", "reciprocal", "--lambda", "1/100", "--tol", "1e-6"),
+    ("check", "sandwich", "--m", "1", "--lambda", "1/100", "--max-depth", "5"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_outputs() -> tuple[tuple[OutputRecord, ...], ...]:
+    outputs = []
+    for argv in SAMPLE_ARGVS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(list(argv))
+        outputs.append(tuple(parse_records(out.getvalue(), "csv")))
+    return tuple(outputs)
+
+
+def _with_partner(recs, i, rec):
+    """``rec`` in place of recs[i], with the pair row printed next to it, if any."""
+    if recs[i].command in ("witness-g1", "oracle-cf"):
+        return [rec, recs[i + 1]]
+    if recs[i].command in ("witness-g2", "oracle-series"):
+        return [recs[i - 1], rec]
+    return [rec]
+
+
+@st.composite
+def perturbed_rows(draw):
+    """One sample row with one of lo, hi, depth, tol or an input changed."""
+    recs = draw(st.sampled_from(_sample_outputs()))
+    i = draw(st.integers(0, len(recs) - 1))
+    rec = recs[i]
+    fields = ["lo", "hi", "tol", *rec.inputs]
+    # 2/lam + 8 series terms print G's own digits at lam 1/100, and so do
+    # their neighbours; the series row at lam 1/3 takes depth changes
+    if not (rec.command == "oracle-series" and rec.inputs["lambda"] == "1/100"):
+        fields.append("depth")
+    field = draw(st.sampled_from(fields))
+    if field in ("lo", "hi"):
+        step = Fraction(draw(st.integers(1, 9)), 10 ** draw(st.integers(0, 30)))
+        value = Fraction(getattr(rec, field)) + draw(st.sampled_from([-1, 1])) * step
+        new = (decimal_down if field == "lo" else decimal_up)(value)
+        assume(new != getattr(rec, field))
+        rec = rec._replace(**{field: new})
+    elif field == "depth":
+        # a nearby depth keeps each exact rebuild cheap; 10**5 is out of range
+        step = draw(st.one_of(st.integers(-rec.depth, 64).filter(bool), st.just(10**5)))
+        rec = rec._replace(depth=rec.depth + step)
+    elif field == "tol":
+        # no tol, a tol <= 0, or one on a row that is not directed
+        new = draw(st.sampled_from(["", "0", "0/3", f"-{rec.tol}"])) if rec.tol else "1/1000"
+        rec = rec._replace(tol=new)
+    else:
+        old = Fraction(rec.inputs[field])
+        new = fraction_str(draw(st.one_of(
+            st.integers(-7, 7).filter(bool).map(lambda k: old + Fraction(k, 8)),
+            st.integers(-6, 6).filter(bool).map(lambda k: old * Fraction(2) ** k),
+        )))
+        assume(new != rec.inputs[field])
+        rec = rec._replace(inputs={**rec.inputs, field: new})
+    return _with_partner(recs, i, rec)
+
+
+def _ceiling(value: Fraction, digits: int) -> str:
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, ROUND_CEILING
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+class TestReverifyRebuildsRows:
+    def test_sample_outputs_cover_every_row_kind_in_both_modes(self):
+        kinds = set()
+        for recs in _sample_outputs():
+            assert reverify_records(list(recs))
+            kinds |= {(r.command, r.mode) for r in recs}
+        commands = {c for c, _ in kinds}
+        assert len(commands) == 14
+        assert {c for c, mode in kinds if mode == "exact"} == commands
+        assert {c for c, mode in kinds if mode != "exact"} == commands - {"oracle-series"}
+
+    @given(rows=perturbed_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_reverify_rejects_a_perturbed_row(self, rows):
+        with pytest.raises(ValueError):
+            reverify_records(rows)
+
+    def test_reverify_rejects_a_directed_row_that_excludes_g(self, capsys):
+        code, out = run(capsys, "eval", "--m", "1/3", "--lambda", "1/100", "--format", "json")
+        assert code == EXIT_OK
+        (rec,) = parse_records(out, "json")
+        assert (rec.mode, rec.depth, rec.tol) == ("directed-fixed-precision", 94,
+                                                  fraction_str(DEFAULT_TOL))
+        point = CFPoint(Fraction(1, 3), Fraction(1, 100))
+        fresh = evaluate(point, DEFAULT_TOL, mode="directed")
+        # hi at the 60-digit ceiling of the fresh lower end: the interval still
+        # meets that enclosure, but lies below G
+        hi = _ceiling(fresh.lo, 60)
+        assert Fraction(rec.lo) <= fresh.lo <= Fraction(hi)
+        assert Fraction(hi) < evaluate(point, Fraction(1, 10**40), mode="exact").lo
+        with pytest.raises(ValueError, match="does not regenerate"):
+            reverify_records([rec._replace(hi=hi)])
+
+    def test_reverify_judges_a_witness_on_its_rebuilt_enclosures(self, capsys):
+        # the search certified G(1/3, 1/16) > G(1/3, 1/16 + 1e-17) on exact
+        # enclosures whose 15-digit forms are identical
+        code, out = run(capsys, "witness", "--m", "1/3", "--grid-list",
+                        "1/16,10000000000000001/160000000000000000", "--tol", "1e-12")
+        assert code == EXIT_OK
+        g1, g2 = parse_records(out, "csv")
+        assert (g1.lo, g1.hi) == (g2.lo, g2.hi) == ("0.994721621841257", "0.994721621841258")
+        assert reverify_records([g1, g2])
+        swapped = [g2._replace(command="witness-g1"), g1._replace(command="witness-g2")]
+        with pytest.raises(ValueError, match="do not certify a decrease"):
+            reverify_records(swapped)
+
+    def test_validate_rejects_a_tol_that_does_not_fit_the_mode(self, capsys, monkeypatch):
+        import cfcert.cli as cli
+
+        _, out = run(capsys, "eval", "--m", "1/3", "--lambda", "1/100")
+        (directed,) = parse_records(out, "csv")
+        _, out = run(capsys, "eval", "--m", "1/3", "--lambda", "1")
+        (exact,) = parse_records(out, "csv")
+        assert (directed.tol, exact.tol) == (fraction_str(DEFAULT_TOL), "")
+
+        def evaluated(rec):
+            raise AssertionError(f"evaluated {rec}")
+
+        monkeypatch.setattr(cli, "_reverified", evaluated)
+        bad = [directed._replace(tol=""), exact._replace(tol=directed.tol),
+               *(directed._replace(tol=t) for t in ("0", "0/7", "-1/1000000000000"))]
+        for rec in bad:
+            with pytest.raises(ValueError, match="a directed row needs a positive tol"):
+                cli._validate([rec], DEFAULT_MAX_DEPTH)
+            with pytest.raises(ValueError, match="a directed row needs a positive tol"):
+                reverify_records([exact, rec])
+        for tol in ("1/0", "tenth"):
+            with pytest.raises(ValueError, match="tol are not rationals"):
+                reverify_records([directed._replace(tol=tol)])
+
+    def test_validate_rejects_inputs_that_name_no_point(self, capsys, monkeypatch):
+        import cfcert.cli as cli
+
+        _, out = run(capsys, "eval", "--m", "1/3", "--lambda", "1", "--format", "json")
+        (rec,) = parse_records(out, "json")
+        monkeypatch.setattr(cli, "_reverified", None)  # nothing is evaluated
+        for inputs in ({"lambda": "1/1"}, {**rec.inputs, "x": "1"}):
+            with pytest.raises(ValueError, match="inputs are not"):
+                reverify_records([rec._replace(inputs=inputs)])
+        for m in ("1/0", "third", "-1/1"):
+            with pytest.raises(ValueError, match="not rationals in range"):
+                reverify_records([rec._replace(inputs={**rec.inputs, "m": m})])
+        # a record written before rows carried their tol
+        obj = json.loads(out)
+        del obj["tol"]
+        with pytest.raises(ValueError, match="record field emit never writes"):
+            parse_records(json.dumps(obj), "json")
 
 
 class TestGeometricGrid:

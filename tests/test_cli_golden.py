@@ -2,7 +2,8 @@
 
 tests/golden/cli_roundtrip.jsonl holds, per call, the argv with the exit
 code, stdout and stderr of cli.main (written by scripts/cli_golden.py).
-Replaying the committed argvs keeps this test independent of bench/.
+Replaying the committed argvs keeps this test independent of bench/.  Each
+committed stdout must also re-verify, as the benchmark re-verifies it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cfcert.cli import main
+from cfcert.cli import main, parse_records, reverify_records
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_roundtrip.jsonl"
 CALLS = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
@@ -33,3 +34,5 @@ def test_cli_output_matches_golden(call):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(call["argv"])
     assert (code, out.getvalue(), err.getvalue()) == (call["exit"], call["stdout"], call["stderr"])
+    argv = call["argv"]
+    assert reverify_records(parse_records(call["stdout"], argv[argv.index("--format") + 1]))

@@ -22,7 +22,8 @@ from cfcert import (
 from cfcert.cli import OutputRecord
 
 LOW = Enclosure(lo=Fraction(1, 2), hi=Fraction(3, 4), depth=5, mode=EvalMode.EXACT)
-HIGH = Enclosure(lo=Fraction(4, 5), hi=Fraction(1), depth=6, mode=EvalMode.DIRECTED)
+HIGH = Enclosure(lo=Fraction(4, 5), hi=Fraction(1), depth=6, mode=EvalMode.DIRECTED,
+                 tol=Fraction(1, 5))
 POINT = CFPoint(Fraction(1, 3), 1)
 
 SAMPLES = {
@@ -34,18 +35,19 @@ SAMPLES = {
     "Witness": Witness(Fraction(1, 3), Fraction(1, 16), Fraction(1, 8), HIGH, LOW),
     "ScanPoint": ScanPoint(Fraction(1, 8), LOW),
     "OutputRecord": OutputRecord("eval", {"m": "1/3", "lambda": "1/1"}, "0.5", "0.75", 5,
-                                 None, "exact"),
+                                 None, "exact", ""),
 }
 
-#: the reprs the same values had as frozen dataclasses
+#: the reprs the same values had as frozen dataclasses, plus the tol field
+#: an enclosure and a record carry
 REPRS = {
     "CFPoint": "CFPoint(m=Fraction(1, 3), lam=Fraction(1, 1))",
     "Enclosure": "Enclosure(lo=Fraction(1, 2), hi=Fraction(3, 4), depth=5, "
-    "mode=<EvalMode.EXACT: 'exact'>)",
+    "mode=<EvalMode.EXACT: 'exact'>, tol=None)",
     "ScanPoint": "ScanPoint(lam=Fraction(1, 8), enclosure=Enclosure(lo=Fraction(1, 2), "
-    "hi=Fraction(3, 4), depth=5, mode=<EvalMode.EXACT: 'exact'>), error=None)",
+    "hi=Fraction(3, 4), depth=5, mode=<EvalMode.EXACT: 'exact'>, tol=None), error=None)",
     "OutputRecord": "OutputRecord(command='eval', inputs={'m': '1/3', 'lambda': '1/1'}, "
-    "lo='0.5', hi='0.75', depth=5, certified=None, mode='exact')",
+    "lo='0.5', hi='0.75', depth=5, certified=None, mode='exact', tol='')",
 }
 
 
@@ -80,6 +82,7 @@ def test_value_type_contract(name):
         ("CFPoint", {"lam": 0}, DomainError, "lam must be positive"),
         ("Witness", {"g2": HIGH}, ValueError, "do not certify a decrease"),
         ("OutputRecord", {"depth": "5"}, ValueError, "emit never writes"),
+        ("OutputRecord", {"tol": None}, ValueError, "emit never writes"),
     ],
 )
 def test_replace_runs_the_constructor_checks(name, change, error, match):
@@ -101,8 +104,8 @@ def test_replace_coerces_like_the_constructor():
 def test_records_are_tuples():
     # the one change from frozen dataclasses: a record equals the tuple of its fields
     assert POINT == (Fraction(1, 3), Fraction(1))
-    lo, hi, depth, mode = LOW
-    assert (lo, hi, depth, mode) == (Fraction(1, 2), Fraction(3, 4), 5, EvalMode.EXACT)
+    lo, hi, depth, mode, tol = LOW
+    assert (lo, hi, depth, mode, tol) == (Fraction(1, 2), Fraction(3, 4), 5, EvalMode.EXACT, None)
 
 
 def test_enclosure_membership_is_the_interval():
