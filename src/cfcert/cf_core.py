@@ -13,7 +13,9 @@ shifted tail at m + 1, where every term is positive, and mapped back through
 the shift identity G(m, lam) = m*lam + 1/G(m+1, lam).
 
 Two modes are provided.  Exact mode runs the convergent recurrence over big
-rationals; it is the reference semantics.  Directed mode runs a backward
+rationals; it is the reference semantics.  A float run predicts the depth,
+one product tree of the step matrices builds the convergents there, and
+exact integer tests settle the minimal depth.  Directed mode runs a backward
 interval pass: its deep end runs in binary64 with outward factors, and the
 rest over integers scaled by D * 2**bits (D = b*d at m = a/b, lam = c/d),
 where every term is exact and only the reciprocals round, outward; bits is
@@ -32,8 +34,8 @@ from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
-from math import gcd, isqrt
+from itertools import count
+from math import gcd, isqrt, log2
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
 
@@ -146,36 +148,34 @@ class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode tol")):
 # ---------------------------------------------------------------------------
 
 
+def _terms(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """(u_0, du, D) with g = gcd(b, c), D = (b/g)*d and u_j = u_0 + j*du =
+    (a + j*b) * (c/g): the terms at the point (a/b, c/d) are u_j / D."""
+    g = gcd(b, c)
+    c //= g
+    return a * c, b * c, b // g * d
+
+
 def _scaled_convergents(a: int, b: int, c: int, d: int) -> Iterator[tuple[int, int, int, int, int]]:
     """Integer-scaled convergents (n, p, q, p_prev, q_prev) at the point (a/b, c/d).
 
-    With g = gcd(b, c) and D = (b/g)*d, the terms are u_j / D with
-    u_j = (a + j*b) * (c/g).  Scaling the classical recurrence by D**(n+1)
-    keeps every state integral: p_n = u_n * p_{n-1} + D**2 * p_{n-2}.  The
-    scale cancels in the ratio, so p/q is exactly the convergent G_n; the
+    With the terms u_j / D of _terms, scaling the classical recurrence by
+    D**(n+1) keeps every state integral: p_n = u_n * p_{n-1} + D**2 * p_{n-2}.
+    The scale cancels in the ratio, so p/q is exactly the convergent G_n; the
     fractions need not be reduced.  The depth-0 pair is (0, u_0, D, 1, 0).
 
-    Dividing g out of the terms keeps it out of the states: at scale b*d
-    every term and D**2 share g, so p_n and q_n would each carry about g**n.
-    What is left satisfies p_n*q_{n-1} - p_{n-1}*q_n = +-D**(2n+1), so
-    gcd(p_n, q_n) has only primes of D.
+    Dividing g = gcd(b, c) out of the terms keeps it out of the states: at
+    scale b*d every term and D**2 share g, so p_n and q_n would each carry
+    about g**n.  What is left satisfies p_n*q_{n-1} - p_{n-1}*q_n =
+    +-D**(2n+1), so gcd(p_n, q_n) has only primes of D.
     """
-    g = gcd(b, c)
-    c //= g
-    big_d = b // g * d
+    u, du, big_d = _terms(a, b, c, d)
     dd = big_d * big_d
-    u = a * c
-    du = b * c
-    p_prev, q_prev = 1, 0
-    p, q = u, big_d
-    n = 0
-    yield n, p, q, p_prev, q_prev
-    while True:
-        n += 1
-        u += du
-        p, p_prev = u * p + dd * p_prev, p
-        q, q_prev = u * q + dd * q_prev, q
+    p, q, p_prev, q_prev = u, big_d, 1, 0
+    for n in count():
         yield n, p, q, p_prev, q_prev
+        u += du
+        p, q, p_prev, q_prev = u * p + dd * p_prev, u * q + dd * q_prev, p, q
 
 
 class _Lowest:
@@ -228,8 +228,8 @@ def _from_tail(
     every prime of gcd(N, M) divides k.  A prime r that does not divide bd
     but divides N and M divides p, hence bd*q, hence gcd(p, q).  Every
     caller's gcd(p, q) has only primes of 2*bd:
-    - exact tail pairs from _scaled_convergents, where it divides D**(2n+1)
-      and D divides bd;
+    - exact tail pairs, the integers of _scaled_convergents, where it
+      divides D**(2n+1) and D divides bd;
     - directed ends (t, S) with S = D * 2**bits;
     - bounds.check_functional_equation's (num, den) of a reduced Fraction,
       which are coprime.
@@ -247,57 +247,119 @@ def _from_tail(
     )
 
 
+#: matrices per leaf of _step_product's tree, multiplied in sequence
+_LEAF = 24
+
+
+def _step_product(u: int, du: int, big_d: int, lo: int, hi: int) -> tuple[int, int, int, int]:
+    """(A, B, C, E) = M_{hi-1} ... M_lo for the terms (u, du, D) of _terms,
+    with M_0 = [[u_0, D], [1, 0]] and M_j = [[u_j, D**2], [1, 0]]: from lo = 0
+    to n + 1 it is [[p_n, q_n], [p_{n-1}, q_{n-1}]] (see eval_enclosure).  A
+    balanced tree over runs of _LEAF, so wide products pair equal sizes."""
+    if hi - lo > _LEAF:
+        mid = (lo + hi) // 2
+        a1, b1, c1, e1 = _step_product(u, du, big_d, lo, mid)
+        a2, b2, c2, e2 = _step_product(u, du, big_d, mid, hi)
+        return a2 * a1 + b2 * c1, a2 * b1 + b2 * e1, c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
+    dd = big_d * big_d
+    u += lo * du
+    a, b, c, e = u, dd if lo else big_d, 1, 0
+    for _ in range(lo + 1, hi):
+        u += du
+        a, b, c, e = u * a + dd * c, u * b + dd * e, a, b
+    return a, b, c, e
+
+
+def _predicted_depth(point: CFPoint, tol: Fraction, max_depth: int) -> int:
+    """Where eval_enclosure's exact test starts: the first n in [1, max_depth]
+    where a binary64 run of P_n = x_n P_{n-1} + P_{n-2}, x_j = (m+1+j)*lam,
+    gives P_n * P_{n-1} >= 1/tol, or 1 where m + 1 or lam is lost as a float.
+    Past 2**400 both P scale by 2**-400, and log2 of the limit drops by 800."""
+    try:
+        m1, lam = float(point.m + 1), float(point.lam)
+    except OverflowError:
+        return 1
+    if not (m1 and lam):
+        return 1
+    need = log2(tol.denominator) - log2(tol.numerator)
+    x = m1 * lam
+    p_prev, p, limit = 1.0, x, 2.0 ** min(need, 1000)
+    for n in range(1, max_depth):
+        x += lam
+        p_prev, p = p, x * p + p_prev
+        if p > 2.0**400:
+            p_prev, p, need = p_prev * 2.0**-400, p * 2.0**-400, need - 800
+            limit = 2.0 ** min(need, 1000)
+        if p * p_prev >= limit:
+            return n
+    return max_depth
+
+
+def _meets(p: int, pp: int, tn: int, rhs: int) -> bool:
+    """p * pp * tn >= rhs for positive integers.  With s the sum of the three
+    bit lengths and r that of rhs, the product is in [2**(s-3), 2**s) and rhs
+    in [2**(r-1), 2**r), so only r <= s <= r + 2 needs the product."""
+    s = p.bit_length() + pp.bit_length() + tn.bit_length() - rhs.bit_length()
+    return p * pp * tn >= rhs if 0 <= s <= 2 else s > 2
+
+
 def eval_enclosure(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Enclosure:
-    """Exact enclosure of G(point) of width <= tol.
+    """Exact enclosure of G(point) of width <= tol, at the minimal depth.
 
     Evaluation always runs on the shifted tail at m + 1 (all terms positive
     there for any m > -1) and maps back through m*lam + 1/tail.  For the
     consecutive tail convergents (n-1, n) the mapped width is exactly
-    1 / (P_n * P_{n-1}), so the minimal sufficient depth is found by an
-    integer comparison and the result is deterministic.
+    1 / (P_n * P_{n-1}), and with the scaled convergents p_n = D**(n+1) * P_n
+    of _scaled_convergents the test width <= tol reads
+    p_n * p_{n-1} * tol_num >= D * tol_den * (D**2)**n.
 
-    With the scaled convergents p_n = D**(n+1) * P_n (D from
-    _scaled_convergents), the test width <= tol reads
-    p_n * p_{n-1} * tol_num >= x * (D**2)**n with x = D * tol_den.  A
-    bit-length test rules out almost every step before that right side is
-    formed (see _bit_floor).  From the first step that passes it, the right
-    side is kept as one running product and the exact test runs only where
-    the bit lengths of the two sides allow it, so a step costs work linear
-    in the size of the integers, like the recurrence itself.
+    A float run predicts the depth n (_predicted_depth), and one product
+    tree (_step_product) builds the pair at s = n - 1.  If the test holds at
+    s >= 1, the float ran long: s halves and the pair is built again.  From
+    s the recurrence steps forward, testing each depth, to the first that
+    meets tol or to max_depth.  That is the depth and pair of a walk from
+    depth 1 that tests every step:
+    - The tree's integers equal the walk's.  One step of the recurrence is
+      [[p_n, q_n], [p_{n-1}, q_{n-1}]] = M_n [[p_{n-1}, q_{n-1}],
+      [p_{n-2}, q_{n-2}]] with M_n = [[u_n, D**2], [1, 0]], so the pair at
+      depth n is M_n ... M_1 [[u_0, D], [1, 0]], and integer matrix
+      products are associative: every bracketing gives the same integers.
+    - The widths strictly decrease.  Every P_n is positive, and
+      P_n = x_n P_{n-1} + P_{n-2} > P_{n-2}, so P_n * P_{n-1} strictly
+      increases with n.  The test therefore holds from the minimal depth on
+      and at no depth before it, so the first depth past s that meets tol,
+      where s = 0 or the test fails at s, is the minimal one, whatever n the
+      float predicted.
 
-    Raises BudgetExceededError with the best enclosure attached when the
-    tolerance is unreachable within ``max_depth``.
+    Raises BudgetExceededError with the enclosure at ``max_depth``
+    attached when the tolerance is unreachable within it.
     """
     tol = as_fraction(tol)
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     _check_budget(max_depth)
     m, lam = point.m, point.lam
-    pairs = _scaled_convergents(
-        m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
-    )
-    _, _, big_d, _, _ = next(pairs)
+    u, du, big_d = _terms(m.numerator + m.denominator, m.denominator, *lam.as_integer_ratio())
     dd = big_d * big_d
-    tn = tol.numerator
-    tn_bits = tn.bit_length()
-    x = big_d * tol.denominator
-    base, slope = _bit_floor(x, tn, dd)
-    rhs = 0  # x * dd**n, formed once the bit-length floor first passes
-    for n, p, q, pp, qq in pairs:
-        bits = p.bit_length() + pp.bit_length()
-        if rhs:
-            rhs *= dd
-        elif bits >= base + n * slope // 64:
-            rhs = x * dd**n
-        # p * pp * tn < 2**(bits + tn_bits) and rhs >= 2**(bits(rhs) - 1)
-        met = rhs > 0 and bits + tn_bits >= rhs.bit_length() and p * pp * tn >= rhs
-        if met or n >= max_depth:
+    tn, x = tol.numerator, big_d * tol.denominator
+    n = _predicted_depth(point, tol, max_depth) - 1
+    while True:
+        p, q, pp, qq = _step_product(u, du, big_d, 0, n + 1)
+        rhs = x * dd**n
+        if not n or not _meets(p, pp, tn, rhs):
             break
+        n //= 2
+    u += n * du
+    met = False
+    while not met and n < max_depth:
+        n, u, rhs = n + 1, u + du, rhs * dd
+        p, q, pp, qq = u * p + dd * pp, u * q + dd * qq, p, q
+        met = _meets(p, pp, tn, rhs)
     enc = _pair_enclosure(point, (n, p, q, pp, qq))
     if met:
         return enc
@@ -306,23 +368,6 @@ def eval_enclosure(
         f"at max_depth={max_depth}; raise the budget or use directed mode",
         best=enc,
     )
-
-
-def _bit_floor(x: int, tn: int, dd: int) -> tuple[int, int]:
-    """(base, slope) of the bit-length filter for p * pp * tn >= x * dd**n.
-
-    The left side is below 2**(bits(p) + bits(pp) + bits(tn)) and the right
-    side is at least 2**(bits(x) - 1 + n*log2(dd)).  With slope <=
-    64*log2(dd), the exact test therefore fails whenever
-    bits(p) + bits(pp) < base + n*slope // 64, where
-    base = bits(x) - bits(tn); only the other steps need the products.
-
-    The slope comes from the top 16 bits of dd: with h = dd >> s,
-    dd >= h * 2**s, so slope = 64*s + floor(log2(h**64)) <= 64*log2(dd).
-    It is at most 1 below floor(log2(dd**64)), and costs no power of dd.
-    """
-    s = max(dd.bit_length() - 16, 0)
-    return x.bit_length() - tn.bit_length(), 64 * s + ((dd >> s) ** 64).bit_length() - 1
 
 
 def _side_of_one(
@@ -367,10 +412,8 @@ def _pair_enclosure(point: CFPoint, pair: tuple[int, int, int, int, int]) -> Enc
 def _exact_at(point: CFPoint, depth: int) -> Enclosure:
     """Exact enclosure of G(point) from the tail pair (depth - 1, depth) at m + 1."""
     m, lam = point.m, point.lam
-    pairs = _scaled_convergents(
-        m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
-    )
-    return _pair_enclosure(point, next(islice(pairs, depth, None)))
+    terms = _terms(m.numerator + m.denominator, m.denominator, *lam.as_integer_ratio())
+    return _pair_enclosure(point, (depth, *_step_product(*terms, 0, depth + 1)))
 
 
 def _width_bound(lam: Fraction, depth: int) -> tuple[int, int] | None:

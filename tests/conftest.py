@@ -547,11 +547,12 @@ def _reference_bd_convergents(a: int, b: int, c: int, d: int):
 
 
 def reference_eval_enclosure(point: CFPoint, tol, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Enclosure:
-    """Exact evaluation with the right side of the stopping test as a running product.
+    """Exact evaluation by a walk that tests every depth from 1, with the right
+    side of the stopping test as a running product.
 
-    Reference for cf_core.eval_enclosure, whose bit-length test, scale and
-    integer mapping must give equal enclosures, depths and budget errors.
-    It runs its own recurrence at the scale D = b*d.
+    Reference for cf_core.eval_enclosure, whose predicted depth, product
+    tree, scale and integer mapping must give equal enclosures, depths and
+    budget errors.  It runs its own recurrence at the scale D = b*d.
     """
     tol = as_fraction(tol)
     if tol <= 0:

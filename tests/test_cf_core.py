@@ -24,6 +24,7 @@ from conftest import (
 
 from cfcert import (
     DEFAULT_MAX_DEPTH,
+    DEFAULT_TOL,
     BudgetExceededError,
     CFPoint,
     DomainError,
@@ -32,15 +33,20 @@ from cfcert import (
     NotConvergedError,
     evaluate,
 )
+from cfcert import cf_core
 from cfcert.cf_core import (
+    _LEAF,
     _best,
-    _bit_floor,
     _depth_guess,
     _directed_tail,
     _exact_at,
     _from_tail,
+    _meets,
+    _predicted_depth,
     _scaled_convergents,
     _side_of_one,
+    _step_product,
+    _terms,
     _tightened,
     _width_bound,
     eval_directed,
@@ -78,7 +84,7 @@ wide_points = st.builds(
         st.fractions(min_value=Fraction(1, 2000), max_value=4, max_denominator=10**6),
     ),
 )
-# 1e-1 .. 1e-300, numerators above 1 included: the bit filter subtracts them
+# 1e-1 .. 1e-300, numerators above 1 included: the stopping test multiplies by them
 wide_tols = st.one_of(
     st.builds(lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(1, 300)),
     st.builds(lambda k, e: Fraction(k, 2**e), st.integers(1, 15), st.integers(7, 997)),
@@ -92,6 +98,44 @@ def exact_outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except BudgetExceededError as exc:
         return str(exc), exc.best
+
+
+def with_examples(cases):
+    """Apply @example(point=, tol=, max_depth=) for each case."""
+    def apply(fn):
+        for point, tol, max_depth in cases:
+            fn = example(point=point, tol=tol, max_depth=max_depth)(fn)
+        return fn
+    return apply
+
+
+# fixed exact evaluations: test_matches_running_product_reference checks each
+# against the reference, test_prediction_only_places_the_test with a wrong
+# predicted depth
+EXACT_EXAMPLES = [
+    (CFPoint(1, 1), Fraction(3, 10**40), DEFAULT_MAX_DEPTH),
+    (CFPoint(0, 2), Fraction(7, 2**200), DEFAULT_MAX_DEPTH),
+    (CFPoint(4, 3), Fraction(1, 10**300), DEFAULT_MAX_DEPTH),
+    (CFPoint(1, 1), Fraction(1, 10**9), 5),
+    # the stopping test's two sides are equal at the minimal depth (1, 5, 5),
+    # so "met" there is decided by >=, not >
+    (CFPoint(4, 1), Fraction(7, 2**10), DEFAULT_MAX_DEPTH),
+    (CFPoint(Fraction(9, 2), Fraction(9, 8)), Fraction(15, 2**38), DEFAULT_MAX_DEPTH),
+    (CFPoint(3, Fraction(7, 4)), Fraction(11, 2**41), DEFAULT_MAX_DEPTH),
+    # a huge denominator at small lam: D is 3e53, so the scale D**(n+1), not
+    # P_n, sets the size of the integers on both sides of the stopping test
+    (CFPoint(-1 + Fraction(1, 10**50), Fraction(1, 3000)), Fraction(1, 10**12),
+     DEFAULT_MAX_DEPTH),
+    # gcd(m.den, lam.num) > 1: the kernel divides it out of its scale, the
+    # reference keeps the scale b*d (at seed 7 a shared recurrence stopped at
+    # depth 45 for the kernel's 18)
+    (CFPoint(Fraction(1, 3), Fraction(192, 997)), Fraction(1, 10**12), DEFAULT_MAX_DEPTH),
+    (CFPoint(Fraction(1, 3), Fraction(192, 997)), Fraction(1, 10**300), DEFAULT_MAX_DEPTH),
+    (CFPoint(Fraction(-1, 2), Fraction(80, 997)), Fraction(1, 10**12), DEFAULT_MAX_DEPTH),
+    (CFPoint(Fraction(-1, 2), Fraction(80, 997)), Fraction(1, 10**300), DEFAULT_MAX_DEPTH),
+    (CFPoint(Fraction(1, 3), Fraction(300, 997)), Fraction(1, 10**12), DEFAULT_MAX_DEPTH),
+    (CFPoint(Fraction(1, 3), Fraction(300, 997)), Fraction(1, 10**300), DEFAULT_MAX_DEPTH),
+]
 
 
 nonneg_points = st.builds(
@@ -279,40 +323,80 @@ class TestEvalEnclosure:
         assert hi - lo > tol
 
     @given(point=wide_points, tol=wide_tols, max_depth=depth_caps)
-    @example(point=CFPoint(1, 1), tol=Fraction(3, 10**40), max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(0, 2), tol=Fraction(7, 2**200), max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(4, 3), tol=Fraction(1, 10**300), max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(1, 1), tol=Fraction(1, 10**9), max_depth=5)
-    # the bit test's two sides are equal at the minimal depth (1, 5, 5)
-    @example(point=CFPoint(4, 1), tol=Fraction(7, 2**10), max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(Fraction(9, 2), Fraction(9, 8)), tol=Fraction(15, 2**38),
-             max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(3, Fraction(7, 4)), tol=Fraction(11, 2**41),
-             max_depth=DEFAULT_MAX_DEPTH)
-    # a huge denominator at small lam: the bit-length floor's slack lets many
-    # steps through, so the right side is kept as a running product once formed
-    @example(point=CFPoint(-1 + Fraction(1, 10**50), Fraction(1, 3000)),
-             tol=Fraction(1, 10**12), max_depth=DEFAULT_MAX_DEPTH)
-    # gcd(m.den, lam.num) > 1: the kernel divides it out of its scale, the
-    # reference keeps the scale b*d (at seed 7 a shared recurrence stopped at
-    # depth 45 for the kernel's 18)
-    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), tol=Fraction(1, 10**12),
-             max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), tol=Fraction(1, 10**300),
-             max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(Fraction(-1, 2), Fraction(80, 997)), tol=Fraction(1, 10**12),
-             max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(Fraction(-1, 2), Fraction(80, 997)), tol=Fraction(1, 10**300),
-             max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(Fraction(1, 3), Fraction(300, 997)), tol=Fraction(1, 10**12),
-             max_depth=DEFAULT_MAX_DEPTH)
-    @example(point=CFPoint(Fraction(1, 3), Fraction(300, 997)), tol=Fraction(1, 10**300),
-             max_depth=DEFAULT_MAX_DEPTH)
+    @with_examples(EXACT_EXAMPLES)
     @settings(max_examples=300, deadline=None)
     def test_matches_running_product_reference(self, point, tol, max_depth):
         got = exact_outcome(eval_enclosure, point, tol, max_depth=max_depth)
         want = exact_outcome(reference_eval_enclosure, point, tol, max_depth=max_depth)
         assert got == want
+
+    @pytest.mark.parametrize("start", ["one", -7, 7, "max_depth"])
+    @pytest.mark.parametrize("point, tol, max_depth", EXACT_EXAMPLES)
+    def test_prediction_only_places_the_test(self, monkeypatch, point, tol, max_depth, start):
+        # the exact test settles the depth from any start in [1, max_depth]
+        want = exact_outcome(eval_enclosure, point, tol, max_depth=max_depth)
+        n = (want if isinstance(want, Enclosure) else want[1]).depth
+        guess = {"one": 1, "max_depth": max_depth}.get(start) or min(max(n + start, 1), max_depth)
+        monkeypatch.setattr(cf_core, "_predicted_depth", lambda *args: guess)
+        assert exact_outcome(eval_enclosure, point, tol, max_depth=max_depth) == want
+
+    @pytest.mark.parametrize(
+        "point, tol, depth",
+        [
+            # lam overflows a float: met at depth 1
+            (CFPoint(1, 10**400), Fraction(1, 10**30), 1),
+            # m + 1 = 1e-400 is 0.0 as a float
+            (CFPoint(-1 + Fraction(1, 10**400), 1), Fraction(1, 10**30), 18),
+        ],
+    )
+    def test_prediction_lost_in_floats(self, point, tol, depth):
+        assert _predicted_depth(point, tol, DEFAULT_MAX_DEPTH) == 1
+        enc = eval_enclosure(point, tol)
+        assert enc == reference_eval_enclosure(point, tol)
+        assert enc.depth == depth
+
+    def test_prediction_lost_in_floats_out_of_budget(self):
+        # lam = 1e-400 is 0.0 as a float: the run gives 1, and the exact test
+        # steps to the budget, 50
+        point = CFPoint(0, Fraction(1, 10**400))
+        assert _predicted_depth(point, DEFAULT_TOL, 50) == 1
+        with pytest.raises(BudgetExceededError) as exc:
+            evaluate(point, mode="exact", max_depth=50)
+        best = exc.value.best
+        assert best.depth == 50
+        assert (best.lo, best.hi) == reference_enclosure(point, 50)
+
+    @given(
+        factors=st.lists(st.integers(1, 2**300), min_size=3, max_size=3),
+        delta=st.integers(-4, 4),
+        shift=st.integers(-3, 3),
+    )
+    @example(factors=[1, 1, 1], delta=0, shift=0)
+    @example(factors=[2**100, 1, 1], delta=-1, shift=0)
+    @settings(max_examples=200, deadline=None)
+    def test_meets_is_the_exact_comparison(self, factors, delta, shift):
+        # right sides at and around the product, and a few bits either side
+        p, pp, tn = factors
+        lhs = p * pp * tn
+        rhs = max((lhs << shift if shift >= 0 else lhs >> -shift) + delta, 1)
+        assert _meets(p, pp, tn, rhs) == (lhs >= rhs)
+
+    @given(
+        point=wide_points,
+        depth=st.one_of(
+            st.sampled_from([0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF]),
+            st.integers(0, 3000),
+        ),
+    )
+    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=2 * _LEAF + 1)
+    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=3000)
+    @settings(max_examples=60, deadline=None)
+    def test_step_product_matches_walk(self, point, depth):
+        # the product tree's tail pair is the walk's, integer for integer
+        m, lam = point.m, point.lam
+        args = (m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator)
+        _, *want = next(islice(_scaled_convergents(*args), depth, None))
+        assert list(_step_product(*_terms(*args), 0, depth + 1)) == want
 
     @given(point=wide_points, max_depth=depth_caps)
     @example(point=CFPoint(0, 1), max_depth=DEFAULT_MAX_DEPTH)
@@ -336,18 +420,6 @@ class TestEvalEnclosure:
         ref_side, (ref_n, rp, rq, rpp, rqq) = reference_side_of_one(*args)
         assert (side, n) == (ref_side, ref_n)
         assert (Fraction(p, q), Fraction(pp, qq)) == (Fraction(rp, rq), Fraction(rpp, rqq))
-
-    @given(dd=st.integers(1, 2**400))
-    @example(dd=1)
-    @example(dd=2)
-    @example(dd=3)
-    @example(dd=997**2)
-    @example(dd=(2**24 * 997) ** 2)
-    @example(dd=(999999999989 * 997) ** 2)
-    def test_bit_floor_slope_within_one_of_exact(self, dd):
-        exact = (dd**64).bit_length() - 1
-        _, slope = _bit_floor(1, 1, dd)
-        assert exact - 1 <= slope <= exact
 
     @given(
         m=st.fractions(min_value=0, max_value=5, max_denominator=997),
