@@ -17,24 +17,16 @@ Exit codes are a total function of the outcome:
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
-from .alpha_root import find_alpha
-from .bessel_oracle import MAX_TERMS, cross_check, series_ratio
-from .bounds import (
-    Claim,
-    check_functional_equation,
-    check_g_above_one,
-    check_reciprocal,
-    check_sandwich,
-)
+# each submodule runs on its first attribute access, so a subcommand runs
+# only the modules it calls into
+from . import alpha_root, bessel_oracle, bounds, lambda_scan
 from .cf_core import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
@@ -55,7 +47,6 @@ from .errors import (
     NoWitnessFoundError,
     TailNotBoundedError,
 )
-from .lambda_scan import find_witness, scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,6 +95,8 @@ class OutputRecord(
         return self
 
     def to_json_line(self) -> str:
+        import json
+
         return json.dumps(self._asdict())
 
     def to_csv_row(self) -> list[str]:
@@ -127,12 +120,31 @@ def fraction_str(value: Fraction) -> str:
 
 
 def _decimal_str(value: Fraction, rounding: str) -> str:
+    """``value`` at DIGITS significant digits, rounded by ``rounding``
+    (ROUND_FLOOR or ROUND_CEILING).
+
+    Converting a long numerator and denominator to Decimal is quadratic in
+    their length, so only a short quotient is divided.  k > 0.31 * (51 +
+    bits(den) - bits(num)) and 10**k > 2**(k / 0.31), which makes
+    |num| * 10**k / den > 2**50 > 10**15.  With q, r = divmod(num *
+    10**k, den), the value scaled by 10**k is q when r = 0, and otherwise
+    lies strictly between the integers q and q + 1, as does q + 1/2.  At
+    that size the DIGITS-digit grid is made of integers, so the value and
+    q + 1/2 round to the same digits in either direction.  An exact quotient
+    keeps integer operands, so its exponent is the one the full division
+    gives too.
+    """
+    num, den = value.numerator, value.denominator
+    k = max(0, (51 + den.bit_length() - num.bit_length()) * 31 // 100 + 1)
+    q, r = divmod(num * 10**k, den)
     with localcontext() as ctx:
         ctx.prec = DIGITS
         ctx.rounding = rounding
         ctx.Emax = 10**6
         ctx.Emin = -(10**6)
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        if r == 0:
+            return str(Decimal(q) / Decimal(10**k))
+        return str(Decimal(2 * q + 1) / Decimal(2 * 10**k))
 
 
 def decimal_down(value: Fraction) -> str:
@@ -165,6 +177,8 @@ def emit(records: Iterable[OutputRecord], fmt: str) -> str:
     records = list(records)
     if fmt == "json":
         return "".join(rec.to_json_line() + "\n" for rec in records)
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -177,6 +191,8 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
     """Inverse of emit, used by the round-trip checks; rejects what emit never writes."""
     records = []
     if fmt == "json":
+        import json
+
         for line in text.splitlines():
             if not line.strip():
                 continue
@@ -185,6 +201,8 @@ def parse_records(text: str, fmt: str) -> list[OutputRecord]:
                 raise ValueError(f"record field emit never writes: {line}")
             records.append(OutputRecord._make(obj[field] for field in OutputRecord._fields))
         return records
+    import csv
+
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("missing or malformed CSV header")
@@ -309,19 +327,19 @@ def _check_rows(claim: str, point: CFPoint, tol, max_depth: int):
     """
     try:
         if claim == "sandwich":
-            upper, lower = check_sandwich(point, tol, max_depth=max_depth)
+            upper, lower = bounds.check_sandwich(point, tol, max_depth=max_depth)
             return True, [
                 ("check-sandwich-upper", upper.left),
                 ("check-sandwich-lower", lower.right),
             ]
         if claim == "functional":
-            report = check_functional_equation(point, tol, max_depth=max_depth)
+            report = bounds.check_functional_equation(point, tol, max_depth=max_depth)
         elif claim == "above-one":
-            report = check_g_above_one(point, tol, max_depth=max_depth)
+            report = bounds.check_g_above_one(point, tol, max_depth=max_depth)
         else:
-            report = check_reciprocal(point.lam, tol, max_depth=max_depth)
+            report = bounds.check_reciprocal(point.lam, tol, max_depth=max_depth)
     except InconclusiveError as exc:
-        if exc.claim is Claim.SANDWICH_LOWER:
+        if exc.claim is bounds.Claim.SANDWICH_LOWER:
             return False, [("check-sandwich-lower", exc.right)]
         half = "-upper" if claim == "sandwich" else ""
         return False, [(f"check-{claim}{half}", exc.left)]
@@ -338,7 +356,7 @@ def _cmd_check(args):
 
 
 def _cmd_alpha(args):
-    result = find_alpha(args.lam, args.bracket_tol, args.g_tol, max_depth=args.max_depth)
+    result = alpha_root.find_alpha(args.lam, args.bracket_tol, args.g_tol, max_depth=args.max_depth)
     # find_alpha returns only ends it certified, with the enclosures that did
     records = [
         record_from_enclosure(
@@ -361,7 +379,7 @@ def _cmd_scan(args):
     grid = _parse_grid(args)
     if grid is None:
         raise DomainError("scan needs --grid-geom or --grid-list")
-    entries = scan(args.m, grid, _tol(args), max_depth=args.max_depth)
+    entries = lambda_scan.scan(args.m, grid, _tol(args), max_depth=args.max_depth)
     code = EXIT_OK
     records = []
     for entry in entries:
@@ -376,7 +394,7 @@ def _cmd_scan(args):
 def _cmd_witness(args):
     grid = _parse_grid(args)
     try:
-        w = find_witness(args.m, grid, _tol(args), max_depth=args.max_depth)
+        w = lambda_scan.find_witness(args.m, grid, _tol(args), max_depth=args.max_depth)
     except NoWitnessFoundError as exc:
         print(f"no witness: {exc}", file=sys.stderr)
         return EXIT_NO_WITNESS, []
@@ -394,7 +412,7 @@ def _cmd_oracle(args):
     m = as_fraction(args.m)
     if m.denominator != 1 or m < 0:
         raise DomainError(f"oracle needs integer m >= 0, got {m}")
-    report = cross_check(int(m), args.lam, _tol(args), max_depth=args.max_depth)
+    report = bessel_oracle.cross_check(int(m), args.lam, _tol(args), max_depth=args.max_depth)
     inputs = {"m": m, "lambda": as_fraction(args.lam)}
     return EXIT_OK, [
         record_from_enclosure("oracle-cf", inputs, report.left, certified=True),
@@ -533,7 +551,7 @@ def _validate(records: list[OutputRecord], max_depth: int) -> None:
         keys = {"lambda"} if rec.command == "check-reciprocal" else {"m", "lambda"}
         if rec.inputs.keys() != keys:
             raise ValueError(f"{rec.command} inputs are not {sorted(keys)}: {rec}")
-        limit = MAX_TERMS if rec.command == "oracle-series" else max_depth
+        limit = bessel_oracle.MAX_TERMS if rec.command == "oracle-series" else max_depth
         if not 1 <= rec.depth <= limit:
             raise ValueError(f"{rec.command} depth outside [1, {limit}]: {rec}")
         try:
@@ -566,7 +584,7 @@ def _reverified(rec: OutputRecord) -> Enclosure:
         if point.m.denominator != 1:
             raise ValueError(f"series row needs an integer m: {rec}")
         try:
-            enc = series_ratio(int(point.m), point.lam, rec.depth).as_enclosure()
+            enc = bessel_oracle.series_ratio(int(point.m), point.lam, rec.depth).as_enclosure()
         except TailNotBoundedError as exc:
             raise ValueError(f"series row has no tail bound at its depth: {rec}") from exc
     elif rec.mode == EvalMode.EXACT.value:

@@ -4,7 +4,7 @@ import contextlib
 import functools
 import io
 import json
-from decimal import ROUND_CEILING, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from cfcert import DEFAULT_MAX_DEPTH, DEFAULT_TOL, CFPoint, check_g_above_one, evaluate
 from cfcert.cli import (
+    DIGITS,
     EXIT_INCONCLUSIVE,
     EXIT_NO_WITNESS,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_USAGE,
     OutputRecord,
+    _decimal_str,
     decimal_down,
     decimal_up,
     emit,
@@ -679,6 +681,29 @@ class TestRecordFormat:
         assert decimal_down(Fraction(1)) == decimal_up(Fraction(1)) == "1"
         neg = Fraction(-1, 3)
         assert Fraction(decimal_down(neg)) < neg < Fraction(decimal_up(neg))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        value=st.one_of(
+            st.builds(Fraction, st.integers(-(2**700), 2**700), st.integers(1, 2**700)),
+            # exact quotients: decimals and dyadic or 5-adic denominators
+            st.builds(
+                lambda n, e: n * Fraction(10) ** e,
+                st.integers(-(10**20), 10**20), st.integers(-30, 40),
+            ),
+            st.builds(
+                lambda n, i, j: Fraction(n, 2**i * 5**j),
+                st.integers(-(10**30), 10**30), st.integers(0, 90), st.integers(0, 90),
+            ),
+        ),
+        rounding=st.sampled_from((ROUND_FLOOR, ROUND_CEILING)),
+    )
+    def test_short_quotient_prints_the_digits_of_the_full_division(self, value, rounding):
+        # the reference: both ends converted whole, which is quadratic in their length
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin = DIGITS, rounding, 10**6, -(10**6)
+            full = str(Decimal(value.numerator) / Decimal(value.denominator))
+        assert _decimal_str(value, rounding) == full
 
 
 #: every row kind in both modes (a series row is always exact), at a tol
