@@ -1,15 +1,14 @@
 """Locate the crossing alpha(lam) in (0, 1) where G(alpha, lam) = 1.
 
-find_alpha bisects on m and only ever moves an endpoint on certified
-evidence: G(0, lam) < 1 and G(1, lam) > 1 are certified before it starts,
-and each step needs only the side of 1 that G(mid, lam) lies on.  Where a
-midpoint stays undecided, find_alpha certifies the ends of the cell of the
-target width centred on it instead (epsilon-inflation; Rump, "Verification
-methods", Acta Numerica 2010).  Below DIRECTED_LAMBDA_CUTOFF the first
-midpoint, 1/2, is such a point: G(1/2, lam) = coth(2/lam) lies within about
-2e^(-4/lam) of 1, while the cell's ends lie about lam * width / 4 from 1.
-At an exact-routed lam a float Newton estimate of alpha picks the cell
-where bisection starts; every verdict is exact.
+find_alpha estimates alpha, then certifies the two ends of one cell of the
+target width: G(m_lo, lam) < 1 and G(m_hi, lam) > 1, so the cell holds the
+crossing, since G increases in m.  The estimate never certifies anything;
+only the enclosures at the two ends do (epsilon-inflation; Rump,
+"Verification methods", Acta Numerica 2010).  Below DIRECTED_LAMBDA_CUTOFF,
+alpha lies within about 4e^(-4/lam)/lam below m = 1/2, where
+G(1/2, lam) = coth(2/lam) lies within about 2e^(-4/lam) of 1.  No affordable
+evaluation decides that point, so where it is the cell end nearest alpha,
+the cell is centred on it instead.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from .cf_core import (
     Enclosure,
     RationalLike,
     _best,
+    _check_budget,
     _depth_guess,
     _pair_enclosure,
     _side_of_one,
     _tightened,
-    _width_bound,
     as_fraction,
 )
 from .errors import DomainError, InconclusiveError
@@ -55,9 +54,10 @@ class AlphaResult(
     An immutable named tuple.  The endpoints carry re-certifiable verdicts:
     G(m_lo, lam) < 1 and G(m_hi, lam) > 1 both hold with disjoint
     enclosures, ``g_at_lo`` and ``g_at_hi``, the ones that decided them.
-    ``flag`` is None on a clean run, or names why the bracket was
-    returned early.  The m's and ``lam`` are Fractions, each ``g_at_*`` an
-    Enclosure or None, and ``iterations`` is log2(1/width).
+    ``flag`` is None on a clean run, or names why the bracket is wider.
+    The m's and ``lam`` are Fractions, each ``g_at_*`` an Enclosure or None,
+    and ``iterations`` is floor(log2(1/width)), so a clean bracket is
+    2**-iterations wide.
     """
 
     __slots__ = ()
@@ -82,7 +82,8 @@ def classify_vs_one(
     until the side is decided or an evaluation runs out of budget: its best
     enclosure may still decide the side, and otherwise the straddle verdict
     is returned.  So a point whose G lies extremely near 1, such as m = 1/2,
-    costs passes up to max_depth; find_alpha sends it no midpoint.
+    costs passes up to max_depth; find_alpha sends such points one
+    evaluation, not this call.
     """
     if point.lam >= DIRECTED_LAMBDA_CUTOFF:
         m, lam = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
@@ -118,6 +119,13 @@ def _newton_alpha(lam: Fraction, max_depth: int) -> float | None:
     return None
 
 
+def _level(target: Fraction, x: Fraction) -> int:
+    """The first level j >= 2 with 2**-j <= target and, for x > 0, 2**-j <= x:
+    where bisection from (0, 1) stops when alpha = x, since alpha < 1/2."""
+    r = max(1 / target, 1 / x if x > 0 else 0)
+    return max(2, (-(-r.numerator // r.denominator) - 1).bit_length())
+
+
 def find_alpha(
     lam: RationalLike,
     bracket_tol: RationalLike = Fraction(1, 10**6),
@@ -125,29 +133,35 @@ def find_alpha(
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> AlphaResult:
-    """Bisect m over (0, 1) down to a certified bracket for the crossing.
-
-    The loop keeps going until the bracket is interior to (0, 1) and at most
+    """A certified bracket for the crossing, interior to (0, 1) and at most
     bracket_tol/4 wide (the extra factor keeps the midpoint's G value well
-    within g_tol of 1).  A midpoint c whose side stays undecided is not
-    bisected: the result is the cell [c - h, c + h] when its ends certify,
-    with h = 2**-e and e the least level past c's own with 2h <= bracket_tol/4,
-    so the cell lies strictly inside the bracket; otherwise the bracket,
-    flagged FLAG_INCONCLUSIVE.  Either way the width is 2**-iterations.
+    within g_tol of 1), found in three steps.
 
-    Every side of 1 is decided once per point: when lam routes to exact mode
-    by one walk of the exact recurrence (cf_core._side_of_one), which gives
-    up only at max_depth; otherwise a midpoint's by one evaluation at g_tol,
-    and the anchors' and the cell ends' by classify_vs_one.  A float Newton
-    estimate of alpha names the dyadic cell where the loop would stop, at
-    level 32 at most.  The loop starts
-    from that cell instead of (0, 1) when walks certify G < 1 at its lower
-    end and G > 1 at its upper end, each with a bound more than W from 1,
-    where W bounds the width of every exact enclosure at m >= 0 and depth
-    max_depth (cf_core._width_bound).  The cell then holds the unique
-    crossing, since G increases in m, and the result is the one bisection
-    from (0, 1) returns: each midpoint on the way lies beyond an end, so its
-    G is more than W from 1 and its walk decides the side within max_depth.
+    1. Estimate alpha.  Start from the float Newton estimate (_newton_alpha)
+       or, where there is none, from 1/2.  With w = 2**-level and level =
+       _level(bracket_tol/4, estimate), a settled double is kept as it is
+       while w is at least 2**-32 of it.  Otherwise take secant steps on the
+       midpoints of enclosures of G at tol = lam * w / 16, each iterate
+       rounded to level + 4 bits, until an enclosure contains 1, which puts
+       the estimate within w/8 of alpha (G' lies between about lam/2 and
+       lam there), or a step is zero or no shorter than the one before.
+    2. Pick the cell [p - w, p] or [p, p + w] by the side of 1 at p, the level
+       point nearest the estimate, then decide its other end.  An end on the
+       wrong side moves the cell toward alpha by whole widths, as many as
+       G' <= lam allows, halving it where it would reach 0.  A dyadic end left
+       undecided (m = 1/2 at a directed lam) lies within about w/8 of alpha,
+       so the cell centred on it is taken.
+    3. Certify the two ends.  At an exact-routed lam classify_vs_one walks
+       each end and gives up only at max_depth, so the cell is the dyadic one
+       that bisection from (0, 1) returns unless a walk gives up.  At a
+       directed lam a dyadic end gets one evaluation at tol, a centred one
+       classify_vs_one from tol.
+
+    When an end of the centred cell cannot be certified, each uncertified
+    end moves out by doubling steps (epsilon-inflation) until one certifies,
+    or to the anchor 0 or 1, which classify_vs_one decides from g_tol; the
+    bracket is returned flagged FLAG_INCONCLUSIVE, and InconclusiveError is
+    raised when an anchor fails.
     """
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
@@ -156,100 +170,104 @@ def find_alpha(
         raise DomainError(f"lam must be positive, got {lam}")
     if bracket_tol <= 0 or g_tol <= 0:
         raise DomainError("tolerances must be positive")
-
+    _check_budget(max_depth)
     exact = lam >= DIRECTED_LAMBDA_CUTOFF
-    c, d = lam.numerator, lam.denominator
-    decided: dict[tuple[int, int], tuple] = {}
-
-    def side_at(a: int, j: int, probe: bool = False) -> tuple:
-        """Side of G(a / 2**j, lam) relative to 1, once per reduced point, with the
-        walk's tail pair at an exact-routed lam, else the enclosure that showed it:
-        one evaluation at g_tol for a midpoint ``probe``, classify_vs_one's otherwise."""
-        while j and not a & 1:
-            a >>= 1
-            j -= 1
-        if (a, j) not in decided:
-            if exact:
-                decided[a, j] = _side_of_one(a, 1 << j, c, d, max_depth)
-            elif probe:
-                enc = _best(CFPoint(Fraction(a, 1 << j), lam), g_tol, max_depth)[0]
-                decided[a, j] = _side(enc), enc
-            else:
-                point = CFPoint(Fraction(a, 1 << j), lam)
-                decided[a, j] = classify_vs_one(point, g_tol, max_depth=max_depth)
-        return decided[a, j]
-
-    def enclosure_at(a: int, j: int) -> Enclosure:
-        """The enclosure that decided the side of G(a / 2**j, lam)."""
-        found = side_at(a, j)[1]
-        return _pair_enclosure(CFPoint(Fraction(a, 1 << j), lam), found) if exact else found
-
-    for m, want, rel in ((0, _BELOW, "<"), (1, _ABOVE, ">")):
-        if side_at(m, 0)[0] != want:
-            raise InconclusiveError(
-                f"could not certify G({m}, {lam}) {rel} 1", left=enclosure_at(m, 0)
-            )
-
     target = bracket_tol / 4
 
-    def unfinished(k: int, j: int) -> bool:
-        """Whether [k, k + 1] / 2**j is wider than target or touches 0 or 1."""
-        return target.numerator << j < target.denominator or k == 0 or k + 1 == 1 << j
-
-    def clear(a: int, j: int, want: int) -> bool:
-        """Whether the walk at m = a / 2**j decides ``want`` by a bound more than W from 1."""
-        side, (n, p, q, pp, qq) = side_at(a, j)
-        if n & 1 != (want > 0):  # an even convergent decides below, an odd one above
-            p, q = pp, qq
-        big_d = d << j
-        r = abs(p * (big_d - a * c) - q * big_d)  # the bound is r / (D * p) from 1
-        rhs = w_num * big_d * p
-        # w_den has about 2 * max_depth bits: try the bit lengths first
-        bits = r.bit_length() + w_den.bit_length() - 2 >= rhs.bit_length()
-        return side == want and (bits or r * w_den > rhs)
-
-    k = j = 0  # the bracket is [k, k + 1] / 2**j
-    w = _width_bound(lam, max_depth) if exact else None
-    if w is not None:
-        w_num, w_den = w
-        try:
-            est = _newton_alpha(lam, max_depth)
-        except ArithmeticError:
-            est = None
-        if est is not None and 0 <= est <= 0.5:
-            # the cell the loop stops in, at most at level 32, which a double
-            # resolves; the upper end stays <= 1/2 where alpha rounds to 1/2
-            pk = pj = 0
-            while pj < 32 and unfinished(pk, pj):
-                pj += 1
-                pk = min(int(est * (1 << pj)), (1 << (pj - 1)) - 1)
-            if clear(pk + 1, pj, _ABOVE) and clear(pk, pj, _BELOW):
-                k, j = pk, pj
-    flag = cell = g_mid = None
-    while unfinished(k, j):
-        mid = 2 * k + 1  # the midpoint is mid / 2**(j + 1)
-        side, found = side_at(mid, j + 1, probe=True)
-        if side == _STRADDLE:
-            if not exact:
-                g_mid = found
-            e = j + 2  # the cell's ends, (a -+ 1) / 2**e, lie inside the bracket
-            while target.numerator << (e - 1) < target.denominator:
-                e += 1
-            a = mid << (e - j - 1)
-            if side_at(a - 1, e)[0] == _BELOW and side_at(a + 1, e)[0] == _ABOVE:
-                cell, j = (a - 1, a + 1, e), e - 1
-            else:
-                flag = FLAG_INCONCLUSIVE
+    try:
+        # below the cutoff alpha lies within 4e^(-4/lam)/lam < 1e-108 of 1/2
+        est = _newton_alpha(lam, max_depth) if exact else None
+    except ArithmeticError:
+        est = None
+    settled = est is not None and 0 < est <= 0.5
+    x, prev = (Fraction(est) if settled else Fraction(1, 2)), None
+    while True:
+        level = _level(target, x)
+        tol = lam / (16 << level)
+        # a settled double, good to about 2**-40 of itself, picks a 32-bit cell
+        if settled and x * (1 << level) <= 1 << 32:
             break
-        k = mid if side == _BELOW else 2 * k
-        j += 1
+        enc = _best(CFPoint(x, lam), tol, max_depth)[0]
+        if not _side(enc):
+            break
+        # G(x) - 1 at the enclosure's midpoint, rounded down to a dyadic below tol/4
+        (ln, ld), (hn, hd) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+        bits = (tol.denominator // tol.numerator).bit_length() + 2
+        f = Fraction(((ln * hd + hn * ld - 2 * ld * hd) << bits) // (2 * ld * hd), 1 << bits)
+        if prev is None:
+            y = x - 2 * f / lam
+        elif f == prev[1]:
+            break
+        else:
+            y = x - f * (x - prev[0]) / (f - prev[1])
+        y = min(max(y, Fraction(0)), Fraction(1, 2))
+        grid = 1 << (_level(target, y) + 4)
+        y = Fraction(round(y * grid), grid)
+        if y == x or prev is not None and abs(y - x) >= abs(x - prev[0]):
+            break
+        prev, x = (x, f), y
 
-    a_lo, a_hi, level = cell or (k, k + 1, j)
-    lo, hi = Fraction(a_lo, 1 << level), Fraction(a_hi, 1 << level)
-    if g_mid is None:
-        # out of budget, the midpoint keeps its best enclosure
-        g_mid = _best(CFPoint((lo + hi) / 2, lam), g_tol, max_depth)[0]
+    n = level + 1  # the cell's ends are a / 2**n and (a + 2) / 2**n
+    best = {}  # side: the (m, enclosure) of the end nearest alpha certified on it
+    centred = False
+
+    def probe(a: int) -> tuple[int, Enclosure]:
+        """Side of 1 of G(a / 2**n, lam), and the enclosure that shows it."""
+        point = CFPoint(Fraction(a, 1 << n), lam)
+        t = lam / (8 << n)
+        if exact or centred:
+            side, found = classify_vs_one(point, t, max_depth=max_depth)
+        else:  # one evaluation, the estimate's own at x
+            found = enc if (point.m, t) == (x, tol) else _best(point, t, max_depth)[0]
+            side = _side(found)
+        if side and (side not in best or side * point.m < side * best[side][0]):
+            best[side] = point.m, found
+        return side, found
+
+    p = max(1, round(x * (1 << level)))  # the level point nearest the estimate
+    a, lo, hi = 2 * p - 2, None, None  # the cell [p - w, p], p probed first
+    while True:
+        hi = hi or probe(a + 2)
+        if hi[0] == _BELOW:  # alpha lies (1 - G) / lam or more above it, as G' <= lam
+            k = int((1 - hi[1].hi) * (1 << (n - 1)) / lam) + 1
+            a, lo, hi = a + 2 * k, hi if k == 1 else None, None
+            continue
+        if hi[0] == _ABOVE:
+            while a <= 0:  # the cell would touch 0: halve it, keeping its upper end
+                a, n = 2 * a + 2, n + 1
+            lo = lo or probe(a)
+            if lo[0] == _ABOVE:  # alpha lies (G - 1) / lam or more below it
+                k = int((lo[1].lo - 1) * (1 << (n - 1)) / lam) + 1
+                a, lo, hi = a - 2 * k, None, lo if k == 1 else None
+                continue
+            if lo[0] == _BELOW:
+                break
+        if centred:
+            break
+        # one evaluation left an end undecided: centre the cell on that end
+        a += 1 if hi[0] == _STRADDLE else -1
+        lo, hi, centred = None, None, True
+
+    if hi[0] == _ABOVE and lo and lo[0] == _BELOW:
+        flag, ends = None, ((Fraction(a, 1 << n), lo[1]), (Fraction(a + 2, 1 << n), hi[1]))
+    else:
+        # epsilon-inflation: move each uncertified end out by doubling steps
+        flag = FLAG_INCONCLUSIVE
+        for side, m, rel in ((_BELOW, 0, "<"), (_ABOVE, 1, ">")):
+            d = side
+            while side not in best and 0 < a + 1 + d < 1 << n:
+                probe(a + 1 + d)
+                d *= 2
+            if side not in best:
+                verdict, anchor = classify_vs_one(CFPoint(m, lam), g_tol, max_depth=max_depth)
+                if verdict != side:
+                    raise InconclusiveError(f"could not certify G({m}, {lam}) {rel} 1", left=anchor)
+                best[side] = Fraction(m), anchor
+        ends = best[_BELOW], best[_ABOVE]
+    (m_lo, g_lo), (m_hi, g_hi) = ends
+    width = m_hi - m_lo
+    g_mid = _best(CFPoint(m_lo + width / 2, lam), g_tol, max_depth)[0]
     return AlphaResult(
-        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=j, flag=flag,
-        g_at_lo=enclosure_at(a_lo, level), g_at_hi=enclosure_at(a_hi, level),
+        lam=lam, m_lo=m_lo, m_hi=m_hi, g_at_mid=g_mid, flag=flag, g_at_lo=g_lo, g_at_hi=g_hi,
+        iterations=(width.denominator // width.numerator).bit_length() - 1,
     )

@@ -416,25 +416,6 @@ def _exact_at(point: CFPoint, depth: int) -> Enclosure:
     return _pair_enclosure(point, (depth, *_step_product(*terms, 0, depth + 1)))
 
 
-def _width_bound(lam: Fraction, depth: int) -> tuple[int, int] | None:
-    """A proven bound W = num/den on the exact width at ``depth``, for every m >= 0.
-
-    The width at the pair (n-1, n) is 1/(P_n * P_{n-1}), with P_n the
-    numerators of the tail at m + 1, whose terms (m + 1 + j) * lam grow with
-    m, so m = 0 is the widest.  There P_n >= min(1, lam) for every n >= -1
-    (P_n >= P_{n-2}), and P_n >= 2 * P_{n-1} once the term (1 + n) * lam >= 2,
-    which holds for n > k = ceil(2/lam).  So the width at ``depth`` is at
-    most W = 2**-(2*depth - 2*k - 1) / min(1, lam)**2, as an unreduced
-    (num, den), or None when that exponent is negative.
-    """
-    k = -(-2 * lam.denominator // lam.numerator)
-    shift = 2 * depth - 2 * k - 1
-    if shift < 0:
-        return None
-    low_n, low_d = (lam.numerator, lam.denominator) if lam < 1 else (1, 1)
-    return low_d * low_d, low_n * low_n << shift
-
-
 # ---------------------------------------------------------------------------
 # directed mode
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ def _cmd_alpha(args):
             "alpha-mid", {"m": result.midpoint, "lambda": result.lam}, result.g_at_mid
         ),
     ]
-    # find_alpha flags only a midpoint it could not decide
+    # find_alpha flags a bracket only where it could not certify a cell end
     return (EXIT_OK if result.flag is None else EXIT_INCONCLUSIVE), records
 
 

@@ -34,10 +34,6 @@ from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
 from cfcert.cf_core import as_fraction
 
-#: reference_find_alpha's flag for a bracket still too wide after max_iterations
-#: halvings; find_alpha has no such cap and bisects until the bracket is narrow
-FLAG_BUDGET = "budget-exceeded"
-
 #: the checks' former give-up: tightening stopped once the tolerance reached it
 REFERENCE_TOL_FLOOR = Fraction(1, 10**30)
 
@@ -380,20 +376,6 @@ def _reference_side(enc: Enclosure) -> int:
     return _BELOW if enc.hi < 1 else _ABOVE if enc.lo > 1 else _STRADDLE
 
 
-def reference_probe(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
-    """Side of G(point) relative to 1 from one evaluation at tol, in any mode,
-    or from its best enclosure when it runs out of budget.
-
-    Reference for alpha_root.find_alpha's midpoint probe at a
-    directed-routed lam.
-    """
-    try:
-        enc = evaluate(point, tol, max_depth=max_depth)
-    except (BudgetExceededError, NotConvergedError) as exc:
-        enc = exc.best
-    return _reference_side(enc), enc
-
-
 def reference_classify_vs_one(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
     """Side of G(point) relative to 1 from tol down by 10 a round, in any mode.
 
@@ -414,47 +396,20 @@ def reference_classify_vs_one(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
         t = t / 10
 
 
-def reference_walk_classify_vs_one(point, tol, *, max_depth=DEFAULT_MAX_DEPTH):
-    """Side of G(point) relative to 1 from the first exact pair enclosure that
-    excludes 1, or the straddle verdict at max_depth (reference_side_of_one).
-
-    Reference for alpha_root.classify_vs_one at an exact-routed point; tol
-    is not used.
-    """
-    m, lam = point.m, point.lam
-    side, pair = reference_side_of_one(
-        m.numerator, m.denominator, lam.numerator, lam.denominator, max_depth
-    )
-    return side, _reference_from_tail(point, *_reference_pair_interval(*pair), pair[0])
-
-
 def reference_find_alpha(
-    lam,
-    bracket_tol=Fraction(1, 10**6),
-    g_tol=Fraction(1, 10**9),
-    *,
-    max_depth=DEFAULT_MAX_DEPTH,
-    max_iterations=256,
-    probe=None,
-    classify=None,
+    lam, bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9), *, max_depth=DEFAULT_MAX_DEPTH
 ) -> AlphaResult:
-    """Fraction bisection from (0, 1) that decides each midpoint by ``probe``,
-    and the anchors and the ends of a centred cell by ``classify``.
+    """Bisection from (0, 1) that decides the anchors 0 and 1 and every
+    midpoint by reference_side_of_one, the exact walk.
 
-    The defaults, reference_probe and reference_classify_vs_one, are
-    alpha_root.find_alpha's policy at a directed-routed lam; with both set
-    to reference_walk_classify_vs_one, it is its policy at an exact-routed
-    one.  Under the same policy, the two must return equal AlphaResults, or
-    raise the same error, for the same arguments.  Where a midpoint c
-    straddles 1, the cell [c - h, c + h] is returned when ``classify``
-    certifies G < 1 at its lower end and G > 1 at its upper one, and the
-    bracket, flagged, otherwise.  h is a quarter of the bracket's width,
-    halved until 2h <= bracket_tol/4.  The midpoint enclosure is the best
-    one reached when its evaluation runs out of budget, and each end keeps
-    the enclosure that decided it.
+    Reference for alpha_root.find_alpha at an exact-routed lam: wherever this
+    returns an unflagged bracket, a dyadic cell, find_alpha must return the
+    equal AlphaResult, ends' enclosures included.  Bisection stops at the
+    first bracket at most bracket_tol/4 wide that touches neither 0 nor 1,
+    or, flagged, at the first midpoint the walk leaves undecided at
+    max_depth.  The midpoint enclosure is the best one reached at g_tol, and
+    each end keeps the enclosure of the pair that decided it.
     """
-    probe = probe or reference_probe
-    classify = classify or reference_classify_vs_one
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
     g_tol = as_fraction(g_tol)
@@ -463,53 +418,46 @@ def reference_find_alpha(
     if bracket_tol <= 0 or g_tol <= 0:
         raise DomainError("tolerances must be positive")
 
-    side, enc_lo = classify(CFPoint(Fraction(0), lam), g_tol, max_depth=max_depth)
-    if side != _BELOW:
-        raise InconclusiveError(
-            f"could not certify G(0, {lam}) < 1", left=enc_lo
-        )
-    side, enc_hi = classify(CFPoint(Fraction(1), lam), g_tol, max_depth=max_depth)
-    if side != _ABOVE:
-        raise InconclusiveError(
-            f"could not certify G(1, {lam}) > 1", left=enc_hi
-        )
+    def walk(k: int, j: int):
+        """Side of G(k / 2**j, lam) relative to 1, and the enclosure-making pair."""
+        side, pair = reference_side_of_one(k, 1 << j, lam.numerator, lam.denominator, max_depth)
+        return side, (Fraction(k, 1 << j), pair)
 
-    lo, hi = Fraction(0), Fraction(1)
+    def enclosure(found) -> Enclosure:
+        m, pair = found
+        return _reference_from_tail(CFPoint(m, lam), *_reference_pair_interval(*pair), pair[0])
+
+    for m, want, rel in ((0, _BELOW, "<"), (1, _ABOVE, ">")):
+        side, found = walk(m, 0)
+        if side != want:
+            raise InconclusiveError(f"could not certify G({m}, {lam}) {rel} 1", left=enclosure(found))
+        if m:
+            end_hi = found
+        else:
+            end_lo = found
+
+    k = j = 0  # the bracket is [k, k + 1] / 2**j
     target = bracket_tol / 4
     flag = None
-    iterations = 0
-    while hi - lo > target or lo == 0 or hi == 1:
-        if iterations >= max_iterations:
-            flag = FLAG_BUDGET
-            break
-        mid = (lo + hi) / 2
-        side, enc = probe(CFPoint(mid, lam), g_tol, max_depth=max_depth)
+    while target * (1 << j) < 1 or k == 0 or k + 1 == 1 << j:
+        side, found = walk(2 * k + 1, j + 1)
         if side == _BELOW:
-            lo, enc_lo = mid, enc
+            k, end_lo = 2 * k + 1, found
         elif side == _ABOVE:
-            hi, enc_hi = mid, enc
+            k, end_hi = 2 * k, found
         else:
-            h = (hi - lo) / 4
-            while 2 * h > target:
-                h /= 2
-            side_lo, cell_lo = classify(CFPoint(mid - h, lam), g_tol, max_depth=max_depth)
-            if side_lo == _BELOW:
-                side_hi, cell_hi = classify(CFPoint(mid + h, lam), g_tol, max_depth=max_depth)
-            if side_lo == _BELOW and side_hi == _ABOVE:
-                lo, hi, enc_lo, enc_hi = mid - h, mid + h, cell_lo, cell_hi
-                iterations = (1 / (2 * h)).numerator.bit_length() - 1
-            else:
-                flag = FLAG_INCONCLUSIVE
+            flag = FLAG_INCONCLUSIVE
             break
-        iterations += 1
+        j += 1
 
+    lo, hi = Fraction(k, 1 << j), Fraction(k + 1, 1 << j)
     try:
         g_mid = evaluate(CFPoint((lo + hi) / 2, lam), g_tol, max_depth=max_depth)
     except (BudgetExceededError, NotConvergedError) as exc:
         g_mid = exc.best
     return AlphaResult(
-        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=iterations, flag=flag,
-        g_at_lo=enc_lo, g_at_hi=enc_hi,
+        lam=lam, m_lo=lo, m_hi=hi, g_at_mid=g_mid, iterations=j, flag=flag,
+        g_at_lo=enclosure(end_lo), g_at_hi=enclosure(end_hi),
     )
 
 

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 from conftest import (
-    FLAG_BUDGET,
     reference_classify_vs_one,
     reference_enclosure,
     reference_find_alpha,
-    reference_walk_classify_vs_one,
+    reference_side_of_one,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,13 +28,13 @@ from cfcert import (
     evaluate,
     find_alpha,
 )
-from cfcert.alpha_root import classify_vs_one
+from cfcert.alpha_root import FLAG_INCONCLUSIVE, classify_vs_one
 from cfcert.cf_core import DIRECTED_LAMBDA_CUTOFF, _side_of_one
 
 BRACKET_TOL = Fraction(1, 10**6)
 G_TOL = Fraction(1, 10**6)
 
-# regression pins from certified bisection runs (bracket width 2.4e-7)
+# regression pins from certified runs (bracket width 2.4e-7)
 ALPHA_1 = Fraction("0.4496256")
 ALPHA_HALF = Fraction("0.4977292")
 ALPHA_2 = Fraction("0.3250891")
@@ -55,7 +54,8 @@ def test_lambda_one_bracket():
 
 
 def test_lambda_one_initial_anchors():
-    # the bisection start is a genuine sign change: G(0,1) < 1 < G(1,1)
+    # the anchors, a flagged bracket's last resort, are a genuine sign change:
+    # G(0,1) < 1 < G(1,1)
     g0 = evaluate(CFPoint(0, 1), Fraction(1, 10**9))
     g1 = evaluate(CFPoint(1, 1), Fraction(1, 10**9))
     assert g0.hi < 1 < g1.lo
@@ -108,8 +108,21 @@ def test_classify_survives_budget_cap():
 
 
 def test_budget_capped_anchor_is_inconclusive():
-    with pytest.raises(InconclusiveError):
+    # at depth 64 no point near alpha decides, nor does the anchor G(0, 1e-6),
+    # about 1 - 2.5e-7
+    with pytest.raises(InconclusiveError, match=r"G\(0, 1/1000000\) < 1"):
         find_alpha(Fraction(1, 10**6), max_depth=64)
+
+
+def test_flagged_bracket_falls_back_to_an_anchor():
+    # depth-2 walks decide no point near alpha(1/2), about 0.4977: inflated
+    # by doubling steps, the lower end certifies at 3/8 and the upper end
+    # reaches no m < 1 that certifies, so it is the anchor 1
+    res = find_alpha(Fraction(1, 2), max_depth=2)
+    assert res.flag == FLAG_INCONCLUSIVE
+    assert (res.m_lo, res.m_hi, res.iterations) == (Fraction(3, 8), 1, 0)
+    assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
+    assert res.g_at_hi == classify_vs_one(CFPoint(1, Fraction(1, 2)), 1, max_depth=2)[1]
 
 
 # lam = k / den: a small and a large prime denominator
@@ -144,75 +157,95 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc), getattr(exc, "left", None)
 
 
-def assert_equal_or_narrower(got, want, bracket_tol):
-    """got equals want, unless want stopped at the reference's cap of
-    max_iterations halvings: find_alpha has no cap, so it bisects on from the
-    same path to an unflagged bracket inside want's, at most bracket_tol/4 wide.
-    """
-    if isinstance(want, AlphaResult) and want.flag == FLAG_BUDGET:
-        assert isinstance(got, AlphaResult) and got.flag is None
-        assert got.width <= Fraction(bracket_tol) / 4
-        assert want.m_lo <= got.m_lo < got.m_hi <= want.m_hi
+def walk_side(m, lam, max_depth=DEFAULT_MAX_DEPTH):
+    """The side of 1 that the reference walk decides for G(m, lam), or 0."""
+    m, lam = Fraction(m), Fraction(lam)
+    return reference_side_of_one(m.numerator, m.denominator, lam.numerator, lam.denominator,
+                                 max_depth)[0]
+
+
+def assert_certified(res, bracket_tol, max_depth=DEFAULT_MAX_DEPTH):
+    """res brackets alpha: its ends' enclosures decide G < 1 at m_lo and
+    G > 1 at m_hi, and the reference walk decides no end the other way.
+    Unflagged, it is interior to (0, 1) and 2**-iterations <= bracket_tol/4
+    wide; flagged, iterations is floor(log2(1/width))."""
+    assert isinstance(res, AlphaResult), res
+    assert 0 <= res.m_lo < res.m_hi <= 1
+    assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
+    assert walk_side(res.m_lo, res.lam, max_depth) != 1
+    assert walk_side(res.m_hi, res.lam, max_depth) != -1
+    assert res.width <= Fraction(1, 2**res.iterations) < 2 * res.width
+    if res.flag is None:
+        assert 0 < res.m_lo and res.m_hi < 1
+        assert res.width == Fraction(1, 2**res.iterations) <= Fraction(bracket_tol) / 4
     else:
-        assert got == want
+        assert res.flag == FLAG_INCONCLUSIVE
 
 
 def assert_matches_reference(lam, bracket_tol, g_tol, *, max_depth=DEFAULT_MAX_DEPTH):
-    """find_alpha against reference_find_alpha under the same policy.
+    """find_alpha returns a certified bracket, or raises InconclusiveError.
 
-    At an exact-routed lam every point is walked to max_depth.  At a
-    directed-routed lam each midpoint is probed by one evaluation at g_tol,
-    and the anchors and the cell ends are tightened from g_tol to max_depth.
-    The results are equal, ends' enclosures included, except where the
-    reference stops at its own 256-halving cap (assert_equal_or_narrower).
+    At an exact-routed lam it is the AlphaResult of reference_find_alpha,
+    bisection by exact walks, ends' enclosures included, wherever that is
+    unflagged; where the reference is flagged, both brackets hold alpha, so
+    they overlap.  A directed-routed lam is judged by assert_certified alone.
     """
     got = outcome(find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth)
-    walk = reference_walk_classify_vs_one
-    policy = dict(probe=walk, classify=walk) if Fraction(lam) >= DIRECTED_LAMBDA_CUTOFF else {}
-    want = outcome(reference_find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth, **policy)
-    assert_equal_or_narrower(got, want, bracket_tol)
+    want = None
+    if Fraction(lam) >= DIRECTED_LAMBDA_CUTOFF:
+        want = outcome(reference_find_alpha, lam, bracket_tol, g_tol, max_depth=max_depth)
+        if isinstance(want, AlphaResult) and want.flag is None:
+            assert got == want
+            return
+    if not isinstance(got, AlphaResult):
+        assert got[0] is InconclusiveError
+        return
+    assert_certified(got, bracket_tol, max_depth)
+    if isinstance(want, AlphaResult):
+        assert max(got.m_lo, want.m_lo) < min(got.m_hi, want.m_hi)
 
 
 @given(
     lam=st.one_of(exact_lams(), exact_lams(), exact_lams(), directed_lams()),
     bracket_tol=decimal_tols(1, 30),
-    # G(1/2, lam) - 1 is near 2e^(-4/lam), below 1e-110 at a directed lam:
-    # only the tightest g_tols let the first probe decide there, and the
-    # others take the cell centred on 1/2
+    # g_tol sets only g_at_mid's tolerance and the anchors' start; at a
+    # directed lam the tightest decide G(1/2, lam), about 2e^(-4/lam) from 1
     g_tol=st.one_of(decimal_tols(6, 40), decimal_tols(6, 40), decimal_tols(150, 200)),
     max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, 12]),
 )
-# exact: G(1/2, 1/50) - 1 is about 4e-87, and the walks decide every midpoint
+# exact: G(1/2, 1/50) - 1 is about 4e-87, and the walk decides 1/2, the cell's
+# upper end
 @example(lam=Fraction(1, 50), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**12),
          max_depth=DEFAULT_MAX_DEPTH)
-# exact, clean after 52 steps
+# exact, a 2**-52 cell
 @example(lam=Fraction(1, 2), bracket_tol=Fraction(1, 10**15), g_tol=Fraction(1, 10**6),
          max_depth=DEFAULT_MAX_DEPTH)
 # exact: 1/2 at lam 1/16 needs a width near 2e-28
 @example(lam=Fraction(1, 16), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
          max_depth=DEFAULT_MAX_DEPTH)
-# exact, the reference stops at its 256-halving cap; find_alpha goes on to 268
+# exact, a 2**-268 cell: secant steps refine the float estimate
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**80), g_tol=Fraction(1, 10**90),
          max_depth=DEFAULT_MAX_DEPTH)
-# directed, the same past the cap
+# directed, the 2**-268 cell centred on 1/2
 @example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**80), g_tol=Fraction(1, 10**180),
          max_depth=DEFAULT_MAX_DEPTH)
-# exact, flagged after 65 steps: a midpoint and its cell's lower end straddle 1
-# at max_depth
+# exact, flagged: depth-12 walks leave the cell's ends undecided, and the
+# inflated ends certify a bracket 2**-66 wide; bisection stops after 65 halvings
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**25), g_tol=Fraction(1, 10**19),
          max_depth=12)
-# directed: the first midpoint, 1/2, straddles 1, and the cell
-# [4095/8192, 4097/8192] certifies
+# directed: the estimate, 1/2, straddles 1, and the cell
+# [4095/8192, 4097/8192] centred on it certifies
 @example(lam=Fraction(15, 997), bracket_tol=Fraction(1, 10**3), g_tol=Fraction(1, 10**9),
          max_depth=DEFAULT_MAX_DEPTH)
-# directed, flagged at the first midpoint: the cell's lower end, about 1e-33
-# from 1, needs more than depth 100
+# directed, flagged: the centred cell's ends, about 1e-33 from 1, need more
+# than depth 100, and the inflated ends certify a bracket 2**-100 wide
 @example(lam=Fraction(15, 997), bracket_tol=Fraction(1, 10**30), g_tol=Fraction(1, 10**9),
          max_depth=100)
-# directed, clean after 22 steps
+# directed, the 2**-22 cell centred on 1/2
 @example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**180),
          max_depth=DEFAULT_MAX_DEPTH)
-# directed, out of budget: G(0, 1/100)'s depth-12 enclosure still touches 1
+# directed, out of budget: no end decides at depth 12, and G(0, 1/100)'s
+# enclosure still touches 1, so the anchor fails
 @example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**180),
          max_depth=12)
 @settings(max_examples=150, deadline=None)
@@ -239,10 +272,10 @@ def wide_exact_lams(draw):
     g_tol=st.one_of(decimal_tols(6, 30), decimal_tols(6, 30), st.integers(1, 10**7).map(Fraction)),
     max_depth=st.sampled_from([DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH, 12]),
 )
-# G(55/128) - 1 is within g_tol / 10**8 of 1 at step 6, and the walk decides it
+# a loose bracket_tol and a g_tol above 1: the 2**-9 cell, walked
 @example(lam=Fraction(1178, 997), bracket_tol=Fraction(157, 12800),
          g_tol=Fraction(5421875, 8), max_depth=DEFAULT_MAX_DEPTH)
-# bracket_tol 1e-30 goes on bisecting past the level-32 cap
+# bracket_tol 1e-30: the 2**-102 cell lies past the float estimate's bits
 @example(lam=Fraction(1), bracket_tol=Fraction(1, 10**30), g_tol=Fraction(1, 10**25),
          max_depth=DEFAULT_MAX_DEPTH)
 @example(lam=Fraction(10**400), bracket_tol=Fraction(1, 10**6), g_tol=Fraction(1, 10**9),
@@ -293,6 +326,10 @@ def test_side_of_one_matches_classify(kj, lam, tol, max_depth):
         assert enc.depth == max_depth
 
 
+def walked_points(walks):
+    return [Fraction(a, b) for a, b, *_ in walks]
+
+
 def counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call; return the record."""
     original, calls = getattr(module, name), []
@@ -306,23 +343,24 @@ def counting(monkeypatch, module, name):
 
 
 def test_exact_steps_evaluate_nothing(monkeypatch):
-    # only g_at_mid evaluates; the anchors and the predicted cell's ends are walked
+    # only g_at_mid evaluates: the float estimate alone picks a 2**-22 cell,
+    # and its two ends are walked, no anchor
     calls = counting(monkeypatch, cf_core, "eval_enclosure")
     walks = counting(monkeypatch, alpha_root, "_side_of_one")
     res = find_alpha(1, 1e-6, 1e-9)
     assert res.flag is None and res.iterations == 22
     assert len(calls) == 1
-    assert len(walks) == 4
-
-
-def walked_points(walks):
-    return [Fraction(a, b) for a, b, *_ in walks]
+    # the level point nearest the estimate first, then the cell's other end
+    assert walked_points(walks) == [res.m_hi, res.m_lo]
 
 
 @pytest.mark.parametrize("estimate", [0.1, 0.5 - 2**-30, math.nan, OverflowError])
 @pytest.mark.parametrize("lam", [Fraction(1, 16), Fraction(1), Fraction(4)])
 def test_missed_prediction_matches_reference(monkeypatch, lam, estimate):
-    # a wrong, NaN or failed estimate starts the loop from (0, 1)
+    # a wrong float estimate is trusted at level 22, so walks move the cell
+    # toward alpha by the whole widths that G' <= lam allows; a NaN or failed
+    # one starts secant steps from 1/2, which find the cell, and only its two
+    # ends are walked.  Either way each point is walked once
     def fake_estimate(*args):
         if estimate is OverflowError:
             raise OverflowError
@@ -333,61 +371,89 @@ def test_missed_prediction_matches_reference(monkeypatch, lam, estimate):
     assert_matches_reference(lam, BRACKET_TOL, G_TOL)
     points = walked_points(walks)
     assert len(points) == len(set(points))
+    if estimate is OverflowError or math.isnan(estimate):
+        assert len(points) == 2
 
 
 def test_straddling_half_is_walked_once(monkeypatch):
-    # G(1/2, 1/16) - 1 = coth(32) - 1, about 2e-28, is decided at depth 47 but
-    # lies within W(1/16, 80), about 6e-27, of 1; so the predicted cell, whose
-    # upper end is 1/2, is not taken, and 1/2 is the loop's first midpoint
+    # G(1/2, 1/16) - 1 = coth(32) - 1, about 2e-28, is decided at depth 47.
+    # alpha lies about 1e-26 below 1/2, so 1/2 is the level point nearest the
+    # estimate: it is walked first, once, then the cell's lower end
     walks = counting(monkeypatch, alpha_root, "_side_of_one")
     res = find_alpha(Fraction(1, 16), max_depth=80)
     assert res.flag is None and res.iterations == 22
     assert (res.m_lo, res.m_hi) == (Fraction(2097151, 4194304), Fraction(1, 2))
-    assert walked_points(walks).count(Fraction(1, 2)) == 1
-    # the anchors, 1/2, and the loop's other 21 midpoints
-    assert len(walks) == 24
-    # with the default budget the cell is taken: its two ends are walked
+    assert res.g_at_hi.depth == 47
+    assert walked_points(walks) == [Fraction(1, 2), res.m_lo]
+    # the default budget walks the same two points
     walks.clear()
     assert find_alpha(Fraction(1, 16)) == res
-    assert len(walks) == 4
+    assert len(walks) == 2
 
 
 def test_directed_steps_classify(monkeypatch):
-    # at a directed lam the anchors are classified and each of the 22 midpoints
-    # is probed by one evaluation, as is the final midpoint for g_at_mid
+    # at a directed lam the estimate, 1/2, takes one evaluation, which leaves it
+    # undecided; the ends of the cell centred on it are classified, the upper
+    # first, and g_at_mid evaluates 1/2 again at g_tol.  No anchor is visited
     calls = counting(monkeypatch, alpha_root, "classify_vs_one")
     probes = counting(monkeypatch, alpha_root, "_best")
     res = find_alpha(Fraction(1, 100), Fraction(1, 10**6), Fraction(1, 10**180))
     assert res.flag is None and res.iterations == 22
-    assert [Fraction(point.m) for point, *_ in calls] == [0, 1]
-    assert len(probes) == 22 + 1
+    assert [Fraction(point.m) for point, *_ in calls] == [res.m_hi, res.m_lo]
+    assert [Fraction(point.m) for point, *_ in probes] == [Fraction(1, 2)] * 2
 
 
 CELL = (Fraction(4194303, 8388608), Fraction(4194305, 8388608))
 
 
 @pytest.mark.parametrize(
-    "lam, depth", [(Fraction(1, 100), 84), (Fraction(1, 1000), 231), (Fraction(1, 10**5), 2421)]
+    "lam, depth", [(Fraction(1, 100), 87), (Fraction(1, 1000), 252), (Fraction(1, 10**5), 2609)]
 )
 def test_undecided_half_gives_the_centred_cell(lam, depth):
-    # G(1/2, lam) is within about 2e^(-4/lam) of 1, so the first probe straddles
-    # 1; the ends of the cell centred on 1/2 lie about lam * 2**-24 from 1
+    # G(1/2, lam) is within about 2e^(-4/lam) of 1, so the estimate 1/2 stays
+    # undecided at tol = lam * 2**-26; the ends of the cell centred on it lie
+    # about lam * 2**-24 from 1, and one evaluation at that tol decides each
     res = find_alpha(lam)
     assert res.flag is None and (res.m_lo, res.m_hi) == CELL
     assert res.iterations == 22 and res.width == Fraction(1, 2**22)
     assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
     assert res.g_at_lo.depth == res.g_at_hi.depth == depth
+    assert res.g_at_lo.tol == res.g_at_hi.tol == lam / 2**26
     assert res.g_at_mid.contains(1) and res.midpoint == Fraction(1, 2)
     for side, m, enc in ((-1, res.m_lo, res.g_at_lo), (1, res.m_hi, res.g_at_hi)):
-        assert classify_vs_one(CFPoint(m, lam), Fraction(1, 10**9)) == (side, enc)
+        assert classify_vs_one(CFPoint(m, lam), lam / 2**26) == (side, enc)
 
 
 def test_tight_bracket_cell_certifies():
-    # the cell ends lie about 1e-33 from 1: classify_vs_one tightens to them
+    # the centred cell's ends lie about 1e-33 from 1: one evaluation at
+    # tol = lam * 2**-106 decides each
     res = find_alpha(Fraction(1, 100), Fraction(1, 10**30))
     assert res.flag is None and res.iterations == 102
     assert res.width <= Fraction(1, 4 * 10**30) and res.midpoint == Fraction(1, 2)
     assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
+    assert res.g_at_lo.tol == res.g_at_hi.tol == Fraction(1, 100) / 2**106
+
+
+@st.composite
+def small_directed_lams(draw):
+    """lam in [1/200, 1/64), routed to directed mode."""
+    den = draw(st.sampled_from(LAM_DENS))
+    return Fraction(draw(st.integers(-(-den // 200), -(-den // 64) - 1)), den)
+
+
+@given(lam=small_directed_lams(), bracket_tol=decimal_tols(1, 150))
+# alpha lies about 4e^(-4/lam)/lam below 1/2: at lam 1/70 that is 35 cells of
+# 2**-401, so the cell lies below 1/2, where the secant steps put it
+@example(lam=Fraction(1, 70), bracket_tol=Fraction(1, 10**120))
+@example(lam=Fraction(1, 100), bracket_tol=Fraction(1, 10**200))
+@settings(max_examples=20, deadline=None)
+def test_directed_crossing_certifies(lam, bracket_tol):
+    res = find_alpha(lam, bracket_tol)
+    assert res.flag is None
+    assert 0 < res.m_lo < res.m_hi < 1 and res.width <= bracket_tol / 4
+    assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
+    # the exact walk, affordable at these lam, puts the crossing in the cell
+    assert walk_side(res.m_lo, lam) == -1 and walk_side(res.m_hi, lam) == 1
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 100), Fraction(1)])
@@ -396,7 +462,8 @@ def test_ends_carry_their_deciding_enclosures(lam):
     assert res.flag is None
     assert res.g_at_lo.hi < 1 < res.g_at_hi.lo
     for m, enc in ((res.m_lo, res.g_at_lo), (res.m_hi, res.g_at_hi)):
-        assert (classify_vs_one(CFPoint(m, lam), Fraction(1, 10**180))[1]) == enc
+        # a directed end is classified from its own tol; an exact one is walked
+        assert classify_vs_one(CFPoint(m, lam), enc.tol or 1)[1] == enc
 
 
 @pytest.mark.parametrize("max_depth", [0, -5])
@@ -409,7 +476,8 @@ def test_budget_below_one_rejected(max_depth):
 
 
 def test_huge_lambda_bisects_past_256_halvings():
-    # alpha(1e80) is about 1e-80: the bracket [0, 2**-256] would still touch 0
+    # alpha(1e80) is about 1e-80: the cell [0, 2**-256] would still touch 0, so
+    # the level follows alpha, not bracket_tol
     res = find_alpha(10**80)
     assert res.flag is None and res.iterations > 256
     assert 0 < res.m_lo < res.m_hi < 1

@@ -48,7 +48,6 @@ from cfcert.cf_core import (
     _step_product,
     _terms,
     _tightened,
-    _width_bound,
     eval_directed,
     eval_enclosure,
 )
@@ -420,38 +419,6 @@ class TestEvalEnclosure:
         ref_side, (ref_n, rp, rq, rpp, rqq) = reference_side_of_one(*args)
         assert (side, n) == (ref_side, ref_n)
         assert (Fraction(p, q), Fraction(pp, qq)) == (Fraction(rp, rq), Fraction(rpp, rqq))
-
-    @given(
-        m=st.fractions(min_value=0, max_value=5, max_denominator=997),
-        lam=st.one_of(
-            st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=997),
-            st.integers(1, 10**6).map(Fraction),
-        ),
-        # past k = ceil(2/lam) <= 128 a step divides the width by at least
-        # the 4 it divides the bound by, so deeper draws add nothing
-        depth=st.integers(1, 400),
-    )
-    @example(m=Fraction(0), lam=Fraction(1, 64), depth=DEFAULT_MAX_DEPTH)
-    @example(m=Fraction(0), lam=Fraction(2), depth=2)  # the first depth with a bound
-    @settings(max_examples=200, deadline=None)
-    def test_width_met_is_proven(self, m, lam, depth):
-        # _width_bound(lam, depth) bounds the exact width at depth for every m >= 0
-        bound = _width_bound(lam, depth)
-        if bound is None:
-            return
-        w_num, w_den = bound
-        a, b = m.numerator + m.denominator, m.denominator
-        for n, p, q, pp, qq in _scaled_convergents(a, b, lam.numerator, lam.denominator):
-            if n == depth:
-                break
-        # the width is |q/p - qq/pp|, without reducing the depth-sized fractions
-        assert abs(q * pp - qq * p) * w_den <= w_num * p * pp
-
-    def test_width_met_at_default_depth(self):
-        w_num, w_den = _width_bound(Fraction(1, 64), DEFAULT_MAX_DEPTH)
-        assert w_num * 10**300 <= w_den
-        assert _width_bound(Fraction(1, 64), 12) is None
-        assert _width_bound(Fraction(2), 1) is None
 
     @given(point=points)
     @settings(max_examples=30, deadline=None)

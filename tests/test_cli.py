@@ -233,14 +233,15 @@ class TestAlphaScanWitnessOracle:
         assert code == EXIT_USAGE
 
     def test_alpha_certifies_the_cell_in_flat_region(self, capsys):
-        # G(1/2, lam) sits exponentially close to 1 at tiny lam, so the first
-        # midpoint cannot be classified; the cell centred on it certifies
+        # G(1/2, lam) sits exponentially close to 1 at tiny lam, so the
+        # estimate 1/2 cannot be classified; the cell centred on it certifies,
+        # each end by one evaluation at tol = lam * 2**-26
         code, out = run(capsys, "alpha", "--lambda", "0.000001")
         assert code == EXIT_OK
         recs = parse_records(out, "csv")
         assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
-            ("alpha-lo", "4194303/8388608", True, 7926),
-            ("alpha-hi", "4194305/8388608", True, 7926),
+            ("alpha-lo", "4194303/8388608", True, 8499),
+            ("alpha-hi", "4194305/8388608", True, 8499),
             ("alpha-mid", "1/2", None, 6867),
         ]
         assert Fraction(recs[0].hi) < 1 < Fraction(recs[1].lo)
@@ -263,16 +264,16 @@ class TestAlphaScanWitnessOracle:
         assert rec.command == "eval" and rec.depth == 200 and Fraction(rec.hi) > 10**315
 
     def test_alpha_out_of_budget_midpoint(self, capsys):
-        # depth-3 walks certify both ends (the lower one already at depth 2)
-        # but not the next midpoint, and the bracket's midpoint keeps its
-        # depth-3 enclosure
+        # depth-3 walks leave the cell's ends undecided; moved out by
+        # doubling steps, both certify (the lower one already at depth 2),
+        # and the bracket's midpoint keeps its depth-3 enclosure
         code, out = run(capsys, "alpha", "--lambda", "1", "--max-depth", "3")
         assert code == EXIT_INCONCLUSIVE
         recs = parse_records(out, "csv")
         assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
-            ("alpha-lo", "57/128", True, 2),
-            ("alpha-hi", "29/64", True, 3),
-            ("alpha-mid", "115/256", None, 3),
+            ("alpha-lo", "470473/1048576", True, 2),
+            ("alpha-hi", "1890085/4194304", True, 3),
+            ("alpha-mid", "3771977/8388608", None, 3),
         ]
         assert reverify_records(recs)
         assert reverify_records(recs, max_depth=3)
@@ -291,14 +292,15 @@ class TestAlphaScanWitnessOracle:
         assert reverify_records(recs)
 
     def test_alpha_endpoints_never_at_depth_zero(self, capsys):
-        # G(1/4, 2) <= 0.9 is decided by the depth-0 convergent, but rows start at depth 1
+        # G(1296111/4194304, 2) < 0.9999999 is decided by the depth-0
+        # convergent, but rows start at depth 1
         code, out = run(capsys, "alpha", "--lambda", "2", "--max-depth", "1")
         assert code == EXIT_INCONCLUSIVE
         recs = parse_records(out, "csv")
         assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
-            ("alpha-lo", "1/4", True, 1),
-            ("alpha-hi", "3/8", True, 1),
-            ("alpha-mid", "5/16", None, 1),
+            ("alpha-lo", "1296111/4194304", True, 1),
+            ("alpha-hi", "89199/262144", True, 1),
+            ("alpha-mid", "2723295/8388608", None, 1),
         ]
         assert reverify_records(recs)
         assert reverify_records(recs, max_depth=1)
