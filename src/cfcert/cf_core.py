@@ -13,9 +13,10 @@ shifted tail at m + 1, where every term is positive, and mapped back through
 the shift identity G(m, lam) = m*lam + 1/G(m+1, lam).
 
 Two modes are provided.  Exact mode runs the convergent recurrence over big
-rationals; it is the reference semantics.  A float run predicts the depth,
-one product tree of the step matrices builds the convergents there, and
-exact integer tests settle the minimal depth.  Directed mode runs a backward
+rationals; it is the reference semantics.  A float run, closed-form past
+its first terms, predicts the depth; one product tree of the step matrices
+builds the convergents there; integer tests, each side first bounded to 64
+bits, settle the minimal depth.  Directed mode runs a backward
 interval pass: its deep end runs in binary64 with outward factors, and the
 rest over integers scaled by D * 2**bits (D = b*d at m = a/b, lam = c/d),
 where every term is exact and only the reciprocals round, outward; bits is
@@ -35,7 +36,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, log2
+from math import gcd, isqrt, lgamma, log, log2
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
 
@@ -274,7 +275,9 @@ def _predicted_depth(point: CFPoint, tol: Fraction, max_depth: int) -> int:
     """Where eval_enclosure's exact test starts: the first n in [1, max_depth]
     where a binary64 run of P_n = x_n P_{n-1} + P_{n-2}, x_j = (m+1+j)*lam,
     gives P_n * P_{n-1} >= 1/tol, or 1 where m + 1 or lam is lost as a float.
-    Past 2**400 both P scale by 2**-400, and log2 of the limit drops by 800."""
+    Past 2**400 both P scale by 2**-400, and log2 of the limit drops by 800.
+    At the first J >= 64 with x_J >= 4 the run stops and _closed_depth goes
+    on from P_J; where it loses a float, the run steps on."""
     try:
         m1, lam = float(point.m + 1), float(point.lam)
     except OverflowError:
@@ -284,6 +287,7 @@ def _predicted_depth(point: CFPoint, tol: Fraction, max_depth: int) -> int:
     need = log2(tol.denominator) - log2(tol.numerator)
     x = m1 * lam
     p_prev, p, limit = 1.0, x, 2.0 ** min(need, 1000)
+    closed = True
     for n in range(1, max_depth):
         x += lam
         p_prev, p = p, x * p + p_prev
@@ -292,15 +296,80 @@ def _predicted_depth(point: CFPoint, tol: Fraction, max_depth: int) -> int:
             limit = 2.0 ** min(need, 1000)
         if p * p_prev >= limit:
             return n
+        if closed and n >= 64 and x >= 4:
+            closed, k = False, _closed_depth(m1, lam, n, log(p), need, max_depth)
+            if k:
+                return k
     return max_depth
 
 
-def _meets(p: int, pp: int, tn: int, rhs: int) -> bool:
-    """p * pp * tn >= rhs for positive integers.  With s the sum of the three
-    bit lengths and r that of rhs, the product is in [2**(s-3), 2**s) and rhs
-    in [2**(r-1), 2**r), so only r <= s <= r + 2 needs the product."""
-    s = p.bit_length() + pp.bit_length() + tn.bit_length() - rhs.bit_length()
-    return p * pp * tn >= rhs if 0 <= s <= 2 else s > 2
+def _closed_depth(m1: float, lam: float, j: int, log_p: float, need: float, max_depth: int) -> int | None:
+    """The first k in (j, max_depth] where an upper bound on P_k * P_{k-1}
+    reaches 2**(need - 2**-20), or max_depth; None where a float overflows.
+    As P_{k-2} <= P_{k-1} / x_{k-1}, ln P_k <= ln P_{k-1} + ln x_k +
+    1/(x_k x_{k-1}).  From ln P_j = log_p, with x_i = (m1 + i)*lam, the sums
+    to k are (k-j) ln lam + lgamma(m1+1+k) - lgamma(m1+1+j) and, telescoping,
+    (1/(m1+j) - 1/(m1+k)) / lam**2.  2**-20 covers the floats' rounding.  The
+    bound grows by at least ln 16 a step: gallop, then bisect."""
+    try:
+        c, log_lam, g = lam**-2, log(lam), lgamma(m1 + 1 + j)
+        short = (need - 2.0**-20) * log(2) - 2 * log_p
+
+        def below(k: int) -> bool:
+            return (2 * (k - j) - 1) * log_lam + lgamma(m1 + 1 + k) + lgamma(m1 + k) - 2 * g + c * (
+                2 / (m1 + j) - 1 / (m1 + k) - 1 / (m1 + k - 1)) < short
+
+        lo, hi = j, j + 1
+        while hi < max_depth and below(hi):
+            lo, hi = hi, min(2 * hi - j, max_depth)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    except ArithmeticError:
+        return None
+    return hi
+
+
+#: from this many bits of dd**n on, _meets bounds both sides before multiplying
+_BOUND_BITS = 4096
+
+
+def _top(v: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= v <= hi * 2**e and hi at most 2**64."""
+    e = max(v.bit_length() - 64, 0)
+    lo = v >> e
+    return lo, lo + (e > 0), e
+
+
+def _meets(p: int, pp: int, tn: int, x: int, dd: int, n: int) -> bool:
+    """p * pp * tn >= x * dd**n for positive integers and n >= 0.  Below
+    _BOUND_BITS, with s the sum of the three bit lengths on the left and r
+    that of rhs = x * dd**n, the product is in [2**(s-3), 2**s) and rhs in
+    [2**(r-1), 2**r), so only r <= s <= r + 2 needs the product.  Above it,
+    both sides are first bounded by [lo, hi] * 2**e: each factor cut to 64
+    bits (_top), dd**n by square and multiply, cut back to 64 bits after
+    each step, lo down and hi up.  Only bounds that overlap, where the sides
+    agree to about 2**-48, leave the exact products to decide."""
+    if n * dd.bit_length() < _BOUND_BITS:
+        rhs = x * dd**n
+        s = p.bit_length() + pp.bit_length() + tn.bit_length() - rhs.bit_length()
+        return p * pp * tn >= rhs if 0 <= s <= 2 else s > 2
+    (a, a1, ea), (b, b1, eb), (c, c1, ec), (r, r1, er), (d, d1, ed) = map(_top, (p, pp, tn, x, dd))
+    lo, hi, e = 1, 1, 0
+    for bit in bin(n)[2:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi, e = lo * d, hi * d1, e + ed
+        s = hi.bit_length() - 64
+        if s > 0:
+            lo, hi, e = lo >> s, -(-hi >> s), e + s
+    # both sides at the smaller of their two exponents
+    k = ea + eb + ec - e - er
+    left, left1 = a * b * c << max(k, 0), a1 * b1 * c1 << max(k, 0)
+    right, right1 = r * lo << max(-k, 0), r1 * hi << max(-k, 0)
+    if left >= right1 or left1 < right:
+        return left >= right1
+    return p * pp * tn >= x * dd**n
 
 
 def eval_enclosure(
@@ -318,12 +387,13 @@ def eval_enclosure(
     of _scaled_convergents the test width <= tol reads
     p_n * p_{n-1} * tol_num >= D * tol_den * (D**2)**n.
 
-    A float run predicts the depth n (_predicted_depth), and one product
-    tree (_step_product) builds the pair at s = n - 1.  If the test holds at
-    s >= 1, the float ran long: s halves and the pair is built again.  From
-    s the recurrence steps forward, testing each depth, to the first that
-    meets tol or to max_depth.  That is the depth and pair of a walk from
-    depth 1 that tests every step:
+    A float run predicts the depth n (_predicted_depth, at or just below the
+    minimal depth), one product tree (_step_product) builds the pair at
+    s = n - 1, and the test (_meets) bounds its sides before it multiplies.
+    If the test holds at s >= 1, the prediction ran long: s halves and the
+    pair is built again.  From s the recurrence steps forward, testing each
+    depth, to the first that meets tol or to max_depth.  That is the depth
+    and pair of a walk from depth 1 that tests every step:
     - The tree's integers equal the walk's.  One step of the recurrence is
       [[p_n, q_n], [p_{n-1}, q_{n-1}]] = M_n [[p_{n-1}, q_{n-1}],
       [p_{n-2}, q_{n-2}]] with M_n = [[u_n, D**2], [1, 0]], so the pair at
@@ -350,16 +420,15 @@ def eval_enclosure(
     n = _predicted_depth(point, tol, max_depth) - 1
     while True:
         p, q, pp, qq = _step_product(u, du, big_d, 0, n + 1)
-        rhs = x * dd**n
-        if not n or not _meets(p, pp, tn, rhs):
+        if not n or not _meets(p, pp, tn, x, dd, n):
             break
         n //= 2
     u += n * du
     met = False
     while not met and n < max_depth:
-        n, u, rhs = n + 1, u + du, rhs * dd
+        n, u = n + 1, u + du
         p, q, pp, qq = u * p + dd * pp, u * q + dd * qq, p, q
-        met = _meets(p, pp, tn, rhs)
+        met = _meets(p, pp, tn, x, dd, n)
     enc = _pair_enclosure(point, (n, p, q, pp, qq))
     if met:
         return enc
@@ -513,8 +582,8 @@ def _depth_guess(lam: Fraction, tol: Fraction) -> int:
     that take 4/3 off it.  The second covers loose tol, where n/16 is too
     few; from tol 1e-7 down the first is the larger at every lam <= 1/64.
     Once the terms pass about 2 the growth slows to the factorial rate, so
-    for large lam with tight tol the guess can fall short; the caller then
-    doubles the depth.
+    for large lam with tight tol the guess can fall short; there the caller
+    starts from the exact depth instead.
     """
     tol_bits = (tol.denominator // tol.numerator).bit_length()
     n = isqrt(1386 * tol_bits * lam.denominator // (1000 * lam.numerator))
@@ -545,9 +614,11 @@ def eval_directed(
     lam, where the tail values are near 1.  bits = bitlen(1/tol) +
     bitlen(2*n + 2) + 24 then keeps the rounding about 2**-24 below tol.
 
-    The passes run at depths d0, 2*d0, ..., each capped at max_depth, so
-    the result, which carries tol, is rebuilt bit for bit by this call at
-    its own tol with max_depth set to its depth.
+    The passes run at depths d0, 2*d0, ..., each capped at max_depth.  d0 is
+    _depth_guess, raised at lam >= DIRECTED_LAMBDA_CUTOFF to the exact depth
+    _predicted_depth, which a lower budget caps and does not move.  So the
+    result, which carries tol, is rebuilt bit for bit by this call at its
+    own tol with max_depth set to its depth.
 
     Raises NotConvergedError with the best enclosure attached when the width
     is still above tol at ``max_depth``.
@@ -563,6 +634,8 @@ def eval_directed(
     tol_bits = (tol.denominator // tol.numerator).bit_length()
     best: Enclosure | None = None
     depth = min(_depth_guess(point.lam, tol), max_depth)
+    if point.lam >= DIRECTED_LAMBDA_CUTOFF:
+        depth = max(depth, _predicted_depth(point, tol, max_depth))
     while True:
         bits = tol_bits + (2 * depth + 2).bit_length() + 24
         t_lo, t_hi, scale = _directed_tail(a, b, c, big_d, depth, bits)

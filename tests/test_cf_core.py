@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -35,6 +36,7 @@ from cfcert import (
 )
 from cfcert import cf_core
 from cfcert.cf_core import (
+    _BOUND_BITS,
     _LEAF,
     _best,
     _depth_guess,
@@ -97,6 +99,26 @@ def exact_outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except BudgetExceededError as exc:
         return str(exc), exc.best
+
+
+@contextmanager
+def top_level_trees():
+    """Yields a list of the (lo, hi) of every product tree built inside the
+    block, without the tree's own recursive calls."""
+    original, trees, nested = cf_core._step_product, [], []
+
+    def counting(*args):
+        if not nested:
+            trees.append(args[-2:])
+        nested.append(None)
+        try:
+            return original(*args)
+        finally:
+            nested.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf_core, "_step_product", counting)
+        yield trees
 
 
 def with_examples(cases):
@@ -310,16 +332,40 @@ class TestEvalEnclosure:
     @pytest.mark.parametrize("m", [Fraction(-1, 2), Fraction(0), Fraction(1, 3)])
     @pytest.mark.parametrize(
         "lam, tol",
-        [(Fraction(1, 64), Fraction(1, 10**300)), (Fraction(1), Fraction(1, 10**1000))],
+        [(Fraction(1, 64), Fraction(1, 10**300)), (Fraction(1), Fraction(1, 10**1000)),
+         # past x_j >= 4 at j = 64 the depth comes from the closed form
+         (Fraction(4), Fraction(1, 10**3000))],
     )
     def test_deep_tolerance_depth_is_minimal(self, m, lam, tol):
         point = CFPoint(m, lam)
-        enc = eval_enclosure(point, tol)
+        with top_level_trees() as trees:
+            enc = eval_enclosure(point, tol)
+        assert len(trees) == 1
+        assert enc.depth - 2 <= _predicted_depth(point, tol, DEFAULT_MAX_DEPTH) <= enc.depth
         lo, hi = reference_enclosure(point, enc.depth)
         assert (enc.lo, enc.hi) == (lo, hi)
         assert enc.width <= tol
         lo, hi = reference_enclosure(point, enc.depth - 1)
         assert hi - lo > tol
+
+    @given(
+        point=st.builds(
+            CFPoint,
+            st.sampled_from([Fraction(-1, 2), 0, Fraction(1, 3), 1, 5, Fraction(-999, 1000)]),
+            st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=997),
+        ),
+        tol=st.builds(lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(1, 3000)),
+    )
+    @example(point=CFPoint(0, 4), tol=Fraction(1, 10**3000))
+    @example(point=CFPoint(Fraction(1, 3), Fraction(1, 64)), tol=Fraction(1, 10**3000))
+    @settings(max_examples=60, deadline=None)
+    def test_deep_prediction_at_or_just_below_the_depth(self, point, tol):
+        # the float run and its closed form do not overshoot, so the tree is
+        # built once and never rebuilt from a halved start
+        with top_level_trees() as trees:
+            enc = eval_enclosure(point, tol)
+        assert len(trees) == 1
+        assert enc.depth - 2 <= _predicted_depth(point, tol, DEFAULT_MAX_DEPTH) <= enc.depth
 
     @given(point=wide_points, tol=wide_tols, max_depth=depth_caps)
     @with_examples(EXACT_EXAMPLES)
@@ -354,6 +400,33 @@ class TestEvalEnclosure:
         assert enc == reference_eval_enclosure(point, tol)
         assert enc.depth == depth
 
+    @pytest.mark.parametrize(
+        "point, tol, near",
+        [
+            # x = 10 or 4 from the first term on, but lam * lam is 0.0, or
+            # subnormal with an inf reciprocal: the closed form is lost, and
+            # the run steps on to the depth
+            (CFPoint(10**201, Fraction(1, 10**200)), Fraction(1, 10**300), True),
+            (CFPoint(2**1000, Fraction(1, 2**998)), Fraction(1, 10**300), True),
+            (CFPoint(4 * 10**160, Fraction(1, 10**160)), Fraction(1, 10**300), True),
+            # lam * lam is inf, and so is P after a few steps: the prediction
+            # falls short, and the exact steps go on from it
+            (CFPoint(0, 2**600), Fraction(1, 2**100000), False),
+            # huge m: m + 1 + k is one float for every k, in lgamma too
+            (CFPoint(10**15, Fraction(1, 10**14)), Fraction(1, 10**300), True),
+            (CFPoint(10**300, 1), Fraction(1, 10**300), True),
+            # lam near 2**1024: x or P is inf from the first step
+            (CFPoint(1, 2**1023), Fraction(1, 10**300), True),
+            (CFPoint(-1 + Fraction(1, 2**60), 2**1024 - 2**970), Fraction(1, 10**300), True),
+        ],
+    )
+    def test_prediction_at_float_edges(self, point, tol, near):
+        for max_depth in (1, 64, 65, DEFAULT_MAX_DEPTH):
+            assert 1 <= _predicted_depth(point, tol, max_depth) <= max_depth
+        depth = eval_enclosure(point, tol).depth
+        predicted = _predicted_depth(point, tol, DEFAULT_MAX_DEPTH)
+        assert depth - 2 <= predicted <= depth if near else predicted <= depth
+
     def test_prediction_lost_in_floats_out_of_budget(self):
         # lam = 1e-400 is 0.0 as a float: the run gives 1, and the exact test
         # steps to the budget, 50
@@ -366,19 +439,31 @@ class TestEvalEnclosure:
         assert (best.lo, best.hi) == reference_enclosure(point, 50)
 
     @given(
-        factors=st.lists(st.integers(1, 2**300), min_size=3, max_size=3),
+        x=st.integers(1, 2**3500),
+        # dd above 64 bits is cut too; n * bitlen(dd) on both sides of _BOUND_BITS
+        dd=st.one_of(st.integers(1, 2**24), st.integers(2**60, 2**80)),
+        n=st.one_of(st.integers(0, 64), st.integers(0, 3000)),
+        pp=st.integers(1, 2**300),
+        tn=st.integers(1, 2**70),
         delta=st.integers(-4, 4),
         shift=st.integers(-3, 3),
     )
-    @example(factors=[1, 1, 1], delta=0, shift=0)
-    @example(factors=[2**100, 1, 1], delta=-1, shift=0)
+    @example(x=1, dd=1, n=0, pp=1, tn=1, delta=0, shift=0)
+    @example(x=2**100, dd=1, n=0, pp=1, tn=1, delta=-1, shift=0)
+    # n * bitlen(dd) at _BOUND_BITS and one step below it, each side tied
+    @example(x=3, dd=2**63 + 1, n=_BOUND_BITS // 64, pp=7, tn=1, delta=0, shift=0)
+    @example(x=3, dd=2**63 + 1, n=_BOUND_BITS // 64 - 1, pp=7, tn=1, delta=0, shift=0)
+    @example(x=3, dd=997**2, n=3000, pp=2**300, tn=5, delta=1, shift=0)
+    @example(x=3, dd=997**2, n=3000, pp=2**300, tn=5, delta=-1, shift=0)
     @settings(max_examples=200, deadline=None)
-    def test_meets_is_the_exact_comparison(self, factors, delta, shift):
-        # right sides at and around the product, and a few bits either side
-        p, pp, tn = factors
-        lhs = p * pp * tn
-        rhs = max((lhs << shift if shift >= 0 else lhs >> -shift) + delta, 1)
-        assert _meets(p, pp, tn, rhs) == (lhs >= rhs)
+    def test_meets_is_the_exact_comparison(self, x, dd, n, pp, tn, delta, shift):
+        # p * pp * tn at, within 4 * pp * tn of, and a few bits either side of
+        # x * dd**n: with delta alone the bounds overlap, and the exact
+        # comparison decides
+        rhs = x * dd**n
+        p = max((rhs << shift if shift >= 0 else rhs >> -shift) + delta, 1)
+        x *= pp * tn
+        assert _meets(p, pp, tn, x, dd, n) == (p * pp * tn >= x * dd**n)
 
     @given(
         point=wide_points,
@@ -576,6 +661,36 @@ class TestEvalDirected:
         directed = eval_directed(point, tol)
         assert max(exact.lo, directed.lo) <= min(exact.hi, directed.hi)
         assert directed.width <= tol
+
+    @given(point=st.one_of(points, small_lam_points),
+           tol=st.builds(lambda e: Fraction(1, 10**e), st.integers(1, 300)))
+    # above the cutoff the first pass starts at the exact depth
+    @example(point=CFPoint(Fraction(1, 3), 1), tol=Fraction(1, 10**100))
+    @example(point=CFPoint(0, Fraction(1, 2)), tol=Fraction(1, 10**1000))
+    @example(point=CFPoint(2, 4), tol=Fraction(1, 10**300))
+    @settings(max_examples=40, deadline=None)
+    def test_rebuilds_from_its_own_tol_and_depth(self, point, tol):
+        enc = eval_directed(point, tol)
+        assert enc.tol == tol
+        assert eval_directed(point, enc.tol, max_depth=enc.depth) == enc
+
+    @pytest.mark.parametrize(
+        "point, tol, depth",
+        [
+            # _depth_guess alone gives 38, 116 and 35, from which doubling
+            # passes run to 76, 464 and 140
+            (CFPoint(Fraction(1, 3), 1), Fraction(1, 10**100), 41),
+            (CFPoint(0, Fraction(1, 2)), Fraction(1, 10**1000), 288),
+            (CFPoint(2, 4), Fraction(1, 10**300), 72),
+        ],
+    )
+    def test_one_pass_at_the_exact_depth_above_the_cutoff(self, monkeypatch, point, tol, depth):
+        passes = []
+        original = cf_core._directed_tail
+        monkeypatch.setattr(cf_core, "_directed_tail",
+                            lambda *args: passes.append(args[4]) or original(*args))
+        assert eval_directed(point, tol).depth == depth == eval_enclosure(point, tol).depth
+        assert passes == [depth]
 
     def test_depth_tracks_tolerance(self):
         # the minimal sufficient depth here is 238
