@@ -1,11 +1,13 @@
 """Certificates for the inequalities and identities satisfied by G(m, lam).
 
-The central quantity is the quadratic bound B(m, lam), the positive root of
-y**2 - m*lam*y - 1 = 0 (equivalently m*lam/2 + sqrt(m**2*lam**2/4 + 1)),
-which separates G(m, lam) from G(m+1, lam) for m >= 0.  theorem_bound
-encloses it with integer arithmetic and one isqrt, never a floating square
-root.  All certificates are interval statements: a strict inequality a < b
-is certified exactly when the enclosure of a lies entirely below the
+The sandwich G(m+1, lam) > B(m, lam) > G(m, lam), m >= 0, with B the
+positive root of y**2 - m*lam*y - 1, is one inequality: f(y) = m*lam + 1/y
+decreases on y > 0, B is its fixed point and G(m) = f(G(m+1)), so
+G(m+1) > B exactly when G(m) < B, exactly when G(m) < G(m+1).  So
+check_sandwich, and check_reciprocal (m = 0, B = 1), evaluate only the tail
+G(m+1, lam), map G(m, lam) from it (cf_core._mapped) and never form B.
+All certificates are interval statements: a strict inequality a < b is
+certified exactly when the enclosure of a lies entirely below the
 enclosure of b.  Overlapping enclosures are retried at tol/10, tol/100, ...
 (cf_core._tightened).  Every claim here is strict, so the retries give up
 only where an evaluation reaches the depth budget max_depth: its best
@@ -29,7 +31,7 @@ from .cf_core import (
     EvalMode,
     RationalLike,
     _best,
-    _from_tail,
+    _mapped,
     _tightened,
     as_fraction,
 )
@@ -52,10 +54,11 @@ class CheckReport(namedtuple("CheckReport", "point claim left right gap")):
 
     An immutable named tuple of the CFPoint, the Claim, the Enclosures
     ``left`` and ``right`` and the Fraction ``gap``.  For inequality claims
-    ``gap`` is the certified separation between the two enclosures
-    (positive).  For identity claims (functional equation, reciprocal
-    product, oracle intersection) it is the width of the overlap that
-    witnesses consistency.
+    ``gap`` is the certified separation between the two sides (positive).
+    In place of B, which is never formed, a sandwich half holds the window
+    [G(m)'s hi, G(m+1)'s lo], with B strictly inside, and ``gap`` is its
+    width.  For identity claims (functional equation, oracle intersection)
+    ``gap`` is the width of the overlap that witnesses consistency.
     """
 
     __slots__ = ()
@@ -73,6 +76,7 @@ def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> Enclosure:
     the bounds carry the sign witness lo**2 - c*lo - 1 <= 0 <= hi**2 - c*hi - 1.
     When d is a perfect square the root itself is rational and the enclosure
     is returned exact (width zero), which covers m = 0 where the bound is 1.
+    No verdict uses it; it stays while the benchmark traces it.
     """
     tol = as_fraction(tol)
     if tol <= 0:
@@ -109,36 +113,26 @@ def check_sandwich(
 ) -> tuple[CheckReport, CheckReport]:
     """Certify G(m+1, lam) > B(m, lam) > G(m, lam) for m >= 0.
 
-    Returns the (upper, lower) report pair; each certificate is a disjoint
-    pair of enclosures with a positive gap.  Raises InconclusiveError if
-    the enclosures still overlap at the last tolerance; it names a failing
-    half and carries the enclosures of G(m+1, lam) and G(m, lam).
+    Certified where G(m)'s enclosure, mapped from G(m+1)'s, lies below it:
+    B lies strictly inside the window between them.  Returns the reports
+    (G(m+1), window) and (window, G(m)).  Raises InconclusiveError, with the
+    enclosures of G(m+1, lam) and G(m, lam), where they still meet at the
+    last tolerance.
     """
     if point.m < 0:
         raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
-    for t, (g_hi, g_lo) in _tightened([point.shifted(), point], tol, max_depth):
-        bound = theorem_bound(point, t)
-        if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
-            upper = CheckReport(
-                point=point,
-                claim=Claim.SANDWICH_UPPER,
-                left=g_hi,
-                right=bound,
-                gap=g_hi.lo - bound.hi,
-            )
-            lower = CheckReport(
-                point=point,
-                claim=Claim.SANDWICH_LOWER,
-                left=bound,
-                right=g_lo,
-                gap=bound.lo - g_lo.hi,
-            )
+    for _, (g1,) in _tightened([point.shifted()], tol, max_depth):
+        g0 = _mapped(point, g1)
+        if g0.hi < g1.lo:
+            window = Enclosure(g0.hi, g1.lo, g1.depth, g1.mode, g1.tol)
+            upper = CheckReport(point, Claim.SANDWICH_UPPER, g1, window, window.width)
+            lower = CheckReport(point, Claim.SANDWICH_LOWER, window, g0, window.width)
             return upper, lower
     raise InconclusiveError(
         f"sandwich enclosures still overlap at m={point.m}, lam={point.lam}",
-        claim=Claim.SANDWICH_LOWER if g_hi.lo > bound.hi else Claim.SANDWICH_UPPER,
-        left=g_hi,
-        right=g_lo,
+        claim=Claim.SANDWICH_UPPER,
+        left=g1,
+        right=g0,
     )
 
 
@@ -155,9 +149,7 @@ def check_functional_equation(
     contributes its best enclosure.
     """
     direct, tail = (_best(p, tol, max_depth)[0] for p in (point, point.shifted()))
-    shifted = _from_tail(
-        point, tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio(), tail.depth, tail.mode
-    )
+    shifted = _mapped(point, tail)
     overlap = min(direct.hi, shifted.hi) - max(direct.lo, shifted.lo)
     if overlap < 0:
         raise ViolationError(
@@ -206,28 +198,19 @@ def check_reciprocal(
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> CheckReport:
-    """Certify G(0, lam) * G(1, lam) = 1 (as an interval statement) and G(0, lam) < 1.
+    """Certify G(0, lam) < 1, with G(0, lam) = 1/G(1, lam).
 
-    The product interval must contain 1, since the two values are exact
-    reciprocals; a product interval that excludes 1 raises ViolationError.
+    G(0, lam), mapped from G(1, lam), is [1/hi, 1/lo]: it lies below 1
+    where G(1, lam) lies above.  The report carries G(0) as left, G(1) as
+    right.
     """
-    lam = as_fraction(lam)
-    p0 = CFPoint(Fraction(0), lam)
-    for _, (g0, g1) in _tightened([p0, CFPoint(Fraction(1), lam)], tol, max_depth):
-        if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
-            raise ViolationError(
-                f"product interval excludes 1 at lam={lam}: {g0} * {g1}"
-            )
-        if g0.hi < 1:
-            return CheckReport(
-                point=p0,
-                claim=Claim.RECIPROCAL,
-                left=g0,
-                right=g1,
-                gap=1 - g0.hi,
-            )
+    p0 = CFPoint(0, lam)
+    for _, (g1,) in _tightened([p0.shifted()], tol, max_depth):
+        g0 = _mapped(p0, g1)
+        if g1.lo > 1:
+            return CheckReport(p0, Claim.RECIPROCAL, g0, g1, 1 - g0.hi)
     raise InconclusiveError(
-        f"G(0, lam) enclosure still touches 1 at lam={lam}",
+        f"G(0, lam) enclosure still touches 1 at lam={p0.lam}",
         claim=Claim.RECIPROCAL,
         left=g0,
         right=g1,

@@ -36,7 +36,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lgamma, log, log2
+from math import frexp, gcd, isqrt, ldexp, lgamma, log, log2
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
 
@@ -232,8 +232,7 @@ def _from_tail(
     - exact tail pairs, the integers of _scaled_convergents, where it
       divides D**(2n+1) and D divides bd;
     - directed ends (t, S) with S = D * 2**bits;
-    - bounds.check_functional_equation's (num, den) of a reduced Fraction,
-      which are coprime.
+    - _mapped's (num, den) of a reduced Fraction, which are coprime.
     """
     m, lam = point.m, point.lam
     ac = m.numerator * lam.numerator
@@ -246,6 +245,13 @@ def _from_tail(
         depth=depth,
         mode=mode,
     )
+
+
+def _mapped(point: CFPoint, tail: Enclosure) -> Enclosure:
+    """G(point) by _from_tail from ``tail``, an enclosure of G(m+1, lam),
+    with the tail's depth, mode and tol."""
+    lo, hi = tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio()
+    return _from_tail(point, lo, hi, tail.depth, tail.mode)._replace(tol=tail.tol)
 
 
 #: matrices per leaf of _step_product's tree, multiplied in sequence
@@ -275,9 +281,11 @@ def _predicted_depth(point: CFPoint, tol: Fraction, max_depth: int) -> int:
     """Where eval_enclosure's exact test starts: the first n in [1, max_depth]
     where a binary64 run of P_n = x_n P_{n-1} + P_{n-2}, x_j = (m+1+j)*lam,
     gives P_n * P_{n-1} >= 1/tol, or 1 where m + 1 or lam is lost as a float.
-    Past 2**400 both P scale by 2**-400, and log2 of the limit drops by 800.
-    At the first J >= 64 with x_J >= 4 the run stops and _closed_depth goes
-    on from P_J; where it loses a float, the run steps on."""
+    Past 2**400, P_n and P_{n-1} scale by the power of two that puts P_n in
+    [1/2, 1), and log2 of the limit drops to match, so no step overflows
+    while x_n is finite.  At the first J >= 64 with x_J >= 4 the run stops
+    and _closed_depth goes on from P_J; where it loses a float, the run
+    steps on."""
     try:
         m1, lam = float(point.m + 1), float(point.lam)
     except OverflowError:
@@ -285,21 +293,21 @@ def _predicted_depth(point: CFPoint, tol: Fraction, max_depth: int) -> int:
     if not (m1 and lam):
         return 1
     need = log2(tol.denominator) - log2(tol.numerator)
-    x = m1 * lam
-    p_prev, p, limit = 1.0, x, 2.0 ** min(need, 1000)
-    closed = True
-    for n in range(1, max_depth):
-        x += lam
-        p_prev, p = p, x * p + p_prev
+    x = p = m1 * lam
+    p_prev, limit, closed = 1.0, 2.0 ** min(need, 1000), True
+    for n in range(max_depth):
         if p > 2.0**400:
-            p_prev, p, need = p_prev * 2.0**-400, p * 2.0**-400, need - 800
+            p, e = frexp(p)
+            p_prev, need = ldexp(p_prev, -e), need - 2 * e
             limit = 2.0 ** min(need, 1000)
-        if p * p_prev >= limit:
+        if n and p * p_prev >= limit:
             return n
         if closed and n >= 64 and x >= 4:
             closed, k = False, _closed_depth(m1, lam, n, log(p), need, max_depth)
             if k:
                 return k
+        x += lam
+        p_prev, p = p, x * p + p_prev
     return max_depth
 
 
@@ -309,8 +317,11 @@ def _closed_depth(m1: float, lam: float, j: int, log_p: float, need: float, max_
     As P_{k-2} <= P_{k-1} / x_{k-1}, ln P_k <= ln P_{k-1} + ln x_k +
     1/(x_k x_{k-1}).  From ln P_j = log_p, with x_i = (m1 + i)*lam, the sums
     to k are (k-j) ln lam + lgamma(m1+1+k) - lgamma(m1+1+j) and, telescoping,
-    (1/(m1+j) - 1/(m1+k)) / lam**2.  2**-20 covers the floats' rounding.  The
-    bound grows by at least ln 16 a step: gallop, then bisect."""
+    (1/(m1+j) - 1/(m1+k)) / lam**2.  2**-20 covers the floats' rounding
+    where m1 + 1 + k is one float for every k, and None is returned where
+    it is not.  The bound grows by at least ln 16 a step: gallop, then bisect."""
+    if m1 + max_depth >= 2**53:
+        return None
     try:
         c, log_lam, g = lam**-2, log(lam), lgamma(m1 + 1 + j)
         short = (need - 2.0**-20) * log(2) - 2 * log_p

@@ -36,6 +36,7 @@ from .cf_core import (
     _best,
     _Checked,
     _exact_at,
+    _mapped,
     as_fraction,
 )
 from .errors import (
@@ -320,30 +321,28 @@ def _check_rows(claim: str, point: CFPoint, tol, max_depth: int):
     """Whether ``claim`` certifies at ``point``, and the (command, enclosure)
     rows a check of it prints.
 
-    A certified sandwich prints G(m+1, lam) of the upper half and G(m, lam)
-    of the lower one; an inconclusive one prints only the half that fails.
-    The reciprocal claim is about ``point`` = (0, lam) and prints G(0, lam);
-    every other claim prints G(m, lam).
+    A sandwich prints G(m+1, lam) as its upper row and G(m, lam), mapped
+    from it, as its lower row, whether or not it certifies.  The reciprocal
+    claim is about ``point`` = (0, lam) and prints G(0, lam), mapped from
+    G(1, lam); every other claim prints G(m, lam).
     """
     try:
         if claim == "sandwich":
             upper, lower = bounds.check_sandwich(point, tol, max_depth=max_depth)
-            return True, [
-                ("check-sandwich-upper", upper.left),
-                ("check-sandwich-lower", lower.right),
-            ]
-        if claim == "functional":
-            report = bounds.check_functional_equation(point, tol, max_depth=max_depth)
-        elif claim == "above-one":
-            report = bounds.check_g_above_one(point, tol, max_depth=max_depth)
+            certified, left, right = True, upper.left, lower.right
         else:
-            report = bounds.check_reciprocal(point.lam, tol, max_depth=max_depth)
+            if claim == "functional":
+                report = bounds.check_functional_equation(point, tol, max_depth=max_depth)
+            elif claim == "above-one":
+                report = bounds.check_g_above_one(point, tol, max_depth=max_depth)
+            else:
+                report = bounds.check_reciprocal(point.lam, tol, max_depth=max_depth)
+            certified, left, right = True, report.left, report.right
     except InconclusiveError as exc:
-        if exc.claim is bounds.Claim.SANDWICH_LOWER:
-            return False, [("check-sandwich-lower", exc.right)]
-        half = "-upper" if claim == "sandwich" else ""
-        return False, [(f"check-{claim}{half}", exc.left)]
-    return True, [(f"check-{claim}", report.left)]
+        certified, left, right = False, exc.left, exc.right
+    if claim == "sandwich":
+        return certified, [("check-sandwich-upper", left), ("check-sandwich-lower", right)]
+    return certified, [(f"check-{claim}", left)]
 
 
 def _cmd_check(args):
@@ -574,12 +573,15 @@ def _reverified(rec: OutputRecord) -> Enclosure:
     for every other row.  A series row is re-summed to its depth and an
     exact row rebuilt at it.  A directed row is evaluated again at its own
     tol with its depth as the budget, which repeats the passes that printed
-    it (cf_core.eval_directed).  The row printed from the rebuilt enclosure
-    must be the row itself, and the row's verdict, unless it prints
-    certified=false, must hold on the rebuilt enclosure (_VERDICTS).
+    it (cf_core.eval_directed).  A check-sandwich-lower or check-reciprocal
+    row prints G(m, lam) mapped from G(m+1, lam) at its depth and tol: that
+    tail is rebuilt, then mapped (cf_core._mapped).  The row printed from
+    the rebuilt enclosure must be the row itself, and the row's verdict,
+    unless it prints certified=false, must hold on it (_VERDICTS).
     """
     point = _rec_point(rec)
-    value_at = point.shifted() if rec.command == "check-sandwich-upper" else point
+    mapped = rec.command in ("check-sandwich-lower", "check-reciprocal")
+    value_at = point.shifted() if mapped or rec.command == "check-sandwich-upper" else point
     if rec.command == "oracle-series":
         if point.m.denominator != 1:
             raise ValueError(f"series row needs an integer m: {rec}")
@@ -591,6 +593,8 @@ def _reverified(rec: OutputRecord) -> Enclosure:
         enc = _exact_at(value_at, rec.depth)
     else:
         enc, _ = _best(value_at, Fraction(rec.tol), rec.depth, "directed")
+    if mapped:
+        enc = _mapped(point, enc)
     inputs = {key: Fraction(value) for key, value in rec.inputs.items()}
     if record_from_enclosure(rec.command, inputs, enc, rec.certified) != rec:
         raise ValueError(f"row does not regenerate: {rec}")

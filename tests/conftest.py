@@ -29,7 +29,6 @@ from cfcert import (
     scan,
     series_ratio,
 )
-from cfcert.bounds import theorem_bound
 from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_INCONCLUSIVE
 from cfcert.bessel_oracle import MAX_TERMS
 from cfcert.cf_core import as_fraction
@@ -200,47 +199,6 @@ def reference_tolerances(tol: Fraction, floor=REFERENCE_TOL_FLOOR):
         t = t / 10
 
 
-def reference_check_sandwich(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH):
-    """check_sandwich over reference_tolerances, letting a budget error propagate.
-
-    Reference for bounds.check_sandwich: wherever it certifies, or raises
-    anything but a budget or inconclusive error, the two must agree exactly.
-    """
-    if point.m < 0:
-        raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
-    tol = as_fraction(tol)
-    upper_point = point.shifted()
-    last = None
-    for t in reference_tolerances(tol):
-        g_hi = evaluate(upper_point, t, max_depth=max_depth)
-        g_lo = evaluate(point, t, max_depth=max_depth)
-        bound = theorem_bound(point, t)
-        last = (g_hi, g_lo, bound)
-        if g_hi.lo > bound.hi and bound.lo > g_lo.hi:
-            upper = CheckReport(
-                point=point,
-                claim=Claim.SANDWICH_UPPER,
-                left=g_hi,
-                right=bound,
-                gap=g_hi.lo - bound.hi,
-            )
-            lower = CheckReport(
-                point=point,
-                claim=Claim.SANDWICH_LOWER,
-                left=bound,
-                right=g_lo,
-                gap=bound.lo - g_lo.hi,
-            )
-            return upper, lower
-    g_hi, g_lo, bound = last
-    raise InconclusiveError(
-        f"sandwich enclosures still overlap at m={point.m}, lam={point.lam}",
-        claim=Claim.SANDWICH_UPPER,
-        left=g_hi,
-        right=bound,
-    )
-
-
 def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH):
     """check_g_above_one over reference_tolerances, letting a budget error propagate."""
     if point.m < 1:
@@ -263,36 +221,6 @@ def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX
         claim=Claim.ABOVE_ONE,
         left=enc,
         right=unit,
-    )
-
-
-def reference_check_reciprocal(lam, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX_DEPTH):
-    """check_reciprocal over reference_tolerances, letting a budget error propagate."""
-    lam = as_fraction(lam)
-    tol = as_fraction(tol)
-    p0 = CFPoint(Fraction(0), lam)
-    p1 = CFPoint(Fraction(1), lam)
-    g0 = g1 = None
-    for t in reference_tolerances(tol):
-        g0 = evaluate(p0, t, max_depth=max_depth)
-        g1 = evaluate(p1, t, max_depth=max_depth)
-        if not (g0.lo * g1.lo <= 1 <= g0.hi * g1.hi):
-            raise ViolationError(
-                f"product interval excludes 1 at lam={lam}: {g0} * {g1}"
-            )
-        if g0.hi < 1:
-            return CheckReport(
-                point=p0,
-                claim=Claim.RECIPROCAL,
-                left=g0,
-                right=g1,
-                gap=1 - g0.hi,
-            )
-    raise InconclusiveError(
-        f"G(0, lam) enclosure still touches 1 at lam={lam}",
-        claim=Claim.RECIPROCAL,
-        left=g0,
-        right=g1,
     )
 
 

@@ -85,12 +85,18 @@ def test_criterion_3_sandwich_certification():
     ok = True
     for m, lam in SANDWICH_GRID:
         upper, lower = check_sandwich(CFPoint(m, lam), TOL12)
+        g1, window, g0 = upper.left, upper.right, lower.right
         for rep in (upper, lower):
-            if rep.gap <= 0:
+            if rep.gap <= 0 or rep.gap != window.width:
                 ok = False
-            if rep.left.width > TOL12 or rep.right.width > TOL12:
-                ok = False
-        if not (upper.left.lo > upper.right.hi and lower.left.lo > lower.right.hi):
+        if g1.width > TOL12 or g0.width > TOL12:
+            ok = False
+        # G(m) < B < G(m+1): B, the positive root of y**2 - m*lam*y - 1, lies
+        # strictly inside the window between the two enclosures
+        c = m * lam
+        if not (g0.hi == window.lo < window.hi == g1.lo and lower.left == window):
+            ok = False
+        if not window.lo**2 - c * window.lo - 1 < 0 < window.hi**2 - c * window.hi - 1:
             ok = False
     report(3, "sandwich inequality", ok)
 
@@ -202,8 +208,8 @@ EXIT_TABLE = [
          "--max-depth", "50", "--tol", "1e-9"],
         2,
     ),
-    # G(0, 1) in [2/3, 1] at depth 1 touches B(0, 1) = 1
-    (["check", "sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"], 3),
+    # G(1, 1/4) in [35/44, 9/4] at depth 1 straddles B(0, 1/4) = 1
+    (["check", "sandwich", "--m", "0", "--lambda", "1/4", "--max-depth", "1"], 3),
     (["witness", "--m", "9/10", "--grid-list", "1,2"], 4),
 ]
 

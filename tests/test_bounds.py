@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 from conftest import (
     reference_check_g_above_one,
-    reference_check_reciprocal,
-    reference_check_sandwich,
     reference_theorem_bound,
     reference_tolerances,
 )
@@ -18,7 +16,6 @@ from cfcert import (
     BudgetExceededError,
     CFCertError,
     CFPoint,
-    CheckReport,
     Claim,
     DomainError,
     Enclosure,
@@ -32,6 +29,7 @@ from cfcert import (
     evaluate,
 )
 from cfcert.bounds import theorem_bound
+from cfcert.cf_core import _mapped
 
 PHI = Fraction("1.618033988749894848204587")  # (1 + sqrt 5) / 2
 THREE_PLUS_SQRT10 = Fraction("6.162277660168379331998894")
@@ -47,6 +45,23 @@ points = st.builds(
 def separated(report) -> bool:
     """The report's left enclosure lies above its right one, by exactly its gap."""
     return report.gap > 0 and report.gap == report.left.lo - report.right.hi
+
+
+def sandwiched(point, upper, lower) -> bool:
+    """The two halves are one certificate: G(m), mapped from the tail G(m+1),
+    lies below it, and both halves carry the window between the two, with
+    its width as gap.  B(m, lam) lies strictly inside the window: the
+    quadratic y**2 - c*y - 1 is negative at its lower end and positive at
+    its upper end."""
+    g1, window, g0 = upper.left, upper.right, lower.right
+    c = point.m * point.lam
+    return (
+        g0 == _mapped(point, g1)
+        and lower.left == window
+        and (window.lo, window.hi) == (g0.hi, g1.lo)
+        and upper.gap == lower.gap == window.width > 0
+        and window.lo**2 - c * window.lo - 1 < 0 < window.hi**2 - c * window.hi - 1
+    )
 
 
 def overlap(report) -> bool:
@@ -141,16 +156,17 @@ class TestTheoremBound:
 
 class TestSandwich:
     def test_m0_lambda1(self):
-        upper, lower = check_sandwich(CFPoint(0, 1))
-        assert separated(upper) and separated(lower)
-        assert upper.gap > 0 and lower.gap > 0
+        point = CFPoint(0, 1)
+        upper, lower = check_sandwich(point)
+        assert sandwiched(point, upper, lower)
         # G(1,1) > 1 > G(0,1) with the documented approximate magnitudes
         assert upper.left.lo > Fraction(14, 10)
         assert lower.right.hi < Fraction(7, 10)
 
     def test_m1_lambda1(self):
-        upper, lower = check_sandwich(CFPoint(1, 1))
-        assert separated(upper) and separated(lower)
+        point = CFPoint(1, 1)
+        upper, lower = check_sandwich(point)
+        assert sandwiched(point, upper, lower)
         assert upper.left.lo > PHI - Fraction(1, 10**6)  # G(2,1) above the bound
         assert upper.right.lo <= PHI <= upper.right.hi
 
@@ -159,14 +175,19 @@ class TestSandwich:
             check_sandwich(CFPoint(Fraction(-1, 2), 1))
 
     def test_inconclusive_when_tightening_capped(self):
-        # G(0, 1) in [2/3, 1] at depth 1 touches B(0, 1) = 1
-        with pytest.raises(InconclusiveError):
-            check_sandwich(CFPoint(0, 1), Fraction(9, 10), max_depth=1)
+        # G(1, 1/4) in [0.795, 2.25] at depth 1 straddles B(0, 1/4) = 1
+        point = CFPoint(0, Fraction(1, 4))
+        with pytest.raises(InconclusiveError) as exc:
+            check_sandwich(point, Fraction(9, 10), max_depth=1)
+        g1, g0 = exc.value.left, exc.value.right
+        assert exc.value.claim is Claim.SANDWICH_UPPER
+        assert (g1.lo, g1.hi, g1.depth) == (Fraction(35, 44), Fraction(9, 4), 1)
+        assert g0 == _mapped(point, g1)
 
     def test_certificate_stable_under_tighter_tol(self):
-        u1, l1 = check_sandwich(CFPoint(2, Fraction(1, 2)), Fraction(1, 10**8))
-        u2, l2 = check_sandwich(CFPoint(2, Fraction(1, 2)), Fraction(1, 10**14))
-        assert all(separated(r) for r in (u1, u2, l1, l2))
+        point = CFPoint(2, Fraction(1, 2))
+        for tol in (Fraction(1, 10**8), Fraction(1, 10**14)):
+            assert sandwiched(point, *check_sandwich(point, tol))
 
     @given(
         m=st.fractions(min_value=0, max_value=3, max_denominator=10),
@@ -176,7 +197,7 @@ class TestSandwich:
     def test_coherence_with_above_one(self, m, lam):
         point = CFPoint(m, lam)
         upper, lower = check_sandwich(point)
-        assert separated(upper) and separated(lower)
+        assert sandwiched(point, upper, lower)
         assert separated(check_g_above_one(point.shifted()))
 
 
@@ -223,44 +244,21 @@ class TestReciprocal:
     def test_certified(self, lam):
         report = check_reciprocal(lam)
         assert report.gap == 1 - report.left.hi > 0
-        assert report.left.lo * report.right.lo <= 1 <= report.left.hi * report.right.hi
+        # G(0, lam) is mapped from G(1, lam): its ends are the reciprocals of the tail's
+        assert report.left == _mapped(CFPoint(0, lam), report.right)
+        assert report.left.lo * report.right.hi == 1 == report.left.hi * report.right.lo
 
     def test_gap_positive(self):
         report = check_reciprocal(1)
         assert report.gap == 1 - report.left.hi > 0
 
 
-def _sandwich_decides(point, t, g_hi, g_lo):
-    bound = theorem_bound(point, t)
-    return (g_hi.lo > bound.hi and bound.lo > g_lo.hi), [g_hi, g_lo, bound]
-
-
-# claim -> (check, reference, points evaluated per tolerance, verdict and
-# carried enclosures at tolerance t)
-CHECKS = {
-    "sandwich": (
-        check_sandwich, reference_check_sandwich,
-        lambda p: [p.shifted(), p], _sandwich_decides,
-    ),
-    "above-one": (
-        check_g_above_one, reference_check_g_above_one,
-        lambda p: [p],
-        lambda p, t, g: (g.lo > 1, [g, Enclosure(1, 1, 0, EvalMode.EXACT)]),
-    ),
-    "reciprocal": (
-        check_reciprocal, reference_check_reciprocal,
-        lambda p: [CFPoint(0, p.lam), CFPoint(1, p.lam)],
-        lambda p, t, g0, g1: (g0.hi < 1, [g0, g1]),
-    ),
-}
-
-
-def _carried(got):
-    """The enclosures a check outcome carries, in evaluation order, then the bound."""
-    if isinstance(got, (InconclusiveError, CheckReport)):
-        return [got.left, got.right]
-    upper, lower = got  # the sandwich (upper, lower) pair
-    return [upper.left, lower.right, upper.right]
+def _evaluated(point, t, max_depth):
+    """evaluate at t, or its best enclosure out of budget; and whether it was out."""
+    try:
+        return evaluate(point, t, max_depth=max_depth), False
+    except (BudgetExceededError, NotConvergedError) as exc:
+        return exc.best, True
 
 
 def _outcome(fn, *args, **kwargs):
@@ -276,8 +274,7 @@ def _comparable(got):
     return got
 
 
-@given(
-    claim=st.sampled_from(sorted(CHECKS)),
+CHECK_ARGS = dict(
     m=st.fractions(min_value=0, max_value=3, max_denominator=BIG_DEN),
     # both sides of the 1/64 directed cutoff
     lam=st.sampled_from([997, BIG_DEN]).flatmap(
@@ -286,54 +283,116 @@ def _comparable(got):
     tol=st.builds(lambda k, e: Fraction(k, 10**e), st.integers(1, 9), st.integers(0, 32)),
     max_depth=st.sampled_from([3, 12, DEFAULT_MAX_DEPTH]),
 )
-@example(claim="above-one", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
+
+
+@given(**CHECK_ARGS)
+@example(m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
          max_depth=3)  # G(1, 1) > 1 from its depth-3 enclosure
-@example(claim="reciprocal", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
-         max_depth=1)  # [2/3, 1] touches 1: inconclusive
-@example(claim="sandwich", m=Fraction(1), lam=Fraction(1, 100), tol=Fraction(1, 10**12),
-         max_depth=12)
-# G(1, 1) > 1 = B(0, 1) holds at depth 1, but G(0, 1) in [2/3, 1] touches B
-@example(claim="sandwich", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
-         max_depth=1)
-# B - G(m) is about 7e-37, below the reference's 1e-30 floor
-@example(claim="sandwich", m=Fraction(10**12), lam=Fraction(10**12), tol=Fraction(1, 10**12),
-         max_depth=DEFAULT_MAX_DEPTH)
-@settings(max_examples=200, deadline=None)
-def test_checks_match_tightening_reference(claim, m, lam, tol, max_depth):
-    check, reference, points_of, decides = CHECKS[claim]
-    point = CFPoint(m + 1 if claim == "above-one" else m, lam)
-    arg = lam if claim == "reciprocal" else point
-    got = _outcome(check, arg, tol, max_depth=max_depth)
+@settings(max_examples=100, deadline=None)
+def test_checks_match_tightening_reference(m, lam, tol, max_depth):
+    point = CFPoint(m + 1, lam)
+    got = _outcome(check_g_above_one, point, tol, max_depth=max_depth)
     try:
-        want = reference(arg, tol, max_depth=max_depth)
+        want = reference_check_g_above_one(point, tol, max_depth=max_depth)
     except (BudgetExceededError, NotConvergedError, InconclusiveError):
         want = None
-    except CFCertError as exc:
-        want = exc
     if want is not None:
         assert _comparable(got) == _comparable(want)
         return
     # the reference gave up at its 1e-30 floor or the depth budget; the check
     # goes on to a verdict or the first tolerance where an evaluation is out
-    # of budget, and judges the enclosures reached there
+    # of budget, and judges the enclosure reached there
     for t in reference_tolerances(tol, floor=None):
-        encs, out = [], False
-        for p in points_of(point):
-            try:
-                encs.append(evaluate(p, t, max_depth=max_depth))
-            except (BudgetExceededError, NotConvergedError) as exc:
-                encs.append(exc.best)
-                out = True
-        certified, carried = decides(point, t, *encs)
+        enc, out = _evaluated(point, t, max_depth)
+        certified = enc.lo > 1
         if certified or out:
             break
-    if certified:
-        assert not isinstance(got, CFCertError)
-        assert _carried(got) == carried
-    else:
-        assert isinstance(got, InconclusiveError)
-        assert _carried(got) == carried[:2]
+    assert isinstance(got, InconclusiveError) is not certified
+    assert (got.left, got.right) == (enc, Enclosure(1, 1, 0, EvalMode.EXACT))
+
+
+def _bound_cell_inside(point, window) -> bool:
+    """Some cell of reference_theorem_bound's bisection lies inside ``window``."""
+    t = window.width
+    for _ in range(64):
+        t /= 2**16
+        lo, hi = reference_theorem_bound(point, t)
+        if window.lo < lo and hi < window.hi:
+            return True
+    return False
+
+
+def _parent_rule(claim, point, tol, max_depth):
+    """The tolerance where G(m+1) and G(m), each evaluated directly, and
+    theorem_bound's cell of B at the same tolerance, first certify, or None.
+
+    At m = 0 the reciprocal claim G(0) < 1 is decided on G(0) alone.  Like
+    the checks, it stops at the first tolerance where an evaluation is out
+    of budget.
+    """
+    for t in reference_tolerances(tol, floor=None):
+        (g1, out1), (g0, out0) = (_evaluated(p, t, max_depth) for p in (point.shifted(), point))
         if claim == "sandwich":
-            g_hi, _, bound = carried
-            assert got.claim is (Claim.SANDWICH_LOWER if g_hi.lo > bound.hi
-                                 else Claim.SANDWICH_UPPER)
+            bound = theorem_bound(point, t)
+            holds = g1.lo > bound.hi and bound.lo > g0.hi
+        else:
+            holds = g0.hi < 1
+        if holds:
+            return t
+        if out1 or out0:
+            return None
+
+
+@given(claim=st.sampled_from(["reciprocal", "sandwich"]), **CHECK_ARGS)
+# G(1, 1) in [10/7, 3/2] at depth 1 lies above 1 = B(0, 1)
+@example(claim="reciprocal", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
+         max_depth=1)
+@example(claim="sandwich", m=Fraction(0), lam=Fraction(1), tol=Fraction(1, 10**12),
+         max_depth=1)
+# G(1, 1/4) in [35/44, 9/4] at depth 1 straddles 1: inconclusive
+@example(claim="reciprocal", m=Fraction(0), lam=Fraction(1, 4), tol=Fraction(1, 10**12),
+         max_depth=1)
+@example(claim="sandwich", m=Fraction(0), lam=Fraction(1, 4), tol=Fraction(1, 10**12),
+         max_depth=1)
+@example(claim="sandwich", m=Fraction(1), lam=Fraction(1, 100), tol=Fraction(1, 10**12),
+         max_depth=12)
+# B - G(m) is about 7e-37
+@example(claim="sandwich", m=Fraction(10**12), lam=Fraction(10**12), tol=Fraction(1, 10**12),
+         max_depth=DEFAULT_MAX_DEPTH)
+@settings(max_examples=200, deadline=None)
+def test_one_tail_decides_sandwich_and_reciprocal(claim, m, lam, tol, max_depth):
+    point = CFPoint(0 if claim == "reciprocal" else m, lam)
+    c = point.m * point.lam
+    # one tail enclosure per tolerance: the first G(m+1) whose lower end y
+    # has y*(y - c) > 1 lies above B(m, lam), which is 1 at m = 0, and then
+    # G(m) = c + 1/G(m+1) lies below it; or the first out of budget
+    for t in reference_tolerances(tol, floor=None):
+        g1, out = _evaluated(point.shifted(), t, max_depth)
+        certified = g1.lo * (g1.lo - c) > 1
+        if certified or out:
+            break
+    if claim == "sandwich":
+        got = _outcome(check_sandwich, point, tol, max_depth=max_depth)
+        inconclusive = isinstance(got, InconclusiveError)
+        got_g1, got_g0 = (got.left, got.right) if inconclusive else (got[0].left, got[1].right)
+    else:
+        got = _outcome(check_reciprocal, lam, tol, max_depth=max_depth)
+        got_g0, got_g1 = got.left, got.right
+    assert isinstance(got, InconclusiveError) is not certified
+    assert got_g1 == g1
+    # G(m) is mapped from that tail: m*lam + 1/hi, m*lam + 1/lo
+    assert got_g0 == _mapped(point, g1)
+    assert (got_g0.lo, got_g0.hi) == (c + 1 / g1.hi, c + 1 / g1.lo)
+    # a certificate holds exactly where the mapped G(m) lies below G(m+1)
+    assert certified is (got_g0.hi < got_g1.lo if claim == "sandwich" else got_g0.hi < 1)
+    if certified and claim == "sandwich":
+        upper, lower = got
+        assert sandwiched(point, upper, lower)
+        assert _bound_cell_inside(point, upper.right)
+    elif certified:
+        assert got.gap == 1 - got_g0.hi > 0
+    # wherever the rule that evaluated G(m) too and bounded B at the same
+    # tolerance certifies, the tail certifies at that tolerance or a looser one
+    parent = _parent_rule(claim, point, tol, max_depth)
+    if parent is not None:
+        assert certified and t >= parent

@@ -409,15 +409,21 @@ class TestEvalEnclosure:
             (CFPoint(10**201, Fraction(1, 10**200)), Fraction(1, 10**300), True),
             (CFPoint(2**1000, Fraction(1, 2**998)), Fraction(1, 10**300), True),
             (CFPoint(4 * 10**160, Fraction(1, 10**160)), Fraction(1, 10**300), True),
-            # lam * lam is inf, and so is P after a few steps: the prediction
-            # falls short, and the exact steps go on from it
-            (CFPoint(0, 2**600), Fraction(1, 2**100000), False),
+            # lam * lam is inf, and x_0 * x_1 is too: the run starts from
+            # P_0 scaled into [1/2, 1) and rescales every step
+            (CFPoint(0, 2**600), Fraction(1, 2**100000), True),
             # huge m: m + 1 + k is one float for every k, in lgamma too
             (CFPoint(10**15, Fraction(1, 10**14)), Fraction(1, 10**300), True),
             (CFPoint(10**300, 1), Fraction(1, 10**300), True),
             # lam near 2**1024: x or P is inf from the first step
             (CFPoint(1, 2**1023), Fraction(1, 10**300), True),
             (CFPoint(-1 + Fraction(1, 2**60), 2**1024 - 2**970), Fraction(1, 10**300), True),
+            (CFPoint(0, 2**1000), Fraction(1, 2**400000), True),
+            # m + 1 + k is not one float: lgamma loses the differences, so
+            # the run steps on past J = 64 rather than take the closed form
+            (CFPoint(10**20, Fraction(1, 10**19)), Fraction(1, 10**3000), True),
+            # x = 2**400 from the first term, with lam**-2 = 2**1000
+            (CFPoint(2**900, Fraction(1, 2**500)), Fraction(1, 2**20000), True),
         ],
     )
     def test_prediction_at_float_edges(self, point, tol, near):

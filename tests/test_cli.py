@@ -33,11 +33,11 @@ from cfcert.cli import (
 )
 
 
-#: per claim, a check whose depth budget leaves its row undecided
+#: per claim, a check whose depth budget leaves its rows undecided
 UNDECIDED = {
     "above-one": ("check", "above-one", "--m", "1", "--lambda", "1e-10"),
-    "reciprocal": ("check", "reciprocal", "--lambda", "1", "--max-depth", "1"),
-    "sandwich": ("check", "sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"),
+    "reciprocal": ("check", "reciprocal", "--lambda", "1/4", "--max-depth", "1"),
+    "sandwich": ("check", "sandwich", "--m", "0", "--lambda", "1/4", "--max-depth", "1"),
 }
 
 
@@ -128,12 +128,18 @@ class TestCheck:
             (("reciprocal", "--lambda", "1", "--max-depth", "3"), EXIT_OK, [True]),
             (("sandwich", "--m", "1", "--lambda", "1", "--max-depth", "3"),
              EXIT_OK, [True, True]),
-            # G(0, 1) in [2/3, 1] at depth 1 still touches 1
-            (("reciprocal", "--lambda", "1", "--max-depth", "1"), EXIT_INCONCLUSIVE, [False]),
+            # G(1, 1/4) in [35/44, 9/4] at depth 1 still straddles 1, so
+            # G(0, 1/4), mapped from it, does too
+            (("reciprocal", "--lambda", "1/4", "--max-depth", "1"), EXIT_INCONCLUSIVE, [False]),
             (("functional", "--m", "1", "--lambda", "1", "--max-depth", "3"), EXIT_OK, [True]),
-            # ... and B(0, 1) = 1: the lower half fails, and its row is printed
+            # ... and 1 = B(0, 1/4): both sandwich rows are printed, uncertified
+            (("sandwich", "--m", "0", "--lambda", "1/4", "--max-depth", "1"),
+             EXIT_INCONCLUSIVE, [False, False]),
+            # G(1, 1) in [10/7, 3/2] at depth 1 lies above 1 = B(0, 1), and
+            # G(0, 1), mapped from it, below
+            (("reciprocal", "--lambda", "1", "--max-depth", "1"), EXIT_OK, [True]),
             (("sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"),
-             EXIT_INCONCLUSIVE, [False]),
+             EXIT_OK, [True, True]),
         ],
     )
     def test_out_of_budget_check_judges_best_enclosures(self, capsys, argv, want_code,
@@ -156,14 +162,18 @@ class TestCheck:
             assert captured.out == ""
             assert "unrecognized arguments: --max-tighten" in captured.err
 
-    def test_sandwich_inconclusive_row_is_the_failing_half(self, capsys):
-        code, out = run(capsys, "check", "sandwich", "--m", "0", "--lambda", "1",
+    def test_sandwich_inconclusive_prints_both_rows(self, capsys):
+        code, out = run(capsys, "check", "sandwich", "--m", "0", "--lambda", "1/4",
                         "--max-depth", "1")
         assert code == EXIT_INCONCLUSIVE
-        (rec,) = parse_records(out, "csv")
-        # G(0, 1) in [2/3, 1] touches B(0, 1) = 1; G(1, 1) in [10/7, 3/2] is above it
-        assert (rec.command, rec.lo, rec.hi, rec.certified) == (
-            "check-sandwich-lower", "0.666666666666666", "1", False)
+        upper, lower = parse_records(out, "csv")
+        # G(1, 1/4) in [35/44, 9/4] straddles B(0, 1/4) = 1, and so does
+        # G(0, 1/4), mapped from it to [4/9, 44/35]
+        assert [(r.command, r.lo, r.hi, r.depth, r.certified) for r in (upper, lower)] == [
+            ("check-sandwich-upper", "0.795454545454545", "2.25", 1, False),
+            ("check-sandwich-lower", "0.444444444444444", "1.25714285714286", 1, False),
+        ]
+        assert reverify_records([upper, lower])
 
     def test_sandwich_gap_below_former_floor(self, capsys):
         # B - G(m) is about 7e-37 here, below the 1e-30 where tightening
@@ -392,8 +402,8 @@ class TestRecordFormat:
         code, out = run(capsys, *argv)
         assert code == EXIT_OK
         recs = parse_records(out, "csv")
-        if claim in UNDECIDED:  # a row its depth budget left undecided
-            (undecided,) = parse_records(run(capsys, *UNDECIDED[claim])[1], "csv")
+        if claim in UNDECIDED:  # rows their depth budget left undecided
+            undecided = parse_records(run(capsys, *UNDECIDED[claim])[1], "csv")
 
         def recertify(*args, **kwargs):
             raise AssertionError("a claim was certified afresh")
@@ -420,10 +430,11 @@ class TestRecordFormat:
             with pytest.raises(ValueError, match="functional verdict did not reproduce"):
                 reverify_records([r._replace(certified=False) for r in recs])
             return
-        # the undecided row, printed as certified
-        assert reverify_records([undecided])
-        with pytest.raises(ValueError, match=f"{undecided.command} verdict does not hold"):
-            reverify_records([undecided._replace(certified=True)])
+        # each undecided row, printed as certified
+        assert reverify_records(undecided)
+        for rec in undecided:
+            with pytest.raises(ValueError, match=f"{rec.command} verdict does not hold"):
+                reverify_records([rec._replace(certified=True)])
 
     @pytest.mark.parametrize(
         "argv",
@@ -458,13 +469,13 @@ class TestRecordFormat:
     @pytest.mark.parametrize(
         "argv, command, mode",
         [
-            # G(0, 1) in [2/3, 1] at depth 1 touches B(0, 1) = 1
-            (("sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"),
+            # G(0, 1/4), mapped from G(1, 1/4) at depth 1, straddles B(0, 1/4) = 1
+            (("sandwich", "--m", "0", "--lambda", "1/4", "--max-depth", "1"),
              "check-sandwich-lower", "exact"),
             # G(2, 1/100) at depth 5 still overlaps B(1, 1/100)
             (("sandwich", "--m", "1", "--lambda", "1/100", "--max-depth", "5"),
              "check-sandwich-upper", "directed-fixed-precision"),
-            (("reciprocal", "--lambda", "1", "--max-depth", "1"), "check-reciprocal", "exact"),
+            (("reciprocal", "--lambda", "1/4", "--max-depth", "1"), "check-reciprocal", "exact"),
             (("above-one", "--m", "1", "--lambda", "1e-10"),
              "check-above-one", "directed-fixed-precision"),
         ],
@@ -472,8 +483,9 @@ class TestRecordFormat:
     def test_reverify_uncertified_rows_meet_their_interval(self, capsys, argv, command, mode):
         code, out = run(capsys, "check", *argv)
         assert code == EXIT_INCONCLUSIVE
-        (rec,) = parse_records(out, "csv")
-        assert (rec.command, rec.certified, rec.mode) == (command, False, mode)
+        # a sandwich prints both its rows
+        (rec,) = [r for r in parse_records(out, "csv") if r.command == command]
+        assert (rec.certified, rec.mode) == (False, mode)
         assert reverify_records([rec])
         with pytest.raises(ValueError, match="does not regenerate"):
             reverify_records([rec._replace(lo="500", hi="600")])
@@ -721,7 +733,7 @@ SAMPLE_ARGVS = (
     ("check", "functional", "--m", "1", "--lambda", "1", "--tol", "1e-6"),
     ("check", "above-one", "--m", "1", "--lambda", "1", "--tol", "1e-6"),
     ("check", "reciprocal", "--lambda", "1", "--tol", "1e-6"),
-    ("check", "sandwich", "--m", "0", "--lambda", "1", "--max-depth", "1"),
+    ("check", "sandwich", "--m", "0", "--lambda", "1/4", "--max-depth", "1"),
     ("eval", "--m", "1/3", "--lambda", "1/100", "--tol", "1e-6"),
     ("scan", "--m", "1", "--grid-list", "1/1000,1/100", "--tol", "1e-6"),
     ("alpha", "--lambda", "1/100", "--g-tol", "1e-6"),
