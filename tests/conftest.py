@@ -23,14 +23,11 @@ from cfcert import (
     NotConvergedError,
     NoWitnessFoundError,
     TailNotBoundedError,
-    ViolationError,
     Witness,
     evaluate,
     scan,
-    series_ratio,
 )
 from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_INCONCLUSIVE
-from cfcert.bessel_oracle import MAX_TERMS
 from cfcert.cf_core import as_fraction
 
 #: the checks' former give-up: tightening stopped once the tolerance reached it
@@ -251,54 +248,6 @@ def reference_series_ratio(m: int, lam: Fraction, terms: int) -> tuple[Fraction,
     d_lo, d_hi = _reference_series_interval(m, x, terms)
     return n_lo / d_hi, n_hi / d_lo
 
-
-def reference_cross_check(
-    m,
-    lam,
-    tol=DEFAULT_TOL,
-    *,
-    max_depth=DEFAULT_MAX_DEPTH,
-    max_terms: int = MAX_TERMS,
-) -> CheckReport:
-    """Cross-check that builds every truncation's SeriesEnclosure and compares Fractions.
-
-    Reference for bessel_oracle.cross_check, which tests each width with
-    integer products: the two must return equal CheckReports, or raise the
-    same error, wherever the first truncation is within max_terms.
-    """
-    lam = as_fraction(lam)
-    tol = as_fraction(tol)
-    point = CFPoint(Fraction(m), lam)
-    cf_enc = evaluate(point, tol, max_depth=max_depth)
-    terms = max(8, (2 * lam.denominator) // lam.numerator + 8)
-    series = None
-    while True:
-        try:
-            series = series_ratio(m, lam, terms)
-        except TailNotBoundedError:
-            series = None
-        if series is not None and series.width <= tol:
-            break
-        if terms >= max_terms:
-            raise BudgetExceededError(
-                f"series width did not reach tol within {max_terms} terms",
-                best=series.as_enclosure() if series is not None else None,
-            )
-        terms = min(2 * terms, max_terms)
-    oracle = series.as_enclosure()
-    overlap = min(cf_enc.hi, oracle.hi) - max(cf_enc.lo, oracle.lo)
-    if overlap < 0:
-        raise ViolationError(
-            f"convergent and series enclosures disjoint at m={m}, lam={lam}: "
-            f"[{cf_enc.lo}, {cf_enc.hi}] vs [{oracle.lo}, {oracle.hi}]"
-        )
-    return CheckReport(
-        point=point,
-        claim=Claim.ORACLE,
-        left=cf_enc,
-        right=oracle,
-        gap=overlap,
-    )
 
 def _reference_side(enc: Enclosure) -> int:
     return _BELOW if enc.hi < 1 else _ABOVE if enc.lo > 1 else _STRADDLE

@@ -5,8 +5,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from conftest import reference_cross_check, reference_series_ratio
-from hypothesis import assume, example, given, settings
+from conftest import reference_series_ratio
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcert import (
@@ -152,29 +152,29 @@ class TestCrossCheck:
     @pytest.mark.parametrize(
         "m, lam, tol, max_terms",
         [
-            # the uncapped first truncation would sum 200008 terms
+            # the floor, about sqrt(2)/lam = 141421 terms, is over the budget
             (1, Fraction(1, 10**5), Fraction(1, 10**6), MAX_TERMS),
-            # 2/lam + 8 = 136 terms, over a budget of 8
+            # floors of 90 and 89 terms, over a budget of 8
             (0, Fraction(1, 64), Fraction(1, 10**10), 8),
             (3, Fraction(1, 64), Fraction(1, 10**10), 8),
         ],
     )
     def test_no_truncation_exceeds_max_terms(self, monkeypatch, m, lam, tol, max_terms):
         seen = []
-        kernel = bessel_oracle._series_bounds
+        kernel = bessel_oracle._horner
 
-        def recording(m, lam, terms):
-            seen.append(terms)
-            return kernel(m, lam, terms)
+        def recording(nu, aa, bb, last):
+            seen.append(last)
+            return kernel(nu, aa, bb, last)
 
-        monkeypatch.setattr(bessel_oracle, "_series_bounds", recording)
+        monkeypatch.setattr(bessel_oracle, "_horner", recording)
         start = time.perf_counter()
         with mock.patch.object(bessel_oracle, "MAX_TERMS", max_terms), \
                 pytest.raises(BudgetExceededError) as info:
             cross_check(m, lam, tol)
         assert time.perf_counter() - start < 2
         assert info.value.best is None  # the tail is not yet bounded at max_terms
-        assert seen == [max_terms]
+        assert seen == []  # nothing is summed when the floor exceeds the budget
 
     @given(
         m=st.integers(min_value=0, max_value=8),
@@ -193,17 +193,69 @@ class TestCrossCheck:
         max_terms=st.sampled_from([8, 16, 100, MAX_TERMS]),
     )
     @example(m=0, lam=Fraction(1, 4), tol=Fraction(1, 10**40), max_terms=16)  # budget, best set
+    @example(m=1, lam=Fraction(1, 4), tol=Fraction(1, 10**40), max_terms=8)  # floor over budget
+    @example(m=1, lam=Fraction(1), tol=Fraction(1, 10**40), max_terms=MAX_TERMS)  # 21, floor 1
+    @example(m=2, lam=Fraction(16, 997), tol=Fraction(1, 10), max_terms=MAX_TERMS)  # 87, the floor
     @settings(max_examples=150, deadline=None)
-    def test_matches_reference(self, m, lam, tol, max_terms):
-        # wider first truncations are covered by test_no_truncation_exceeds_max_terms
-        assume(max(8, (2 * lam.denominator) // lam.numerator + 8) <= max_terms)
-
-        def outcome(check, **kwargs):
+    def test_accepts_the_least_passing_truncation(self, m, lam, tol, max_terms):
+        def fits(terms):
             try:
-                return check(m, lam, tol, **kwargs)
-            except BudgetExceededError as exc:
-                return type(exc), str(exc), exc.best
+                return terms >= 1 and series_ratio(m, lam, terms).width <= tol
+            except TailNotBoundedError:
+                return False
 
-        with mock.patch.object(bessel_oracle, "MAX_TERMS", max_terms):
-            got = outcome(cross_check)
-        assert got == outcome(reference_cross_check, max_terms=max_terms)
+        passes = []
+        kernel = bessel_oracle._horner
+
+        def counting(nu, aa, bb, last):
+            passes.append(nu)
+            return kernel(nu, aa, bb, last)
+
+        with mock.patch.object(bessel_oracle, "MAX_TERMS", max_terms), \
+                mock.patch.object(bessel_oracle, "_horner", counting):
+            try:
+                report = cross_check(m, lam, tol)
+            except BudgetExceededError as exc:
+                report = exc
+        if isinstance(report, BudgetExceededError):
+            # as before: nothing within the budget fits, and best is the
+            # truncation at the budget once its tail is bounded
+            assert str(report) == f"series width did not reach tol within {max_terms} terms"
+            assert not fits(max_terms)
+            try:
+                want = series_ratio(m, lam, max_terms).as_enclosure()
+            except TailNotBoundedError:
+                want = None
+            assert report.best == want
+            assert sorted(passes) == ([] if want is None else sorted(bessel_oracle._orders(m)))
+            return
+        n = report.right.depth
+        assert n <= max_terms
+        assert fits(n) and not fits(n - 1)
+        # one Horner pass per series, whatever the float estimate was
+        assert sorted(passes) == sorted(bessel_oracle._orders(m))
+        enc = series_ratio(m, lam, n)
+        assert report.right == enc.as_enclosure()
+        assert (enc.lo, enc.hi) == reference_series_ratio(m, lam, n)
+        assert report.left == evaluate(CFPoint(m, lam), tol)
+        shared = min(report.left.hi, report.right.hi) - max(report.left.lo, report.right.lo)
+        assert report.gap == shared >= 0
+
+    @pytest.mark.parametrize("guess", ["floor", "floor + 40", "budget"])
+    @pytest.mark.parametrize(
+        "m, lam, tol",
+        [(1, Fraction(1), Fraction(1, 10**40)), (0, Fraction(30, 997), Fraction(1, 10**14)),
+         (5, Fraction(45, 997), Fraction(1, 10**19)), (2, Fraction(1, 100), Fraction(1, 10**6))],
+    )
+    def test_estimate_only_places_the_pass(self, monkeypatch, m, lam, tol, guess):
+        want = cross_check(m, lam, tol)
+        steer = {
+            "floor": lambda lo, hi: lo,
+            "floor + 40": lambda lo, hi: min(lo + 40, hi),
+            "budget": lambda lo, hi: hi,
+        }[guess]
+        monkeypatch.setattr(
+            bessel_oracle, "_predicted_terms", lambda m, a, b, tol, g, lo, hi: steer(lo, hi)
+        )
+        with mock.patch.object(bessel_oracle, "MAX_TERMS", 400):
+            assert cross_check(m, lam, tol) == want
