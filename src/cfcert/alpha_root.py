@@ -18,13 +18,13 @@ from fractions import Fraction
 
 from .cf_core import (
     DEFAULT_MAX_DEPTH,
-    DIRECTED_LAMBDA_CUTOFF,
     CFPoint,
     Enclosure,
     RationalLike,
     _best,
     _check_budget,
     _depth_guess,
+    _exact_routed,
     _pair_enclosure,
     _side_of_one,
     _tightened,
@@ -85,7 +85,7 @@ def classify_vs_one(
     costs passes up to max_depth; find_alpha sends such points one
     evaluation, not this call.
     """
-    if point.lam >= DIRECTED_LAMBDA_CUTOFF:
+    if _exact_routed(point.lam):
         m, lam = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
         side, pair = _side_of_one(*m, *lam, max_depth)
         return side, _pair_enclosure(point, pair)
@@ -171,7 +171,7 @@ def find_alpha(
     if bracket_tol <= 0 or g_tol <= 0:
         raise DomainError("tolerances must be positive")
     _check_budget(max_depth)
-    exact = lam >= DIRECTED_LAMBDA_CUTOFF
+    exact = _exact_routed(lam)
     target = bracket_tol / 4
 
     try:

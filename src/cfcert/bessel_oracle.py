@@ -9,10 +9,10 @@ pair as a hard Violation, so agreement is established empirically over the
 whole test grid.
 
 All arithmetic is on integers.  With h = x/2 = a/b, each truncated series
-is summed as one numerator and denominator by a backward Horner pass in
-which every step multiplies the big integers by small ones.  The two
-Horner denominators, products of b**2 * k * (k + nu) over k = 1..T, never
-enter the quotient: their ratio telescopes,
+is a numerator over a denominator, and one forward Horner pass sums both
+numerators, where every step multiplies the big integers by small ones.
+The two denominators, products of b**2 * k * (k + nu) over k = 1..T, are
+never formed: their ratio telescopes,
 
     d_den / n_den = prod_k (k + m) / (k + m - 1) = (T + m) / m    (m >= 1)
     d_den / n_den = prod_k k / (k + 1)           = 1 / (T + 1)    (m = 0),
@@ -23,9 +23,9 @@ term ratio at the truncation point is below 1/2, the tail is at most twice
 the first omitted term; that ratio is checked before any term is summed.
 
 cross_check accepts the least truncation whose tail is bounded and whose
-interval is at most tol wide.  A float estimate places one Horner pass per
-series, and exact integer tests settle the truncation from there: one
-term is dropped from, or added to, both sums without a new pass.  The
+interval is at most tol wide.  A float estimate places the Horner pass,
+and exact integer tests settle the truncation from there: one term is
+dropped from, or added to, both sums without a new pass.  The
 Fractions are built once, for the accepted truncation, so enclosures are
 reproducible bit for bit and do not depend on the platform.
 """
@@ -71,20 +71,22 @@ def _tail_den(nu: int, a: int, b: int, last: int) -> int:
     return q
 
 
-def _horner(nu: int, aa: int, bb: int, last: int) -> tuple[int, int]:
-    """(num, den) with num/den = (t_0 + ... + t_last) / t_0 for S_nu, h**2 = aa/bb.
+def _horner(m: int, aa: int, bb: int, last: int, start=(0, 1, 1, 1)) -> tuple[int, int, int, int]:
+    """(last, n_num, d_num, aa**last): both series of _orders(m) to ``last``,
+    h**2 = aa/bb, continued from ``start``, that tuple at an earlier truncation.
 
-    Summed backward: num/den <- 1 + h**2/(k (k+nu)) * num/den for k = last
-    down to 1.  The final den is the product of the weights bb*k*(k+nu), so
-    t_last = t_0 * aa**last / den, and num = sum_j aa**j * w_{j+1} ... w_last
-    with w_k = bb*k*(k+nu).  So num(last) - aa**last = w_last * num(last - 1):
-    one term is dropped, or added, without a new pass.
+    For S_nu, num/den = (t_0 + ... + t_last) / t_0 with den = w_1 ... w_last,
+    w_k = bb*k*(k+nu), which no caller needs (_den_ratio), so t_last =
+    t_0 * aa**last / den and num = sum_j aa**j * w_{j+1} ... w_last.  Horner's
+    rule sums it forward, num(k) = w_k * num(k - 1) + aa**k, so one term is
+    added by one more step, and dropped by num(k - 1) = (num(k) - aa**k) / w_k.
     """
-    num = den = 1
-    for k in range(last, 0, -1):
-        wd = bb * k * (k + nu) * den
-        num, den = wd + aa * num, wd
-    return num, den
+    top, bot = _orders(m)
+    k, n_num, d_num, p = start
+    for k in range(k + 1, last + 1):
+        w, p = bb * k, p * aa
+        n_num, d_num = w * (k + top) * n_num + p, w * (k + bot) * d_num + p
+    return last, n_num, d_num, p
 
 
 def _orders(m: int) -> tuple[int, int]:
@@ -119,7 +121,7 @@ def _series_bounds(
     aa, bb = a * a, b * b
     # 2 * t_last * rho = t_0 * tail / (den * q)
     tail = 2 * aa ** (terms + 1)
-    n_num, d_num = nums or (_horner(top, aa, bb, terms)[0], _horner(bot, aa, bb, terms)[0])
+    n_num, d_num = nums or _horner(m, aa, bb, terms)[1:3]
     rn, rd = _den_ratio(m, terms)
     # t_0 = h**nu / nu!, so r_num / r_den = t_0(top) / t_0(bot) * d_den / n_den
     r_num = a**top * b**bot * factorial(bot) * rn
@@ -280,12 +282,12 @@ def cross_check(
       does not: P_{T+1} + 2 t_{T+2} = P_T + t_{T+1} * (1 + 2 rho_{T+1}),
       and rho_{T+1} < 1/2.  So the quotient's width strictly falls, and the
       test "bounded and width <= tol" holds from N on and nowhere before.
-    - A float estimate (_predicted_terms) places one Horner pass per series
-      at a T >= T0.  The last term is dropped from both sums while the
-      test holds one term shorter.  If none was dropped, terms are added
-      until the test holds.  Neither needs a new pass (_horner), and each
-      test is exact (_fits).  By the nesting the T reached is N, whatever
-      the estimate was.
+    - A float estimate (_predicted_terms) places the Horner pass, which
+      sums both series, at a T >= T0.  The last term is dropped from both
+      sums while the test holds one term shorter.  If none was dropped,
+      terms are added until the test holds.  Neither needs a new pass
+      (_horner), and each test is exact (_fits).  By the nesting the T
+      reached is N, whatever the estimate was.
     No truncation is longer than MAX_TERMS.  BudgetExceededError is raised
     at once, with no best, when T0 is longer, and with the enclosure at
     MAX_TERMS when that one is still wider than tol.
@@ -303,27 +305,20 @@ def cross_check(
     terms = _predicted_terms(m, a, b, tol, cf_enc.hi, floor, MAX_TERMS)
     top, bot = _orders(m)
     aa, bb = a * a, b * b
-    n_num, d_num = _horner(top, aa, bb, terms)[0], _horner(bot, aa, bb, terms)[0]
-    p, fitted = aa**terms, False
-    while terms > floor:  # drop t_terms: num - aa**terms = w_terms * num(terms - 1)
-        w = bb * terms
-        prev = (
-            terms - 1,
-            (n_num - p) // (w * (terms + top)),
-            (d_num - p) // (w * (terms + bot)),
-            p // aa,
-        )
+    state, fitted = _horner(m, aa, bb, terms), False
+    while state[0] > floor:  # drop t_T from both sums (_horner)
+        t, n_num, d_num, p = state
+        w = bb * t
+        prev = (t - 1, (n_num - p) // (w * (t + top)), (d_num - p) // (w * (t + bot)), p // aa)
         if not _fits(m, a, b, *prev, tol):
             break
-        (terms, n_num, d_num, p), fitted = prev, True
-    while not fitted and not _fits(m, a, b, terms, n_num, d_num, p, tol):
-        if terms >= MAX_TERMS:
-            best = _series_enclosure(_series_bounds(m, lam, terms, (n_num, d_num)), terms)
+        state, fitted = prev, True
+    while not fitted and not _fits(m, a, b, *state, tol):
+        if state[0] >= MAX_TERMS:
+            best = _series_enclosure(_series_bounds(m, lam, state[0], state[1:3]), state[0])
             raise BudgetExceededError(exhausted, best=best.as_enclosure())
-        terms, p = terms + 1, p * aa  # add t_terms to both sums
-        w = bb * terms
-        n_num, d_num = w * (terms + top) * n_num + p, w * (terms + bot) * d_num + p
-    oracle = _series_enclosure(_series_bounds(m, lam, terms, (n_num, d_num)), terms).as_enclosure()
+        state = _horner(m, aa, bb, state[0] + 1, state)  # add t_{T+1} to both sums
+    oracle = _series_enclosure(_series_bounds(m, lam, state[0], state[1:3]), state[0]).as_enclosure()
     overlap = min(cf_enc.hi, oracle.hi) - max(cf_enc.lo, oracle.lo)
     if overlap < 0:
         raise ViolationError(

@@ -201,12 +201,18 @@ def check_reciprocal(
     """Certify G(0, lam) < 1, with G(0, lam) = 1/G(1, lam).
 
     G(0, lam), mapped from G(1, lam), is [1/hi, 1/lo]: it lies below 1
-    where G(1, lam) lies above.  The report carries G(0) as left, G(1) as
-    right.
+    where G(1, lam) lies above.  The map widens the tail by 1/(lo*hi), so
+    where a tail that met tol t maps to a G(0) wider than t, it is evaluated
+    again at t*lo**2: the tail nests, so its image is at most t wide and at
+    least as deep as G(0, lam) evaluated at t, and certifies wherever that
+    does.  The report carries G(0) as left, G(1) as right.
     """
-    p0 = CFPoint(0, lam)
-    for _, (g1,) in _tightened([p0.shifted()], tol, max_depth):
+    p0, p1 = CFPoint(0, lam), CFPoint(1, lam)
+    for t, (g1,) in _tightened([p1], tol, max_depth):
         g0 = _mapped(p0, g1)
+        if g1.lo <= 1 and g1.depth < max_depth and g0.width > t:
+            g1 = _best(p1, t * g1.lo**2, max_depth)[0]
+            g0 = _mapped(p0, g1)
         if g1.lo > 1:
             return CheckReport(p0, Claim.RECIPROCAL, g0, g1, 1 - g0.hi)
     raise InconclusiveError(

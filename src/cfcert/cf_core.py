@@ -29,7 +29,6 @@ evaluation stops there, and every layer above takes it as a keyword.
 
 from __future__ import annotations
 
-import numbers
 from collections import namedtuple
 from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
@@ -47,6 +46,12 @@ DEFAULT_MAX_DEPTH = 10_000
 #: below this lam, exact numerators blow up (the depth that meets tol grows
 #: like sqrt(2 ln(1/tol) / lam), see _depth_guess)
 DIRECTED_LAMBDA_CUTOFF = Fraction(1, 64)
+
+
+def _exact_routed(lam: Fraction) -> bool:
+    """lam >= DIRECTED_LAMBDA_CUTOFF, as a cross product of integers."""
+    cut = DIRECTED_LAMBDA_CUTOFF
+    return lam.numerator * cut.denominator >= cut.numerator * lam.denominator
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -87,33 +92,35 @@ class CFPoint(_Checked, namedtuple("CFPoint", "m lam")):
     """Parameter pair (m, lam); the fraction's j-th term is (m + j) * lam.
 
     An immutable named tuple.  Construction coerces both to Fraction and
-    rejects m <= -1 and lam <= 0, so downstream code never has to re-check
-    the standing hypotheses.
+    rejects m <= -1 and lam <= 0, on numerators and positive denominators,
+    so downstream code never has to re-check the standing hypotheses.
     """
 
     __slots__ = ()
 
     def __new__(cls, m: RationalLike, lam: RationalLike) -> CFPoint:
         m, lam = as_fraction(m), as_fraction(lam)
-        if m <= -1:
+        if m.numerator <= -m.denominator:
             raise DomainError(f"m must exceed -1, got {m}")
-        if lam <= 0:
+        if lam.numerator <= 0:
             raise DomainError(f"lam must be positive, got {lam}")
         return tuple.__new__(cls, (m, lam))
 
     def shifted(self) -> CFPoint:
         """The (m + 1, lam) point whose fraction is the all-positive tail."""
-        return CFPoint(self.m + 1, self.lam)
+        a, b = self.m.as_integer_ratio()
+        return CFPoint(_coprime(a + b, b), self.lam)
 
 
 class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode tol")):
     """Closed interval [lo, hi] certified to contain G at some point.
 
-    An immutable named tuple; construction rejects lo > hi.  ``depth`` is
-    the convergent index (exact mode) or backward-pass length (directed
-    mode) that produced the bounds.  ``tol`` is the Fraction a directed
-    evaluation ran at, and None otherwise: with the depth as budget, it
-    rebuilds the same enclosure (eval_directed).
+    An immutable named tuple; construction rejects lo > hi, by cross products
+    of integers where both ends are int or Fraction.  ``depth`` is the
+    convergent index (exact mode) or backward-pass length (directed mode)
+    that produced the bounds.  ``tol`` is the Fraction a directed evaluation
+    ran at, and None otherwise: with the depth as budget, it rebuilds the
+    same enclosure (eval_directed).
     """
 
     __slots__ = ()
@@ -121,7 +128,8 @@ class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode tol")):
     def __new__(
         cls, lo: Fraction, hi: Fraction, depth: int, mode: EvalMode, tol: Fraction | None = None
     ) -> Enclosure:
-        if lo > hi:
+        exact = type(lo) in (int, Fraction) and type(hi) in (int, Fraction)
+        if (lo.numerator * hi.denominator > hi.numerator * lo.denominator) if exact else lo > hi:
             raise ValueError(f"malformed enclosure: {lo} > {hi}")
         return tuple.__new__(cls, (lo, hi, depth, mode, tol))
 
@@ -179,22 +187,14 @@ def _scaled_convergents(a: int, b: int, c: int, d: int) -> Iterator[tuple[int, i
         p, q, p_prev, q_prev = u * p + dd * p_prev, u * q + dd * q_prev, p, q
 
 
-class _Lowest:
-    """A numerator and a positive denominator already in lowest terms.
-
-    It is registered as a numbers.Rational, so Fraction(x) copies the two
-    fields instead of reducing them again (fractions.Fraction.__new__, every
-    version from 3.10 on).
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int) -> None:
-        self.numerator = numerator
-        self.denominator = denominator
-
-
-numbers.Rational.register(_Lowest)
+def _coprime(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, with no gcd and no type
+    dispatch: the slots are set as CPython 3.12's Fraction._from_coprime_ints
+    sets them, on every version pyproject.toml admits (3.10 to 3.13)."""
+    f = object.__new__(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
 
 
 def _reduced(num: int, den: int, k: int) -> Fraction:
@@ -205,7 +205,7 @@ def _reduced(num: int, den: int, k: int) -> Fraction:
     gcd(h**2, num, den), and the exponents it removes can double from round
     to round.  Each round costs remainders by a modulus no wider than the
     square of the common factor, linear in the width of num, where the gcd
-    that Fraction(num, den) runs is quadratic.
+    that Fraction(num, den) runs is quadratic.  _coprime builds the result.
     """
     h = gcd(k, num % k, den % k)
     while h > 1:
@@ -213,11 +213,12 @@ def _reduced(num: int, den: int, k: int) -> Fraction:
         den //= h
         h *= h
         h = gcd(h, num % h, den % h)
-    return Fraction(_Lowest(num, den))
+    return _coprime(num, den)
 
 
 def _from_tail(
-    point: CFPoint, t_lo: tuple[int, int], t_hi: tuple[int, int], depth: int, mode: EvalMode
+    point: CFPoint, t_lo: tuple[int, int], t_hi: tuple[int, int], depth: int, mode: EvalMode,
+    tol: Fraction | None = None,
 ) -> Enclosure:
     """Map tail bounds t_lo <= G(m+1, lam) <= t_hi to G(m, lam) = m*lam + 1/tail.
 
@@ -233,10 +234,10 @@ def _from_tail(
       divides D**(2n+1) and D divides bd;
     - directed ends (t, S) with S = D * 2**bits;
     - _mapped's (num, den) of a reduced Fraction, which are coprime.
+    So both ends come out coprime, and the enclosure is built once.
     """
-    m, lam = point.m, point.lam
-    ac = m.numerator * lam.numerator
-    bd = m.denominator * lam.denominator
+    (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
+    ac, bd = a * c, b * d
     k = 2 * bd
     (p_lo, q_lo), (p_hi, q_hi) = t_lo, t_hi
     return Enclosure(
@@ -244,6 +245,7 @@ def _from_tail(
         hi=_reduced(ac * p_lo + bd * q_lo, bd * p_lo, k),
         depth=depth,
         mode=mode,
+        tol=tol,
     )
 
 
@@ -251,7 +253,7 @@ def _mapped(point: CFPoint, tail: Enclosure) -> Enclosure:
     """G(point) by _from_tail from ``tail``, an enclosure of G(m+1, lam),
     with the tail's depth, mode and tol."""
     lo, hi = tail.lo.as_integer_ratio(), tail.hi.as_integer_ratio()
-    return _from_tail(point, lo, hi, tail.depth, tail.mode)._replace(tol=tail.tol)
+    return _from_tail(point, lo, hi, tail.depth, tail.mode, tail.tol)
 
 
 #: matrices per leaf of _step_product's tree, multiplied in sequence
@@ -286,8 +288,9 @@ def _predicted_depth(point: CFPoint, tol: Fraction, max_depth: int) -> int:
     while x_n is finite.  At the first J >= 64 with x_J >= 4 the run stops
     and _closed_depth goes on from P_J; where it loses a float, the run
     steps on."""
+    (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
     try:
-        m1, lam = float(point.m + 1), float(point.lam)
+        m1, lam = (a + b) / b, c / d  # float(m + 1), float(lam): one rounding each
     except OverflowError:
         return 1
     if not (m1 and lam):
@@ -421,7 +424,7 @@ def eval_enclosure(
     attached when the tolerance is unreachable within it.
     """
     tol = as_fraction(tol)
-    if tol <= 0:
+    if tol.numerator <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     _check_budget(max_depth)
     m, lam = point.m, point.lam
@@ -635,27 +638,23 @@ def eval_directed(
     is still above tol at ``max_depth``.
     """
     tol = as_fraction(tol)
-    if tol <= 0:
+    if tol.numerator <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     _check_budget(max_depth)
-    shift = point.shifted()
-    a, b = shift.m.numerator, shift.m.denominator
-    c = point.lam.numerator
-    big_d = b * point.lam.denominator
+    (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
+    a, big_d = a + b, b * d  # the tail at m + 1 = a/b
     tol_bits = (tol.denominator // tol.numerator).bit_length()
     best: Enclosure | None = None
     depth = min(_depth_guess(point.lam, tol), max_depth)
-    if point.lam >= DIRECTED_LAMBDA_CUTOFF:
+    if _exact_routed(point.lam):
         depth = max(depth, _predicted_depth(point, tol, max_depth))
     while True:
         bits = tol_bits + (2 * depth + 2).bit_length() + 24
         t_lo, t_hi, scale = _directed_tail(a, b, c, big_d, depth, bits)
-        enc = _from_tail(point, (t_lo, scale), (t_hi, scale), depth, EvalMode.DIRECTED)
-        lo, hi = enc.lo, enc.hi
-        if best is not None:
-            # successive passes both contain G, so the intersection does too
-            lo, hi = max(lo, best.lo), min(hi, best.hi)
-        best = Enclosure(lo, hi, depth, EvalMode.DIRECTED, tol)
+        enc = _from_tail(point, (t_lo, scale), (t_hi, scale), depth, EvalMode.DIRECTED, tol)
+        # successive passes both contain G, so the intersection does too
+        best = enc if best is None else Enclosure(
+            max(enc.lo, best.lo), min(enc.hi, best.hi), depth, EvalMode.DIRECTED, tol)
         if best.width <= tol:
             return best
         if depth >= max_depth:
@@ -676,7 +675,7 @@ def evaluate(
 ) -> Enclosure:
     """Evaluate with mode routing: exact for ordinary lam, directed below the cutoff."""
     if mode == "auto":
-        mode = EvalMode.EXACT if point.lam >= DIRECTED_LAMBDA_CUTOFF else EvalMode.DIRECTED
+        mode = EvalMode.EXACT if _exact_routed(point.lam) else EvalMode.DIRECTED
     elif mode in ("directed", EvalMode.DIRECTED):
         mode = EvalMode.DIRECTED
     elif mode in ("exact", EvalMode.EXACT):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 import pytest
@@ -90,14 +91,44 @@ class TestSeriesRatio:
         assert got == want
 
     def test_horner_denominator_ratio_telescopes(self):
-        # d_den / n_den = prod (k + bot) / (k + top), which _den_ratio states in closed form
+        # d_den / n_den = prod (k + bot) / (k + top), the products of the
+        # weights 3*k*(k + nu) that _horner never forms; _den_ratio states it
+        # in closed form
         for m in range(11):
             top, bot = _orders(m)
+            n_den = d_den = 1
             for terms in range(1, 301):
+                n_den *= 3 * terms * (terms + top)
+                d_den *= 3 * terms * (terms + bot)
                 rn, rd = _den_ratio(m, terms)
-                _, n_den = _horner(top, 1, 3, terms)
-                _, d_den = _horner(bot, 1, 3, terms)
                 assert d_den * rd == n_den * rn
+
+    @given(
+        m=st.integers(min_value=0, max_value=8),
+        aa=st.integers(min_value=1, max_value=10**7),
+        bb=st.integers(min_value=1, max_value=10**7),
+        last=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_horner_sums_both_numerators(self, m, aa, bb, last):
+        # num = sum_j aa**j * w_{j+1} ... w_last with w_k = bb*k*(k + nu), for
+        # each order of _orders(m); a pass continued from an earlier
+        # truncation ends where the whole pass does; and one term drops:
+        # num(last) - aa**last = w_last * num(last - 1)
+        def num(nu, t):
+            return sum(aa**j * prod(bb * k * (k + nu) for k in range(j + 1, t + 1))
+                       for j in range(t + 1))
+
+        top, bot = _orders(m)
+        whole = _horner(m, aa, bb, last)
+        assert whole == (last, num(top, last), num(bot, last), aa**last)
+        for k in {0, last // 2, last}:
+            assert _horner(m, aa, bb, last, _horner(m, aa, bb, k)) == whole
+        if last:
+            _, n_num, d_num, p = whole
+            w = bb * last
+            assert (n_num - p, d_num - p) == (
+                w * (last + top) * num(top, last - 1), w * (last + bot) * num(bot, last - 1))
 
 
 def test_real_order_ratio_spot_check():
@@ -163,9 +194,9 @@ class TestCrossCheck:
         seen = []
         kernel = bessel_oracle._horner
 
-        def recording(nu, aa, bb, last):
+        def recording(m, aa, bb, last, *start):
             seen.append(last)
-            return kernel(nu, aa, bb, last)
+            return kernel(m, aa, bb, last, *start)
 
         monkeypatch.setattr(bessel_oracle, "_horner", recording)
         start = time.perf_counter()
@@ -207,9 +238,10 @@ class TestCrossCheck:
         passes = []
         kernel = bessel_oracle._horner
 
-        def counting(nu, aa, bb, last):
-            passes.append(nu)
-            return kernel(nu, aa, bb, last)
+        def counting(order, aa, bb, last, *start):
+            if not start:  # a pass from the first term; adding a term continues one
+                passes.append(order)
+            return kernel(order, aa, bb, last, *start)
 
         with mock.patch.object(bessel_oracle, "MAX_TERMS", max_terms), \
                 mock.patch.object(bessel_oracle, "_horner", counting):
@@ -227,13 +259,13 @@ class TestCrossCheck:
             except TailNotBoundedError:
                 want = None
             assert report.best == want
-            assert sorted(passes) == ([] if want is None else sorted(bessel_oracle._orders(m)))
+            assert passes == ([] if want is None else [m])
             return
         n = report.right.depth
         assert n <= max_terms
         assert fits(n) and not fits(n - 1)
-        # one Horner pass per series, whatever the float estimate was
-        assert sorted(passes) == sorted(bessel_oracle._orders(m))
+        # one Horner pass over both series, whatever the float estimate was
+        assert passes == [m]
         enc = series_ratio(m, lam, n)
         assert report.right == enc.as_enclosure()
         assert (enc.lo, enc.hi) == reference_series_ratio(m, lam, n)

@@ -359,15 +359,24 @@ def _parent_rule(claim, point, tol, max_depth):
 # B - G(m) is about 7e-37
 @example(claim="sandwich", m=Fraction(10**12), lam=Fraction(10**12), tol=Fraction(1, 10**12),
          max_depth=DEFAULT_MAX_DEPTH)
+# G(0) at tol 2/5 has depth 4 and lies below 1; G(1) at 2/5 has depth 2,
+# dips below 1 and maps to a G(0) wider than 2/5, so it is evaluated again
+@example(claim="reciprocal", m=Fraction(0), lam=Fraction(246, 997), tol=Fraction(4),
+         max_depth=12)
 @settings(max_examples=200, deadline=None)
 def test_one_tail_decides_sandwich_and_reciprocal(claim, m, lam, tol, max_depth):
     point = CFPoint(0 if claim == "reciprocal" else m, lam)
     c = point.m * point.lam
     # one tail enclosure per tolerance: the first G(m+1) whose lower end y
     # has y*(y - c) > 1 lies above B(m, lam), which is 1 at m = 0, and then
-    # G(m) = c + 1/G(m+1) lies below it; or the first out of budget
+    # G(m) = c + 1/G(m+1) lies below it; or the first out of budget.  A
+    # reciprocal tail that maps to a G(0) wider than t is evaluated again at
+    # t * lo**2, below max_depth
     for t in reference_tolerances(tol, floor=None):
         g1, out = _evaluated(point.shifted(), t, max_depth)
+        if (claim == "reciprocal" and g1.lo <= 1 and g1.depth < max_depth
+                and _mapped(point, g1).width > t):
+            g1 = _evaluated(point.shifted(), t * g1.lo**2, max_depth)[0]
         certified = g1.lo * (g1.lo - c) > 1
         if certified or out:
             break

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
 import math
+import operator
+import pickle
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -39,6 +42,7 @@ from cfcert.cf_core import (
     _BOUND_BITS,
     _LEAF,
     _best,
+    _coprime,
     _depth_guess,
     _directed_tail,
     _exact_at,
@@ -188,6 +192,74 @@ class TestCFPoint:
         p = CFPoint("0.1", "1/3")
         assert p.m == Fraction(1, 10)
         assert p.lam == Fraction(1, 3)
+
+
+TINY = Fraction(1, 10**40)
+
+
+class TestIntegerChecks:
+    """The order, domain, tol and routing checks compare numerators and
+    denominators; each boundary falls exactly where the Fraction comparison
+    puts it."""
+
+    def test_domain_boundaries(self):
+        # caught: m.numerator < -m.denominator and lam.numerator < 0
+        for m, lam in [(-1, 1), (-1 - TINY, 1), (1, 0), (1, -TINY), (1, -3)]:
+            with pytest.raises(DomainError):
+                CFPoint(m, lam)
+        point = CFPoint(-1 + TINY, TINY)
+        assert (point.m, point.lam) == (-1 + TINY, TINY)
+
+    def test_shifted_adds_one(self):
+        # caught: a shift that drops the denominator, a + 1 for a + b
+        for m in (-1 + TINY, Fraction(-1, 2), 0, Fraction(7, 3), 10**40):
+            shift = CFPoint(m, 1).shifted()
+            assert type(shift.m) is Fraction and shift.m == m + 1
+            assert shift.m.as_integer_ratio() == (m + 1).as_integer_ratio()
+
+    def test_enclosure_order_boundaries(self):
+        # caught: >= for >, a cross product that mixes up the two ends, and
+        # float or bool ends let into the integer path
+        k = 3 * 10**39
+        ordered = [
+            (Fraction(k, 10**40), Fraction(k, 10**40)),
+            (Fraction(k, 10**40), Fraction(k + 1, 10**40)),
+            (1, 1),
+            (1, 1 + TINY),
+            (1 - TINY, 1),
+            (0, TINY),
+            (0.3, Fraction(3, 10)),  # the float 0.3 lies a little below 3/10
+        ]
+        for lo, hi in ordered:
+            assert Enclosure(lo, hi, 1, EvalMode.EXACT)[:2] == (lo, hi)
+        for lo, hi in ordered:
+            if lo != hi:
+                with pytest.raises(ValueError, match="malformed enclosure"):
+                    Enclosure(hi, lo, 1, EvalMode.EXACT)
+        # other types keep the generic comparison: here a float and a bool
+        # raise and pass where they always did
+        with pytest.raises(ValueError, match="malformed enclosure"):
+            Enclosure(0.5, 0.25, 1, EvalMode.EXACT)
+        with pytest.raises(ValueError, match="malformed enclosure"):
+            Enclosure(True, Fraction(1, 2), 1, EvalMode.EXACT)
+        assert Enclosure(False, 0.5, 1, EvalMode.EXACT).hi == 0.5
+        with pytest.raises(TypeError):
+            Enclosure("1", 2, 1, EvalMode.EXACT)
+
+    @pytest.mark.parametrize("evaluator", [eval_enclosure, eval_directed])
+    def test_tol_boundaries(self, evaluator):
+        # caught: tol.numerator < 0
+        for tol in (0, -TINY, -1):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                evaluator(CFPoint(1, 1), tol)
+        assert evaluator(CFPoint(1, 1), TINY).width <= TINY
+
+    def test_routing_at_the_cutoff(self):
+        # caught: lam > cutoff routing 1/64 itself to directed mode
+        cut = cf_core.DIRECTED_LAMBDA_CUTOFF
+        for lam, mode in [(cut, EvalMode.EXACT), (cut + TINY, EvalMode.EXACT),
+                          (cut - TINY, EvalMode.DIRECTED)]:
+            assert evaluate(CFPoint(1, lam), Fraction(1, 10**6)).mode is mode
 
 
 class TestTerm:
@@ -559,6 +631,7 @@ class TestFromTail:
         enc = _from_tail(point, t_lo, t_hi, 0, mode)
         for got, (p, q) in ((enc.lo, t_hi), (enc.hi, t_lo)):
             want = Fraction(ac * p + bd * q, bd * p)
+            assert type(got) is Fraction
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
     @given(point=tail_points(), depth=st.integers(1, 400))
@@ -614,6 +687,78 @@ class TestFromTail:
         assert (got.lo.numerator, got.lo.denominator, got.hi.numerator, got.hi.denominator,
                 got.depth) == (want.lo.numerator, want.lo.denominator, want.hi.numerator,
                                want.hi.denominator, want.depth)
+
+
+@contextmanager
+def int_str_digits(limit):
+    """Run the block with sys.set_int_max_str_digits(limit)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives or raises, in a form that compares by value and type."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    if isinstance(value, Fraction):
+        return type(value), value.numerator, value.denominator
+    if isinstance(value, float):
+        return float, value.hex()  # a nan compares equal to itself here
+    return type(value), value
+
+
+def observed(x, others):
+    """Everything a caller can see of the Fraction x: its own protocols, and
+    arithmetic and comparisons both ways with each of ``others``."""
+    seen = [outcome(f, x) for f in (
+        type, hash, repr, str, float, int, round, abs, operator.neg, bool,
+        lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy)]
+    seen += [outcome(lambda v: v == x, f(x)) for f in (copy.copy, copy.deepcopy)]
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv, operator.floordiv,
+           operator.mod, operator.lt, operator.le, operator.eq, operator.ne, operator.gt,
+           operator.ge)
+    seen += [outcome(op, *args) for y in others for op in ops for args in ((x, y), (y, x))]
+    return seen
+
+
+@st.composite
+def coprime_pairs(draw):
+    """(num, den) in lowest terms with den > 0, each 1 to 20000 bits, signed num."""
+    def sized(bits):
+        return draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+
+    num, den = sized(draw(st.integers(1, 20000))), sized(draw(st.integers(1, 20000)))
+    g = gcd(num, den)
+    return draw(st.sampled_from([1, -1])) * (num // g), den // g
+
+
+class TestCoprime:
+    """_coprime builds its Fraction without Fraction.__new__; nothing a caller
+    can do tells it apart from Fraction(num, den)."""
+
+    @given(
+        pair=coprime_pairs(),
+        y_int=st.integers(-(2**70), 2**70),
+        y_frac=st.fractions(max_denominator=10**30),
+        y_float=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @example(pair=(-1, 1), y_int=0, y_frac=Fraction(-1), y_float=-0.0)
+    @example(pair=(2**20000 - 1, 1), y_int=1, y_frac=Fraction(1, 3), y_float=1e308)
+    @example(pair=(-(3**12000), 2**19000), y_int=-7, y_frac=Fraction(5, 7), y_float=5e-324)
+    @settings(max_examples=60, deadline=None)
+    def test_indistinguishable_from_fraction(self, pair, y_int, y_frac, y_float):
+        # caught: a helper that builds a Fraction subclass, or swaps the slots
+        others = (y_int, y_frac, y_float)
+        # repr, str and pickle of ends past 4300 digits raise by default
+        for limit in (0, sys.get_int_max_str_digits()):
+            with int_str_digits(limit):
+                assert observed(_coprime(*pair), others) == observed(Fraction(*pair), others)
 
 
 class TestEvalDirected:
