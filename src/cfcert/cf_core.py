@@ -19,8 +19,8 @@ builds the convergents there; integer tests, each side first bounded to 64
 bits, settle the minimal depth.  Directed mode runs a backward
 interval pass: its deep end runs in binary64 with outward factors, and the
 rest over integers scaled by D * 2**bits (D = b*d at m = a/b, lam = c/d),
-where every term is exact and only the reciprocals round, outward; bits is
-bitlen(1/tol) plus a guard sized by the number of those roundings.  It
+where every term is exact and only the reciprocals round, outward; S has
+bitlen(1/tol) bits plus a guard sized by the number of those roundings.  It
 serves small lam, where exact numerators get impractically large.
 
 The one setting is the depth budget ``max_depth`` (at least 1): every
@@ -35,7 +35,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import count
-from math import frexp, gcd, isqrt, ldexp, lgamma, log, log2
+from math import asinh, ceil, frexp, gcd, isqrt, ldexp, lgamma, log, log2
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
 
@@ -592,9 +592,11 @@ def _depth_guess(lam: Fraction, tol: Fraction) -> int:
     meets tol near n = sqrt(2 ln(1/tol) / lam).  Integer arithmetic with
     2 ln 2 ~ 1386/1000 and ln(1/tol) ~ ln 2 * bitlen(1/tol), plus a margin.
     Near n, one more step takes about lam * n off the log of the width, so
-    the margin is the larger of n/16 steps and the ceil(4/(3*lam*n)) steps
-    that take 4/3 off it.  The second covers loose tol, where n/16 is too
-    few; from tol 1e-7 down the first is the larger at every lam <= 1/64.
+    the margin is the larger of n/32 steps and the ceil(4/(3*lam*n)) steps
+    that take 4/3 off it, plus 4.  The second covers loose tol, where n/32
+    is too few.  Over m in {-1/2, 0, 1/3, 1, 5}, 25 lam = k/10000019 from
+    1e-5 to 1/65 and tol 1e-3 to 1e-30, the guess lies 4 or more steps
+    above the least depth that meets tol, and 2.3% above it on average.
     Once the terms pass about 2 the growth slows to the factorial rate, so
     for large lam with tight tol the guess can fall short; there the caller
     starts from the exact depth instead.
@@ -602,7 +604,7 @@ def _depth_guess(lam: Fraction, tol: Fraction) -> int:
     tol_bits = (tol.denominator // tol.numerator).bit_length()
     n = isqrt(1386 * tol_bits * lam.denominator // (1000 * lam.numerator))
     log_margin = -(-4 * lam.denominator // (3 * lam.numerator * max(n, 1)))
-    return max(32, n + max(n // 16, log_margin) + 16)
+    return max(32, n + max(n // 32, log_margin) + 4)
 
 
 def eval_directed(
@@ -624,15 +626,28 @@ def eval_directed(
     of depth n rounds each end under one unit of 1/S per step, plus once at
     the handover: at most 2*n + 2 units.  Consecutive tail values have
     T_j * T_{j+1} = x_j * T_{j+1} + 1 >= 1, so the reciprocals that carry an
-    error back to G do not grow it over any two steps, nor over one at small
-    lam, where the tail values are near 1.  bits = bitlen(1/tol) +
-    bitlen(2*n + 2) + 24 then keeps the rounding about 2**-24 below tol.
+    error back to G grow it over no two steps, and in all by at most
+    max(1, 1/T_0**2).  Since G(k, lam) < B(k, lam) <= k*lam + 1 for k >= 0
+    (the sandwich), T_0 = G(m+1, lam) > 1/G(m+2, lam) > 1/((m+2)*lam + 1):
+    that factor is below 4**bitlen(floor((m+2)*lam)), and below 4 and near
+    1 at small lam, where the floor is 0.  The unit counts D's own bits:
+    bits = bitlen(1/tol) + bitlen(2*n + 2) + 24 + 2*bitlen(floor((m+2)*lam))
+    - (bitlen(D) - 1), at least 1, makes S >= 2**(bitlen(1/tol) +
+    bitlen(2*n + 2) + 24) times that bound on the factor, which keeps the
+    rounding about 2**-24 below tol.  S is still a multiple of D, so every
+    term stays an exact integer, and bits >= 1 keeps lo a positive integer.
 
-    The passes run at depths d0, 2*d0, ..., each capped at max_depth.  d0 is
-    _depth_guess, raised at lam >= DIRECTED_LAMBDA_CUTOFF to the exact depth
-    _predicted_depth, which a lower budget caps and does not move.  So the
-    result, which carries tol, is rebuilt bit for bit by this call at its
-    own tol with max_depth set to its depth.
+    The first pass runs at _depth_guess, raised at lam >= DIRECTED_LAMBDA_CUTOFF
+    to the exact depth _predicted_depth.  A pass at depth n that leaves the
+    intersection of the passes w wider than tol is followed by one at n + k,
+    capped at max_depth, with k = ceil(ln(w/tol) / (2*asinh(lam*n/2))):
+    past n the log of 1/(P_j P_{j-1}) falls by ln(P_{j+1}/P_{j-1}), about
+    2*asinh(x_j/2) or more a step, and x_j >= lam*n.  k is raised to twice
+    the k of the retry before, so a width that depth does not narrow reaches
+    max_depth in few passes, and kept from 1 to n.  Each depth depends only
+    on the point, tol and the widths before it, and a lower budget only caps
+    it.  So the result, which carries tol, is rebuilt bit for bit by this
+    call at its own tol with max_depth set to its depth.
 
     Raises NotConvergedError with the best enclosure attached when the width
     is still above tol at ``max_depth``.
@@ -643,13 +658,15 @@ def eval_directed(
     _check_budget(max_depth)
     (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
     a, big_d = a + b, b * d  # the tail at m + 1 = a/b
-    tol_bits = (tol.denominator // tol.numerator).bit_length()
+    guard = (tol.denominator // tol.numerator).bit_length() + 24 - (big_d.bit_length() - 1)
+    guard += 2 * ((a + b) * c // big_d).bit_length()  # 2*bitlen(floor((m+2)*lam))
     best: Enclosure | None = None
+    more = 0
     depth = min(_depth_guess(point.lam, tol), max_depth)
     if _exact_routed(point.lam):
         depth = max(depth, _predicted_depth(point, tol, max_depth))
     while True:
-        bits = tol_bits + (2 * depth + 2).bit_length() + 24
+        bits = max(guard + (2 * depth + 2).bit_length(), 1)
         t_lo, t_hi, scale = _directed_tail(a, b, c, big_d, depth, bits)
         enc = _from_tail(point, (t_lo, scale), (t_hi, scale), depth, EvalMode.DIRECTED, tol)
         # successive passes both contain G, so the intersection does too
@@ -663,7 +680,14 @@ def eval_directed(
                 f"at max_depth={max_depth}",
                 best=best,
             )
-        depth = min(2 * depth, max_depth)
+        # past depth the log width falls by about drop or more a step (lam is
+        # cut to 2**20 to convert to a double; the cut can only add steps)
+        drop = 2 * asinh(min(c, d << 20) / d * depth / 2)
+        w = best.width
+        deficit = log(w.numerator * tol.denominator) - log(w.denominator * tol.numerator)
+        fits = drop * depth > max(deficit, 0)  # and so drop > 0
+        more = min(max(ceil(deficit / drop), 2 * more, 1), depth) if fits else depth
+        depth = min(depth + more, max_depth)
 
 
 def evaluate(

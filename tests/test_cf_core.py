@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -828,8 +829,8 @@ class TestEvalDirected:
     @pytest.mark.parametrize(
         "point, tol, depth",
         [
-            # _depth_guess alone gives 38, 116 and 35, from which doubling
-            # passes run to 76, 464 and 140
+            # from _depth_guess alone the passes would run 32 then 40, 101
+            # then 202 and 291, and 32 then 64 and 71
             (CFPoint(Fraction(1, 3), 1), Fraction(1, 10**100), 41),
             (CFPoint(0, Fraction(1, 2)), Fraction(1, 10**1000), 288),
             (CFPoint(2, 4), Fraction(1, 10**300), 72),
@@ -851,7 +852,7 @@ class TestEvalDirected:
         assert enc.depth <= 280
 
     def test_tiny_lambda_tight_tol_single_pass(self):
-        # minimal sufficient depth ~3750; a second (doubled) pass would pass 7000
+        # minimal sufficient depth ~3750; one pass runs, not far past it
         tol = Fraction(1, 10**30)
         enc = eval_directed(CFPoint(1, Fraction(1, 10**5)), tol)
         assert enc.width <= tol
@@ -859,7 +860,7 @@ class TestEvalDirected:
 
     def test_single_pass_across_small_lam_sweep(self):
         # small-lam-sweep's range: lam = k/10000019 log-spaced in [1e-5, 1/65];
-        # a second pass at double depth would show up in the bench's depth_sum
+        # a second pass would show up in the bench's depth_sum
         ks = [round(101 * (153846 / 101) ** (i / 24)) for i in range(25)]
         lams = [Fraction(k, 10000019) for k in ks]
         assert Fraction(1, 10**5) <= lams[0] and lams[-1] <= Fraction(1, 65)
@@ -872,6 +873,100 @@ class TestEvalDirected:
             if eval_directed(CFPoint(m, lam), tol).depth != _depth_guess(lam, tol)
         ]
         assert misses == []
+
+    @given(
+        k=st.integers(10**4, 153846),
+        m=st.one_of(
+            st.fractions(min_value=Fraction(-1, 2), max_value=5, max_denominator=10**12),
+            st.builds(lambda j, b: Fraction(j, b) - 1, st.integers(1, 6 * 10**11),
+                      st.integers(10**11, 10**12)),
+        ),
+        e=st.integers(3, 20),
+    )
+    # D = b*d of 64 bits: bits is 67 + 10 + 24 - 63 = 38 at tol 1e-20 and
+    # clamps to 1 at tol 1e-3; and D of 24 bits, where bits is 40 + 8 + 24 - 23
+    @example(k=12345, m=Fraction(10**12 - 11, 10**12), e=20)
+    @example(k=12345, m=Fraction(10**12 - 11, 10**12), e=3)
+    @example(k=153846, m=Fraction(0), e=12)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_rounding_stays_2_to_the_24_below_tol(self, k, m, e):
+        # at eval_directed's own bits and depth the pass contains the exact
+        # pass from the same seed, and run on integers alone its outward
+        # rounding moves each end of G by at most tol / 2**24.  Caught:
+        # subtracting bitlen(D) - 1 twice (the unit 1/S grows by about D) and
+        # dropping the + 24 (the rounding reaches about tol)
+        point, tol = CFPoint(m, Fraction(k, 10000019)), Fraction(1, 10**e)
+        passes = []
+        with mock.patch.object(cf_core, "_directed_tail",
+                               lambda *args: passes.append(args) or _directed_tail(*args)):
+            eval_directed(point, tol)
+        ml = point.m * point.lam
+        for args in passes:
+            exact_lo, exact_hi = exact_directed_tail(*args[:-1])
+            lo, hi, scale = _directed_tail(*args)
+            assert Fraction(lo, scale) <= exact_lo <= exact_hi <= Fraction(hi, scale)
+            with mock.patch.object(cf_core, "_NARROW", math.inf):  # no float step
+                lo, hi, scale = _directed_tail(*args)
+            g_lo, g_hi = ml + Fraction(scale, hi), ml + Fraction(scale, lo)
+            assert 0 <= (ml + 1 / exact_hi) - g_lo <= tol / 2**24
+            assert 0 <= g_hi - (ml + 1 / exact_lo) <= tol / 2**24
+
+    def test_a_missed_pass_retries_below_twice_its_depth(self, monkeypatch):
+        # a first pass at 80% of the guess misses tol; the second runs where
+        # the measured width deficit says, not at double depth.  Caught: a
+        # return to doubling, and a retry too short to meet tol
+        point, tol = CFPoint(Fraction(1, 3), Fraction(1, 1000)), Fraction(1, 10**30)
+        guess = _depth_guess
+        monkeypatch.setattr(cf_core, "_depth_guess", lambda lam, t: guess(lam, t) * 4 // 5)
+        passes = []
+        monkeypatch.setattr(cf_core, "_directed_tail",
+                            lambda *args: passes.append(args[4]) or _directed_tail(*args))
+        enc = eval_directed(point, tol)
+        assert len(passes) == 2 and passes[1] < 2 * passes[0]
+        assert enc.depth == passes[1] and enc.width <= tol
+        assert eval_directed(point, enc.tol, max_depth=enc.depth) == enc
+
+    def test_huge_lam_near_m_minus_one_is_one_pass(self, monkeypatch):
+        # T_0 = G(m+1, lam) is about 1/lam here, so the map to G multiplies the
+        # tail's rounding by about lam**2 = 2**60, which bits adds back.
+        # Caught: dropping those bits (no pass meets tol, by rounding alone)
+        point, tol = CFPoint(Fraction(-1) + Fraction(1, 10**20), 10**9), Fraction(1, 10**10)
+        passes = []
+        monkeypatch.setattr(cf_core, "_directed_tail",
+                            lambda *args: passes.append(args[4]) or _directed_tail(*args))
+        enc = eval_directed(point, tol)
+        assert passes == [enc.depth] and enc.width <= tol
+
+    def test_retries_grow_where_depth_does_not_narrow(self, monkeypatch):
+        # starved of precision (bits = 1), the width stops shrinking with
+        # depth; each retry that falls short at least doubles the next one,
+        # so the budget is reached in few passes.  Caught: retries sized by
+        # the deficit alone, which step one depth at a time (about 10**4 passes)
+        point, tol = CFPoint(Fraction(-1) + Fraction(1, 10**20), 10**9), Fraction(1, 10**10)
+        passes = []
+        monkeypatch.setattr(cf_core, "_directed_tail",
+                            lambda *args: passes.append(args[4]) or _directed_tail(*args[:5], 1))
+        with pytest.raises(NotConvergedError):
+            eval_directed(point, tol)
+        assert passes[-1] == DEFAULT_MAX_DEPTH and len(passes) <= 20
+
+    @pytest.mark.parametrize(
+        "m, k, e",
+        [
+            # small-lam-sweep's m values and lam = k/10000019 across its range
+            (Fraction(-1, 2), 101, 30), (Fraction(1, 3), 208, 6), (Fraction(1), 431, 18),
+            (Fraction(-1, 2), 1000, 3), (Fraction(1, 3), 1847, 24), (Fraction(1), 3811, 12),
+            (Fraction(-1, 2), 7863, 9), (Fraction(1, 3), 16224, 27), (Fraction(1), 48766, 3),
+            (Fraction(1, 3), 153846, 15),
+        ],
+    )
+    def test_first_pass_overshoots_the_minimal_depth_by_little(self, m, k, e):
+        # the minimal depth is where exact evaluation first meets tol.  Caught:
+        # the margin creeping back (n/16 + 16 overshoots the deep points, a
+        # constant of 16 the shallow ones)
+        point, tol = CFPoint(m, Fraction(k, 10000019)), Fraction(1, 10**e)
+        minimal = eval_enclosure(point, tol).depth
+        assert eval_directed(point, tol).depth <= minimal * 1.05 + 8
 
     def test_float_stage_premises(self):
         # the outward-factor proof in _directed_tail assumes binary64 that

@@ -250,9 +250,9 @@ class TestAlphaScanWitnessOracle:
         assert code == EXIT_OK
         recs = parse_records(out, "csv")
         assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
-            ("alpha-lo", "4194303/8388608", True, 8499),
-            ("alpha-hi", "4194305/8388608", True, 8499),
-            ("alpha-mid", "1/2", None, 6867),
+            ("alpha-lo", "4194303/8388608", True, 8237),
+            ("alpha-hi", "4194305/8388608", True, 8237),
+            ("alpha-mid", "1/2", None, 6659),
         ]
         assert Fraction(recs[0].hi) < 1 < Fraction(recs[1].lo)
         assert reverify_records(recs)
@@ -264,12 +264,15 @@ class TestAlphaScanWitnessOracle:
 
     @pytest.mark.parametrize("mode", ["directed", "exact"])
     def test_eval_out_of_budget_beyond_the_float_range(self, capsys, mode):
-        # the best enclosure is about 1e316 wide: its width is no float
+        # the best enclosure is about 1e316 wide: its width is no float.  D
+        # has 1065 bits, so the directed pass runs at bits = 1, where its
+        # outward rounding shows in a width this far from converged
         code = main(["eval", "--m", "1/3", "--lambda", "1e-320", "--tol", "0.1",
                      "--max-depth", "200", "--mode", mode])
         captured = capsys.readouterr()
         assert code == EXIT_NOT_CONVERGED
-        assert "width 9.771e+315 > tol 1.000e-01 at max_depth=200" in captured.err
+        width = {"directed": "9.787e+315", "exact": "9.771e+315"}[mode]
+        assert f"width {width} > tol 1.000e-01 at max_depth=200" in captured.err
         (rec,) = parse_records(captured.out, "csv")
         assert rec.command == "eval" and rec.depth == 200 and Fraction(rec.hi) > 10**315
 
@@ -826,7 +829,7 @@ class TestReverifyRebuildsRows:
         code, out = run(capsys, "eval", "--m", "1/3", "--lambda", "1/100", "--format", "json")
         assert code == EXIT_OK
         (rec,) = parse_records(out, "json")
-        assert (rec.mode, rec.depth, rec.tol) == ("directed-fixed-precision", 94,
+        assert (rec.mode, rec.depth, rec.tol) == ("directed-fixed-precision", 80,
                                                   fraction_str(DEFAULT_TOL))
         point = CFPoint(Fraction(1, 3), Fraction(1, 100))
         fresh = evaluate(point, DEFAULT_TOL, mode="directed")
