@@ -55,7 +55,7 @@ __version__ = "0.1.0"
 #: submodule run on first use -> the public names it defines
 _DEFERRED = {
     "alpha_root": ("AlphaResult", "find_alpha"),
-    "bessel_oracle": ("SeriesEnclosure", "cross_check", "series_ratio"),
+    "bessel_oracle": ("cross_check", "series_ratio"),
     "bounds": (
         "CheckReport",
         "Claim",
@@ -162,7 +162,6 @@ __all__ = [
     "NoWitnessFoundError",
     "NotConvergedError",
     "ScanPoint",
-    "SeriesEnclosure",
     "TailNotBoundedError",
     "ViolationError",
     "Witness",

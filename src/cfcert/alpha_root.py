@@ -23,7 +23,7 @@ from .cf_core import (
     RationalLike,
     _best,
     _check_budget,
-    _depth_guess,
+    _depth_model,
     _exact_routed,
     _pair_enclosure,
     _side_of_one,
@@ -98,14 +98,16 @@ def classify_vs_one(
 def _newton_alpha(lam: Fraction, max_depth: int) -> float | None:
     """Double-precision Newton estimate of alpha, or None if it does not settle.
 
-    G(m) and dG/dm come from one backward pass over _depth_guess(lam, 2**-50)
-    terms, at most max_depth.  Newton starts at m = 1/2 and stays in
-    [0, 1/2], which holds alpha because G(1/2, lam) = coth(2/lam) > 1.
+    G(m) and dG/dm come from one backward pass over
+    _depth_model(CFPoint(0, lam), 2**-50, max_depth) terms, the start where
+    G(0, lam) meets 2**-50; a larger m only narrows the truncation.  Newton
+    starts at m = 1/2 and stays in [0, 1/2], which holds alpha because
+    G(1/2, lam) = coth(2/lam) > 1.
     Raises OverflowError when lam has no double, ZeroDivisionError when it
     rounds to zero.
     """
     x = float(lam)
-    depth = min(_depth_guess(lam, Fraction(1, 2**50)), max_depth)
+    depth = _depth_model(CFPoint(0, lam), Fraction(1, 2**50), max_depth)
     m = 0.5
     for _ in range(8):
         t, dt = (m + depth) * x, x

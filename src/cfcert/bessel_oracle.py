@@ -32,7 +32,6 @@ reproducible bit for bit and do not depend on the platform.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import ceil, factorial, isqrt, lgamma, log, prod
 
@@ -134,38 +133,25 @@ def _series_bounds(
     )
 
 
-class SeriesEnclosure(namedtuple("SeriesEnclosure", "lo hi terms_used")):
-    """Exact-rational interval for the series ratio, with the truncation index used.
-
-    An immutable named tuple: Fractions ``lo`` and ``hi``, int ``terms_used``.
-    """
-
-    __slots__ = ()
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def as_enclosure(self) -> Enclosure:
-        return Enclosure(lo=self.lo, hi=self.hi, depth=self.terms_used, mode=EvalMode.EXACT)
+def _summed(
+    m: int, lam: Fraction, terms: int, nums: tuple[int, int] | None = None
+) -> Enclosure:
+    """The interval of _series_bounds, reduced, as an exact-mode Enclosure
+    whose depth is the truncation."""
+    lo_num, lo_den, hi_num, hi_den = _series_bounds(m, lam, terms, nums)
+    return Enclosure(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den), terms, EvalMode.EXACT)
 
 
-def _series_enclosure(bounds: tuple[int, int, int, int], terms: int) -> SeriesEnclosure:
-    lo_num, lo_den, hi_num, hi_den = bounds
-    return SeriesEnclosure(
-        lo=Fraction(lo_num, lo_den), hi=Fraction(hi_num, hi_den), terms_used=terms
-    )
-
-
-def series_ratio(m: int, lam: RationalLike, terms: int) -> SeriesEnclosure:
-    """Rigorous quotient interval S_{m-1}(2/lam) / S_m(2/lam) truncated at ``terms``."""
+def series_ratio(m: int, lam: RationalLike, terms: int) -> Enclosure:
+    """Rigorous quotient interval S_{m-1}(2/lam) / S_m(2/lam) truncated at
+    ``terms``: an exact-mode Enclosure whose depth is ``terms``."""
     _check_order(m)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     lam = as_fraction(lam)
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    return _series_enclosure(_series_bounds(m, lam, terms), terms)
+    return _summed(m, lam, terms)
 
 
 def _least_root(nu: int, r: int) -> int:
@@ -274,7 +260,7 @@ def cross_check(
     """Certified-intersection test between the convergent and series enclosures.
 
     Disjoint enclosures would mean one engine is wrong and raise
-    ViolationError.  The series enclosure is series_ratio at the least
+    ViolationError.  The series enclosure is _summed at the least
     truncation N whose tail is bounded and whose width is at most tol:
     - The tail is bounded from the floor T0 (_floor_terms) on and at no T
       before it.  Past T0 the intervals nest.  Each lower end of a sum,
@@ -315,10 +301,9 @@ def cross_check(
         state, fitted = prev, True
     while not fitted and not _fits(m, a, b, *state, tol):
         if state[0] >= MAX_TERMS:
-            best = _series_enclosure(_series_bounds(m, lam, state[0], state[1:3]), state[0])
-            raise BudgetExceededError(exhausted, best=best.as_enclosure())
+            raise BudgetExceededError(exhausted, best=_summed(m, lam, state[0], state[1:3]))
         state = _horner(m, aa, bb, state[0] + 1, state)  # add t_{T+1} to both sums
-    oracle = _series_enclosure(_series_bounds(m, lam, state[0], state[1:3]), state[0]).as_enclosure()
+    oracle = _summed(m, lam, state[0], state[1:3])
     overlap = min(cf_enc.hi, oracle.hi) - max(cf_enc.lo, oracle.lo)
     if overlap < 0:
         raise ViolationError(

@@ -13,15 +13,16 @@ shifted tail at m + 1, where every term is positive, and mapped back through
 the shift identity G(m, lam) = m*lam + 1/G(m+1, lam).
 
 Two modes are provided.  Exact mode runs the convergent recurrence over big
-rationals; it is the reference semantics.  A float run, closed-form past
-its first terms, predicts the depth; one product tree of the step matrices
-builds the convergents there; integer tests, each side first bounded to 64
-bits, settle the minimal depth.  Directed mode runs a backward
-interval pass: its deep end runs in binary64 with outward factors, and the
-rest over integers scaled by D * 2**bits (D = b*d at m = a/b, lam = c/d),
-where every term is exact and only the reciprocals round, outward; S has
-bitlen(1/tol) bits plus a guard sized by the number of those roundings.  It
-serves small lam, where exact numerators get impractically large.
+rationals; it is the reference semantics.  A closed-form depth model,
+shared with directed mode, places the start; one product tree of the step
+matrices builds the convergents just below it; integer tests, each side
+first bounded to 64 bits, settle the minimal depth.  Directed mode runs a
+backward interval pass from the same start: its deep end runs in binary64
+with outward factors, and the rest over integers scaled by D * 2**bits
+(D = b*d at m = a/b, lam = c/d), where every term is exact and only the
+reciprocals round, outward; S has bitlen(1/tol) bits plus a guard sized by
+the number of those roundings.  It serves small lam, where exact numerators
+get impractically large.
 
 The one setting is the depth budget ``max_depth`` (at least 1): every
 evaluation stops there, and every layer above takes it as a keyword.
@@ -35,7 +36,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import count
-from math import asinh, ceil, frexp, gcd, isqrt, ldexp, lgamma, log, log2
+from math import asinh, ceil, gcd, hypot, log, log1p, sqrt
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
 
@@ -44,7 +45,7 @@ RationalLike = Fraction | int | str | float
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 10_000
 #: below this lam, exact numerators blow up (the depth that meets tol grows
-#: like sqrt(2 ln(1/tol) / lam), see _depth_guess)
+#: like sqrt(2 ln(1/tol) / lam), see _depth_model)
 DIRECTED_LAMBDA_CUTOFF = Fraction(1, 64)
 
 
@@ -279,69 +280,82 @@ def _step_product(u: int, du: int, big_d: int, lo: int, hi: int) -> tuple[int, i
     return a, b, c, e
 
 
-def _predicted_depth(point: CFPoint, tol: Fraction, max_depth: int) -> int:
-    """Where eval_enclosure's exact test starts: the first n in [1, max_depth]
-    where a binary64 run of P_n = x_n P_{n-1} + P_{n-2}, x_j = (m+1+j)*lam,
-    gives P_n * P_{n-1} >= 1/tol, or 1 where m + 1 or lam is lost as a float.
-    Past 2**400, P_n and P_{n-1} scale by the power of two that puts P_n in
-    [1/2, 1), and log2 of the limit drops to match, so no step overflows
-    while x_n is finite.  At the first J >= 64 with x_J >= 4 the run stops
-    and _closed_depth goes on from P_J; where it loses a float, the run
-    steps on."""
+#: ln 4: the measured offset of the width at small x0 (see _depth_model)
+_LN4 = log(4)
+
+
+def _depth_model(point: CFPoint, tol: Fraction, max_depth: int) -> int:
+    """Where every evaluation of G(point) to width tol starts: the least n in
+    [1, max_depth] with (F(x0 + (n + 1/2)*lam) - F(x0 + lam/2)) / lam >=
+    ln(1/tol) + ln 4, or max_depth, where x0 = (m+1)*lam and
+    F(x) = 2x*asinh(x/2) - 2*sqrt(x**2 + 4).
+
+    The tail's width at depth n is 1/(P_n P_{n-1}).  Where the terms
+    x_j = x0 + j*lam vary slowly, P_j / P_{j-1} is near the root of
+    r = x_j + 1/r, so ln(P_n P_{n-1}) grows by about F'(x_j) = 2*asinh(x_j/2)
+    a step: the integral above, with an offset ln 4 measured at small x0.
+
+    In y = x/lam the integral is grow(n), from ya = m + 3/2 to ya + n.  With
+    u, v the halves of its two ends, so u - v = lam*n/2, it is
+    2n(asinh u - r) + 2 ya (asinh u - asinh v) with
+    r = (u+v) / (hypot(u, 1) + hypot(v, 1)), and the last difference is a
+    log1p of positive parts.  So nothing cancels, no square overflows, and
+    n*lam below x0's float resolution gives the mean value n * 2*asinh(v).
+    From v >= 2**26 the integrand is 2*ln(lam*y) to 2**-53, integrated in
+    closed form.  grow is increasing and convex in n, and as asinh(z) <= z,
+    grow(n) <= lam/2 * n * (2ya + n), so every integer below that bound's
+    root falls short.  From there Newton steps on integers, each clamped
+    inside the bracket of integers known to fall short and to meet need,
+    narrow it to one step; at small lam the first integer often closes it.
+    Where m + 3/2 or lam overflows a float the start is 1, and where lam/2
+    is 0.0 it is max_depth.
+
+    The start only places the work: eval_enclosure's exact test settles the
+    minimal depth from any start, and eval_directed's retry rule goes on
+    from it.
+    """
     (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
     try:
-        m1, lam = (a + b) / b, c / d  # float(m + 1), float(lam): one rounding each
+        ya, lam = (2 * a + 3 * b) / (2 * b), c / d  # m + 3/2 and lam, one rounding each
     except OverflowError:
         return 1
-    if not (m1 and lam):
-        return 1
-    need = log2(tol.denominator) - log2(tol.numerator)
-    x = p = m1 * lam
-    p_prev, limit, closed = 1.0, 2.0 ** min(need, 1000), True
-    for n in range(max_depth):
-        if p > 2.0**400:
-            p, e = frexp(p)
-            p_prev, need = ldexp(p_prev, -e), need - 2 * e
-            limit = 2.0 ** min(need, 1000)
-        if n and p * p_prev >= limit:
-            return n
-        if closed and n >= 64 and x >= 4:
-            closed, k = False, _closed_depth(m1, lam, n, log(p), need, max_depth)
-            if k:
-                return k
-        x += lam
-        p_prev, p = p, x * p + p_prev
-    return max_depth
+    s = lam / 2
+    if not s:
+        return max_depth
+    cap = min(max_depth, 2**53)  # every depth up to cap is one float
+    need = log(tol.denominator) - log(tol.numerator) + _LN4
+    v = s * ya
+    if v >= 2.0**26:
+        log_lam = log(lam)
 
+        def grow(n: float) -> tuple[float, float]:
+            slope = 2 * (log_lam + log(ya + n))
+            return n * (slope - 2) + 2 * ya * log1p(n / ya), slope
+    else:
+        hv = hypot(v, 1)
+        vh, ya2 = v + hv, 2 * ya
 
-def _closed_depth(m1: float, lam: float, j: int, log_p: float, need: float, max_depth: int) -> int | None:
-    """The first k in (j, max_depth] where an upper bound on P_k * P_{k-1}
-    reaches 2**(need - 2**-20), or max_depth; None where a float overflows.
-    As P_{k-2} <= P_{k-1} / x_{k-1}, ln P_k <= ln P_{k-1} + ln x_k +
-    1/(x_k x_{k-1}).  From ln P_j = log_p, with x_i = (m1 + i)*lam, the sums
-    to k are (k-j) ln lam + lgamma(m1+1+k) - lgamma(m1+1+j) and, telescoping,
-    (1/(m1+j) - 1/(m1+k)) / lam**2.  2**-20 covers the floats' rounding
-    where m1 + 1 + k is one float for every k, and None is returned where
-    it is not.  The bound grows by at least ln 16 a step: gallop, then bisect."""
-    if m1 + max_depth >= 2**53:
-        return None
-    try:
-        c, log_lam, g = lam**-2, log(lam), lgamma(m1 + 1 + j)
-        short = (need - 2.0**-20) * log(2) - 2 * log_p
+        def grow(n: float) -> tuple[float, float]:
+            half = s * n
+            u = v + half
+            r = (u + v) / (hypot(u, 1) + hv)
+            slope = 2 * asinh(u)
+            return n * (slope - 2 * r) + ya2 * log1p(half * (1 + r) / vh), slope
 
-        def below(k: int) -> bool:
-            return (2 * (k - j) - 1) * log_lam + lgamma(m1 + 1 + k) + lgamma(m1 + k) - 2 * g + c * (
-                2 / (m1 + j) - 1 / (m1 + k) - 1 / (m1 + k - 1)) < short
-
-        lo, hi = j, j + 1
-        while hi < max_depth and below(hi):
-            lo, hi = hi, min(2 * hi - j, max_depth)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    except ArithmeticError:
-        return None
-    return hi
+    # grow(lo) < need <= grow(hi), hi = cap + 1 standing for "past cap"
+    lo = max(ceil(min(hypot(ya, sqrt(max(need, 0.0) / s)) - ya, cap)) - 1, 0)
+    hi = cap + 1
+    n = lo + 1
+    while True:
+        g, slope = grow(n)
+        if g < need:
+            lo = n
+        else:
+            hi = n
+        if hi - lo == 1:
+            return min(hi, cap)
+        # the tangent at n crosses need past the root, from either side
+        n = min(max(ceil(n - (g - need) / slope), lo + 1), hi - 1)
 
 
 #: from this many bits of dd**n on, _meets bounds both sides before multiplying
@@ -401,14 +415,17 @@ def eval_enclosure(
     of _scaled_convergents the test width <= tol reads
     p_n * p_{n-1} * tol_num >= D * tol_den * (D**2)**n.
 
-    A float run predicts the depth n (_predicted_depth, at or just below the
-    minimal depth), one product tree (_step_product) builds the pair at
-    s = n - 1, and the test (_meets) bounds its sides before it multiplies.
-    If the test holds at s >= 1, the prediction ran long: s halves and the
-    pair is built again.  From s the recurrence steps forward, testing each
-    depth, to the first that meets tol or to max_depth.  That is the depth
-    and pair of a walk from depth 1 that tests every step:
-    - The tree's integers equal the walk's.  One step of the recurrence is
+    One product tree (_step_product) builds the pair at s = n - 1, a step
+    below the start n of _depth_model (measured from one below to two above
+    the minimal depth), and the test (_meets) bounds its sides before it
+    multiplies.  While the test holds at s >= 1 the start ran long: s steps
+    back, by the recurrence run backwards, whose divisions by D**2 are
+    exact, and after two such steps it halves and the pair is built again.
+    From s the recurrence steps forward, testing each depth, to the first
+    that meets tol or to max_depth.  That is the depth and pair of a walk
+    from depth 1 that tests every step:
+    - The tree's integers, and so those of the steps back, equal the
+      walk's.  One step of the recurrence is
       [[p_n, q_n], [p_{n-1}, q_{n-1}]] = M_n [[p_{n-1}, q_{n-1}],
       [p_{n-2}, q_{n-2}]] with M_n = [[u_n, D**2], [1, 0]], so the pair at
       depth n is M_n ... M_1 [[u_0, D], [1, 0]], and integer matrix
@@ -418,7 +435,7 @@ def eval_enclosure(
       increases with n.  The test therefore holds from the minimal depth on
       and at no depth before it, so the first depth past s that meets tol,
       where s = 0 or the test fails at s, is the minimal one, whatever n the
-      float predicted.
+      model gave.
 
     Raises BudgetExceededError with the enclosure at ``max_depth``
     attached when the tolerance is unreachable within it.
@@ -431,12 +448,18 @@ def eval_enclosure(
     u, du, big_d = _terms(m.numerator + m.denominator, m.denominator, *lam.as_integer_ratio())
     dd = big_d * big_d
     tn, x = tol.numerator, big_d * tol.denominator
-    n = _predicted_depth(point, tol, max_depth) - 1
-    while True:
-        p, q, pp, qq = _step_product(u, du, big_d, 0, n + 1)
-        if not n or not _meets(p, pp, tn, x, dd, n):
-            break
-        n //= 2
+    n = max(_depth_model(point, tol, max_depth) - 1, 0)
+    p, q, pp, qq = _step_product(u, du, big_d, 0, n + 1)
+    back = 0
+    while n and _meets(p, pp, tn, x, dd, n):
+        if back < 2:
+            # p_n = u_n p_{n-1} + D**2 p_{n-2} run backwards, exactly
+            un = u + n * du
+            p, q, pp, qq = pp, qq, (p - un * pp) // dd, (q - un * qq) // dd
+            n, back = n - 1, back + 1
+        else:
+            n //= 2
+            p, q, pp, qq = _step_product(u, du, big_d, 0, n + 1)
     u += n * du
     met = False
     while not met and n < max_depth:
@@ -585,28 +608,6 @@ def _directed_tail(
     return lo, hi, scale
 
 
-def _depth_guess(lam: Fraction, tol: Fraction) -> int:
-    """First directed depth: where the width 1/(P_n P_{n-1}) reaches tol.
-
-    For small lam, P_n P_{n-1} grows like exp(lam * n**2 / 2), so the width
-    meets tol near n = sqrt(2 ln(1/tol) / lam).  Integer arithmetic with
-    2 ln 2 ~ 1386/1000 and ln(1/tol) ~ ln 2 * bitlen(1/tol), plus a margin.
-    Near n, one more step takes about lam * n off the log of the width, so
-    the margin is the larger of n/32 steps and the ceil(4/(3*lam*n)) steps
-    that take 4/3 off it, plus 4.  The second covers loose tol, where n/32
-    is too few.  Over m in {-1/2, 0, 1/3, 1, 5}, 25 lam = k/10000019 from
-    1e-5 to 1/65 and tol 1e-3 to 1e-30, the guess lies 4 or more steps
-    above the least depth that meets tol, and 2.3% above it on average.
-    Once the terms pass about 2 the growth slows to the factorial rate, so
-    for large lam with tight tol the guess can fall short; there the caller
-    starts from the exact depth instead.
-    """
-    tol_bits = (tol.denominator // tol.numerator).bit_length()
-    n = isqrt(1386 * tol_bits * lam.denominator // (1000 * lam.numerator))
-    log_margin = -(-4 * lam.denominator // (3 * lam.numerator * max(n, 1)))
-    return max(32, n + max(n // 32, log_margin) + 4)
-
-
 def eval_directed(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
@@ -637,11 +638,15 @@ def eval_directed(
     rounding about 2**-24 below tol.  S is still a multiple of D, so every
     term stays an exact integer, and bits >= 1 keeps lo a positive integer.
 
-    The first pass runs at _depth_guess, raised at lam >= DIRECTED_LAMBDA_CUTOFF
-    to the exact depth _predicted_depth.  A pass at depth n that leaves the
-    intersection of the passes w wider than tol is followed by one at n + k,
-    capped at max_depth, with k = ceil(ln(w/tol) / (2*asinh(lam*n/2))):
-    past n the log of 1/(P_j P_{j-1}) falls by ln(P_{j+1}/P_{j-1}), about
+    The first pass runs at _depth_model's start, measured at or up to 3
+    steps above the least depth where one pass meets tol, from lam = 1e-5 to
+    1000 and m = -1/2 to 10**6.  It lies below that depth where
+    x0 = (m+1)*lam is far below 1 at large lam, since the model leaves out
+    P_0 = x0, and by a few steps at lam below 1e-5 (3 at lam = 1e-6, tol
+    about 1.5e-14).  A pass at depth n that leaves the intersection of the
+    passes w wider than tol is followed by one at n + k, capped at
+    max_depth, with k = ceil(ln(w/tol) / (2*asinh(lam*n/2))): past n the
+    log of 1/(P_j P_{j-1}) falls by ln(P_{j+1}/P_{j-1}), about
     2*asinh(x_j/2) or more a step, and x_j >= lam*n.  k is raised to twice
     the k of the retry before, so a width that depth does not narrow reaches
     max_depth in few passes, and kept from 1 to n.  Each depth depends only
@@ -662,9 +667,7 @@ def eval_directed(
     guard += 2 * ((a + b) * c // big_d).bit_length()  # 2*bitlen(floor((m+2)*lam))
     best: Enclosure | None = None
     more = 0
-    depth = min(_depth_guess(point.lam, tol), max_depth)
-    if _exact_routed(point.lam):
-        depth = max(depth, _predicted_depth(point, tol, max_depth))
+    depth = _depth_model(point, tol, max_depth)
     while True:
         bits = max(guard + (2 * depth + 2).bit_length(), 1)
         t_lo, t_hi, scale = _directed_tail(a, b, c, big_d, depth, bits)

@@ -268,6 +268,13 @@ def geometric_grid(lo, hi, count: int) -> list[Fraction]:
     return ascending
 
 
+def _add_grid(p: argparse.ArgumentParser) -> None:
+    """--grid-geom or --grid-list: giving both is a usage error."""
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--grid-geom", default=None, metavar="LO:HI:COUNT")
+    grid.add_argument("--grid-list", default=None, metavar="L1,L2,...")
+
+
 def _parse_grid(args) -> list[Fraction] | None:
     if getattr(args, "grid_geom", None):
         parts = args.grid_geom.split(":")
@@ -459,15 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", parents=[common], help="enclose G over a lambda grid")
     p.add_argument("--m", type=_fraction_arg, required=True)
-    p.add_argument("--grid-geom", default=None, metavar="LO:HI:COUNT")
-    p.add_argument("--grid-list", default=None, metavar="L1,L2,...")
+    _add_grid(p)
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("witness", parents=[common],
                        help="search a grid for a certified decrease in lambda")
     p.add_argument("--m", type=_fraction_arg, required=True)
-    p.add_argument("--grid-geom", default=None, metavar="LO:HI:COUNT")
-    p.add_argument("--grid-list", default=None, metavar="L1,L2,...")
+    _add_grid(p)
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("oracle", parents=[common],
@@ -586,7 +591,7 @@ def _reverified(rec: OutputRecord) -> Enclosure:
         if point.m.denominator != 1:
             raise ValueError(f"series row needs an integer m: {rec}")
         try:
-            enc = bessel_oracle.series_ratio(int(point.m), point.lam, rec.depth).as_enclosure()
+            enc = bessel_oracle._summed(int(point.m), point.lam, rec.depth)
         except TailNotBoundedError as exc:
             raise ValueError(f"series row has no tail bound at its depth: {rec}") from exc
     elif rec.mode == EvalMode.EXACT.value:

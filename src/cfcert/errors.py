@@ -13,9 +13,12 @@ class DomainError(CFCertError, ValueError):
 
 
 class BudgetExceededError(CFCertError):
-    """Exact evaluation hit the depth budget before reaching the tolerance.
+    """An exact computation hit its budget before reaching the tolerance:
+    exact evaluation at max_depth, or the series oracle (cross_check) at
+    MAX_TERMS terms.
 
-    ``best`` holds the rigorous enclosure reached at the budget limit.
+    ``best`` holds the rigorous enclosure reached at the budget limit, or
+    None where the series tail is not bounded within it.
     """
 
     def __init__(self, message: str, best=None):

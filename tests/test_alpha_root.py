@@ -407,7 +407,7 @@ CELL = (Fraction(4194303, 8388608), Fraction(4194305, 8388608))
 
 
 @pytest.mark.parametrize(
-    "lam, depth", [(Fraction(1, 100), 73), (Fraction(1, 1000), 233), (Fraction(1, 10**5), 2521)]
+    "lam, depth", [(Fraction(1, 100), 68), (Fraction(1, 1000), 228), (Fraction(1, 10**5), 2485)]
 )
 def test_undecided_half_gives_the_centred_cell(lam, depth):
     # G(1/2, lam) is within about 2e^(-4/lam) of 1, so the estimate 1/2 stays

@@ -14,6 +14,8 @@ from cfcert import (
     BudgetExceededError,
     CFPoint,
     DomainError,
+    Enclosure,
+    EvalMode,
     TailNotBoundedError,
     bessel_oracle,
     cross_check,
@@ -29,6 +31,9 @@ G_0_1 = Fraction("0.6977746579640079820067905925517526")
 class TestSeriesRatio:
     def test_m1_lambda1(self):
         enc = series_ratio(1, 1, 14)
+        # the one enclosure type: an exact one whose depth is the truncation
+        assert type(enc) is Enclosure
+        assert (enc.depth, enc.mode, enc.tol) == (14, EvalMode.EXACT, None)
         assert enc.lo <= G_1_1 <= enc.hi
         cf = evaluate(CFPoint(1, 1), Fraction(1, 10**10))
         assert max(enc.lo, cf.lo) <= min(enc.hi, cf.hi)
@@ -255,7 +260,7 @@ class TestCrossCheck:
             assert str(report) == f"series width did not reach tol within {max_terms} terms"
             assert not fits(max_terms)
             try:
-                want = series_ratio(m, lam, max_terms).as_enclosure()
+                want = series_ratio(m, lam, max_terms)
             except TailNotBoundedError:
                 want = None
             assert report.best == want
@@ -267,7 +272,7 @@ class TestCrossCheck:
         # one Horner pass over both series, whatever the float estimate was
         assert passes == [m]
         enc = series_ratio(m, lam, n)
-        assert report.right == enc.as_enclosure()
+        assert report.right == enc
         assert (enc.lo, enc.hi) == reference_series_ratio(m, lam, n)
         assert report.left == evaluate(CFPoint(m, lam), tol)
         shared = min(report.left.hi, report.right.hi) - max(report.left.lo, report.right.lo)

@@ -44,12 +44,11 @@ from cfcert.cf_core import (
     _LEAF,
     _best,
     _coprime,
-    _depth_guess,
+    _depth_model,
     _directed_tail,
     _exact_at,
     _from_tail,
     _meets,
-    _predicted_depth,
     _scaled_convergents,
     _side_of_one,
     _step_product,
@@ -124,6 +123,28 @@ def top_level_trees():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cf_core, "_step_product", counting)
         yield trees
+
+
+def assert_one_tree_below(point, tol):
+    """eval_enclosure builds one tree, 1 below _depth_model's start, and never
+    halves it: the start lies from 1 below to 2 above the minimal depth, and
+    two steps back cover the 2 above."""
+    start = _depth_model(point, tol, DEFAULT_MAX_DEPTH)
+    with top_level_trees() as trees:
+        enc = eval_enclosure(point, tol)
+    assert enc.depth - 1 <= start <= enc.depth + 2
+    assert trees == [(0, max(start - 1, 0) + 1)]
+    return enc
+
+
+def least_single_pass(point, tol, depth):
+    """The least depth down from ``depth``, a depth one directed pass meets tol
+    at, where one such pass still does.  Under a budget k at or below the
+    start, eval_directed's first pass runs at depth k, and meets tol there
+    exactly when it raises nothing."""
+    while depth > 1 and _best(point, tol, depth - 1, "directed")[1] is None:
+        depth -= 1
+    return depth
 
 
 def with_examples(cases):
@@ -406,15 +427,12 @@ class TestEvalEnclosure:
     @pytest.mark.parametrize(
         "lam, tol",
         [(Fraction(1, 64), Fraction(1, 10**300)), (Fraction(1), Fraction(1, 10**1000)),
-         # past x_j >= 4 at j = 64 the depth comes from the closed form
+         # terms past 4 from j = 64 on, where P_n grows at the factorial rate
          (Fraction(4), Fraction(1, 10**3000))],
     )
     def test_deep_tolerance_depth_is_minimal(self, m, lam, tol):
         point = CFPoint(m, lam)
-        with top_level_trees() as trees:
-            enc = eval_enclosure(point, tol)
-        assert len(trees) == 1
-        assert enc.depth - 2 <= _predicted_depth(point, tol, DEFAULT_MAX_DEPTH) <= enc.depth
+        enc = assert_one_tree_below(point, tol)
         lo, hi = reference_enclosure(point, enc.depth)
         assert (enc.lo, enc.hi) == (lo, hi)
         assert enc.width <= tol
@@ -431,14 +449,16 @@ class TestEvalEnclosure:
     )
     @example(point=CFPoint(0, 4), tol=Fraction(1, 10**3000))
     @example(point=CFPoint(Fraction(1, 3), Fraction(1, 64)), tol=Fraction(1, 10**3000))
+    # explicit exact mode at small lam and large m: the model's start lies 2
+    # above the minimal depth (287 and 31 for 285 and 29)
+    @example(point=CFPoint(10**4, Fraction(100, 10000019)), tol=Fraction(1, 10**12))
+    @example(point=CFPoint(10**4, Fraction(1000, 10000019)), tol=Fraction(1, 10**12))
     @settings(max_examples=60, deadline=None)
     def test_deep_prediction_at_or_just_below_the_depth(self, point, tol):
-        # the float run and its closed form do not overshoot, so the tree is
-        # built once and never rebuilt from a halved start
-        with top_level_trees() as trees:
-            enc = eval_enclosure(point, tol)
-        assert len(trees) == 1
-        assert enc.depth - 2 <= _predicted_depth(point, tol, DEFAULT_MAX_DEPTH) <= enc.depth
+        # the model's start overshoots by at most 2, so the tree, 1 below it,
+        # is built once and never rebuilt from a halved start: at most two
+        # exact steps back reach the depth
+        assert_one_tree_below(point, tol)
 
     @given(point=wide_points, tol=wide_tols, max_depth=depth_caps)
     @with_examples(EXACT_EXAMPLES)
@@ -455,20 +475,21 @@ class TestEvalEnclosure:
         want = exact_outcome(eval_enclosure, point, tol, max_depth=max_depth)
         n = (want if isinstance(want, Enclosure) else want[1]).depth
         guess = {"one": 1, "max_depth": max_depth}.get(start) or min(max(n + start, 1), max_depth)
-        monkeypatch.setattr(cf_core, "_predicted_depth", lambda *args: guess)
+        monkeypatch.setattr(cf_core, "_depth_model", lambda *args: guess)
         assert exact_outcome(eval_enclosure, point, tol, max_depth=max_depth) == want
 
     @pytest.mark.parametrize(
         "point, tol, depth",
         [
-            # lam overflows a float: met at depth 1
+            # lam overflows a float: the start is 1, where it is met
             (CFPoint(1, 10**400), Fraction(1, 10**30), 1),
-            # m + 1 = 1e-400 is 0.0 as a float
+            # m + 1 = 1e-400 is 0.0 as a float, but the model takes m + 3/2,
+            # one rounding from integers, and starts at the depth itself
             (CFPoint(-1 + Fraction(1, 10**400), 1), Fraction(1, 10**30), 18),
         ],
     )
     def test_prediction_lost_in_floats(self, point, tol, depth):
-        assert _predicted_depth(point, tol, DEFAULT_MAX_DEPTH) == 1
+        assert _depth_model(point, tol, DEFAULT_MAX_DEPTH) == depth
         enc = eval_enclosure(point, tol)
         assert enc == reference_eval_enclosure(point, tol)
         assert enc.depth == depth
@@ -476,24 +497,21 @@ class TestEvalEnclosure:
     @pytest.mark.parametrize(
         "point, tol, near",
         [
-            # x = 10 or 4 from the first term on, but lam * lam is 0.0, or
-            # subnormal with an inf reciprocal: the closed form is lost, and
-            # the run steps on to the depth
+            # x = 10 or 4 from the first term on, with lam * lam 0.0 or
+            # subnormal: n * lam is far below x0's float resolution
             (CFPoint(10**201, Fraction(1, 10**200)), Fraction(1, 10**300), True),
             (CFPoint(2**1000, Fraction(1, 2**998)), Fraction(1, 10**300), True),
             (CFPoint(4 * 10**160, Fraction(1, 10**160)), Fraction(1, 10**300), True),
-            # lam * lam is inf, and x_0 * x_1 is too: the run starts from
-            # P_0 scaled into [1/2, 1) and rescales every step
+            # lam * lam and x_0 * x_1 are inf: the integrand is 2 ln(lam * y)
             (CFPoint(0, 2**600), Fraction(1, 2**100000), True),
-            # huge m: m + 1 + k is one float for every k, in lgamma too
+            # huge m: m + 3/2 + n is m + 3/2 as a float
             (CFPoint(10**15, Fraction(1, 10**14)), Fraction(1, 10**300), True),
             (CFPoint(10**300, 1), Fraction(1, 10**300), True),
-            # lam near 2**1024: x or P is inf from the first step
+            # lam near 2**1024: the log form, or lam itself overflows (start 1)
             (CFPoint(1, 2**1023), Fraction(1, 10**300), True),
             (CFPoint(-1 + Fraction(1, 2**60), 2**1024 - 2**970), Fraction(1, 10**300), True),
             (CFPoint(0, 2**1000), Fraction(1, 2**400000), True),
-            # m + 1 + k is not one float: lgamma loses the differences, so
-            # the run steps on past J = 64 rather than take the closed form
+            # m + 3/2 + n is not one float
             (CFPoint(10**20, Fraction(1, 10**19)), Fraction(1, 10**3000), True),
             # x = 2**400 from the first term, with lam**-2 = 2**1000
             (CFPoint(2**900, Fraction(1, 2**500)), Fraction(1, 2**20000), True),
@@ -501,16 +519,15 @@ class TestEvalEnclosure:
     )
     def test_prediction_at_float_edges(self, point, tol, near):
         for max_depth in (1, 64, 65, DEFAULT_MAX_DEPTH):
-            assert 1 <= _predicted_depth(point, tol, max_depth) <= max_depth
-        depth = eval_enclosure(point, tol).depth
-        predicted = _predicted_depth(point, tol, DEFAULT_MAX_DEPTH)
-        assert depth - 2 <= predicted <= depth if near else predicted <= depth
+            assert 1 <= _depth_model(point, tol, max_depth) <= max_depth
+        if near:
+            assert_one_tree_below(point, tol)
 
     def test_prediction_lost_in_floats_out_of_budget(self):
-        # lam = 1e-400 is 0.0 as a float: the run gives 1, and the exact test
-        # steps to the budget, 50
+        # lam = 1e-400 is 0.0 as a float: the start is the budget, 50, and the
+        # exact test steps there from the tree 1 below it
         point = CFPoint(0, Fraction(1, 10**400))
-        assert _predicted_depth(point, DEFAULT_TOL, 50) == 1
+        assert _depth_model(point, DEFAULT_TOL, 50) == 50
         with pytest.raises(BudgetExceededError) as exc:
             evaluate(point, mode="exact", max_depth=50)
         best = exc.value.best
@@ -829,8 +846,7 @@ class TestEvalDirected:
     @pytest.mark.parametrize(
         "point, tol, depth",
         [
-            # from _depth_guess alone the passes would run 32 then 40, 101
-            # then 202 and 291, and 32 then 64 and 71
+            # _depth_model starts each at the exact depth, which one pass meets
             (CFPoint(Fraction(1, 3), 1), Fraction(1, 10**100), 41),
             (CFPoint(0, Fraction(1, 2)), Fraction(1, 10**1000), 288),
             (CFPoint(2, 4), Fraction(1, 10**300), 72),
@@ -842,7 +858,7 @@ class TestEvalDirected:
         monkeypatch.setattr(cf_core, "_directed_tail",
                             lambda *args: passes.append(args[4]) or original(*args))
         assert eval_directed(point, tol).depth == depth == eval_enclosure(point, tol).depth
-        assert passes == [depth]
+        assert passes == [depth] == [_depth_model(point, tol, DEFAULT_MAX_DEPTH)]
 
     def test_depth_tracks_tolerance(self):
         # the minimal sufficient depth here is 238
@@ -858,20 +874,27 @@ class TestEvalDirected:
         assert enc.width <= tol
         assert enc.depth <= 4100 < DEFAULT_MAX_DEPTH
 
-    def test_single_pass_across_small_lam_sweep(self):
-        # small-lam-sweep's range: lam = k/10000019 log-spaced in [1e-5, 1/65];
-        # a second pass would show up in the bench's depth_sum
+    def test_single_pass_across_small_lam_sweep(self, monkeypatch):
+        # small-lam-sweep's range: lam = k/10000019 log-spaced in [1e-5, 1/65],
+        # with its m values and large m, where the terms start far above lam.
+        # A second pass would show up in the bench's depth_sum, a long first
+        # one in its time
         ks = [round(101 * (153846 / 101) ** (i / 24)) for i in range(25)]
         lams = [Fraction(k, 10000019) for k in ks]
         assert Fraction(1, 10**5) <= lams[0] and lams[-1] <= Fraction(1, 65)
         tols = [Fraction(1, 10**e) for e in range(3, 31, 3)]
-        misses = [
-            (m, lam, tol)
-            for m in (Fraction(-1, 2), 0, Fraction(1, 3), 1, 5)
-            for lam in lams
-            for tol in tols
-            if eval_directed(CFPoint(m, lam), tol).depth != _depth_guess(lam, tol)
-        ]
+        passes = []
+        monkeypatch.setattr(cf_core, "_directed_tail",
+                            lambda *args: passes.append(args[4]) or _directed_tail(*args))
+        misses = []
+        for m in (Fraction(-1, 2), 0, Fraction(1, 3), 1, 5, 100, 10**4, 10**6):
+            for lam in lams:
+                for tol in tols:
+                    passes.clear()
+                    point = CFPoint(m, lam)
+                    depth = eval_directed(point, tol).depth
+                    if len(passes) != 1 or depth > 1.05 * least_single_pass(point, tol, depth) + 8:
+                        misses.append((m, lam, tol, list(passes)))
         assert misses == []
 
     @given(
@@ -912,12 +935,11 @@ class TestEvalDirected:
             assert 0 <= g_hi - (ml + 1 / exact_lo) <= tol / 2**24
 
     def test_a_missed_pass_retries_below_twice_its_depth(self, monkeypatch):
-        # a first pass at 80% of the guess misses tol; the second runs where
-        # the measured width deficit says, not at double depth.  Caught: a
-        # return to doubling, and a retry too short to meet tol
+        # a first pass at 80% of the model's start misses tol; the second runs
+        # where the measured width deficit says, not at double depth.  Caught:
+        # a return to doubling, and a retry too short to meet tol
         point, tol = CFPoint(Fraction(1, 3), Fraction(1, 1000)), Fraction(1, 10**30)
-        guess = _depth_guess
-        monkeypatch.setattr(cf_core, "_depth_guess", lambda lam, t: guess(lam, t) * 4 // 5)
+        monkeypatch.setattr(cf_core, "_depth_model", lambda *args: _depth_model(*args) * 4 // 5)
         passes = []
         monkeypatch.setattr(cf_core, "_directed_tail",
                             lambda *args: passes.append(args[4]) or _directed_tail(*args))
@@ -929,13 +951,15 @@ class TestEvalDirected:
     def test_huge_lam_near_m_minus_one_is_one_pass(self, monkeypatch):
         # T_0 = G(m+1, lam) is about 1/lam here, so the map to G multiplies the
         # tail's rounding by about lam**2 = 2**60, which bits adds back.
-        # Caught: dropping those bits (no pass meets tol, by rounding alone)
+        # Caught: dropping those bits (no pass meets tol, by rounding alone).
+        # The start, 1, misses: the model leaves out P_0 = x_0 = 1e-11, so
+        # the one pass that meets tol is the retry at the least depth, 2
         point, tol = CFPoint(Fraction(-1) + Fraction(1, 10**20), 10**9), Fraction(1, 10**10)
         passes = []
         monkeypatch.setattr(cf_core, "_directed_tail",
                             lambda *args: passes.append(args[4]) or _directed_tail(*args))
         enc = eval_directed(point, tol)
-        assert passes == [enc.depth] and enc.width <= tol
+        assert passes == [1, enc.depth] == [1, 2] and enc.width <= tol
 
     def test_retries_grow_where_depth_does_not_narrow(self, monkeypatch):
         # starved of precision (bits = 1), the width stops shrinking with

@@ -250,9 +250,9 @@ class TestAlphaScanWitnessOracle:
         assert code == EXIT_OK
         recs = parse_records(out, "csv")
         assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
-            ("alpha-lo", "4194303/8388608", True, 8237),
-            ("alpha-hi", "4194305/8388608", True, 8237),
-            ("alpha-mid", "1/2", None, 6659),
+            ("alpha-lo", "4194303/8388608", True, 8153),
+            ("alpha-hi", "4194305/8388608", True, 8153),
+            ("alpha-mid", "1/2", None, 6648),
         ]
         assert Fraction(recs[0].hi) < 1 < Fraction(recs[1].lo)
         assert reverify_records(recs)
@@ -322,6 +322,14 @@ class TestAlphaScanWitnessOracle:
         assert run(capsys, "scan", "--m", "1", "--grid-list", "a,b")[0] == EXIT_USAGE
         assert run(capsys, "scan", "--m", "1", "--grid-geom", "1:2")[0] == EXIT_USAGE
         assert run(capsys, "scan", "--m", "1", "--grid-geom", "1:2:x")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["scan", "witness"])
+    def test_both_grids_are_a_usage_error(self, capsys, command):
+        # one grid or the other: before, --grid-list was dropped silently
+        code = main([command, "--m", "1/3", "--grid-geom", "1/4:1:3", "--grid-list", "2,3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert "not allowed with argument --grid-geom" in captured.err
 
 
 class TestRecordFormat:
@@ -829,7 +837,7 @@ class TestReverifyRebuildsRows:
         code, out = run(capsys, "eval", "--m", "1/3", "--lambda", "1/100", "--format", "json")
         assert code == EXIT_OK
         (rec,) = parse_records(out, "json")
-        assert (rec.mode, rec.depth, rec.tol) == ("directed-fixed-precision", 80,
+        assert (rec.mode, rec.depth, rec.tol) == ("directed-fixed-precision", 75,
                                                   fraction_str(DEFAULT_TOL))
         point = CFPoint(Fraction(1, 3), Fraction(1, 100))
         fresh = evaluate(point, DEFAULT_TOL, mode="directed")

@@ -16,7 +16,6 @@ from cfcert import (
     Enclosure,
     EvalMode,
     ScanPoint,
-    SeriesEnclosure,
     Witness,
 )
 from cfcert.cli import OutputRecord
@@ -31,7 +30,6 @@ SAMPLES = {
     "Enclosure": LOW,
     "CheckReport": CheckReport(POINT, Claim.ABOVE_ONE, LOW, HIGH, Fraction(1, 20)),
     "AlphaResult": AlphaResult(Fraction(1), Fraction(1, 4), Fraction(1, 2), LOW, 2),
-    "SeriesEnclosure": SeriesEnclosure(Fraction(1, 2), Fraction(3, 4), 7),
     "Witness": Witness(Fraction(1, 3), Fraction(1, 16), Fraction(1, 8), HIGH, LOW),
     "ScanPoint": ScanPoint(Fraction(1, 8), LOW),
     "OutputRecord": OutputRecord("eval", {"m": "1/3", "lambda": "1/1"}, "0.5", "0.75", 5,

@@ -21,8 +21,7 @@ BENCH = ROOT / "bench"
 PUBLIC = {
     # classes and constants
     "AlphaResult", "CFPoint", "CheckReport", "Claim", "DEFAULT_MAX_DEPTH", "DEFAULT_TOL",
-    "DEFAULT_WITNESS_GRID", "Enclosure", "EvalMode", "ScanPoint",
-    "SeriesEnclosure", "Witness",
+    "DEFAULT_WITNESS_GRID", "Enclosure", "EvalMode", "ScanPoint", "Witness",
     # functions
     "check_functional_equation", "check_g_above_one", "check_reciprocal", "check_sandwich",
     "cross_check", "evaluate", "find_alpha", "find_witness", "limit_check", "scan",
@@ -35,7 +34,7 @@ PUBLIC = {
 
 
 def test_all_is_the_public_surface():
-    assert len(cfcert.__all__) == len(PUBLIC) == 31
+    assert len(cfcert.__all__) == len(PUBLIC) == 30
     assert set(cfcert.__all__) == PUBLIC
     namespace: dict = {}
     exec("from cfcert import *", namespace)
