@@ -72,18 +72,18 @@ class AlphaResult(
 
 
 def classify_vs_one(
-    point: CFPoint, tol: RationalLike, *, max_depth: int = DEFAULT_MAX_DEPTH
+    point: CFPoint, tol: RationalLike | None, *, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> tuple[int, Enclosure]:
     """Certified side of G(point) relative to 1, with the enclosure that shows it.
 
     At an exact-routed point (lam >= DIRECTED_LAMBDA_CUTOFF, as evaluate
-    routes) this is the cf_core._side_of_one walk, and tol is unused.  At a
-    directed-routed point the tolerance runs from tol down by 10 a round
-    until the side is decided or an evaluation runs out of budget: its best
-    enclosure may still decide the side, and otherwise the straddle verdict
-    is returned.  So a point whose G lies extremely near 1, such as m = 1/2,
-    costs passes up to max_depth; find_alpha sends such points one
-    evaluation, not this call.
+    routes) this is the cf_core._side_of_one walk, and tol is unused: it may
+    be None there.  At a directed-routed point the tolerance runs from tol
+    down by 10 a round until the side is decided or an evaluation runs out
+    of budget: its best enclosure may still decide the side, and otherwise
+    the straddle verdict is returned.  So a point whose G lies extremely
+    near 1, such as m = 1/2, costs passes up to max_depth; find_alpha sends
+    such points one evaluation, not this call.
     """
     if _exact_routed(point.lam):
         m, lam = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
@@ -123,9 +123,14 @@ def _newton_alpha(lam: Fraction, max_depth: int) -> float | None:
 
 def _level(target: Fraction, x: Fraction) -> int:
     """The first level j >= 2 with 2**-j <= target and, for x > 0, 2**-j <= x:
-    where bisection from (0, 1) stops when alpha = x, since alpha < 1/2."""
-    r = max(1 / target, 1 / x if x > 0 else 0)
-    return max(2, (-(-r.numerator // r.denominator) - 1).bit_length())
+    where bisection from (0, 1) stops when alpha = x, since alpha < 1/2.
+    That is the bit length of ceil(r) - 1 for r the larger of 1/target and
+    1/x, and ceil(r) is the larger of the two ceilings, taken on integers."""
+    (tn, td), (xn, xd) = target.as_integer_ratio(), x.as_integer_ratio()
+    r = -(-td // tn)
+    if xn > 0:
+        r = max(r, -(-xd // xn))
+    return max(2, (r - 1).bit_length())
 
 
 def find_alpha(
@@ -168,9 +173,9 @@ def find_alpha(
     lam = as_fraction(lam)
     bracket_tol = as_fraction(bracket_tol)
     g_tol = as_fraction(g_tol)
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    if bracket_tol <= 0 or g_tol <= 0:
+    if bracket_tol.numerator <= 0 or g_tol.numerator <= 0:
         raise DomainError("tolerances must be positive")
     _check_budget(max_depth)
     exact = _exact_routed(lam)
@@ -185,10 +190,10 @@ def find_alpha(
     x, prev = (Fraction(est) if settled else Fraction(1, 2)), None
     while True:
         level = _level(target, x)
-        tol = lam / (16 << level)
         # a settled double, good to about 2**-40 of itself, picks a 32-bit cell
-        if settled and x * (1 << level) <= 1 << 32:
+        if settled and x.numerator << level <= x.denominator << 32:
             break
+        tol = lam / (16 << level)
         enc = _best(CFPoint(x, lam), tol, max_depth)[0]
         if not _side(enc):
             break
@@ -216,7 +221,7 @@ def find_alpha(
     def probe(a: int) -> tuple[int, Enclosure]:
         """Side of 1 of G(a / 2**n, lam), and the enclosure that shows it."""
         point = CFPoint(Fraction(a, 1 << n), lam)
-        t = lam / (8 << n)
+        t = None if exact else lam / (8 << n)  # read by no exact-routed probe
         if exact or centred:
             side, found = classify_vs_one(point, t, max_depth=max_depth)
         else:  # one evaluation, the estimate's own at x

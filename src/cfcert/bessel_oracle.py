@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, factorial, isqrt, lgamma, log, prod
 
-from .bounds import CheckReport, Claim
+from .bounds import CheckReport, Claim, _disjoint
 from .cf_core import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_TOL,
@@ -304,16 +304,9 @@ def cross_check(
             raise BudgetExceededError(exhausted, best=_summed(m, lam, state[0], state[1:3]))
         state = _horner(m, aa, bb, state[0] + 1, state)  # add t_{T+1} to both sums
     oracle = _summed(m, lam, state[0], state[1:3])
-    overlap = min(cf_enc.hi, oracle.hi) - max(cf_enc.lo, oracle.lo)
-    if overlap < 0:
+    if _disjoint(cf_enc, oracle):
         raise ViolationError(
             f"convergent and series enclosures disjoint at m={m}, lam={lam}: "
             f"[{cf_enc.lo}, {cf_enc.hi}] vs [{oracle.lo}, {oracle.hi}]"
         )
-    return CheckReport(
-        point=point,
-        claim=Claim.ORACLE,
-        left=cf_enc,
-        right=oracle,
-        gap=overlap,
-    )
+    return CheckReport(point, Claim.ORACLE, cf_enc, oracle)

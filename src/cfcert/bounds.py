@@ -13,7 +13,9 @@ enclosure of b.  Overlapping enclosures are retried at tol/10, tol/100, ...
 only where an evaluation reaches the depth budget max_depth: its best
 enclosure is still rigorous, and enclosures that still overlap there raise
 Inconclusive carrying them.  An identity that fails outright raises
-Violation since it can only mean an arithmetic bug.
+Violation since it can only mean an arithmetic bug.  Each verdict is
+decided by comparing ends or by integer cross products; no check subtracts
+two enclosure ends, and a report's gap is computed only when it is read.
 """
 
 from __future__ import annotations
@@ -49,19 +51,39 @@ class Claim(str, Enum):
     ORACLE = "oracle-intersect"
 
 
-class CheckReport(namedtuple("CheckReport", "point claim left right gap")):
+class CheckReport(namedtuple("CheckReport", "point claim left right")):
     """One certificate that holds; a claim that does not certify raises instead.
 
-    An immutable named tuple of the CFPoint, the Claim, the Enclosures
-    ``left`` and ``right`` and the Fraction ``gap``.  For inequality claims
-    ``gap`` is the certified separation between the two sides (positive).
-    In place of B, which is never formed, a sandwich half holds the window
-    [G(m)'s hi, G(m+1)'s lo], with B strictly inside, and ``gap`` is its
-    width.  For identity claims (functional equation, oracle intersection)
-    ``gap`` is the width of the overlap that witnesses consistency.
+    An immutable named tuple of the CFPoint, the Claim and the Enclosures
+    ``left`` and ``right``.  The Fraction ``gap`` is computed on access, from
+    the two enclosures, so no check pays for a value it does not read.  For
+    inequality claims it is the certified separation between the two sides
+    (positive).  In place of B, which is never formed, a sandwich half holds
+    the window [G(m)'s hi, G(m+1)'s lo], with B strictly inside, and ``gap``
+    is its width.  For identity claims (functional equation, oracle
+    intersection) ``gap`` is the width of the overlap that witnesses
+    consistency.
     """
 
     __slots__ = ()
+
+    @property
+    def gap(self) -> Fraction:
+        claim, left, right = self.claim, self.left, self.right
+        if claim == Claim.SANDWICH_UPPER:
+            return right.width
+        if claim == Claim.SANDWICH_LOWER:
+            return left.width
+        if claim == Claim.ABOVE_ONE:
+            return left.lo - 1
+        if claim == Claim.RECIPROCAL:
+            return 1 - left.hi
+        return min(left.hi, right.hi) - max(left.lo, right.lo)
+
+
+def _disjoint(a: Enclosure, b: Enclosure) -> bool:
+    """Whether two enclosures share no point: one ends below the other's start."""
+    return a.hi < b.lo or b.hi < a.lo
 
 
 def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> Enclosure:
@@ -105,6 +127,13 @@ def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> Enclosure:
     return Enclosure(lo=lo, hi=lo + cell, depth=0, mode=EvalMode.EXACT)
 
 
+def _wider(enc: Enclosure, t: Fraction) -> bool:
+    """enc.width > t, by one cross product of integers: no gcd is taken."""
+    (ln, ld), (hn, hd) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+    tn, td = t.as_integer_ratio()
+    return (hn * ld - ln * hd) * td > tn * hd * ld
+
+
 def check_sandwich(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
@@ -125,9 +154,8 @@ def check_sandwich(
         g0 = _mapped(point, g1)
         if g0.hi < g1.lo:
             window = Enclosure(g0.hi, g1.lo, g1.depth, g1.mode, g1.tol)
-            upper = CheckReport(point, Claim.SANDWICH_UPPER, g1, window, window.width)
-            lower = CheckReport(point, Claim.SANDWICH_LOWER, window, g0, window.width)
-            return upper, lower
+            return (CheckReport(point, Claim.SANDWICH_UPPER, g1, window),
+                    CheckReport(point, Claim.SANDWICH_LOWER, window, g0))
     raise InconclusiveError(
         f"sandwich enclosures still overlap at m={point.m}, lam={point.lam}",
         claim=Claim.SANDWICH_UPPER,
@@ -150,19 +178,12 @@ def check_functional_equation(
     """
     direct, tail = (_best(p, tol, max_depth)[0] for p in (point, point.shifted()))
     shifted = _mapped(point, tail)
-    overlap = min(direct.hi, shifted.hi) - max(direct.lo, shifted.lo)
-    if overlap < 0:
+    if _disjoint(direct, shifted):
         raise ViolationError(
             f"functional equation enclosures disjoint at m={point.m}, "
             f"lam={point.lam}: {direct} vs {shifted}"
         )
-    return CheckReport(
-        point=point,
-        claim=Claim.FUNCTIONAL_EQUATION,
-        left=direct,
-        right=shifted,
-        gap=overlap,
-    )
+    return CheckReport(point, Claim.FUNCTIONAL_EQUATION, direct, shifted)
 
 
 def check_g_above_one(
@@ -177,13 +198,7 @@ def check_g_above_one(
     unit = Enclosure(lo=ONE, hi=ONE, depth=0, mode=EvalMode.EXACT)
     for _, (enc,) in _tightened([point], tol, max_depth):
         if enc.lo > 1:
-            return CheckReport(
-                point=point,
-                claim=Claim.ABOVE_ONE,
-                left=enc,
-                right=unit,
-                gap=enc.lo - 1,
-            )
+            return CheckReport(point, Claim.ABOVE_ONE, enc, unit)
     raise InconclusiveError(
         f"G enclosure still touches 1 at m={point.m}, lam={point.lam}",
         claim=Claim.ABOVE_ONE,
@@ -210,11 +225,11 @@ def check_reciprocal(
     p0, p1 = CFPoint(0, lam), CFPoint(1, lam)
     for t, (g1,) in _tightened([p1], tol, max_depth):
         g0 = _mapped(p0, g1)
-        if g1.lo <= 1 and g1.depth < max_depth and g0.width > t:
+        if g1.lo <= 1 and g1.depth < max_depth and _wider(g0, t):
             g1 = _best(p1, t * g1.lo**2, max_depth)[0]
             g0 = _mapped(p0, g1)
         if g1.lo > 1:
-            return CheckReport(p0, Claim.RECIPROCAL, g0, g1, 1 - g0.hi)
+            return CheckReport(p0, Claim.RECIPROCAL, g0, g1)
     raise InconclusiveError(
         f"G(0, lam) enclosure still touches 1 at lam={p0.lam}",
         claim=Claim.RECIPROCAL,

@@ -35,7 +35,6 @@ from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from itertools import count
 from math import asinh, ceil, gcd, hypot, log, log1p, sqrt
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
@@ -160,32 +159,23 @@ class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode tol")):
 
 def _terms(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     """(u_0, du, D) with g = gcd(b, c), D = (b/g)*d and u_j = u_0 + j*du =
-    (a + j*b) * (c/g): the terms at the point (a/b, c/d) are u_j / D."""
+    (a + j*b) * (c/g): the terms at the point (a/b, c/d) are u_j / D.
+
+    The scaled convergents (p_n, q_n) are the classical recurrence scaled by
+    D**(n+1), which keeps every state integral:
+    p_n = u_n * p_{n-1} + D**2 * p_{n-2}, the same for q, from the depth-0
+    pair (p_0, q_0, p_{-1}, q_{-1}) = (u_0, D, 1, 0).  The scale cancels in
+    the ratio, so p_n/q_n is exactly the convergent G_n; the fractions need
+    not be reduced.
+
+    Dividing g out of the terms keeps it out of the states: at scale b*d
+    every term and D**2 share g, so p_n and q_n would each carry about g**n.
+    What is left satisfies p_n*q_{n-1} - p_{n-1}*q_n = +-D**(2n+1), so
+    gcd(p_n, q_n) has only primes of D.
+    """
     g = gcd(b, c)
     c //= g
     return a * c, b * c, b // g * d
-
-
-def _scaled_convergents(a: int, b: int, c: int, d: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Integer-scaled convergents (n, p, q, p_prev, q_prev) at the point (a/b, c/d).
-
-    With the terms u_j / D of _terms, scaling the classical recurrence by
-    D**(n+1) keeps every state integral: p_n = u_n * p_{n-1} + D**2 * p_{n-2}.
-    The scale cancels in the ratio, so p/q is exactly the convergent G_n; the
-    fractions need not be reduced.  The depth-0 pair is (0, u_0, D, 1, 0).
-
-    Dividing g = gcd(b, c) out of the terms keeps it out of the states: at
-    scale b*d every term and D**2 share g, so p_n and q_n would each carry
-    about g**n.  What is left satisfies p_n*q_{n-1} - p_{n-1}*q_n =
-    +-D**(2n+1), so gcd(p_n, q_n) has only primes of D.
-    """
-    u, du, big_d = _terms(a, b, c, d)
-    dd = big_d * big_d
-    p, q, p_prev, q_prev = u, big_d, 1, 0
-    for n in count():
-        yield n, p, q, p_prev, q_prev
-        u += du
-        p, q, p_prev, q_prev = u * p + dd * p_prev, u * q + dd * q_prev, p, q
 
 
 def _coprime(num: int, den: int) -> Fraction:
@@ -198,15 +188,16 @@ def _coprime(num: int, den: int) -> Fraction:
     return f
 
 
-def _reduced(num: int, den: int, k: int) -> Fraction:
-    """Fraction(num, den) for den > 0 when every prime of gcd(num, den) divides k.
+def _reduced(num: int, den: int, k: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0 when every prime of
+    gcd(num, den) divides k.
 
     h = gcd(k, num, den) holds every common prime.  After dividing by h,
     every common prime left divides h, so the next round takes
     gcd(h**2, num, den), and the exponents it removes can double from round
     to round.  Each round costs remainders by a modulus no wider than the
     square of the common factor, linear in the width of num, where the gcd
-    that Fraction(num, den) runs is quadratic.  _coprime builds the result.
+    that Fraction(num, den) runs is quadratic.
     """
     h = gcd(k, num % k, den % k)
     while h > 1:
@@ -214,7 +205,7 @@ def _reduced(num: int, den: int, k: int) -> Fraction:
         den //= h
         h *= h
         h = gcd(h, num % h, den % h)
-    return _coprime(num, den)
+    return num, den
 
 
 def _from_tail(
@@ -231,23 +222,25 @@ def _from_tail(
     every prime of gcd(N, M) divides k.  A prime r that does not divide bd
     but divides N and M divides p, hence bd*q, hence gcd(p, q).  Every
     caller's gcd(p, q) has only primes of 2*bd:
-    - exact tail pairs, the integers of _scaled_convergents, where it
+    - exact tail pairs, the scaled convergents of _terms, where it
       divides D**(2n+1) and D divides bd;
     - directed ends (t, S) with S = D * 2**bits;
     - _mapped's (num, den) of a reduced Fraction, which are coprime.
-    So both ends come out coprime, and the enclosure is built once.
+    So both ends come out coprime, _coprime builds them, and the order check
+    of Enclosure.__new__ runs on the integers already at hand: the same
+    cross product, raising the same ValueError.  The enclosure is then built
+    once, without a second pass through __new__.
     """
     (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
     ac, bd = a * c, b * d
     k = 2 * bd
     (p_lo, q_lo), (p_hi, q_hi) = t_lo, t_hi
-    return Enclosure(
-        lo=_reduced(ac * p_hi + bd * q_hi, bd * p_hi, k),
-        hi=_reduced(ac * p_lo + bd * q_lo, bd * p_lo, k),
-        depth=depth,
-        mode=mode,
-        tol=tol,
-    )
+    ln, ld = _reduced(ac * p_hi + bd * q_hi, bd * p_hi, k)
+    hn, hd = _reduced(ac * p_lo + bd * q_lo, bd * p_lo, k)
+    lo, hi = _coprime(ln, ld), _coprime(hn, hd)
+    if ln * hd > hn * ld:
+        raise ValueError(f"malformed enclosure: {lo} > {hi}")
+    return tuple.__new__(Enclosure, (lo, hi, depth, mode, tol))
 
 
 def _mapped(point: CFPoint, tail: Enclosure) -> Enclosure:
@@ -304,9 +297,28 @@ def _depth_model(point: CFPoint, tol: Fraction, max_depth: int) -> int:
     From v >= 2**26 the integrand is 2*ln(lam*y) to 2**-53, integrated in
     closed form.  grow is increasing and convex in n, and as asinh(z) <= z,
     grow(n) <= lam/2 * n * (2ya + n), so every integer below that bound's
-    root falls short.  From there Newton steps on integers, each clamped
-    inside the bracket of integers known to fall short and to meet need,
-    narrow it to one step; at small lam the first integer often closes it.
+    root falls short.  The first trial takes three fixed-point steps of the
+    midpoint rule n * 2*asinh(lam/2 * (ya + n/2)) = need, from the first
+    integer past that root.  The rule's mean rises with n, so the steps
+    alternate about the rule's root and the third ends just above it; as
+    asinh is concave, grow's root lies above the rule's too, and close to
+    where the third step ends.
+
+    Each evaluation also bounds its neighbours.  The slope 2*asinh(lam*y/2)
+    rises by at most lam a step (in the closed form, 2*ln(lam*y) rises by
+    2/ya <= lam), so grow(n + 1) >= grow(n) + slope(n) and
+    grow(n - 1) <= grow(n) - slope(n) + lam.  A bound can decide otherwise
+    than evaluating the neighbour only where need lies within grow's
+    rounding, about 2**-52 of it, of the neighbour's value: on every call
+    of the certify-mix, exact-deep and small-lam-sweep passes of seeds 1-3
+    and on 47,000 random cases (m up to 1e12, lam 1e-24 to 1e19, tol down
+    to 1e-3000) the start equals the one found by evaluating every trial.
+    Past the first trial, Newton steps on integers, each clamped inside the
+    bracket of integers known to fall short and to meet need, narrow it to
+    one step.  The first trial alone closes the bracket on most calls:
+    1.04 evaluations a call on certify-mix, 1.0 on small-lam-sweep and 2.16
+    on exact-deep (seeds 1-3), where a first trial at the first integer
+    past the bound's root took 2.94, 1.33 and 4.48.
     Where m + 3/2 or lam overflows a float the start is 1, and where lam/2
     is 0.0 it is max_depth.
 
@@ -323,35 +335,47 @@ def _depth_model(point: CFPoint, tol: Fraction, max_depth: int) -> int:
     if not s:
         return max_depth
     cap = min(max_depth, 2**53)  # every depth up to cap is one float
-    need = log(tol.denominator) - log(tol.numerator) + _LN4
-    v = s * ya
-    if v >= 2.0**26:
+    tn, td = tol.as_integer_ratio()
+    need = log(td) - log(tn) + _LN4
+    v, ya2 = s * ya, 2 * ya
+    closed = v >= 2.0**26  # grow's closed log form
+    if closed:
         log_lam = log(lam)
-
-        def grow(n: float) -> tuple[float, float]:
-            slope = 2 * (log_lam + log(ya + n))
-            return n * (slope - 2) + 2 * ya * log1p(n / ya), slope
     else:
         hv = hypot(v, 1)
-        vh, ya2 = v + hv, 2 * ya
+        vh = v + hv
 
-        def grow(n: float) -> tuple[float, float]:
+    # grow(lo) < need <= grow(hi), hi = cap + 1 standing for "past cap"
+    want = max(need, 0.0)
+    lo = max(ceil(min(hypot(ya, sqrt(want / s)) - ya, cap)) - 1, 0)
+    hi = cap + 1
+    # the midpoint rule's steps, n * asinh(v + s*n/2) = want/2
+    half_want, quarter = want / 2, s / 2
+    n = half_want / asinh(v + quarter * (lo + 1))
+    n = half_want / asinh(v + quarter * n)
+    n = min(max(ceil(min(half_want / asinh(v + quarter * n), cap)), lo + 1), cap)
+    while True:
+        # g = grow(n) and its slope 2*asinh(lam*(ya + n)/2), in either form
+        if closed:
+            slope = 2 * (log_lam + log(ya + n))
+            g = n * (slope - 2) + ya2 * log1p(n / ya)
+        else:
             half = s * n
             u = v + half
             r = (u + v) / (hypot(u, 1) + hv)
             slope = 2 * asinh(u)
-            return n * (slope - 2 * r) + ya2 * log1p(half * (1 + r) / vh), slope
-
-    # grow(lo) < need <= grow(hi), hi = cap + 1 standing for "past cap"
-    lo = max(ceil(min(hypot(ya, sqrt(max(need, 0.0) / s)) - ya, cap)) - 1, 0)
-    hi = cap + 1
-    n = lo + 1
-    while True:
-        g, slope = grow(n)
+            g = n * (slope - 2 * r) + ya2 * log1p(half * (1 + r) / vh)
+        # grow's slope rises by at most lam a step, so a trial short by at
+        # most its slope has a successor that meets need, and one that meets
+        # it by less than its slope less lam has a predecessor that falls short
         if g < need:
             lo = n
+            if g + slope >= need:
+                hi = min(hi, n + 1)
         else:
             hi = n
+            if g - slope + lam < need:
+                lo = max(lo, n - 1)
         if hi - lo == 1:
             return min(hi, cap)
         # the tangent at n crosses need past the root, from either side
@@ -412,7 +436,7 @@ def eval_enclosure(
     there for any m > -1) and maps back through m*lam + 1/tail.  For the
     consecutive tail convergents (n-1, n) the mapped width is exactly
     1 / (P_n * P_{n-1}), and with the scaled convergents p_n = D**(n+1) * P_n
-    of _scaled_convergents the test width <= tol reads
+    of _terms the test width <= tol reads
     p_n * p_{n-1} * tol_num >= D * tol_den * (D**2)**n.
 
     One product tree (_step_product) builds the pair at s = n - 1, a step
@@ -482,29 +506,36 @@ def _side_of_one(
     """Side of G(a/b, c/d) relative to 1 (-1 below, 1 above, 0 undecided),
     and the tail pair (n, p, q, pp, qq) that decides it.
 
-    Walks eval_enclosure's exact tail pairs (n-1, n), n >= 1, and stops at
-    the first whose mapped enclosure excludes 1 (the pairs are nested, so
-    every deeper one agrees), or gives up (0) at ``max_depth`` with that
-    pair.  The fractions need not be reduced.
+    Walks eval_enclosure's exact tail pairs (n-1, n), n >= 1, by the
+    scaled recurrence of _terms, one flat loop on integers, and stops at the
+    first whose mapped enclosure excludes 1 (the pairs are nested, so every
+    deeper one agrees), or gives up (0) at ``max_depth`` with that pair.  A
+    verdict at n = 0 is returned with the pair at n = 1.  The fractions need
+    not be reduced.
 
-    With t = p/q a tail convergent, D = b*d and e = D - a*c, the mapped value
-    m*lam + 1/t is 1 - r/(D*p) with r = p*e - q*D, so it is below 1 exactly
-    when r > 0 and above when r < 0.  Only an even convergent (the lower
-    tail bound) can newly put a pair below 1 and only an odd one above, so
-    each step tests just the newest one.
+    With t = p/q a tail convergent, bd = b*d and e = bd - a*c, the mapped
+    value m*lam + 1/t is 1 - r/(bd*p) with r = p*e - q*bd, so it is below 1
+    exactly when r > 0 and above when r < 0.  Only an even convergent (the
+    lower tail bound) can newly put a pair below 1 and only an odd one
+    above, so each step tests just the newest one.
     """
     _check_budget(max_depth)
-    big_d = b * d
-    e = big_d - a * c
-    side = 0
-    for pair in _scaled_convergents(a + b, b, c, d):
-        n, p, q, _, _ = pair
-        r = p * e - q * big_d
-        if r < 0 if n & 1 else r > 0:
+    bd = b * d
+    e = bd - a * c
+    u, du, big_d = _terms(a + b, b, c, d)
+    dd = big_d * big_d
+    p, q, pp, qq = u, big_d, 1, 0
+    side = -1 if p * e > q * bd else 0
+    n = 0
+    while True:
+        n += 1
+        u += du
+        p, pp = u * p + dd * pp, p
+        q, qq = u * q + dd * qq, q
+        if (p * e < q * bd) if n & 1 else (p * e > q * bd):
             side = 1 if n & 1 else -1
-        if n and (side or n >= max_depth):
-            return side, pair
-    raise AssertionError("unreachable")
+        if side or n >= max_depth:
+            return side, (n, p, q, pp, qq)
 
 
 def _pair_enclosure(point: CFPoint, pair: tuple[int, int, int, int, int]) -> Enclosure:
@@ -608,6 +639,51 @@ def _directed_tail(
     return lo, hi, scale
 
 
+#: ln(2**36): the float stage hands over below _NARROW = 2**-36 relative width
+_LN_NARROW = 36 * log(2)
+
+
+def _rounding_steps(point: CFPoint, tol: Fraction, depth: int) -> int:
+    """Steps, from 0 to depth, that a directed first pass at the model's
+    start ``depth`` adds for the rounding of _directed_tail's float stage.
+
+    The float stage's outward factors widen each step by about 2**-49 (its
+    values are near 1 at small x), and the backward map shrinks a width by
+    about e**-x_j a step.  So a stage that hands over at term h carries
+    about 2**-49 / x_h of rounding, a share eps = 2**-13 / x_h of the
+    2**-36 width it hands over, and every later step shrinks both alike.
+    The integer stage shrinks the width to G by about
+    exp(-lam*h*(2ya + h)/2), ya = m + 3/2 as in _depth_model, so the
+    handover lies where that leaves 2**36 * tol:
+    x_h = lam*(ya + h) = hypot(lam*ya, sqrt(2*lam*ln(2**-36/tol))).  The
+    pass is then 1/(1 - eps) wider than the model counts: ln(1/(1 - eps))
+    more, at 2*asinh(x_n/2) a step, less one step, which the pass's seed
+    (x_n, x_n + 1/x_{n+1}), tighter than the convergent pair the model
+    counts, covers (1.3 to 2 steps, measured from lam = 1e-5 to 1e-7).  eps
+    is capped at 1/2, past which the retry rule goes on, and nothing is
+    added where tol is above 2**-36, as no width-driven handover happens.
+
+    Against passes with no float stage, ln(1/(1 - eps)) was within 7% of the
+    rounding's share of the log width: 0.0146 at lam = 1e-5, tol 1e-12, and
+    0.090 at lam = 1e-7, tol = lam * 2**-26, where 35 steps are added (4 at
+    lam = 1e-6).  Nothing is added from DIRECTED_LAMBDA_CUTOFF up: there
+    x_h >= lam*ya >= 2**-7, so ln(1/(1 - eps)) < 0.016, less than one step,
+    2*asinh(x_n/2) > 2*asinh(3/256) > 0.023.
+    """
+    (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
+    try:
+        ya, lam = (2 * a + 3 * b) / (2 * b), c / d
+    except OverflowError:
+        return 0
+    tn, td = tol.as_integer_ratio()
+    rest = log(td) - log(tn) - _LN_NARROW
+    drop = 2 * asinh(lam * (ya + depth) / 2)
+    if rest <= 0 or not drop:
+        return 0
+    eps = min(2.0**-13 / hypot(lam * ya, sqrt(2 * lam * rest)), 0.5)
+    return min(max(ceil(-log1p(-eps) / drop) - 1, 0), depth)
+
+
 def eval_directed(
     point: CFPoint,
     tol: RationalLike = DEFAULT_TOL,
@@ -638,13 +714,15 @@ def eval_directed(
     rounding about 2**-24 below tol.  S is still a multiple of D, so every
     term stays an exact integer, and bits >= 1 keeps lo a positive integer.
 
-    The first pass runs at _depth_model's start, measured at or up to 3
-    steps above the least depth where one pass meets tol, from lam = 1e-5 to
-    1000 and m = -1/2 to 10**6.  It lies below that depth where
-    x0 = (m+1)*lam is far below 1 at large lam, since the model leaves out
-    P_0 = x0, and by a few steps at lam below 1e-5 (3 at lam = 1e-6, tol
-    about 1.5e-14).  A pass at depth n that leaves the intersection of the
-    passes w wider than tol is followed by one at n + k, capped at
+    The first pass runs at _depth_model's start, raised by _rounding_steps
+    for the float stage's own rounding, which adds nothing from lam = 1e-5
+    up at tol <= 1e-12.  It was measured at or up to 3 steps above the least
+    depth where one pass meets tol from lam = 1e-5 to 1000 and m = -1/2 to
+    10**6, and 1 to 3 above at lam = 1e-6 and 1e-7, tol = lam * 2**-26 and
+    1e-30.  It lies below that depth where x0 = (m+1)*lam is far below 1 at
+    large lam, since the model leaves out P_0 = x0.  A pass at depth n that
+    leaves the intersection of the passes w wider than tol is followed by
+    one at n + k, capped at
     max_depth, with k = ceil(ln(w/tol) / (2*asinh(lam*n/2))): past n the
     log of 1/(P_j P_{j-1}) falls by ln(P_{j+1}/P_{j-1}), about
     2*asinh(x_j/2) or more a step, and x_j >= lam*n.  k is raised to twice
@@ -668,6 +746,7 @@ def eval_directed(
     best: Enclosure | None = None
     more = 0
     depth = _depth_model(point, tol, max_depth)
+    depth = min(depth + _rounding_steps(point, tol, depth), max_depth)
     while True:
         bits = max(guard + (2 * depth + 2).bit_length(), 1)
         t_lo, t_hi, scale = _directed_tail(a, b, c, big_d, depth, bits)

@@ -28,7 +28,7 @@ from cfcert import (
     scan,
 )
 from cfcert.alpha_root import _ABOVE, _BELOW, _STRADDLE, FLAG_INCONCLUSIVE
-from cfcert.cf_core import as_fraction
+from cfcert.cf_core import _terms, as_fraction
 
 #: the checks' former give-up: tightening stopped once the tolerance reached it
 REFERENCE_TOL_FLOOR = Fraction(1, 10**30)
@@ -206,13 +206,7 @@ def reference_check_g_above_one(point, tol=DEFAULT_TOL, *, max_depth=DEFAULT_MAX
     for t in reference_tolerances(tol):
         enc = evaluate(point, t, max_depth=max_depth)
         if enc.lo > 1:
-            return CheckReport(
-                point=point,
-                claim=Claim.ABOVE_ONE,
-                left=enc,
-                right=unit,
-                gap=enc.lo - 1,
-            )
+            return CheckReport(point=point, claim=Claim.ABOVE_ONE, left=enc, right=unit)
     raise InconclusiveError(
         f"G enclosure still touches 1 at m={point.m}, lam={point.lam}",
         claim=Claim.ABOVE_ONE,
@@ -357,12 +351,26 @@ def _reference_bd_convergents(a: int, b: int, c: int, d: int):
     """Scaled convergents (n, p, q, p_prev, q_prev) at (a/b, c/d) at the scale D = b*d.
 
     The terms are u_j / D with u_j = (a + j*b) * c, and p_n = u_n * p_{n-1} +
-    D**2 * p_{n-2}, so p/q is the convergent G_n.  cf_core._scaled_convergents
-    divides gcd(b, c) out of this scale; the reference keeps its own copy.
+    D**2 * p_{n-2}, so p/q is the convergent G_n.  cf_core._terms divides
+    gcd(b, c) out of this scale; the reference keeps its own copy.
     """
     big_d = b * d
     dd = big_d * big_d
     u, du = a * c, b * c
+    p_prev, q_prev, p, q = 1, 0, u, big_d
+    for n in count():
+        yield n, p, q, p_prev, q_prev
+        u += du
+        p, p_prev = u * p + dd * p_prev, p
+        q, q_prev = u * q + dd * q_prev, q
+
+
+def kernel_scaled_convergents(a: int, b: int, c: int, d: int):
+    """Scaled convergents (n, p, q, p_prev, q_prev) at (a/b, c/d) at the
+    kernel's scale: the recurrence that cf_core._terms documents, one step
+    at a time, for the tests that compare the kernel's integers."""
+    u, du, big_d = _terms(a, b, c, d)
+    dd = big_d * big_d
     p_prev, q_prev, p, q = 1, 0, u, big_d
     for n in count():
         yield n, p, q, p_prev, q_prev

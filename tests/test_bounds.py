@@ -22,12 +22,15 @@ from cfcert import (
     EvalMode,
     InconclusiveError,
     NotConvergedError,
+    ViolationError,
     check_functional_equation,
     check_g_above_one,
     check_reciprocal,
     check_sandwich,
+    cross_check,
     evaluate,
 )
+from cfcert import bessel_oracle, bounds
 from cfcert.bounds import theorem_bound
 from cfcert.cf_core import _mapped
 
@@ -99,6 +102,49 @@ def bound_args(draw):
         tol = w0 / 2 ** draw(st.integers(0, 130))
         tol *= draw(st.sampled_from([1, Fraction(10**9 - 1, 10**9), Fraction(10**9 + 1, 10**9)]))
     return CFPoint(m, lam), tol
+
+
+#: the gap each check stored before CheckReport computed it on access
+EAGER_GAP = {
+    Claim.SANDWICH_UPPER: lambda r: r.right.width,  # the window's width
+    Claim.SANDWICH_LOWER: lambda r: r.left.width,
+    Claim.FUNCTIONAL_EQUATION: lambda r: min(r.left.hi, r.right.hi) - max(r.left.lo, r.right.lo),
+    Claim.ABOVE_ONE: lambda r: r.left.lo - 1,
+    Claim.RECIPROCAL: lambda r: 1 - r.left.hi,
+    Claim.ORACLE: lambda r: min(r.left.hi, r.right.hi) - max(r.left.lo, r.right.lo),
+}
+
+
+@pytest.mark.parametrize(
+    "m, lam, tol",
+    [(1, Fraction(1), Fraction(1, 10**12)), (2, Fraction(1, 3), Fraction(1, 10**30)),
+     (3, Fraction(7, 4), Fraction(1, 10**20)), (1, Fraction(1, 1000), Fraction(1, 10**12))],
+)
+def test_gap_is_the_eager_formula_for_every_claim(m, lam, tol):
+    point = CFPoint(m, lam)
+    reports = [*check_sandwich(point, tol), check_functional_equation(point, tol),
+               check_g_above_one(point, tol), check_reciprocal(lam, tol), cross_check(m, lam, tol)]
+    assert sorted(r.claim for r in reports) == sorted(EAGER_GAP)
+    for report in reports:
+        assert type(report.gap) is Fraction
+        assert report.gap == EAGER_GAP[report.claim](report)
+        identity = report.claim in (Claim.FUNCTIONAL_EQUATION, Claim.ORACLE)
+        assert report.gap >= 0 if identity else report.gap > 0
+
+
+@pytest.mark.parametrize("shift", [Fraction(-1), Fraction(1)])
+def test_disjoint_identity_enclosures_raise_violation(monkeypatch, shift):
+    # the overlap test decides disjointness by comparing ends, in either order
+    def moved(enc):
+        return Enclosure(enc.lo + shift, enc.hi + shift, enc.depth, enc.mode, enc.tol)
+
+    mapped, summed = bounds._mapped, bessel_oracle._summed
+    monkeypatch.setattr(bounds, "_mapped", lambda *args: moved(mapped(*args)))
+    monkeypatch.setattr(bessel_oracle, "_summed", lambda *args: moved(summed(*args)))
+    with pytest.raises(ViolationError, match="functional equation enclosures disjoint"):
+        check_functional_equation(CFPoint(1, 1))
+    with pytest.raises(ViolationError, match="convergent and series enclosures disjoint"):
+        cross_check(1, 1)
 
 
 class TestTheoremBound:

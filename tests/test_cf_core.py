@@ -19,6 +19,7 @@ from conftest import (
     ConvergentPair,
     advance,
     exact_directed_tail,
+    kernel_scaled_convergents,
     reference_convergents,
     reference_directed_tail,
     reference_enclosure,
@@ -40,6 +41,7 @@ from cfcert import (
 )
 from cfcert import cf_core
 from cfcert.cf_core import (
+    DIRECTED_LAMBDA_CUTOFF,
     _BOUND_BITS,
     _LEAF,
     _best,
@@ -49,7 +51,7 @@ from cfcert.cf_core import (
     _exact_at,
     _from_tail,
     _meets,
-    _scaled_convergents,
+    _rounding_steps,
     _side_of_one,
     _step_product,
     _terms,
@@ -575,7 +577,7 @@ class TestEvalEnclosure:
         # the product tree's tail pair is the walk's, integer for integer
         m, lam = point.m, point.lam
         args = (m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator)
-        _, *want = next(islice(_scaled_convergents(*args), depth, None))
+        _, *want = next(islice(kernel_scaled_convergents(*args), depth, None))
         assert list(_step_product(*_terms(*args), 0, depth + 1)) == want
 
     @given(point=wide_points, max_depth=depth_caps)
@@ -591,15 +593,24 @@ class TestEvalEnclosure:
     @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), max_depth=DEFAULT_MAX_DEPTH)
     @example(point=CFPoint(Fraction(-1, 2), Fraction(80, 997)), max_depth=DEFAULT_MAX_DEPTH)
     @example(point=CFPoint(Fraction(1, 3), Fraction(300, 997)), max_depth=DEFAULT_MAX_DEPTH)
+    # G(1/2, 1/4) = coth(8), 2.3e-7 above 1: undecided when the walk ends at
+    # max_depth 5, after steps from both sides; decided from depth 12 on
+    @example(point=CFPoint(Fraction(1, 2), Fraction(1, 4)), max_depth=5)
+    @example(point=CFPoint(Fraction(1, 2), Fraction(1, 4)), max_depth=DEFAULT_MAX_DEPTH)
     @settings(max_examples=300, deadline=None)
     def test_side_of_one_matches_pair_reference(self, point, max_depth):
-        args = (point.m.numerator, point.m.denominator,
-                point.lam.numerator, point.lam.denominator, max_depth)
+        m, lam = point.m, point.lam
+        args = (m.numerator, m.denominator, lam.numerator, lam.denominator, max_depth)
         # the kernel and the reference work at different scales: compare ratios
         side, (n, p, q, pp, qq) = _side_of_one(*args)
         ref_side, (ref_n, rp, rq, rpp, rqq) = reference_side_of_one(*args)
         assert (side, n) == (ref_side, ref_n)
         assert (Fraction(p, q), Fraction(pp, qq)) == (Fraction(rp, rq), Fraction(rpp, rqq))
+        # the walk's pair is the product tree's, integer for integer, and an
+        # undecided walk stops exactly at its budget
+        terms = _terms(m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator)
+        assert (p, q, pp, qq) == _step_product(*terms, 0, n + 1)
+        assert n >= 1 and (side != 0 or n == max_depth)
 
     @given(point=points)
     @settings(max_examples=30, deadline=None)
@@ -642,6 +653,21 @@ class TestFromTail:
     """_from_tail reduces each end without a wide gcd, to the lowest terms
     that Fraction(ac*p + bd*q, bd*p) gives."""
 
+    @given(point=tail_points(), depth=st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_swapped_tail_ends_are_rejected(self, point, depth):
+        # _from_tail builds its enclosure without Enclosure.__new__, so it
+        # must run the order check itself: swapped ends map to lo > hi
+        m, lam = point.m, point.lam
+        terms = _terms(m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator)
+        p, q, pp, qq = _step_product(*terms, 0, depth + 1)
+        ends = ((p, q), (pp, qq)) if depth % 2 == 0 else ((pp, qq), (p, q))
+        enc = _from_tail(point, *ends, depth, EvalMode.EXACT)
+        assert enc.lo < enc.hi
+        for mode in EvalMode:
+            with pytest.raises(ValueError, match="malformed enclosure: .* > "):
+                _from_tail(point, ends[1], ends[0], depth, mode)
+
     @staticmethod
     def assert_lowest_terms(point, t_lo, t_hi, mode):
         m, lam = point.m, point.lam
@@ -656,7 +682,7 @@ class TestFromTail:
     @settings(max_examples=200, deadline=None)
     def test_exact_tail_pairs(self, point, depth):
         m, lam = point.m, point.lam
-        pairs = _scaled_convergents(
+        pairs = kernel_scaled_convergents(
             m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator
         )
         n, p, q, pp, qq = next(islice(pairs, depth, None))
@@ -873,6 +899,33 @@ class TestEvalDirected:
         enc = eval_directed(CFPoint(1, Fraction(1, 10**5)), tol)
         assert enc.width <= tol
         assert enc.depth <= 4100 < DEFAULT_MAX_DEPTH
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 10**6), Fraction(1, 10**7)])
+    @pytest.mark.parametrize("tol", ["lam * 2**-26", Fraction(1, 10**30)])
+    def test_single_pass_below_1e_5(self, monkeypatch, lam, tol):
+        # below lam = 1e-5 the float stage's rounding outgrows the model's
+        # margin: without _rounding_steps a second pass ran (8150 then 8153
+        # at lam = 1e-6, 26654 then 26687 at 1e-7, tol = lam * 2**-26)
+        tol = lam / 2**26 if tol == "lam * 2**-26" else tol
+        passes = []
+        monkeypatch.setattr(cf_core, "_directed_tail",
+                            lambda *args: passes.append(args[4]) or _directed_tail(*args))
+        for m in (Fraction(4194303, 8388608), Fraction(1, 3)):
+            passes.clear()
+            point = CFPoint(m, lam)
+            depth = eval_directed(point, tol, max_depth=10**5).depth
+            start = _depth_model(point, tol, 10**5)
+            assert passes == [depth] and start < depth <= least_single_pass(point, tol, depth) + 3
+
+    def test_rounding_steps_add_nothing_from_the_cutoff_up(self):
+        # there x_h >= lam*ya >= 2**-7, so the rounding's share of the log
+        # width stays under one step (see _rounding_steps)
+        for m in (Fraction(-999, 1000), 0, Fraction(1, 2), 10**6):
+            for lam in (DIRECTED_LAMBDA_CUTOFF, Fraction(1, 2), 1000):
+                for e in (11, 12, 30, 300):
+                    point, tol = CFPoint(m, lam), Fraction(1, 10**e)
+                    for depth in (1, _depth_model(point, tol, DEFAULT_MAX_DEPTH)):
+                        assert _rounding_steps(point, tol, depth) == 0
 
     def test_single_pass_across_small_lam_sweep(self, monkeypatch):
         # small-lam-sweep's range: lam = k/10000019 log-spaced in [1e-5, 1/65],

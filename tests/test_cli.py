@@ -245,13 +245,13 @@ class TestAlphaScanWitnessOracle:
     def test_alpha_certifies_the_cell_in_flat_region(self, capsys):
         # G(1/2, lam) sits exponentially close to 1 at tiny lam, so the
         # estimate 1/2 cannot be classified; the cell centred on it certifies,
-        # each end by one evaluation at tol = lam * 2**-26
+        # each end by one evaluation at tol = lam * 2**-26, one pass each
         code, out = run(capsys, "alpha", "--lambda", "0.000001")
         assert code == EXIT_OK
         recs = parse_records(out, "csv")
         assert [(r.command, r.inputs["m"], r.certified, r.depth) for r in recs] == [
-            ("alpha-lo", "4194303/8388608", True, 8153),
-            ("alpha-hi", "4194305/8388608", True, 8153),
+            ("alpha-lo", "4194303/8388608", True, 8154),
+            ("alpha-hi", "4194305/8388608", True, 8154),
             ("alpha-mid", "1/2", None, 6648),
         ]
         assert Fraction(recs[0].hi) < 1 < Fraction(recs[1].lo)

@@ -28,7 +28,7 @@ POINT = CFPoint(Fraction(1, 3), 1)
 SAMPLES = {
     "CFPoint": POINT,
     "Enclosure": LOW,
-    "CheckReport": CheckReport(POINT, Claim.ABOVE_ONE, LOW, HIGH, Fraction(1, 20)),
+    "CheckReport": CheckReport(POINT, Claim.ABOVE_ONE, LOW, HIGH),
     "AlphaResult": AlphaResult(Fraction(1), Fraction(1, 4), Fraction(1, 2), LOW, 2),
     "Witness": Witness(Fraction(1, 3), Fraction(1, 16), Fraction(1, 8), HIGH, LOW),
     "ScanPoint": ScanPoint(Fraction(1, 8), LOW),
@@ -92,6 +92,14 @@ def test_replace_runs_the_constructor_checks(name, change, error, match):
     if hasattr(copy, "replace"):  # Python 3.13 on
         with pytest.raises(error, match=match):
             copy.replace(value, **change)
+
+
+def test_check_report_gap_is_computed_not_stored():
+    report = SAMPLES["CheckReport"]
+    assert report._fields == ("point", "claim", "left", "right")
+    assert report.gap == LOW.lo - 1  # above-one: the left end's distance above 1
+    with pytest.raises(AttributeError):
+        report.gap = Fraction(1, 20)
 
 
 def test_replace_coerces_like_the_constructor():
