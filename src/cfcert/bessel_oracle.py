@@ -9,18 +9,21 @@ pair as a hard Violation, so agreement is established empirically over the
 whole test grid.
 
 All arithmetic is on integers.  With h = x/2 = a/b, each truncated series
-is a numerator over a denominator, and one forward Horner pass sums both
-numerators, where every step multiplies the big integers by small ones.
-The two denominators, products of b**2 * k * (k + nu) over k = 1..T, are
-never formed: their ratio telescopes,
+is its first term t_0 = h**nu / nu! times a numerator over a denominator,
+and one forward Horner pass sums both numerators, where every step
+multiplies the big integers by small ones.  The two denominators, products
+of b**2 * k * (k + nu) over k = 1..T, are never formed: their ratio
+telescopes,
 
     d_den / n_den = prod_k (k + m) / (k + m - 1) = (T + m) / m    (m >= 1)
     d_den / n_den = prod_k k / (k + 1)           = 1 / (T + 1)    (m = 0),
 
-so each end of the quotient interval is a pair of unreduced integers of
-about half the size.  Tails are bounded by a geometric majorant: once the
-term ratio at the truncation point is below 1/2, the tail is at most twice
-the first omitted term; that ratio is checked before any term is summed.
+and times the ratio of the two first terms it leaves r = b*(T + m)/a, or
+a/(b*(T + 1)) at m = 0, with no factorial (_parts).  So each end of the
+quotient interval is a pair of unreduced integers of about half the size.
+Tails are bounded by a geometric majorant: once the term ratio at the
+truncation point is below 1/2, the tail is at most twice the first omitted
+term; that ratio is checked before any term is summed.
 
 cross_check accepts the least truncation whose tail is bounded and whose
 interval is at most tol wide.  A float estimate places the Horner pass,
@@ -33,7 +36,7 @@ reproducible bit for bit and do not depend on the platform.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, factorial, isqrt, lgamma, log, prod
+from math import ceil, isqrt, lgamma, log
 
 from .bounds import CheckReport, Claim, _disjoint
 from .cf_core import (
@@ -43,39 +46,19 @@ from .cf_core import (
     Enclosure,
     EvalMode,
     RationalLike,
-    _top,
+    _check_budget,
+    _product_ge,
     as_fraction,
     evaluate,
 )
 from .errors import BudgetExceededError, DomainError, TailNotBoundedError, ViolationError
-
-#: the longest truncation cross_check tries before giving up
-MAX_TERMS = 65536
-
-
-def _tail_den(nu: int, a: int, b: int, last: int) -> int:
-    """Denominator q of the term ratio rho = a**2 / q of S_nu at k = last, h = a/b.
-
-    Terms of S_nu(x) = sum_k h**(2k+nu) / (k! (k+nu)!) are positive and their
-    successive ratio at k is h**2 / ((k+1)(k+nu+1)), decreasing in k.  With
-    rho < 1/2 at the truncation point the tail is below 2 * t_last * rho;
-    otherwise this raises TailNotBoundedError.
-    """
-    q = b * b * (last + 1) * (last + nu + 1)
-    if 2 * a * a >= q:
-        raise TailNotBoundedError(
-            f"term ratio {a * a / q:.3f} >= 1/2 at truncation k={last}, nu={nu}; "
-            "more terms needed"
-        )
-    return q
-
 
 def _horner(m: int, aa: int, bb: int, last: int, start=(0, 1, 1, 1)) -> tuple[int, int, int, int]:
     """(last, n_num, d_num, aa**last): both series of _orders(m) to ``last``,
     h**2 = aa/bb, continued from ``start``, that tuple at an earlier truncation.
 
     For S_nu, num/den = (t_0 + ... + t_last) / t_0 with den = w_1 ... w_last,
-    w_k = bb*k*(k+nu), which no caller needs (_den_ratio), so t_last =
+    w_k = bb*k*(k+nu), which no caller needs (_parts), so t_last =
     t_0 * aa**last / den and num = sum_j aa**j * w_{j+1} ... w_last.  Horner's
     rule sums it forward, num(k) = w_k * num(k - 1) + aa**k, so one term is
     added by one more step, and dropped by num(k - 1) = (num(k) - aa**k) / w_k.
@@ -93,20 +76,32 @@ def _orders(m: int) -> tuple[int, int]:
     return (m - 1 if m >= 1 else 1), m
 
 
-def _den_ratio(m: int, terms: int) -> tuple[int, int]:
-    """(rn, rd) with rn/rd = d_den/n_den, the Horner denominators of _orders(m)."""
-    return (terms + m, m) if m >= 1 else (1, terms + 1)
-
-
 def _check_order(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise DomainError(f"series oracle needs integer m >= 0, got {m!r}")
 
 
+def _parts(m: int, a: int, b: int, terms: int, p: int) -> tuple[int, int, int, int, int]:
+    """(q_top, q_bot, tail, rn, rd) at T = ``terms``, h = a/b, p = (a*a)**T.
+
+    Successive terms of S_nu(x) = sum_k h**(2k+nu) / (k! (k+nu)!) have the
+    ratio h**2 / ((k+1)(k+nu+1)) at k, which falls with k and is a**2 / q_nu
+    at T; below 1/2 it bounds the tail by 2 * t_T * a**2 / q_nu =
+    t_0 * tail / (den * q_nu).  rn/rd = r (module docstring).
+    """
+    top, bot = _orders(m)
+    bb = b * b
+    rn, rd = (b * (terms + m), a) if m else (a, b * (terms + 1))
+    q_top, q_bot = bb * (terms + 1) * (terms + top + 1), bb * (terms + 1) * (terms + bot + 1)
+    return q_top, q_bot, 2 * a * a * p, rn, rd
+
+
 def _series_bounds(
     m: int, lam: Fraction, terms: int, nums: tuple[int, int] | None = None
 ) -> tuple[int, int, int, int]:
-    """Unreduced (lo_num, lo_den, hi_num, hi_den) of the series quotient interval.
+    """Unreduced (lo_num, lo_den, hi_num, hi_den) of the series quotient
+    interval [r n q_bot / (d q_bot + tail), r (n q_top + tail) / (q_top d)],
+    n and d the Horner numerators and the rest from _parts.
 
     Takes validated arguments: integer m >= 0, lam > 0 and terms >= 1.
     ``nums`` are the two Horner numerators at ``terms`` (numerator order
@@ -114,23 +109,17 @@ def _series_bounds(
     the tail checks.  All four integers are positive.
     """
     a, b = lam.denominator, lam.numerator  # h = x/2 = 1/lam
-    top, bot = _orders(m)
-    q_top = _tail_den(top, a, b, terms)
-    q_bot = _tail_den(bot, a, b, terms)
-    aa, bb = a * a, b * b
-    # 2 * t_last * rho = t_0 * tail / (den * q)
-    tail = 2 * aa ** (terms + 1)
-    n_num, d_num = nums or _horner(m, aa, bb, terms)[1:3]
-    rn, rd = _den_ratio(m, terms)
-    # t_0 = h**nu / nu!, so r_num / r_den = t_0(top) / t_0(bot) * d_den / n_den
-    r_num = a**top * b**bot * factorial(bot) * rn
-    r_den = a**bot * b**top * factorial(top) * rd
-    return (
-        r_num * n_num * q_bot,
-        r_den * (d_num * q_bot + tail),
-        r_num * (n_num * q_top + tail),
-        r_den * q_top * d_num,
-    )
+    aa = a * a
+    q_top, q_bot, tail, rn, rd = _parts(m, a, b, terms, aa**terms)
+    for nu, q in zip(_orders(m), (q_top, q_bot)):
+        if 2 * aa >= q:
+            raise TailNotBoundedError(
+                f"term ratio {aa / q:.3f} >= 1/2 at truncation k={terms}, nu={nu}; "
+                "more terms needed"
+            )
+    n_num, d_num = nums or _horner(m, aa, b * b, terms)[1:3]
+    y = d_num * q_bot + tail
+    return rn * n_num * q_bot, rd * y, rn * (n_num * q_top + tail), rd * q_top * d_num
 
 
 def _summed(
@@ -163,7 +152,7 @@ def _least_root(nu: int, r: int) -> int:
 
 
 def _floor_terms(m: int, a: int, b: int) -> int:
-    """The least truncation T >= 1 whose tail ratio is bounded (_tail_den) for
+    """The least truncation T >= 1 whose tail ratio is bounded (_parts) for
     both orders: 2*a**2 < b**2 * (T+1) * (T+nu+1), that is
     (T+1) * (T+nu+1) >= 2*a**2 // b**2 + 1.  The smaller order has the larger
     ratio, so it sets T.  The ratio falls as T grows, so every T from here on
@@ -215,38 +204,19 @@ def _predicted_terms(
     return t
 
 
-def _product_le(left: tuple[int, int, int], right: tuple[int, int, int]) -> bool:
-    """prod(left) <= prod(right) for three positive integers a side.  Each
-    factor is first cut to 64 bits (cf_core._top, lo down and hi up), so only
-    sides that agree to about 2**-60 leave the exact products to decide."""
-    (a, a1, ea), (b, b1, eb), (c, c1, ec) = map(_top, left)
-    (r, r1, er), (s, s1, es), (t, t1, et) = map(_top, right)
-    k = ea + eb + ec - er - es - et  # both sides at the smaller exponent
-    lo, hi = a * b * c << max(k, 0), a1 * b1 * c1 << max(k, 0)
-    rlo, rhi = r * s * t << max(-k, 0), r1 * s1 * t1 << max(-k, 0)
-    if hi <= rlo or lo > rhi:
-        return hi <= rlo
-    return prod(left) <= prod(right)
-
-
 def _fits(
     m: int, a: int, b: int, terms: int, n_num: int, d_num: int, p: int, tol: Fraction
 ) -> bool:
     """Whether the quotient interval of _series_bounds at ``terms`` is at most
     tol wide, given its Horner numerators and p = aa**terms.
 
-    From _series_bounds, with tail = 2*aa*p, y = d_num*q_bot + tail and
-    r = r_num/r_den in lowest terms (b*(T+m)/a for m >= 1, a/(b*(T+1)) for
-    m = 0), the width is r * tail * (n_num*q_top + y) / (q_top * d_num * y).
+    With y = d_num*q_bot + tail, its width is
+    r * tail * (n_num*q_top + y) / (q_top * d_num * y).
     """
-    top, bot = _orders(m)
-    bb = b * b
-    q_top, q_bot = bb * (terms + 1) * (terms + top + 1), bb * (terms + 1) * (terms + bot + 1)
-    tail = 2 * a * a * p
+    q_top, q_bot, tail, rn, rd = _parts(m, a, b, terms, p)
     y = d_num * q_bot + tail
-    rn, rd = (b * (terms + m), a) if m >= 1 else (a, b * (terms + 1))
-    return _product_le(
-        (rn * tol.denominator, tail, n_num * q_top + y), (tol.numerator * rd * q_top, d_num, y)
+    return _product_ge(
+        (tol.numerator * rd * q_top, d_num, y), (rn * tol.denominator, tail, n_num * q_top + y)
     )
 
 
@@ -274,21 +244,25 @@ def cross_check(
       terms are added until the test holds.  Neither needs a new pass
       (_horner), and each test is exact (_fits).  By the nesting the T
       reached is N, whatever the estimate was.
-    No truncation is longer than MAX_TERMS.  BudgetExceededError is raised
-    at once, with no best, when T0 is longer, and with the enclosure at
-    MAX_TERMS when that one is still wider than tol.
+    No truncation is longer than max_depth, the budget the convergent side
+    obeys.  BudgetExceededError is raised before anything is evaluated,
+    with no best, when T0 is longer, and with the enclosure at max_depth
+    when that one is still wider than tol.
     """
     _check_order(m)
     lam = as_fraction(lam)
     tol = as_fraction(tol)
     point = CFPoint(Fraction(m), lam)
-    cf_enc = evaluate(point, tol, max_depth=max_depth)
+    if tol.numerator <= 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    _check_budget(max_depth)
     a, b = lam.denominator, lam.numerator  # h = x/2 = 1/lam
     floor = _floor_terms(m, a, b)
-    exhausted = f"series width did not reach tol within {MAX_TERMS} terms"
-    if floor > MAX_TERMS:
+    exhausted = f"series width did not reach tol within max_depth={max_depth} terms"
+    if floor > max_depth:
         raise BudgetExceededError(exhausted)
-    terms = _predicted_terms(m, a, b, tol, cf_enc.hi, floor, MAX_TERMS)
+    cf_enc = evaluate(point, tol, max_depth=max_depth)
+    terms = _predicted_terms(m, a, b, tol, cf_enc.hi, floor, max_depth)
     top, bot = _orders(m)
     aa, bb = a * a, b * b
     state, fitted = _horner(m, aa, bb, terms), False
@@ -300,7 +274,7 @@ def cross_check(
             break
         state, fitted = prev, True
     while not fitted and not _fits(m, a, b, *state, tol):
-        if state[0] >= MAX_TERMS:
+        if state[0] >= max_depth:
             raise BudgetExceededError(exhausted, best=_summed(m, lam, state[0], state[1:3]))
         state = _horner(m, aa, bb, state[0] + 1, state)  # add t_{T+1} to both sums
     oracle = _summed(m, lam, state[0], state[1:3])

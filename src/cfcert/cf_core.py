@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from math import asinh, ceil, gcd, hypot, log, log1p, sqrt
+from math import asinh, ceil, gcd, hypot, log, log1p, prod, sqrt
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
 
@@ -398,15 +398,21 @@ def _meets(p: int, pp: int, tn: int, x: int, dd: int, n: int) -> bool:
     _BOUND_BITS, with s the sum of the three bit lengths on the left and r
     that of rhs = x * dd**n, the product is in [2**(s-3), 2**s) and rhs in
     [2**(r-1), 2**r), so only r <= s <= r + 2 needs the product.  Above it,
-    both sides are first bounded by [lo, hi] * 2**e: each factor cut to 64
-    bits (_top), dd**n by square and multiply, cut back to 64 bits after
-    each step, lo down and hi up.  Only bounds that overlap, where the sides
-    agree to about 2**-48, leave the exact products to decide."""
+    _product_ge bounds both sides before it multiplies."""
     if n * dd.bit_length() < _BOUND_BITS:
         rhs = x * dd**n
         s = p.bit_length() + pp.bit_length() + tn.bit_length() - rhs.bit_length()
         return p * pp * tn >= rhs if 0 <= s <= 2 else s > 2
-    (a, a1, ea), (b, b1, eb), (c, c1, ec), (r, r1, er), (d, d1, ed) = map(_top, (p, pp, tn, x, dd))
+    return _product_ge((p, pp, tn), (x,), dd, n)
+
+
+def _product_ge(left: tuple[int, ...], right: tuple[int, ...], dd: int = 1, n: int = 0) -> bool:
+    """prod(left) >= prod(right) * dd**n for positive integers and n >= 0.
+    Both sides are first bounded by [lo, hi] * 2**e: each factor cut to 64
+    bits (_top), dd**n by square and multiply, cut back to 64 bits after
+    each step, lo down and hi up.  Only bounds that overlap, where the sides
+    agree to about 2**-48, leave the exact products to decide."""
+    d, d1, ed = _top(dd)
     lo, hi, e = 1, 1, 0
     for bit in bin(n)[2:]:
         lo, hi, e = lo * lo, hi * hi, 2 * e
@@ -415,13 +421,19 @@ def _meets(p: int, pp: int, tn: int, x: int, dd: int, n: int) -> bool:
         s = hi.bit_length() - 64
         if s > 0:
             lo, hi, e = lo >> s, -(-hi >> s), e + s
+    for v in right:
+        r, r1, er = _top(v)
+        lo, hi, e = lo * r, hi * r1, e + er
+    left_lo, left_hi, k = 1, 1, -e
+    for v in left:
+        a, a1, ea = _top(v)
+        left_lo, left_hi, k = left_lo * a, left_hi * a1, k + ea
     # both sides at the smaller of their two exponents
-    k = ea + eb + ec - e - er
-    left, left1 = a * b * c << max(k, 0), a1 * b1 * c1 << max(k, 0)
-    right, right1 = r * lo << max(-k, 0), r1 * hi << max(-k, 0)
-    if left >= right1 or left1 < right:
-        return left >= right1
-    return p * pp * tn >= x * dd**n
+    left_lo, left_hi = left_lo << max(k, 0), left_hi << max(k, 0)
+    lo, hi = lo << max(-k, 0), hi << max(-k, 0)
+    if left_lo >= hi or left_hi < lo:
+        return left_lo >= hi
+    return prod(left) >= prod(right) * dd**n
 
 
 def eval_enclosure(

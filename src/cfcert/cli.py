@@ -116,8 +116,23 @@ class OutputRecord(
 
 
 def fraction_str(value: Fraction) -> str:
-    """Canonical ``p/q`` form, lowest terms, q > 0 (Fraction keeps both)."""
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical ``p/q`` form, lowest terms, q > 0 (Fraction keeps both).
+    Decimal converts integers of any length, where str(int) refuses more
+    digits than sys.get_int_max_str_digits() (4300 by default)."""
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text); a ``p/q`` or integer text whose integers are too long
+    for int() is read through Decimal, as fraction_str writes them."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        num, slash, den = text.strip().partition("/")
+        digits = (num[1:] if num[:1] in "+-" else num, den if slash else "1")
+        if not all(d.isascii() and d.isdigit() for d in digits):
+            raise
+        return Fraction(int(Decimal(num)), int(Decimal(digits[1])))
 
 
 def _decimal_str(value: Fraction, rounding: str) -> str:
@@ -281,13 +296,13 @@ def _parse_grid(args) -> list[Fraction] | None:
         if len(parts) != 3:
             raise DomainError("--grid-geom expects lo:hi:count")
         try:
-            lo, hi, count = Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
+            lo, hi, count = parse_fraction(parts[0]), parse_fraction(parts[1]), int(parts[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad grid value: {exc}") from exc
         return geometric_grid(lo, hi, count)
     if getattr(args, "grid_list", None):
         try:
-            return [Fraction(p) for p in args.grid_list.split(",") if p.strip()]
+            return [parse_fraction(p) for p in args.grid_list.split(",") if p.strip()]
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad grid value: {exc}") from exc
     return None
@@ -300,7 +315,7 @@ def _parse_grid(args) -> list[Fraction] | None:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return parse_fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
@@ -535,8 +550,8 @@ _PAIRS = {"witness-g1": "witness-g2", "oracle-cf": "oracle-series"}
 
 def _rec_point(rec: OutputRecord) -> CFPoint:
     """The point a row is about; a reciprocal row prints no m and is about (0, lam)."""
-    m = 0 if rec.command == "check-reciprocal" else rec.inputs["m"]
-    return CFPoint(Fraction(m), Fraction(rec.inputs["lambda"]))
+    m = "0" if rec.command == "check-reciprocal" else rec.inputs["m"]
+    return CFPoint(parse_fraction(m), parse_fraction(rec.inputs["lambda"]))
 
 
 def _validate(records: list[OutputRecord], max_depth: int) -> None:
@@ -544,10 +559,9 @@ def _validate(records: list[OutputRecord], max_depth: int) -> None:
     name no point, a depth that no evaluation returns, a tol that does not
     fit the mode, and an uncertified check-functional row.
 
-    Series rows are re-summed to their depth, at most MAX_TERMS terms, and
-    every other row is rebuilt with its depth as the budget, at most
-    max_depth.  A directed row needs a positive tol, and no other row has
-    one.
+    Series rows are re-summed to their depth, and every other row is
+    rebuilt with its depth as the budget: either is at most max_depth.  A
+    directed row needs a positive tol, and no other row has one.
     """
     for rec in records:
         if rec.command not in _ROWS:
@@ -555,12 +569,11 @@ def _validate(records: list[OutputRecord], max_depth: int) -> None:
         keys = {"lambda"} if rec.command == "check-reciprocal" else {"m", "lambda"}
         if rec.inputs.keys() != keys:
             raise ValueError(f"{rec.command} inputs are not {sorted(keys)}: {rec}")
-        limit = bessel_oracle.MAX_TERMS if rec.command == "oracle-series" else max_depth
-        if not 1 <= rec.depth <= limit:
-            raise ValueError(f"{rec.command} depth outside [1, {limit}]: {rec}")
+        if not 1 <= rec.depth <= max_depth:
+            raise ValueError(f"{rec.command} depth outside [1, {max_depth}]: {rec}")
         try:
             _rec_point(rec)
-            tol = Fraction(rec.tol) if rec.tol else None
+            tol = parse_fraction(rec.tol) if rec.tol else None
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"inputs or tol are not rationals in range: {rec}") from exc
         directed = rec.mode == EvalMode.DIRECTED.value
@@ -597,10 +610,10 @@ def _reverified(rec: OutputRecord) -> Enclosure:
     elif rec.mode == EvalMode.EXACT.value:
         enc = _exact_at(value_at, rec.depth)
     else:
-        enc, _ = _best(value_at, Fraction(rec.tol), rec.depth, "directed")
+        enc, _ = _best(value_at, parse_fraction(rec.tol), rec.depth, "directed")
     if mapped:
         enc = _mapped(point, enc)
-    inputs = {key: Fraction(value) for key, value in rec.inputs.items()}
+    inputs = {key: parse_fraction(value) for key, value in rec.inputs.items()}
     if record_from_enclosure(rec.command, inputs, enc, rec.certified) != rec:
         raise ValueError(f"row does not regenerate: {rec}")
     holds = _VERDICTS.get(rec.command)
@@ -626,7 +639,7 @@ def _check_pairs(records: list[OutputRecord], encs: list[Enclosure]) -> None:
         if first.command == "witness-g1":
             if p1.m != p2.m or not (p1.lam < p2.lam and e1.lo > e2.hi):
                 raise ValueError(f"witness rows do not certify a decrease: {first}")
-        elif p1 != p2 or max(e1.lo, e2.lo) > min(e1.hi, e2.hi):
+        elif p1 != p2 or bounds._disjoint(e1, e2):
             raise ValueError(f"oracle rows do not meet at one point: {first}")
 
 

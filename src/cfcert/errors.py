@@ -13,9 +13,9 @@ class DomainError(CFCertError, ValueError):
 
 
 class BudgetExceededError(CFCertError):
-    """An exact computation hit its budget before reaching the tolerance:
-    exact evaluation at max_depth, or the series oracle (cross_check) at
-    MAX_TERMS terms.
+    """An exact computation hit its budget max_depth before reaching the
+    tolerance: exact evaluation at that depth, or the series oracle
+    (cross_check) at that many terms.
 
     ``best`` holds the rigorous enclosure reached at the budget limit, or
     None where the series tail is not bounded within it.

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from unittest import mock
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcert import (
+    DEFAULT_MAX_DEPTH,
     BudgetExceededError,
     CFPoint,
     DomainError,
@@ -22,7 +23,7 @@ from cfcert import (
     evaluate,
     series_ratio,
 )
-from cfcert.bessel_oracle import MAX_TERMS, _den_ratio, _horner, _orders
+from cfcert.bessel_oracle import _fits, _floor_terms, _horner, _orders, _parts
 
 G_1_1 = Fraction("1.433127426722311758317183455775992")
 G_0_1 = Fraction("0.6977746579640079820067905925517526")
@@ -97,16 +98,28 @@ class TestSeriesRatio:
 
     def test_horner_denominator_ratio_telescopes(self):
         # d_den / n_den = prod (k + bot) / (k + top), the products of the
-        # weights 3*k*(k + nu) that _horner never forms; _den_ratio states it
-        # in closed form
+        # weights b**2*k*(k + nu) that _horner never forms; _parts states
+        # it, times the ratio of the first terms t_0 = h**nu / nu!, in closed
+        # form, and its tail parts match the terms t_k = h**(2k+nu) / (k! (k+nu)!)
+        a, b = 7, 3  # h = 7/3
+
+        def term(nu, k):
+            return Fraction(a, b) ** (2 * k + nu) / (factorial(k) * factorial(k + nu))
+
         for m in range(11):
             top, bot = _orders(m)
-            n_den = d_den = 1
+            den = {top: 1, bot: 1}
             for terms in range(1, 301):
-                n_den *= 3 * terms * (terms + top)
-                d_den *= 3 * terms * (terms + bot)
-                rn, rd = _den_ratio(m, terms)
-                assert d_den * rd == n_den * rn
+                for nu in den:
+                    den[nu] *= b * b * terms * (terms + nu)
+                q_top, q_bot, tail, rn, rd = _parts(m, a, b, terms, (a * a) ** terms)
+                assert Fraction(rn, rd) == term(top, 0) / term(bot, 0) * den[bot] / den[top]
+                for nu, q in ((top, q_top), (bot, q_bot)):
+                    # the term ratio at the truncation is a**2 / q, and the
+                    # tail majorant 2 * t_T * a**2 / q is t_0 * tail / (den * q)
+                    rho = Fraction(a * a, q)
+                    assert term(nu, terms + 1) / term(nu, terms) == rho
+                    assert term(nu, 0) * Fraction(tail, den[nu] * q) == 2 * term(nu, terms) * rho
 
     @given(
         m=st.integers(min_value=0, max_value=8),
@@ -186,16 +199,32 @@ class TestCrossCheck:
             cross_check(m, 1)
 
     @pytest.mark.parametrize(
-        "m, lam, tol, max_terms",
+        "tol, max_depth, message",
+        [(0, 10, "tol must be positive"), (Fraction(-1, 10), 10, "tol must be positive"),
+         (Fraction(1, 10), 0, "max_depth must be >= 1")],
+    )
+    def test_bad_tol_or_budget_is_a_domain_error_before_the_floor(self, tol, max_depth, message):
+        # the floor, 141421 terms, is over either budget, but the arguments
+        # are checked first, as evaluate would check them
+        with pytest.raises(DomainError, match=message):
+            cross_check(1, Fraction(1, 10**5), tol, max_depth=max_depth)
+
+    @pytest.mark.parametrize(
+        "m, lam, tol, max_depth",
         [
-            # the floor, about sqrt(2)/lam = 141421 terms, is over the budget
-            (1, Fraction(1, 10**5), Fraction(1, 10**6), MAX_TERMS),
-            # floors of 90 and 89 terms, over a budget of 8
-            (0, Fraction(1, 64), Fraction(1, 10**10), 8),
-            (3, Fraction(1, 64), Fraction(1, 10**10), 8),
+            # the floor, about sqrt(2)/lam = 141421 terms, is over the
+            # budget; the directed convergent side needs about 1700
+            (1, Fraction(1, 10**5), Fraction(1, 10**6), 65536),
+            # floors of 14 and 21 terms, over a budget of 8 that the
+            # convergent side meets at depths 8 and 7
+            (0, Fraction(1, 10), Fraction(1, 10), 8),
+            (3, Fraction(1, 16), Fraction(1, 10), 8),
+            # one below the floor; a budget of 14 sums (test below)
+            (0, Fraction(1, 10), Fraction(1, 10), 13),
         ],
     )
-    def test_no_truncation_exceeds_max_terms(self, monkeypatch, m, lam, tol, max_terms):
+    def test_no_truncation_exceeds_max_terms(self, monkeypatch, m, lam, tol, max_depth):
+        assert evaluate(CFPoint(m, lam), tol, max_depth=max_depth).depth <= max_depth
         seen = []
         kernel = bessel_oracle._horner
 
@@ -203,14 +232,24 @@ class TestCrossCheck:
             seen.append(last)
             return kernel(m, aa, bb, last, *start)
 
+        def no_evaluate(*args, **kwargs):
+            raise AssertionError("evaluate called")
+
         monkeypatch.setattr(bessel_oracle, "_horner", recording)
+        monkeypatch.setattr(bessel_oracle, "evaluate", no_evaluate)
         start = time.perf_counter()
-        with mock.patch.object(bessel_oracle, "MAX_TERMS", max_terms), \
-                pytest.raises(BudgetExceededError) as info:
-            cross_check(m, lam, tol)
+        with pytest.raises(BudgetExceededError) as info:
+            cross_check(m, lam, tol, max_depth=max_depth)
         assert time.perf_counter() - start < 2
-        assert info.value.best is None  # the tail is not yet bounded at max_terms
-        assert seen == []  # nothing is summed when the floor exceeds the budget
+        assert str(info.value) == (
+            f"series width did not reach tol within max_depth={max_depth} terms")
+        assert info.value.best is None  # the tail is not yet bounded at max_depth
+        # nothing is summed or evaluated when the floor exceeds the budget
+        assert seen == []
+
+    def test_a_budget_of_the_floor_sums_it(self):
+        report = cross_check(0, Fraction(1, 10), Fraction(1, 10), max_depth=14)
+        assert report.right == series_ratio(0, Fraction(1, 10), 14)
 
     @given(
         m=st.integers(min_value=0, max_value=8),
@@ -226,14 +265,17 @@ class TestCrossCheck:
             st.integers(min_value=1, max_value=9),
             st.integers(min_value=1, max_value=40),
         ),
-        max_terms=st.sampled_from([8, 16, 100, MAX_TERMS]),
+        max_depth=st.sampled_from([8, 16, 100, DEFAULT_MAX_DEPTH]),
     )
-    @example(m=0, lam=Fraction(1, 4), tol=Fraction(1, 10**40), max_terms=16)  # budget, best set
-    @example(m=1, lam=Fraction(1, 4), tol=Fraction(1, 10**40), max_terms=8)  # floor over budget
-    @example(m=1, lam=Fraction(1), tol=Fraction(1, 10**40), max_terms=MAX_TERMS)  # 21, floor 1
-    @example(m=2, lam=Fraction(16, 997), tol=Fraction(1, 10), max_terms=MAX_TERMS)  # 87, the floor
+    # the budget is max_depth or the convergent side's depth, if that is larger
+    @example(m=0, lam=Fraction(1, 4), tol=Fraction(1, 10**40), max_depth=16)  # 34, the budget
+    @example(m=1, lam=Fraction(1, 4), tol=Fraction(1, 10**40), max_depth=8)  # budget 33, best set
+    @example(m=0, lam=Fraction(1, 8), tol=Fraction(1, 10**40), max_depth=16)  # budget 44, best set
+    @example(m=0, lam=Fraction(1, 64), tol=Fraction(1, 10**10), max_depth=8)  # floor 90 over 55
+    @example(m=1, lam=Fraction(1), tol=Fraction(1, 10**40), max_depth=DEFAULT_MAX_DEPTH)  # 21
+    @example(m=2, lam=Fraction(16, 997), tol=Fraction(1, 10), max_depth=DEFAULT_MAX_DEPTH)  # 87
     @settings(max_examples=150, deadline=None)
-    def test_accepts_the_least_passing_truncation(self, m, lam, tol, max_terms):
+    def test_accepts_the_least_passing_truncation(self, m, lam, tol, max_depth):
         def fits(terms):
             try:
                 return terms >= 1 and series_ratio(m, lam, terms).width <= tol
@@ -248,26 +290,27 @@ class TestCrossCheck:
                 passes.append(order)
             return kernel(order, aa, bb, last, *start)
 
-        with mock.patch.object(bessel_oracle, "MAX_TERMS", max_terms), \
-                mock.patch.object(bessel_oracle, "_horner", counting):
+        # a budget that the convergent side meets
+        budget = max(max_depth, evaluate(CFPoint(m, lam), tol).depth)
+        with mock.patch.object(bessel_oracle, "_horner", counting):
             try:
-                report = cross_check(m, lam, tol)
+                report = cross_check(m, lam, tol, max_depth=budget)
             except BudgetExceededError as exc:
                 report = exc
         if isinstance(report, BudgetExceededError):
-            # as before: nothing within the budget fits, and best is the
-            # truncation at the budget once its tail is bounded
-            assert str(report) == f"series width did not reach tol within {max_terms} terms"
-            assert not fits(max_terms)
+            # nothing within the budget fits, and best is the truncation at
+            # the budget once its tail is bounded
+            assert str(report) == f"series width did not reach tol within max_depth={budget} terms"
+            assert not fits(budget)
             try:
-                want = series_ratio(m, lam, max_terms)
+                want = series_ratio(m, lam, budget)
             except TailNotBoundedError:
                 want = None
             assert report.best == want
             assert passes == ([] if want is None else [m])
             return
         n = report.right.depth
-        assert n <= max_terms
+        assert n <= budget
         assert fits(n) and not fits(n - 1)
         # one Horner pass over both series, whatever the float estimate was
         assert passes == [m]
@@ -294,5 +337,33 @@ class TestCrossCheck:
         monkeypatch.setattr(
             bessel_oracle, "_predicted_terms", lambda m, a, b, tol, g, lo, hi: steer(lo, hi)
         )
-        with mock.patch.object(bessel_oracle, "MAX_TERMS", 400):
-            assert cross_check(m, lam, tol) == want
+        assert cross_check(m, lam, tol, max_depth=400) == want
+
+    @given(
+        m=st.integers(min_value=0, max_value=8),
+        lam=st.one_of(
+            st.integers(min_value=16, max_value=8 * 997).map(lambda k: Fraction(k, 997)),
+            st.integers(min_value=1, max_value=6).map(Fraction),
+        ),
+        tol=st.builds(
+            lambda d, e: Fraction(d, 10**e),
+            st.integers(min_value=1, max_value=9),
+            st.integers(min_value=1, max_value=40),
+        ),
+    )
+    @example(m=1, lam=Fraction(1), tol=series_ratio(1, 1, 10).width)  # width == tol at 10
+    # the width at 10 exceeds tol by a relative 2**-200, where only the
+    # exact products decide
+    @example(m=1, lam=Fraction(1), tol=series_ratio(1, 1, 10).width * (1 - Fraction(1, 2**200)))
+    @example(m=0, lam=Fraction(16, 997), tol=Fraction(1, 10**40))
+    @settings(max_examples=60, deadline=None)
+    def test_fits_is_the_width_test(self, m, lam, tol):
+        # at every truncation from the floor to the accepted one plus 3
+        a, b = lam.denominator, lam.numerator
+        floor = _floor_terms(m, a, b)
+        last = cross_check(m, lam, tol).right.depth + 3
+        state = _horner(m, a * a, b * b, floor)
+        for terms in range(floor, last + 1):
+            want = series_ratio(m, lam, terms).width <= tol
+            assert _fits(m, a, b, *state, tol) == want
+            state = _horner(m, a * a, b * b, terms + 1, state)

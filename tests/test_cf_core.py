@@ -8,7 +8,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, prod
 from unittest import mock
 
 import pytest
@@ -51,6 +51,7 @@ from cfcert.cf_core import (
     _exact_at,
     _from_tail,
     _meets,
+    _product_ge,
     _rounding_steps,
     _side_of_one,
     _step_product,
@@ -562,6 +563,26 @@ class TestEvalEnclosure:
         p = max((rhs << shift if shift >= 0 else rhs >> -shift) + delta, 1)
         x *= pp * tn
         assert _meets(p, pp, tn, x, dd, n) == (p * pp * tn >= x * dd**n)
+
+    @given(
+        left=st.lists(st.integers(1, 2**400), min_size=1, max_size=3),
+        right=st.lists(st.integers(1, 2**400), min_size=1, max_size=3),
+        dd=st.one_of(st.just(1), st.integers(1, 2**80)),
+        n=st.one_of(st.just(0), st.integers(0, 80)),
+        tie=st.booleans(),
+        delta=st.integers(-4, 4),
+    )
+    @example(left=[6, 2**200], right=[3, 2**201], dd=1, n=0, tie=False, delta=0)
+    @example(left=[6, 2**200], right=[3, 2**201 + 1], dd=1, n=0, tie=False, delta=0)
+    @settings(max_examples=200, deadline=None)
+    def test_product_ge_is_the_exact_comparison(self, left, right, dd, n, tie, delta):
+        # with tie, the last left factor puts the sides level or within
+        # delta times the other left factors of each other, where the
+        # bounds overlap and the exact products decide
+        rhs = prod(right) * dd**n
+        if tie:
+            left[-1] = max(rhs // prod(left[:-1]) + delta, 1)
+        assert _product_ge(tuple(left), tuple(right), dd, n) == (prod(left) >= rhs)
 
     @given(
         point=wide_points,

@@ -20,6 +20,7 @@ from cfcert.cli import (
     EXIT_OK,
     EXIT_USAGE,
     OutputRecord,
+    _check_pairs,
     _decimal_str,
     decimal_down,
     decimal_up,
@@ -27,6 +28,7 @@ from cfcert.cli import (
     fraction_str,
     geometric_grid,
     main,
+    parse_fraction,
     parse_records,
     record_from_enclosure,
     reverify_records,
@@ -238,6 +240,19 @@ class TestAlphaScanWitnessOracle:
         assert code == EXIT_NOT_CONVERGED
         assert out == ""
 
+    def test_oracle_budget_is_max_depth(self, capsys):
+        # the series floor at lam = 1/8000 is 11313 terms: over the default
+        # budget, within a raised one, and its rows re-verify under it
+        argv = ("oracle", "--m", "1", "--lambda", "1/8000", "--tol", "1e-6")
+        assert run(capsys, *argv) == (EXIT_NOT_CONVERGED, "")
+        code, out = run(capsys, *argv, "--max-depth", "12000")
+        assert code == EXIT_OK
+        recs = parse_records(out, "csv")
+        assert recs[1].depth == 11313
+        assert reverify_records(recs, max_depth=12000)
+        with pytest.raises(ValueError, match="depth outside"):
+            reverify_records(recs)
+
     def test_oracle_rejects_fractional_m(self, capsys):
         code, _ = run(capsys, "oracle", "--m", "1/2", "--lambda", "1")
         assert code == EXIT_USAGE
@@ -344,6 +359,34 @@ class TestRecordFormat:
         recs = parse_records(out, "csv")
         assert emit(recs, "csv") == out
         assert parse_records(emit(recs, "json"), "json") == recs
+
+    @pytest.mark.parametrize(
+        "argv",
+        # a tol, a lam and an exact row's tol of 4401 digits, past the
+        # 4300 that int and str convert
+        [("eval", "--m", "1/3", "--lambda", "4", "--tol", "1e-4400", "--mode", "directed"),
+         ("eval", "--m", "1", "--lambda", "1e4400"),
+         ("eval", "--m", "1/3", "--lambda", "1/100", "--tol", "1e-4400", "--mode", "exact")],
+    )
+    def test_integers_of_any_length_round_trip(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        recs = parse_records(out, "csv")
+        assert emit(recs, "csv") == out
+        assert parse_records(emit(recs, "json"), "json") == recs
+        assert reverify_records(recs)
+
+    def test_fraction_text_of_any_length(self):
+        assert fraction_str(Fraction(-1, 3)) == "-1/3"
+        assert fraction_str(Fraction(10**4400)) == "1" + "0" * 4400 + "/1"
+        for value in (Fraction(-(10**5000) - 1, 3**9000), Fraction(7, 10**4301),
+                      Fraction(10**4400), Fraction(-1, 3)):
+            assert parse_fraction(fraction_str(value)) == value
+        assert parse_fraction(" +" + "9" * 5000 + "\n") == 10**5000 - 1
+        for bad in ("1" * 5000 + "x", "--" + "1" * 5000, "1" * 5000 + "/", "1_" * 3000,
+                    "1" * 5000 + "/-3", "1" * 5000 + ".5", "1" * 5000 + "/0"):
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                parse_fraction(bad)
 
     def test_reverify(self, capsys):
         _, out = run(capsys, "witness", "--m", "0.1", "--format", "json")
@@ -624,6 +667,16 @@ class TestRecordFormat:
                      oracle[::-1]):
             with pytest.raises(ValueError, match="without its partner"):
                 reverify_records(recs)
+
+    def test_oracle_pair_meets_on_closed_intervals(self, capsys):
+        _, out = run(capsys, "oracle", "--m", "1", "--lambda", "1")
+        oracle = parse_records(out, "csv")
+        enc = evaluate(CFPoint(1, 1))
+        touching = [enc._replace(lo=enc.lo - 1, hi=enc.lo), enc._replace(hi=enc.lo + 1)]
+        _check_pairs(oracle, touching)  # one shared end is a meeting
+        with pytest.raises(ValueError, match="do not meet"):
+            _check_pairs(oracle, [touching[0]._replace(hi=enc.lo - Fraction(1, 10**30)),
+                                  touching[1]])
 
     @pytest.mark.parametrize(
         "fmt, old, new",
