@@ -26,6 +26,7 @@ from .cf_core import (
     _depth_model,
     _exact_routed,
     _pair_enclosure,
+    _rational_str,
     _side_of_one,
     _tightened,
     as_fraction,
@@ -174,7 +175,7 @@ def find_alpha(
     bracket_tol = as_fraction(bracket_tol)
     g_tol = as_fraction(g_tol)
     if lam.numerator <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
+        raise DomainError(f"lam must be positive, got {_rational_str(lam)}")
     if bracket_tol.numerator <= 0 or g_tol.numerator <= 0:
         raise DomainError("tolerances must be positive")
     _check_budget(max_depth)
@@ -268,7 +269,9 @@ def find_alpha(
             if side not in best:
                 verdict, anchor = classify_vs_one(CFPoint(m, lam), g_tol, max_depth=max_depth)
                 if verdict != side:
-                    raise InconclusiveError(f"could not certify G({m}, {lam}) {rel} 1", left=anchor)
+                    raise InconclusiveError(
+                        f"could not certify G({m}, {_rational_str(lam)}) {rel} 1", left=anchor
+                    )
                 best[side] = Fraction(m), anchor
         ends = best[_BELOW], best[_ABOVE]
     (m_lo, g_lo), (m_hi, g_hi) = ends

@@ -48,6 +48,7 @@ from .cf_core import (
     RationalLike,
     _check_budget,
     _product_ge,
+    _rational_str,
     as_fraction,
     evaluate,
 )
@@ -78,7 +79,8 @@ def _orders(m: int) -> tuple[int, int]:
 
 def _check_order(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"series oracle needs integer m >= 0, got {m!r}")
+        shown = _rational_str(m) if type(m) is int else repr(m)
+        raise DomainError(f"series oracle needs integer m >= 0, got {shown}")
 
 
 def _parts(m: int, a: int, b: int, terms: int, p: int) -> tuple[int, int, int, int, int]:
@@ -136,10 +138,10 @@ def series_ratio(m: int, lam: RationalLike, terms: int) -> Enclosure:
     ``terms``: an exact-mode Enclosure whose depth is ``terms``."""
     _check_order(m)
     if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
+        raise DomainError(f"terms must be >= 1, got {_rational_str(terms)}")
     lam = as_fraction(lam)
     if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
+        raise DomainError(f"lam must be positive, got {_rational_str(lam)}")
     return _summed(m, lam, terms)
 
 
@@ -254,11 +256,11 @@ def cross_check(
     tol = as_fraction(tol)
     point = CFPoint(Fraction(m), lam)
     if tol.numerator <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+        raise DomainError(f"tol must be positive, got {_rational_str(tol)}")
     _check_budget(max_depth)
     a, b = lam.denominator, lam.numerator  # h = x/2 = 1/lam
     floor = _floor_terms(m, a, b)
-    exhausted = f"series width did not reach tol within max_depth={max_depth} terms"
+    exhausted = f"series width did not reach tol within max_depth={_rational_str(max_depth)} terms"
     if floor > max_depth:
         raise BudgetExceededError(exhausted)
     cf_enc = evaluate(point, tol, max_depth=max_depth)
@@ -280,7 +282,8 @@ def cross_check(
     oracle = _summed(m, lam, state[0], state[1:3])
     if _disjoint(cf_enc, oracle):
         raise ViolationError(
-            f"convergent and series enclosures disjoint at m={m}, lam={lam}: "
-            f"[{cf_enc.lo}, {cf_enc.hi}] vs [{oracle.lo}, {oracle.hi}]"
+            f"convergent and series enclosures disjoint at m={_rational_str(m)}, "
+            f"lam={_rational_str(lam)}: [{_rational_str(cf_enc.lo)}, {_rational_str(cf_enc.hi)}] "
+            f"vs [{_rational_str(oracle.lo)}, {_rational_str(oracle.hi)}]"
         )
     return CheckReport(point, Claim.ORACLE, cf_enc, oracle)

@@ -34,6 +34,7 @@ from .cf_core import (
     RationalLike,
     _best,
     _mapped,
+    _rational_str,
     _tightened,
     as_fraction,
 )
@@ -102,7 +103,7 @@ def theorem_bound(point: CFPoint, tol: RationalLike = DEFAULT_TOL) -> Enclosure:
     """
     tol = as_fraction(tol)
     if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+        raise DomainError(f"tol must be positive, got {_rational_str(tol)}")
     c = point.m * point.lam
     e, f = c.numerator, c.denominator
     disc = e * e + 4 * f * f
@@ -149,7 +150,7 @@ def check_sandwich(
     last tolerance.
     """
     if point.m < 0:
-        raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {point.m}")
+        raise DomainError(f"sandwich hypothesis needs m >= 0, got m = {_rational_str(point.m)}")
     for _, (g1,) in _tightened([point.shifted()], tol, max_depth):
         g0 = _mapped(point, g1)
         if g0.hi < g1.lo:
@@ -157,7 +158,8 @@ def check_sandwich(
             return (CheckReport(point, Claim.SANDWICH_UPPER, g1, window),
                     CheckReport(point, Claim.SANDWICH_LOWER, window, g0))
     raise InconclusiveError(
-        f"sandwich enclosures still overlap at m={point.m}, lam={point.lam}",
+        f"sandwich enclosures still overlap at m={_rational_str(point.m)}, "
+        f"lam={_rational_str(point.lam)}",
         claim=Claim.SANDWICH_UPPER,
         left=g1,
         right=g0,
@@ -180,8 +182,8 @@ def check_functional_equation(
     shifted = _mapped(point, tail)
     if _disjoint(direct, shifted):
         raise ViolationError(
-            f"functional equation enclosures disjoint at m={point.m}, "
-            f"lam={point.lam}: {direct} vs {shifted}"
+            f"functional equation enclosures disjoint at m={_rational_str(point.m)}, "
+            f"lam={_rational_str(point.lam)}: {direct} vs {shifted}"
         )
     return CheckReport(point, Claim.FUNCTIONAL_EQUATION, direct, shifted)
 
@@ -194,13 +196,14 @@ def check_g_above_one(
 ) -> CheckReport:
     """Certify G(m, lam) > 1 for m >= 1."""
     if point.m < 1:
-        raise DomainError(f"hypothesis needs m >= 1, got m = {point.m}")
+        raise DomainError(f"hypothesis needs m >= 1, got m = {_rational_str(point.m)}")
     unit = Enclosure(lo=ONE, hi=ONE, depth=0, mode=EvalMode.EXACT)
     for _, (enc,) in _tightened([point], tol, max_depth):
         if enc.lo > 1:
             return CheckReport(point, Claim.ABOVE_ONE, enc, unit)
     raise InconclusiveError(
-        f"G enclosure still touches 1 at m={point.m}, lam={point.lam}",
+        f"G enclosure still touches 1 at m={_rational_str(point.m)}, "
+        f"lam={_rational_str(point.lam)}",
         claim=Claim.ABOVE_ONE,
         left=enc,
         right=unit,
@@ -231,7 +234,7 @@ def check_reciprocal(
         if g1.lo > 1:
             return CheckReport(p0, Claim.RECIPROCAL, g0, g1)
     raise InconclusiveError(
-        f"G(0, lam) enclosure still touches 1 at lam={p0.lam}",
+        f"G(0, lam) enclosure still touches 1 at lam={_rational_str(p0.lam)}",
         claim=Claim.RECIPROCAL,
         left=g0,
         right=g1,

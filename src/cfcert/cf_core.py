@@ -15,8 +15,10 @@ the shift identity G(m, lam) = m*lam + 1/G(m+1, lam).
 Two modes are provided.  Exact mode runs the convergent recurrence over big
 rationals; it is the reference semantics.  A closed-form depth model,
 shared with directed mode, places the start; one product tree of the step
-matrices builds the convergents just below it; integer tests, each side
-first bounded to 64 bits, settle the minimal depth.  Directed mode runs a
+matrices (packed leaves, seven-product merges at the top) builds the
+convergents just below it; integer tests, each side first bounded to 64
+bits, settle the minimal depth; the ends' order check bounds both sides to
+tops sized by the pair's known width.  Directed mode runs a
 backward interval pass from the same start: its deep end runs in binary64
 with outward factors, and the rest over integers scaled by D * 2**bits
 (D = b*d at m = a/b, lam = c/d), where every term is exact and only the
@@ -35,7 +37,7 @@ from collections.abc import Iterator
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from math import asinh, ceil, gcd, hypot, log, log1p, prod, sqrt
+from math import asinh, ceil, gcd, hypot, log, log1p, log2, prod, sqrt
 
 from .errors import BudgetExceededError, DomainError, NotConvergedError
 
@@ -72,9 +74,20 @@ def _sci(value: Fraction) -> str:
     return f"{mant}e{int(exp):+03d}"
 
 
+def _rational_str(value: object) -> str:
+    """str(value) for an int or Fraction, with no limit on its digits: Decimal
+    converts integers of any length, where str(int) refuses more digits than
+    sys.get_int_max_str_digits() (4300 by default).  Anything else is str(value).
+    Every message that prints a rational goes through here."""
+    if type(value) not in (int, Fraction):
+        return str(value)
+    num, den = value.as_integer_ratio()
+    return f"{Decimal(num)}" if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
 def _check_budget(max_depth: int) -> None:
     if max_depth < 1:
-        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
+        raise DomainError(f"max_depth must be >= 1, got {_rational_str(max_depth)}")
 
 
 class _Checked:
@@ -101,9 +114,9 @@ class CFPoint(_Checked, namedtuple("CFPoint", "m lam")):
     def __new__(cls, m: RationalLike, lam: RationalLike) -> CFPoint:
         m, lam = as_fraction(m), as_fraction(lam)
         if m.numerator <= -m.denominator:
-            raise DomainError(f"m must exceed -1, got {m}")
+            raise DomainError(f"m must exceed -1, got {_rational_str(m)}")
         if lam.numerator <= 0:
-            raise DomainError(f"lam must be positive, got {lam}")
+            raise DomainError(f"lam must be positive, got {_rational_str(lam)}")
         return tuple.__new__(cls, (m, lam))
 
     def shifted(self) -> CFPoint:
@@ -130,7 +143,7 @@ class Enclosure(_Checked, namedtuple("Enclosure", "lo hi depth mode tol")):
     ) -> Enclosure:
         exact = type(lo) in (int, Fraction) and type(hi) in (int, Fraction)
         if (lo.numerator * hi.denominator > hi.numerator * lo.denominator) if exact else lo > hi:
-            raise ValueError(f"malformed enclosure: {lo} > {hi}")
+            raise ValueError(f"malformed enclosure: {_rational_str(lo)} > {_rational_str(hi)}")
         return tuple.__new__(cls, (lo, hi, depth, mode, tol))
 
     @property
@@ -214,9 +227,24 @@ def _from_tail(
 ) -> Enclosure:
     """Map tail bounds t_lo <= G(m+1, lam) <= t_hi to G(m, lam) = m*lam + 1/tail.
 
-    Each tail bound is an integer pair (p, q) standing for p/q > 0.  With
-    m*lam = ac/bd, the image of p/q is N/M = (ac*p + bd*q) / (bd*p).  The
-    map is decreasing, so the tail's upper bound gives the lower one.
+    Each tail bound is an integer pair (p, q) standing for p/q > 0, with
+    q >= 0.  With m*lam = ac/bd, the image of p/q is N/M = (ac*p + bd*q) /
+    (bd*p).  The map is decreasing, so the tail's upper bound gives the
+    lower one.
+
+    The order check runs on the tail ends, before mapping: with p_lo and
+    p_hi positive, the images are ordered exactly when
+    q_hi/p_hi <= q_lo/p_lo, that is p_lo*q_hi <= p_hi*q_lo, so it raises
+    exactly where Enclosure.__new__ would on the images, with the same
+    ValueError, and it also confirms that the ends are positive.  Ends that
+    share a denominator (directed (t, S)) need one integer comparison.  Wider
+    exact pairs go to _product_ge with tops sized to the bits the two sides
+    share: the scaled convergents of _terms differ by exactly
+    |p_hi*q_lo - p_lo*q_hi| = D**(2n+1) at depth n, so with gap the floor
+    of (2n+1)*log2(D) and size the bits of the two factors, tops of
+    size - gap + 8 bits bound each side to within 2**(gap - 5) and decide.
+    Any other pair only places work there: _product_ge's exact products
+    decide where the bounds overlap.
 
     Each end is reduced by _reduced with k = 2*bd, with no gcd as wide as N:
     every prime of gcd(N, M) divides k.  A prime r that does not divide bd
@@ -226,20 +254,27 @@ def _from_tail(
       divides D**(2n+1) and D divides bd;
     - directed ends (t, S) with S = D * 2**bits;
     - _mapped's (num, den) of a reduced Fraction, which are coprime.
-    So both ends come out coprime, _coprime builds them, and the order check
-    of Enclosure.__new__ runs on the integers already at hand: the same
-    cross product, raising the same ValueError.  The enclosure is then built
-    once, without a second pass through __new__.
+    So both ends come out coprime, _coprime builds them, and the enclosure
+    is built once, without a second pass through __new__.
     """
     (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
+    (p_lo, q_lo), (p_hi, q_hi) = t_lo, t_hi
+    size = p_hi.bit_length() + q_lo.bit_length()
+    if q_lo == q_hi:
+        ordered = 0 < p_lo <= p_hi
+    elif size <= _ORDER_BITS:
+        ordered = 0 < p_lo and p_lo * q_hi <= p_hi * q_lo
+    else:
+        gap = int((2 * depth + 1) * log2(b // gcd(b, c) * d))  # D of _terms
+        ordered = 0 < min(p_lo, p_hi) and _product_ge(
+            (p_hi, q_lo), (p_lo, q_hi), bits=max(size - gap + 8, 64))
     ac, bd = a * c, b * d
     k = 2 * bd
-    (p_lo, q_lo), (p_hi, q_hi) = t_lo, t_hi
     ln, ld = _reduced(ac * p_hi + bd * q_hi, bd * p_hi, k)
     hn, hd = _reduced(ac * p_lo + bd * q_lo, bd * p_lo, k)
     lo, hi = _coprime(ln, ld), _coprime(hn, hd)
-    if ln * hd > hn * ld:
-        raise ValueError(f"malformed enclosure: {lo} > {hi}")
+    if not ordered:
+        raise ValueError(f"malformed enclosure: {_rational_str(lo)} > {_rational_str(hi)}")
     return tuple.__new__(Enclosure, (lo, hi, depth, mode, tol))
 
 
@@ -251,26 +286,55 @@ def _mapped(point: CFPoint, tail: Enclosure) -> Enclosure:
 
 
 #: matrices per leaf of _step_product's tree, multiplied in sequence
-_LEAF = 24
+_LEAF = 48
+#: from this many matrices on, a merge of _step_product forms seven wide products
+_WINOGRAD = 256
 
 
 def _step_product(u: int, du: int, big_d: int, lo: int, hi: int) -> tuple[int, int, int, int]:
     """(A, B, C, E) = M_{hi-1} ... M_lo for the terms (u, du, D) of _terms,
     with M_0 = [[u_0, D], [1, 0]] and M_j = [[u_j, D**2], [1, 0]]: from lo = 0
-    to n + 1 it is [[p_n, q_n], [p_{n-1}, q_{n-1}]] (see eval_enclosure).  A
-    balanced tree over runs of _LEAF, so wide products pair equal sizes."""
+    to n + 1 it is [[p_n, q_n], [p_{n-1}, q_{n-1}]] (see eval_enclosure).
+
+    A balanced tree over runs of _LEAF, so wide products pair equal sizes
+    (binary splitting).  A merge of at least _WINOGRAD matrices multiplies
+    by Winograd's form of Strassen's product (S. Winograd, 1971): seven
+    wide products and fifteen additions instead of eight products; smaller
+    merges keep the eight.  Both give the same integers.
+
+    A leaf carries both columns packed, one integer per row: x = (A << k) + B
+    and y = (C << k) + E, and a step is x, y = u_j*x + D**2*y, x.  Every
+    entry is a nonnegative integer, and with X = u_last + D**2 (u_last the
+    leaf's last term, D <= D**2) each matrix's rows sum to at most X, so
+    the rows of a product of s of them sum to at most X**s < 2**(s*bitlen(X)).
+    With k = s*bitlen(X) + 1, every B and E the run passes through is below
+    2**k, so u_j*B + D**2*E never carries across bit k, and the high and
+    low parts of each row stay exactly (A, B) and (C, E).
+    """
     if hi - lo > _LEAF:
         mid = (lo + hi) // 2
         a1, b1, c1, e1 = _step_product(u, du, big_d, lo, mid)
         a2, b2, c2, e2 = _step_product(u, du, big_d, mid, hi)
-        return a2 * a1 + b2 * c1, a2 * b1 + b2 * e1, c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
+        if hi - lo < _WINOGRAD:
+            return a2 * a1 + b2 * c1, a2 * b1 + b2 * e1, c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
+        s1 = c2 + e2
+        s2 = s1 - a2
+        t1 = b1 - a1
+        t2 = e1 - t1
+        m1, m5 = a2 * a1, s1 * t1
+        u2 = m1 + s2 * t2
+        u3 = u2 + (a2 - c2) * (e1 - b1)
+        return m1 + b2 * c1, u2 + m5 + (b2 - s2) * e1, u3 - e2 * (t2 - c1), u3 + m5
     dd = big_d * big_d
     u += lo * du
-    a, b, c, e = u, dd if lo else big_d, 1, 0
+    s = hi - lo
+    k = s * (u + (s - 1) * du + dd).bit_length() + 1
+    x, y = (u << k) + (dd if lo else big_d), 1 << k
     for _ in range(lo + 1, hi):
         u += du
-        a, b, c, e = u * a + dd * c, u * b + dd * e, a, b
-    return a, b, c, e
+        x, y = u * x + dd * y, x
+    low = (1 << k) - 1
+    return x >> k, x & low, y >> k, y & low
 
 
 #: ln 4: the measured offset of the width at small x0 (see _depth_model)
@@ -384,13 +448,16 @@ def _depth_model(point: CFPoint, tol: Fraction, max_depth: int) -> int:
 
 #: from this many bits of dd**n on, _meets bounds both sides before multiplying
 _BOUND_BITS = 4096
+#: above this many bits across one side's two factors, _from_tail's order
+#: check bounds both sides first
+_ORDER_BITS = 8192
 
 
-def _top(v: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2**e <= v <= hi * 2**e and hi at most 2**64."""
-    e = max(v.bit_length() - 64, 0)
-    lo = v >> e
-    return lo, lo + (e > 0), e
+def _top(v: int, bits: int) -> tuple[int, int, int]:
+    """(t, c, e) with t * 2**e <= v <= (t + c) * 2**e, t below 2**bits, and
+    c true (1) where v was cut (e > 0)."""
+    e = max(v.bit_length() - bits, 0)
+    return v >> e, e > 0, e
 
 
 def _meets(p: int, pp: int, tn: int, x: int, dd: int, n: int) -> bool:
@@ -406,28 +473,39 @@ def _meets(p: int, pp: int, tn: int, x: int, dd: int, n: int) -> bool:
     return _product_ge((p, pp, tn), (x,), dd, n)
 
 
-def _product_ge(left: tuple[int, ...], right: tuple[int, ...], dd: int = 1, n: int = 0) -> bool:
+def _product_ge(
+    left: tuple[int, ...], right: tuple[int, ...], dd: int = 1, n: int = 0, bits: int = 64
+) -> bool:
     """prod(left) >= prod(right) * dd**n for positive integers and n >= 0.
-    Both sides are first bounded by [lo, hi] * 2**e: each factor cut to 64
-    bits (_top), dd**n by square and multiply, cut back to 64 bits after
-    each step, lo down and hi up.  Only bounds that overlap, where the sides
-    agree to about 2**-48, leave the exact products to decide."""
-    d, d1, ed = _top(dd)
+
+    Both sides are first bounded by [lo, hi] * 2**e: each factor cut to its
+    top ``bits`` bits (_top), dd**n by square and multiply, cut back to
+    ``bits`` bits after each step, lo down and hi up.  Each side's upper
+    bound costs no second product: for two cut factors a and b it is
+    ab + a + b + 1.  Only bounds that overlap, where the sides
+    agree to about 2**(4 - bits) of themselves, leave the exact products to
+    decide, so ``bits`` only places work and never changes a verdict.
+    """
+    d, cd, ed = _top(dd, bits)
     lo, hi, e = 1, 1, 0
     for bit in bin(n)[2:]:
         lo, hi, e = lo * lo, hi * hi, 2 * e
         if bit == "1":
-            lo, hi, e = lo * d, hi * d1, e + ed
-        s = hi.bit_length() - 64
+            lo, hi, e = lo * d, hi * (d + cd), e + ed
+        s = hi.bit_length() - bits
         if s > 0:
             lo, hi, e = lo >> s, -(-hi >> s), e + s
+    # hi*(t + c) as lo*t + c*lo + (hi - lo)*(t + c): one product of tops
+    # per factor while hi - lo is at most 1
     for v in right:
-        r, r1, er = _top(v)
-        lo, hi, e = lo * r, hi * r1, e + er
+        t, c, ev = _top(v, bits)
+        p = lo * t
+        lo, hi, e = p, p + c * lo + (hi - lo) * (t + c), e + ev
     left_lo, left_hi, k = 1, 1, -e
     for v in left:
-        a, a1, ea = _top(v)
-        left_lo, left_hi, k = left_lo * a, left_hi * a1, k + ea
+        t, c, ev = _top(v, bits)
+        p = left_lo * t
+        left_lo, left_hi, k = p, p + c * left_lo + (left_hi - left_lo) * (t + c), k + ev
     # both sides at the smaller of their two exponents
     left_lo, left_hi = left_lo << max(k, 0), left_hi << max(k, 0)
     lo, hi = lo << max(-k, 0), hi << max(-k, 0)
@@ -478,7 +556,7 @@ def eval_enclosure(
     """
     tol = as_fraction(tol)
     if tol.numerator <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+        raise DomainError(f"tol must be positive, got {_rational_str(tol)}")
     _check_budget(max_depth)
     m, lam = point.m, point.lam
     u, du, big_d = _terms(m.numerator + m.denominator, m.denominator, *lam.as_integer_ratio())
@@ -749,7 +827,7 @@ def eval_directed(
     """
     tol = as_fraction(tol)
     if tol.numerator <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+        raise DomainError(f"tol must be positive, got {_rational_str(tol)}")
     _check_budget(max_depth)
     (a, b), (c, d) = point.m.as_integer_ratio(), point.lam.as_integer_ratio()
     a, big_d = a + b, b * d  # the tail at m + 1 = a/b

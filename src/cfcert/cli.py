@@ -37,6 +37,7 @@ from .cf_core import (
     _Checked,
     _exact_at,
     _mapped,
+    _rational_str,
     as_fraction,
 )
 from .errors import (
@@ -406,7 +407,8 @@ def _cmd_scan(args):
     for entry in entries:
         if entry.error is not None:
             code = EXIT_NOT_CONVERGED
-            print(f"not converged at lambda={entry.lam}: {entry.error}", file=sys.stderr)
+            lam = _rational_str(entry.lam)
+            print(f"not converged at lambda={lam}: {entry.error}", file=sys.stderr)
         inputs = {"m": as_fraction(args.m), "lambda": entry.lam}
         records.append(record_from_enclosure("scan", inputs, entry.enclosure))
     return code, records
@@ -432,7 +434,7 @@ def _cmd_witness(args):
 def _cmd_oracle(args):
     m = as_fraction(args.m)
     if m.denominator != 1 or m < 0:
-        raise DomainError(f"oracle needs integer m >= 0, got {m}")
+        raise DomainError(f"oracle needs integer m >= 0, got {_rational_str(m)}")
     report = bessel_oracle.cross_check(int(m), args.lam, _tol(args), max_depth=args.max_depth)
     inputs = {"m": m, "lambda": as_fraction(args.lam)}
     return EXIT_OK, [

@@ -25,6 +25,7 @@ from .cf_core import (
     RationalLike,
     _best,
     _Checked,
+    _rational_str,
     _tightened,
     as_fraction,
 )
@@ -136,7 +137,7 @@ def find_witness(
     """
     m = as_fraction(m)
     if not (0 < m < 1):
-        raise DomainError(f"witness search needs 0 < m < 1, got {m}")
+        raise DomainError(f"witness search needs 0 < m < 1, got {_rational_str(m)}")
     tol = as_fraction(tol)
     grid = list(DEFAULT_WITNESS_GRID) if lambda_grid is None else lambda_grid
     reached: list[tuple[Fraction, Enclosure]] = []
@@ -166,7 +167,7 @@ def find_witness(
                 if e1.hi < e2.lo:
                     break
     raise NoWitnessFoundError(
-        f"no certified decrease for m={m} on the scanned grid "
+        f"no certified decrease for m={_rational_str(m)} on the scanned grid "
         "(absence on a grid is not a refutation)",
         m=m,
         grid=[lam for lam, _ in reached],

@@ -44,6 +44,8 @@ from cfcert.cf_core import (
     DIRECTED_LAMBDA_CUTOFF,
     _BOUND_BITS,
     _LEAF,
+    _ORDER_BITS,
+    _WINOGRAD,
     _best,
     _coprime,
     _depth_model,
@@ -52,6 +54,7 @@ from cfcert.cf_core import (
     _from_tail,
     _meets,
     _product_ge,
+    _rational_str,
     _rounding_steps,
     _side_of_one,
     _step_product,
@@ -212,6 +215,23 @@ class TestCFPoint:
             CFPoint(1, 0)
         with pytest.raises(DomainError):
             CFPoint(1, -3)
+
+    def test_messages_print_rationals_of_any_length(self):
+        # 4401 digits, past the 4300 that str(int) converts
+        with pytest.raises(DomainError, match="^lam must be positive, got -1" + "0" * 4400 + "$"):
+            CFPoint(1, -(10**4400))
+        with pytest.raises(DomainError, match="^m must exceed -1, got -7/3$"):
+            CFPoint(Fraction(-7, 3), 1)
+
+    @given(
+        value=st.one_of(
+            st.integers(-(10**400), 10**400),
+            st.fractions(),
+            st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)),
+        )
+    )
+    def test_rational_str_is_str_below_the_digit_limit(self, value):
+        assert _rational_str(value) == str(value)
 
     def test_exact_coercion(self):
         p = CFPoint("0.1", "1/3")
@@ -571,18 +591,30 @@ class TestEvalEnclosure:
         n=st.one_of(st.just(0), st.integers(0, 80)),
         tie=st.booleans(),
         delta=st.integers(-4, 4),
+        bits=st.sampled_from([1, 2, 8, 64, 300]),
     )
-    @example(left=[6, 2**200], right=[3, 2**201], dd=1, n=0, tie=False, delta=0)
-    @example(left=[6, 2**200], right=[3, 2**201 + 1], dd=1, n=0, tie=False, delta=0)
+    @example(left=[6, 2**200], right=[3, 2**201], dd=1, n=0, tie=False, delta=0, bits=64)
+    @example(left=[6, 2**200], right=[3, 2**201 + 1], dd=1, n=0, tie=False, delta=0, bits=64)
+    @example(left=[6, 2**200], right=[3, 2**201], dd=1, n=0, tie=False, delta=0, bits=2)
+    @example(left=[3**250, 5**170], right=[5**170, 3**250], dd=1, n=0, tie=False, delta=0,
+             bits=300)
     @settings(max_examples=200, deadline=None)
-    def test_product_ge_is_the_exact_comparison(self, left, right, dd, n, tie, delta):
+    def test_product_ge_is_the_exact_comparison(self, left, right, dd, n, tie, delta, bits):
         # with tie, the last left factor puts the sides level or within
-        # delta times the other left factors of each other, where the
-        # bounds overlap and the exact products decide
+        # delta times the other left factors of each other, where tops of
+        # ``bits`` bits overlap and the exact products decide
         rhs = prod(right) * dd**n
         if tie:
             left[-1] = max(rhs // prod(left[:-1]) + delta, 1)
-        assert _product_ge(tuple(left), tuple(right), dd, n) == (prod(left) >= rhs)
+        assert _product_ge(tuple(left), tuple(right), dd, n, bits) == (prod(left) >= rhs)
+
+    def test_product_ge_upper_bound_keeps_the_carry(self):
+        # cut to two bits, each 2**20 - 1 is [3, 4] * 2**18, so the left side
+        # is at most (3*3 + 3 + 3 + 1) * 2**36; without the + 1 it would lie
+        # below the right side's exact 243 * 2**32, which it exceeds
+        left, right = (2**20 - 1, 2**20 - 1), (3 << 8,) * 4 + (3,)
+        assert 15 << 36 < prod(right) < prod(left)
+        assert _product_ge(left, right, bits=2)
 
     @given(
         point=wide_points,
@@ -593,6 +625,15 @@ class TestEvalEnclosure:
     )
     @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=2 * _LEAF + 1)
     @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=3000)
+    # the root merge of depth + 1 matrices one below, at and one above the
+    # seven-product threshold
+    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=_WINOGRAD - 2)
+    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=_WINOGRAD - 1)
+    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=_WINOGRAD)
+    # D = 999999999989 * 64, so D**2 has 92 bits: the widest packed leaves
+    @example(point=CFPoint(Fraction(1, 999999999989), Fraction(1, 64)), depth=_LEAF)
+    @example(point=CFPoint(Fraction(1, 999999999989), Fraction(1, 64)), depth=_WINOGRAD - 1)
+    @example(point=CFPoint(Fraction(1, 999999999989), Fraction(1, 64)), depth=1530)
     @settings(max_examples=60, deadline=None)
     def test_step_product_matches_walk(self, point, depth):
         # the product tree's tail pair is the walk's, integer for integer
@@ -674,20 +715,35 @@ class TestFromTail:
     """_from_tail reduces each end without a wide gcd, to the lowest terms
     that Fraction(ac*p + bd*q, bd*p) gives."""
 
-    @given(point=tail_points(), depth=st.integers(1, 60))
+    @given(point=tail_points(), depth=st.one_of(st.integers(1, 60), st.integers(1000, 1100)))
+    @example(point=CFPoint(Fraction(1, 3), Fraction(1, 64)), depth=1000)
+    @example(point=CFPoint(Fraction(1, 999999999989), Fraction(3, 997)), depth=1001)
     @settings(max_examples=60, deadline=None)
     def test_swapped_tail_ends_are_rejected(self, point, depth):
         # _from_tail builds its enclosure without Enclosure.__new__, so it
-        # must run the order check itself: swapped ends map to lo > hi
+        # must run the order check itself: swapped ends map to lo > hi, with
+        # the message the mapped ends give; from depth 1000 the pair is
+        # past _ORDER_BITS, where _product_ge's sized tops decide
         m, lam = point.m, point.lam
         terms = _terms(m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator)
         p, q, pp, qq = _step_product(*terms, 0, depth + 1)
         ends = ((p, q), (pp, qq)) if depth % 2 == 0 else ((pp, qq), (p, q))
+        assert (p.bit_length() + qq.bit_length() > _ORDER_BITS) == (depth >= 1000)
         enc = _from_tail(point, *ends, depth, EvalMode.EXACT)
         assert enc.lo < enc.hi
+        message = f"^malformed enclosure: {_rational_str(enc.hi)} > {_rational_str(enc.lo)}$"
         for mode in EvalMode:
-            with pytest.raises(ValueError, match="malformed enclosure: .* > "):
+            with pytest.raises(ValueError, match=message):
                 _from_tail(point, ends[1], ends[0], depth, mode)
+
+    def test_sized_tops_decide_deep_exact_pairs(self, monkeypatch):
+        # tops sized to the bits the two sides share bound them apart, so the
+        # order check forms no exact product (prod is its fallback)
+        monkeypatch.setattr(cf_core, "prod", lambda _: pytest.fail("exact products formed"))
+        for point in (CFPoint(Fraction(1, 3), Fraction(1, 64)), CFPoint(2, 4),
+                      CFPoint(Fraction(1, 999999999989), Fraction(3, 997))):
+            for depth in (1000, 1001):
+                _exact_at(point, depth)
 
     @staticmethod
     def assert_lowest_terms(point, t_lo, t_hi, mode):

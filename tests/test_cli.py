@@ -338,6 +338,20 @@ class TestAlphaScanWitnessOracle:
         assert run(capsys, "scan", "--m", "1", "--grid-geom", "1:2")[0] == EXIT_USAGE
         assert run(capsys, "scan", "--m", "1", "--grid-geom", "1:2:x")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        # a value of 4401 digits, past the 4300 that str(int) converts,
+        # printed in full in the usage error
+        [(("--m", "1", "--lambda=-1e4400"), "lam must be positive, got -1" + "0" * 4400),
+         (("--m=-2e4400", "--lambda", "1"), "m must exceed -1, got -2" + "0" * 4400),
+         (("--m", "1", "--lambda", "1", "--tol=-1e4400"),
+          "tol must be positive, got -1" + "0" * 4400)],
+    )
+    def test_domain_errors_print_rationals_of_any_length(self, capsys, argv, message):
+        code = main(["eval", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["scan", "witness"])
     def test_both_grids_are_a_usage_error(self, capsys, command):
         # one grid or the other: before, --grid-list was dropped silently
