@@ -222,6 +222,11 @@ def _fits(
     )
 
 
+def _exhausted(max_depth: int) -> str:
+    """cross_check's BudgetExceededError message, built only when raised."""
+    return f"series width did not reach tol within max_depth={_rational_str(max_depth)} terms"
+
+
 def cross_check(
     m: int,
     lam: RationalLike,
@@ -260,9 +265,8 @@ def cross_check(
     _check_budget(max_depth)
     a, b = lam.denominator, lam.numerator  # h = x/2 = 1/lam
     floor = _floor_terms(m, a, b)
-    exhausted = f"series width did not reach tol within max_depth={_rational_str(max_depth)} terms"
     if floor > max_depth:
-        raise BudgetExceededError(exhausted)
+        raise BudgetExceededError(_exhausted(max_depth))
     cf_enc = evaluate(point, tol, max_depth=max_depth)
     terms = _predicted_terms(m, a, b, tol, cf_enc.hi, floor, max_depth)
     top, bot = _orders(m)
@@ -277,7 +281,8 @@ def cross_check(
         state, fitted = prev, True
     while not fitted and not _fits(m, a, b, *state, tol):
         if state[0] >= max_depth:
-            raise BudgetExceededError(exhausted, best=_summed(m, lam, state[0], state[1:3]))
+            best = _summed(m, lam, state[0], state[1:3])
+            raise BudgetExceededError(_exhausted(max_depth), best=best)
         state = _horner(m, aa, bb, state[0] + 1, state)  # add t_{T+1} to both sums
     oracle = _summed(m, lam, state[0], state[1:3])
     if _disjoint(cf_enc, oracle):

@@ -183,7 +183,9 @@ def check_functional_equation(
     if _disjoint(direct, shifted):
         raise ViolationError(
             f"functional equation enclosures disjoint at m={_rational_str(point.m)}, "
-            f"lam={_rational_str(point.lam)}: {direct} vs {shifted}"
+            f"lam={_rational_str(point.lam)}: [{_rational_str(direct.lo)}, "
+            f"{_rational_str(direct.hi)}] vs [{_rational_str(shifted.lo)}, "
+            f"{_rational_str(shifted.hi)}]"
         )
     return CheckReport(point, Claim.FUNCTIONAL_EQUATION, direct, shifted)
 

@@ -15,7 +15,7 @@ the shift identity G(m, lam) = m*lam + 1/G(m+1, lam).
 Two modes are provided.  Exact mode runs the convergent recurrence over big
 rationals; it is the reference semantics.  A closed-form depth model,
 shared with directed mode, places the start; one product tree of the step
-matrices (packed leaves, seven-product merges at the top) builds the
+matrices (packed leaves, seven-product merges) builds the
 convergents just below it; integer tests, each side first bounded to 64
 bits, settle the minimal depth; the ends' order check bounds both sides to
 tops sized by the pair's known width.  Directed mode runs a
@@ -237,12 +237,13 @@ def _from_tail(
     q_hi/p_hi <= q_lo/p_lo, that is p_lo*q_hi <= p_hi*q_lo, so it raises
     exactly where Enclosure.__new__ would on the images, with the same
     ValueError, and it also confirms that the ends are positive.  Ends that
-    share a denominator (directed (t, S)) need one integer comparison.  Wider
-    exact pairs go to _product_ge with tops sized to the bits the two sides
-    share: the scaled convergents of _terms differ by exactly
-    |p_hi*q_lo - p_lo*q_hi| = D**(2n+1) at depth n, so with gap the floor
-    of (2n+1)*log2(D) and size the bits of the two factors, tops of
-    size - gap + 8 bits bound each side to within 2**(gap - 5) and decide.
+    share a denominator (directed (t, S)) need one integer comparison.  Exact
+    pairs past _BOUND_BITS across one side's two factors go to _product_ge
+    with tops sized to the bits the two sides share: the scaled convergents
+    of _terms differ by exactly |p_hi*q_lo - p_lo*q_hi| = D**(2n+1) at
+    depth n, so with gap the floor of (2n+1)*log2(D) and size the bits of
+    the two factors, tops of size - gap + 8 bits bound each side to within
+    2**(gap - 5) and decide.
     Any other pair only places work there: _product_ge's exact products
     decide where the bounds overlap.
 
@@ -262,7 +263,7 @@ def _from_tail(
     size = p_hi.bit_length() + q_lo.bit_length()
     if q_lo == q_hi:
         ordered = 0 < p_lo <= p_hi
-    elif size <= _ORDER_BITS:
+    elif size <= _BOUND_BITS:
         ordered = 0 < p_lo and p_lo * q_hi <= p_hi * q_lo
     else:
         gap = int((2 * depth + 1) * log2(b // gcd(b, c) * d))  # D of _terms
@@ -287,8 +288,6 @@ def _mapped(point: CFPoint, tail: Enclosure) -> Enclosure:
 
 #: matrices per leaf of _step_product's tree, multiplied in sequence
 _LEAF = 48
-#: from this many matrices on, a merge of _step_product forms seven wide products
-_WINOGRAD = 256
 
 
 def _step_product(u: int, du: int, big_d: int, lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -297,26 +296,26 @@ def _step_product(u: int, du: int, big_d: int, lo: int, hi: int) -> tuple[int, i
     to n + 1 it is [[p_n, q_n], [p_{n-1}, q_{n-1}]] (see eval_enclosure).
 
     A balanced tree over runs of _LEAF, so wide products pair equal sizes
-    (binary splitting).  A merge of at least _WINOGRAD matrices multiplies
-    by Winograd's form of Strassen's product (S. Winograd, 1971): seven
-    wide products and fifteen additions instead of eight products; smaller
-    merges keep the eight.  Both give the same integers.
+    (binary splitting).  Each merge multiplies by Winograd's form of
+    Strassen's product (S. Winograd, 1971): seven wide products and fifteen
+    additions instead of eight products, with the same integers.
 
     A leaf carries both columns packed, one integer per row: x = (A << k) + B
     and y = (C << k) + E, and a step is x, y = u_j*x + D**2*y, x.  Every
-    entry is a nonnegative integer, and with X = u_last + D**2 (u_last the
-    leaf's last term, D <= D**2) each matrix's rows sum to at most X, so
-    the rows of a product of s of them sum to at most X**s < 2**(s*bitlen(X)).
-    With k = s*bitlen(X) + 1, every B and E the run passes through is below
-    2**k, so u_j*B + D**2*E never carries across bit k, and the high and
-    low parts of each row stay exactly (A, B) and (C, E).
+    entry is a nonnegative integer.  Conjugated by T = diag(D, 1), M_j
+    becomes T**-1 M_j T = [[u_j, D], [D, 0]] (M_0: [[u_0, 1], [D, 0]]),
+    whose rows sum to at most X = u_last + D, u_last the leaf's last term.
+    So a product Q of s of them has entries at most X**s, and the product
+    of the M_j, T Q T**-1, has B = D*Q_12 <= D * X**s and E = Q_22 <= X**s.
+    With k = bitlen(D) + s*bitlen(X), every B and E the run passes through
+    is below 2**k, so u_j*B + D**2*E, the next B, never carries across
+    bit k, and the high and low parts of each row stay exactly (A, B) and
+    (C, E).
     """
     if hi - lo > _LEAF:
         mid = (lo + hi) // 2
         a1, b1, c1, e1 = _step_product(u, du, big_d, lo, mid)
         a2, b2, c2, e2 = _step_product(u, du, big_d, mid, hi)
-        if hi - lo < _WINOGRAD:
-            return a2 * a1 + b2 * c1, a2 * b1 + b2 * e1, c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
         s1 = c2 + e2
         s2 = s1 - a2
         t1 = b1 - a1
@@ -328,7 +327,7 @@ def _step_product(u: int, du: int, big_d: int, lo: int, hi: int) -> tuple[int, i
     dd = big_d * big_d
     u += lo * du
     s = hi - lo
-    k = s * (u + (s - 1) * du + dd).bit_length() + 1
+    k = big_d.bit_length() + s * (u + (s - 1) * du + big_d).bit_length()
     x, y = (u << k) + (dd if lo else big_d), 1 << k
     for _ in range(lo + 1, hi):
         u += du
@@ -446,18 +445,10 @@ def _depth_model(point: CFPoint, tol: Fraction, max_depth: int) -> int:
         n = min(max(ceil(n - (g - need) / slope), lo + 1), hi - 1)
 
 
-#: from this many bits of dd**n on, _meets bounds both sides before multiplying
+#: from this many bits on, a comparison of products bounds both sides
+#: before it multiplies: _meets's dd**n, and one side's two factors in
+#: _from_tail's order check
 _BOUND_BITS = 4096
-#: above this many bits across one side's two factors, _from_tail's order
-#: check bounds both sides first
-_ORDER_BITS = 8192
-
-
-def _top(v: int, bits: int) -> tuple[int, int, int]:
-    """(t, c, e) with t * 2**e <= v <= (t + c) * 2**e, t below 2**bits, and
-    c true (1) where v was cut (e > 0)."""
-    e = max(v.bit_length() - bits, 0)
-    return v >> e, e > 0, e
 
 
 def _meets(p: int, pp: int, tn: int, x: int, dd: int, n: int) -> bool:
@@ -478,34 +469,39 @@ def _product_ge(
 ) -> bool:
     """prod(left) >= prod(right) * dd**n for positive integers and n >= 0.
 
-    Both sides are first bounded by [lo, hi] * 2**e: each factor cut to its
-    top ``bits`` bits (_top), dd**n by square and multiply, cut back to
-    ``bits`` bits after each step, lo down and hi up.  Each side's upper
-    bound costs no second product: for two cut factors a and b it is
-    ab + a + b + 1.  Only bounds that overlap, where the sides
-    agree to about 2**(4 - bits) of themselves, leave the exact products to
-    decide, so ``bits`` only places work and never changes a verdict.
+    Both sides are first bounded by [lo, hi] * 2**e: each factor v cut to
+    its top ``bits`` bits, t = v >> s with c = 1 where s > 0, so that
+    t * 2**s <= v <= (t + c) * 2**s; dd**n by square and multiply, cut back
+    to ``bits`` bits after each step, lo down and hi up.  Each side's upper
+    bound costs no second product: hi*(t + c) is formed as
+    lo*t + (hi - lo)*t + c*hi, and for two cut factors a and b that is
+    ab + a + b + 1.  Only bounds that overlap, where the sides agree to
+    about 2**(4 - bits) of themselves, leave the exact products to decide,
+    so ``bits`` only places work and never changes a verdict.
     """
-    d, cd, ed = _top(dd, bits)
+    ed = max(dd.bit_length() - bits, 0)
+    d = dd >> ed
+    d1 = d + (ed > 0)
     lo, hi, e = 1, 1, 0
     for bit in bin(n)[2:]:
         lo, hi, e = lo * lo, hi * hi, 2 * e
         if bit == "1":
-            lo, hi, e = lo * d, hi * (d + cd), e + ed
+            lo, hi, e = lo * d, hi * d1, e + ed
         s = hi.bit_length() - bits
         if s > 0:
             lo, hi, e = lo >> s, -(-hi >> s), e + s
-    # hi*(t + c) as lo*t + c*lo + (hi - lo)*(t + c): one product of tops
-    # per factor while hi - lo is at most 1
+    # (s and hi) is c*hi: hi where v was cut
     for v in right:
-        t, c, ev = _top(v, bits)
+        s = max(v.bit_length() - bits, 0)
+        t = v >> s
         p = lo * t
-        lo, hi, e = p, p + c * lo + (hi - lo) * (t + c), e + ev
+        lo, hi, e = p, p + (hi - lo) * t + (s and hi), e + s
     left_lo, left_hi, k = 1, 1, -e
     for v in left:
-        t, c, ev = _top(v, bits)
+        s = max(v.bit_length() - bits, 0)
+        t = v >> s
         p = left_lo * t
-        left_lo, left_hi, k = p, p + c * left_lo + (left_hi - left_lo) * (t + c), k + ev
+        left_lo, left_hi, k = p, p + (left_hi - left_lo) * t + (s and left_hi), k + s
     # both sides at the smaller of their two exponents
     left_lo, left_hi = left_lo << max(k, 0), left_hi << max(k, 0)
     lo, hi = lo << max(-k, 0), hi << max(-k, 0)

@@ -251,6 +251,12 @@ class TestCrossCheck:
         report = cross_check(0, Fraction(1, 10), Fraction(1, 10), max_depth=14)
         assert report.right == series_ratio(0, Fraction(1, 10), 14)
 
+    def test_a_budget_of_any_length_is_accepted(self):
+        # the budget message is built only when raised, so a budget past the
+        # 4300 digits that str(int) converts does not fail the call
+        report = cross_check(0, Fraction(1, 10), Fraction(1, 10), max_depth=10**4400)
+        assert report.right == series_ratio(0, Fraction(1, 10), 14)
+
     @given(
         m=st.integers(min_value=0, max_value=8),
         lam=st.one_of(

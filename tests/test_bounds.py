@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,28 @@ def test_disjoint_identity_enclosures_raise_violation(monkeypatch, shift):
         check_functional_equation(CFPoint(1, 1))
     with pytest.raises(ViolationError, match="convergent and series enclosures disjoint"):
         cross_check(1, 1)
+
+
+def test_violation_messages_print_ends_of_any_length(monkeypatch):
+    # at tol 1e-9000 the ends' denominators pass the 4300 digits that
+    # str(int) converts; the message prints all four ends in full
+    def moved(enc):
+        return Enclosure(enc.lo + 1, enc.hi + 1, enc.depth, enc.mode, enc.tol)
+
+    def full(v):
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+
+    mapped = bounds._mapped
+    monkeypatch.setattr(bounds, "_mapped", lambda *args: moved(mapped(*args)))
+    point, tol = CFPoint(1, 1), Fraction(1, 10**9000)
+    direct, shifted = evaluate(point, tol), moved(mapped(point, evaluate(point.shifted(), tol)))
+    assert direct.lo.denominator > 10**4300
+    with pytest.raises(ViolationError) as exc:
+        check_functional_equation(point, tol)
+    assert str(exc.value) == (
+        "functional equation enclosures disjoint at m=1, lam=1: "
+        f"[{full(direct.lo)}, {full(direct.hi)}] vs [{full(shifted.lo)}, {full(shifted.hi)}]"
+    )
 
 
 class TestTheoremBound:

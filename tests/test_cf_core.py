@@ -44,8 +44,6 @@ from cfcert.cf_core import (
     DIRECTED_LAMBDA_CUTOFF,
     _BOUND_BITS,
     _LEAF,
-    _ORDER_BITS,
-    _WINOGRAD,
     _best,
     _coprime,
     _depth_model,
@@ -609,12 +607,14 @@ class TestEvalEnclosure:
         assert _product_ge(tuple(left), tuple(right), dd, n, bits) == (prod(left) >= rhs)
 
     def test_product_ge_upper_bound_keeps_the_carry(self):
-        # cut to two bits, each 2**20 - 1 is [3, 4] * 2**18, so the left side
+        # cut to two bits, each 2**20 - 1 is [3, 4] * 2**18, so their product
         # is at most (3*3 + 3 + 3 + 1) * 2**36; without the + 1 it would lie
-        # below the right side's exact 243 * 2**32, which it exceeds
-        left, right = (2**20 - 1, 2**20 - 1), (3 << 8,) * 4 + (3,)
-        assert 15 << 36 < prod(right) < prod(left)
-        assert _product_ge(left, right, bits=2)
+        # below the other side's exact 243 * 2**32, which it exceeds, with
+        # the pair on either side of the comparison
+        wide, exact = (2**20 - 1, 2**20 - 1), (3 << 8,) * 4 + (3,)
+        assert 15 << 36 < prod(exact) < prod(wide)
+        assert _product_ge(wide, exact, bits=2)
+        assert not _product_ge(exact, wide, bits=2)
 
     @given(
         point=wide_points,
@@ -625,14 +625,9 @@ class TestEvalEnclosure:
     )
     @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=2 * _LEAF + 1)
     @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=3000)
-    # the root merge of depth + 1 matrices one below, at and one above the
-    # seven-product threshold
-    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=_WINOGRAD - 2)
-    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=_WINOGRAD - 1)
-    @example(point=CFPoint(Fraction(1, 3), Fraction(192, 997)), depth=_WINOGRAD)
     # D = 999999999989 * 64, so D**2 has 92 bits: the widest packed leaves
+    @example(point=CFPoint(Fraction(1, 999999999989), Fraction(1, 64)), depth=_LEAF - 1)
     @example(point=CFPoint(Fraction(1, 999999999989), Fraction(1, 64)), depth=_LEAF)
-    @example(point=CFPoint(Fraction(1, 999999999989), Fraction(1, 64)), depth=_WINOGRAD - 1)
     @example(point=CFPoint(Fraction(1, 999999999989), Fraction(1, 64)), depth=1530)
     @settings(max_examples=60, deadline=None)
     def test_step_product_matches_walk(self, point, depth):
@@ -723,12 +718,12 @@ class TestFromTail:
         # _from_tail builds its enclosure without Enclosure.__new__, so it
         # must run the order check itself: swapped ends map to lo > hi, with
         # the message the mapped ends give; from depth 1000 the pair is
-        # past _ORDER_BITS, where _product_ge's sized tops decide
+        # past _BOUND_BITS, where _product_ge's sized tops decide
         m, lam = point.m, point.lam
         terms = _terms(m.numerator + m.denominator, m.denominator, lam.numerator, lam.denominator)
         p, q, pp, qq = _step_product(*terms, 0, depth + 1)
         ends = ((p, q), (pp, qq)) if depth % 2 == 0 else ((pp, qq), (p, q))
-        assert (p.bit_length() + qq.bit_length() > _ORDER_BITS) == (depth >= 1000)
+        assert depth < 1000 or p.bit_length() + qq.bit_length() > _BOUND_BITS
         enc = _from_tail(point, *ends, depth, EvalMode.EXACT)
         assert enc.lo < enc.hi
         message = f"^malformed enclosure: {_rational_str(enc.hi)} > {_rational_str(enc.lo)}$"
